@@ -25,7 +25,7 @@ from tsflow.harness import manufacture, random_elliptic_tensor
 ############################################################
 # One mode first: the (n+1) x (n+1) symbol couples velocity and pressure.
 # For isotropic tensors the inverse has a closed form; the general
-# elimination must reproduce it.
+# (LAPACK) inverse must reproduce it.
 
 iso = make_isotropic(0.0, 1.0, 2)
 sym = assemble_symbol(iso, (1, 0))

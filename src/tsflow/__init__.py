@@ -6,8 +6,8 @@ fields, viscosity tensors) and pure functions on them:
 
     spectral       field representation, Sobolev norms, spectral calculus
     viscosity      fourth-order viscosity tensors and the viscous operator
-    stokes         per-mode symbol inversion and the linear solver
-    navier_stokes  dealiased advection and the damped fixed-point solver
+    stokes         the Stokes solution operator and the linear solver
+    navier_stokes  divergence-form advection and the damped fixed-point solver
     harness        manufactured problems and property-check suites
     io             dump formats for fields and tensors, grid CSV export
     cli            command line front end (also `python -m tsflow`)
@@ -19,6 +19,7 @@ from .spectral import (
     SpectralVectorField,
     ball_filter,
     ball_mask,
+    dealias_grid,
     divergence,
     embed_field,
     gradient,
@@ -50,7 +51,9 @@ from .viscosity import (
 )
 from .stokes import (
     NonPositiveMu,
+    NotSolenoidal,
     SingularSymbol,
+    StokesOperator,
     StokesSolveReport,
     ZeroMode,
     assemble_symbol,

@@ -28,9 +28,11 @@ from .spectral import (
     make_lattice,
     random_scalar_field,
     random_vector_field,
+    scalar_field,
     sobolev_norm,
+    vector_field,
 )
-from .stokes import SingularSymbol, solve_stokes
+from .stokes import NotSolenoidal, SingularSymbol, solve_stokes
 from .viscosity import (
     NotElliptic,
     check_symmetry,
@@ -207,10 +209,15 @@ def _validate(command, options):
             raise UsageError(
                 f"unknown suite {options['suite']!r}; valid: all, {', '.join(suite_names())}"
             )
+        if options["draws"] < 1:
+            raise UsageError(f"--draws must be >= 1, got {options['draws']}")
+    if command in ("verify", "manufacture"):
         if options["n"] not in (2, 3):
             raise UsageError(f"--n must be 2 or 3, got {options['n']}")
-    if command == "manufacture" and options["n"] not in (2, 3):
-        raise UsageError(f"--n must be 2 or 3, got {options['n']}")
+        if options["m"] < 1:
+            raise UsageError(f"--m must be >= 1, got {options['m']}")
+        if options["seed"] < 0:
+            raise UsageError(f"--seed must be >= 0, got {options['seed']}")
     if command == "export-grid" and options["N"] < 2:
         raise UsageError(f"--N must be >= 2, got {options['N']}")
     if command == "residual":
@@ -267,8 +274,13 @@ def _read_solution(path):
     lat = make_lattice(n, m)
     coeffs = np.frombuffer(lines[5], dtype="<c16").reshape((comps,) + lat.shape)
     is_real = bool(int(header["real"]))
-    u = SpectralVectorField(lat, coeffs[:n].copy(), is_real, True, False)
-    p = SpectralScalarField(lat, coeffs[n].copy(), is_real, True)
+    try:  # the validating constructors check Hermitian symmetry for real=1
+        u = vector_field(lat, coeffs[:n], is_real)
+        p = scalar_field(lat, coeffs[n], is_real)
+    except ValueError as exc:
+        raise ValueError(f"{path}: real={int(is_real)} but {exc}") from None
+    u = SpectralVectorField(lat, u.coeffs, is_real, True, False)
+    p = SpectralScalarField(lat, p.coeffs, is_real, True)
     return u, p
 
 
@@ -360,8 +372,11 @@ def _cmd_export_grid(config):
     path = getattr(config, "in")
     try:
         payload = tio.read_field(path)
-    except ValueError:
-        payload = list(_read_solution(path))  # combined velocity+pressure dump
+    except ValueError as exc:
+        try:
+            payload = list(_read_solution(path))  # combined velocity+pressure dump
+        except UsageError:
+            raise exc from None  # not a combined dump either: the reader's error stands
     tio.export_grid_csv(config.out, payload, config.N)
     return 0
 
@@ -437,7 +452,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NotElliptic, SingularSymbol, OSError, ValueError) as exc:
+    except (NotElliptic, SingularSymbol, NotSolenoidal, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

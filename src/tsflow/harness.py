@@ -17,6 +17,7 @@ import numpy as np
 
 from .navier_stokes import advection, advection_bruteforce, picard_solve
 from .spectral import (
+    dealias_grid,
     divergence,
     embed_field,
     gradient,
@@ -90,15 +91,15 @@ def manufacture(u_star, p_star, tensor, include_nonlinear=False):
 def trilinear_form(v1, v2, v3):
     """Quadrature of the advection pairing ((v1 . grad) v2, v3).
 
-    Uses a 3m+1 grid, which integrates triple products of cube-limited
-    fields exactly.
+    Uses the 5-smooth `dealias_grid(m)` >= 3m+1, which integrates triple
+    products of cube-limited fields exactly.
     """
     if not (v1.is_real and v2.is_real and v3.is_real):
         raise ValueError("trilinear forms are taken over real fields")
     lat = v1.lattice
     if v2.lattice != lat or v3.lattice != lat:
         raise ValueError("all three fields must share a lattice")
-    N = 3 * lat.m + 1
+    N = dealias_grid(lat.m)
     s1 = grid_transform(v1, N)
     s3 = grid_transform(v3, N)
     total = 0.0
@@ -119,7 +120,7 @@ def advection_identity_defects(v1, v2, v3):
     fields; the second is T(v1,v2,v2), which vanishes when v1 is solenoidal.
     """
     lat = v1.lattice
-    N = 3 * lat.m + 1
+    N = dealias_grid(lat.m)
     t_123 = trilinear_form(v1, v2, v3)
     t_132 = trilinear_form(v1, v3, v2)
     div1 = grid_transform(divergence(v1), N)

@@ -4,7 +4,9 @@ Spectral dump (.spf): the magic line "SPF1" followed by ASCII header lines
 `n=<int>`, `m=<int>`, `components=<int>`, `real=<0|1>`, then little-endian
 float64 (re, im) pairs, one per coefficient, component by component, each
 component in canonical C order over the mode cube. components == 1 encodes
-a scalar field; otherwise components must equal n.
+a scalar field; otherwise components must equal n. real=1 promises Hermitian
+coefficients, c(-xi) = conj(c(xi)), and the reader rejects a dump that breaks
+it: real fields are sampled with real FFTs, which read only half the cube.
 
 Tensor file: ASCII, a header `n=<int>` followed by lines
 `k j alpha beta value` with 1-based indices; omitted entries are zero.
@@ -24,6 +26,8 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     grid_transform,
+    scalar_field,
+    vector_field,
 )
 from .viscosity import ViscosityTensor
 
@@ -110,14 +114,19 @@ def read_field(path):
     coeffs = np.frombuffer(lines[5], dtype="<c16", count=-1)
     if coeffs.size != expected:
         raise ValueError(f"{path}: expected {expected} coefficients, found {coeffs.size}")
-    coeffs = coeffs.reshape((components,) + lattice.shape).astype(np.complex128)
+    coeffs = coeffs.reshape((components,) + lattice.shape)
     is_real = bool(header["real"])
     zero_mean = bool(
         np.max(np.abs(coeffs[(slice(None),) + lattice.zero_index])) == 0.0
     )
-    if components == 1:
-        return SpectralScalarField(lattice, coeffs[0].copy(), is_real, zero_mean)
-    return SpectralVectorField(lattice, coeffs.copy(), is_real, zero_mean, False)
+    # the validating constructors copy the data and, for real=1, reject
+    # coefficients that are not Hermitian (real FFTs rely on the flag)
+    try:
+        if components == 1:
+            return scalar_field(lattice, coeffs[0], is_real, zero_mean)
+        return vector_field(lattice, coeffs, is_real, zero_mean)
+    except ValueError as exc:
+        raise ValueError(f"{path}: real={header['real']} but {exc}") from None
 
 
 def write_tensor(path, tensor):

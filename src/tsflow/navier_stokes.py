@@ -1,19 +1,28 @@
 """Stationary Navier-Stokes on the torus via damped fixed-point iteration.
 
-The nonlinear term is the convective form (w . grad) w, evaluated
-pseudospectrally on a grid of at least 3m+1 points per axis so that the
-retained modes agree exactly with the lattice convolution (quadratic products
-of cube-truncated fields live on the doubled cube; 3m+1 points leave the
-inner cube alias-free). A direct convolution oracle is kept alongside.
+The nonlinear term (w . grad) w is evaluated pseudospectrally in divergence
+form, div(w (x) w) - (div w) w (Canuto, Hussaini, Quarteroni & Zang,
+Spectral Methods, sec. 3.4; Zang 1991): the n velocity components go to the
+grid by inverse real FFTs, and the n(n+1)/2 distinct products w_j w_k come
+back by forward real FFTs, one at a time, to be differentiated mode by mode
+(9 real transforms at n=3). The (div w) w correction is formed only for
+fields not flagged divergence-free. The grid has the 5-smooth size
+`dealias_grid(m)` >= 3m+1, so the retained modes agree exactly with the
+lattice convolution (quadratic products of cube-truncated fields live on the
+doubled cube; 3m+1 points leave the inner cube alias-free). A direct
+convolution oracle is kept alongside.
 
-The solver iterates
+The solver builds one StokesOperator S for the tensor and the forcing's
+cube, and iterates
 
-    u_next = (1 - omega) * u + omega * StokesSolve(f - (u . grad) u)
+    u_next = (1 - omega) * u + omega * S(f - (u . grad) u)
 
 with adaptive halving of omega whenever the defect grows, and stops when the
 defect of the momentum equation, measured in the H^{-1} norm, drops below the
-requested tolerance. Converged velocities are checked against the a-priori
-bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution satisfies.
+requested tolerance. The same operator supplies the initial guess and the
+viscous term of the defect. Converged velocities are checked against the
+a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution
+satisfies.
 """
 
 from __future__ import annotations
@@ -24,8 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import (
-    SpectralScalarField,
+    TWO_PI,
     SpectralVectorField,
+    dealias_grid,
+    divergence,
     grid_transform,
     index_grids,
     inner,
@@ -33,9 +44,10 @@ from .spectral import (
     sampling_transform,
     seminorm,
     sobolev_norm,
+    zero_vector_field,
 )
-from .stokes import solve_stokes_incompressible
-from .viscosity import apply_viscosity, ellipticity_constant
+from .stokes import StokesOperator
+from .viscosity import ellipticity_constant
 
 __all__ = [
     "Diverged",
@@ -118,30 +130,36 @@ class NSSolveReport:
 
 
 def advection(w, dealias=True):
-    """Convective term (w . grad) w, computed on a product grid.
+    """Convective term (w . grad) w, in divergence form on a product grid.
 
-    Requires a real field. With dealias the grid has 3m+1 points per axis
-    and the retained modes are exact; without it the products alias back
-    into the cube. The output mean is removed when w is divergence-free
-    (it vanishes analytically in that case) and kept otherwise.
+    Computes sum_j d_j(w_j w_k) - (div w) w_k: the n(n+1)/2 distinct
+    products w_j w_k are formed on the grid, brought back by real FFTs one
+    at a time and differentiated mode by mode. The correction (div w) w is
+    formed only when w is not flagged divergence-free, where it vanishes
+    analytically, so the result is exact for every w. Requires a real
+    field. With dealias the grid is the 5-smooth `dealias_grid(m)` >= 3m+1
+    and the retained modes are exact; without it the grid has 2m+1 points
+    and the products alias back into the cube.
     """
     if not w.is_real:
         raise ValueError("advection of complex fields is not supported")
     lat = w.lattice
     n = lat.n
-    N = (3 * lat.m + 1) if dealias else (2 * lat.m + 1)
+    N = dealias_grid(lat.m) if dealias else 2 * lat.m + 1
     w_grid = grid_transform(w, N)  # (n, N, ..., N) real samples
     grids = index_grids(lat)
-    out_grid = np.zeros_like(w_grid)
-    for k in range(n):
-        for j in range(n):
-            dj_wk = SpectralScalarField(lat, 2j * np.pi * grids[j] * w.coeffs[k], True, True)
-            out_grid[k] += w_grid[j] * grid_transform(dj_wk, N)
-    out = sampling_transform(out_grid, lat, is_real=True)
-    coeffs = out.coeffs.copy()
-    if w.divergence_free:
-        coeffs[(slice(None),) + lat.zero_index] = 0.0
-    return SpectralVectorField(lat, coeffs, True, w.divergence_free, False)
+    out = np.zeros((n,) + lat.shape, np.complex128)
+    for j in range(n):
+        for k in range(j, n):
+            prod = sampling_transform(w_grid[j] * w_grid[k], lat, is_real=True).coeffs
+            out[k] += TWO_PI * 1j * grids[j] * prod
+            if k != j:
+                out[j] += TWO_PI * 1j * grids[k] * prod
+    if not w.divergence_free:
+        div_grid = grid_transform(divergence(w), N)
+        for k in range(n):
+            out[k] -= sampling_transform(div_grid * w_grid[k], lat, is_real=True).coeffs
+    return SpectralVectorField(lat, out, True, w.divergence_free, False)
 
 
 def advection_bruteforce(w, out_m=None):
@@ -238,20 +256,19 @@ def picard_solve(tensor, f, opts=None):
         raise ValueError("forcing must be a real field")
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     omega = opts.relaxation
+    stokes = StokesOperator(tensor, lat)  # factored once, used by every pass
     if opts.initial_guess == "stokes":
-        u, _, _ = solve_stokes_incompressible(tensor, f, check_estimates=False)
+        u, _, _ = stokes.solve_incompressible(f, check_estimates=False)
     else:
-        from .spectral import zero_vector_field
-
         u = zero_vector_field(lat)
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
         bu = advection(u, dealias=opts.dealias)
-        u_lin, p_lin, _ = solve_stokes_incompressible(tensor, f - bu, check_estimates=False)
+        u_lin, p_lin, _ = stokes.solve_incompressible(f - bu, check_estimates=False)
         # the pressure gradient cancels in the defect, leaving the viscous
         # operator applied to the gap between u and the linear solution
-        defect = apply_viscosity(tensor, u - u_lin)
+        defect = stokes.viscous(u - u_lin)
         res = sobolev_norm(defect, -1.0)
         report.residual_history.append(res)
         report.final_residual = res

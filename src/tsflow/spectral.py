@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ __all__ = [
     "divergence",
     "leray_project",
     "symmetric_gradient",
+    "dealias_grid",
     "grid_transform",
     "sampling_transform",
     "random_scalar_field",
@@ -363,10 +365,47 @@ def symmetric_gradient(u):
 
 # ---------------------------------------------------------------------------
 # grid transforms
+#
+# A real-flagged field is transformed with numpy's real FFTs, which keep only
+# the half spectrum xi_n >= 0 of the last axis; the other half is its
+# Hermitian mirror. On grids with N >= 2m+1 points the cube occupies disjoint
+# corner blocks of the (half) spectrum and is moved by slice assignment.
+
+
+def dealias_grid(m):
+    """Smallest 5-smooth N >= 3m+1.
+
+    Products of two fields banded to m have band 2m; on N >= 3m+1 points
+    their aliases all land outside the cube, so the retained modes are exact.
+    Rounding up to a 5-smooth size keeps the FFTs fast.
+    """
+    N = 3 * m + 1
+    while True:
+        k = N
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return N
+        N += 1
 
 
 def _embed_offsets(lattice, N):
     return np.arange(-lattice.m, lattice.m + 1) % N
+
+
+def _corner_blocks(lattice, N, half):
+    """Pairs (spectrum slices, cube slices) covering the cube once.
+
+    Requires N >= 2m+1. With half, the last axis holds only xi_n >= 0.
+    """
+    m = lattice.m
+    axis = ((slice(0, m + 1), slice(m, 2 * m + 1)), (slice(N - m, N), slice(0, m)))
+    axes = [axis] * lattice.n
+    if half:
+        axes[-1] = axis[:1]
+    for pieces in itertools.product(*axes):
+        yield tuple(p[0] for p in pieces), tuple(p[1] for p in pieces)
 
 
 def grid_transform(field, N):
@@ -374,27 +413,53 @@ def grid_transform(field, N):
 
     Exact sampling of the stored trigonometric polynomial for any N >= 2;
     when N < 2m+1 distinct modes collapse onto shared grid frequencies and
-    an AliasingWarning is issued. Real-flagged fields return real samples.
+    an AliasingWarning is issued. Real-flagged fields return real samples,
+    computed by an inverse real FFT of the half spectrum.
     """
     lat = field.lattice
+    shape = (N,) * lat.n
     if N < 2 * lat.m + 1:
         warnings.warn(
             f"grid of {N} points per axis aliases a band limit of m={lat.m}",
             AliasingWarning,
             stacklevel=2,
         )
-    offs = _embed_offsets(lat, N)
-    ix = np.ix_(*([offs] * lat.n))
+        ix = np.ix_(*([_embed_offsets(lat, N)] * lat.n))
 
-    def one(coeffs):
-        spec = np.zeros((N,) * lat.n, np.complex128)
-        np.add.at(spec, ix, coeffs)
-        samples = np.fft.ifftn(spec) * float(N) ** lat.n
-        return samples.real if field.is_real else samples
+        def one(coeffs):
+            spec = np.zeros(shape, np.complex128)
+            np.add.at(spec, ix, coeffs)
+            samples = np.fft.ifftn(spec, norm="forward")
+            return samples.real if field.is_real else samples
+
+    else:
+        half = field.is_real
+        blocks = list(_corner_blocks(lat, N, half))
+
+        def one(coeffs):
+            spec = np.zeros(shape[:-1] + ((N // 2 + 1,) if half else (N,)), np.complex128)
+            for dst, src in blocks:
+                spec[dst] = coeffs[src]
+            if half:
+                return np.fft.irfftn(spec, s=shape, axes=range(lat.n), norm="forward")
+            return np.fft.ifftn(spec, norm="forward")
 
     if isinstance(field, SpectralVectorField):
         return np.stack([one(field.coeffs[j]) for j in range(lat.n)])
     return one(field.coeffs)
+
+
+def _hermitian_from_upper(c, lattice):
+    """Fill xi_n < 0 of a cube whose xi_n >= 0 half is set, by conjugation.
+
+    The xi_n = 0 plane is averaged with its own mirror, so the result is
+    exactly Hermitian.
+    """
+    m = lattice.m
+    c[..., :m] = np.conj(_flip(c[..., m + 1 :], lattice))
+    plane = c[..., m]
+    c[..., m] = 0.5 * (plane + np.conj(np.flip(plane)))
+    return c
 
 
 def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
@@ -402,6 +467,8 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 
     The inverse of grid_transform: exact whenever the grid has N >= 2m+1
     points per axis and the sampled function is band-limited to the cube.
+    Real samples go through a forward real FFT; the half of the cube that
+    it omits is filled by Hermitian symmetry.
     """
     samples = np.asarray(samples)
     vector = samples.ndim == lattice.n + 1
@@ -412,23 +479,33 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
     N = samples.shape[-1]
     if any(sz != N for sz in samples.shape[-lattice.n:]):
         raise ValueError("grid must have the same number of points on every axis")
-    if N < 2 * lattice.m + 1:
+    if is_real is None:
+        is_real = not np.iscomplexobj(samples)
+    aliased = N < 2 * lattice.m + 1
+    if aliased:
         warnings.warn(
             f"recovering m={lattice.m} coefficients from {N} points aliases the tail",
             AliasingWarning,
             stacklevel=2,
         )
-    if is_real is None:
-        is_real = not np.iscomplexobj(samples)
-    offs = _embed_offsets(lattice, N)
-    ix = np.ix_(*([offs] * lattice.n))
+    if is_real and not aliased and not np.iscomplexobj(samples):
+        blocks = list(_corner_blocks(lattice, N, half=True))
 
-    def one(grid):
-        spec = np.fft.fftn(grid) / float(N) ** lattice.n
-        c = spec[ix]
-        if is_real:
-            c = 0.5 * (c + np.conj(_flip(c, lattice)))
-        return c
+        def one(grid):
+            spec = np.fft.rfftn(grid, norm="forward")
+            c = np.empty(lattice.shape, np.complex128)
+            for src, dst in blocks:
+                c[dst] = spec[src]
+            return _hermitian_from_upper(c, lattice)
+
+    else:
+        ix = np.ix_(*([_embed_offsets(lattice, N)] * lattice.n))
+
+        def one(grid):
+            c = np.fft.fftn(grid, norm="forward")[ix]
+            if is_real:
+                c = 0.5 * (c + np.conj(_flip(c, lattice)))
+            return c
 
     if vector:
         coeffs = np.stack([one(samples[j]) for j in range(lattice.n)])

@@ -101,6 +101,38 @@ class TestParsing:
         with pytest.raises(UsageError, match="omega"):
             parse_config(argv)
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--draws", "0"), ("--m", "0"), ("--seed", "-1"), ("--n", "4")]
+    )
+    def test_bad_verify_and_manufacture_arguments_exit_2(
+        self, flag, value, iso_tensor, tmp_path, capsys
+    ):
+        assert main(["verify", flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        if flag == "--draws":
+            return
+        outs = [f"--out-{k}" for k in "upfg"]
+        argv = ["manufacture", "--tensor", iso_tensor, flag, value]
+        argv += [x for k in outs for x in (k, str(tmp_path / (k[-1] + ".spf")))]
+        assert main(argv) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    def test_non_hermitian_real_dump_exits_1(self, iso_tensor, tmp_path, capsys):
+        from tsflow.spectral import SpectralVectorField
+
+        f = random_vector_field(5, make_lattice(2, 3), decay=2.0)
+        c = f.coeffs.copy()
+        c[0, 1, 2] += 0.1
+        path = tmp_path / "f.spf"
+        write_field(path, SpectralVectorField(f.lattice, c, True, True))
+        argv = ["stokes-solve", "--tensor", iso_tensor, "--f", str(path),
+                "--out", str(tmp_path / "sol.spf")]
+        assert main(argv) == 1
+        assert "Hermitian" in capsys.readouterr().err
+        argv = ["export-grid", "--in", str(path), "--N", "8", "--out", str(tmp_path / "f.csv")]
+        assert main(argv) == 1
+        assert "Hermitian" in capsys.readouterr().err
+
 
 class TestTensorCheck:
     def test_elliptic_tensor_passes(self, iso_tensor, capsys):

@@ -72,6 +72,18 @@ class TestFieldDump:
         with pytest.raises(ValueError):
             read_field(path2)
 
+    def test_rejects_real_flag_on_non_hermitian_data(self, tmp_path):
+        # real=1 is a promise the real FFT path relies on
+        g = random_scalar_field(6, make_lattice(2, 3))
+        c = g.coeffs.copy()
+        c[4, 5] += 1e-3
+        path = tmp_path / "lying.spf"
+        write_field(path, SpectralScalarField(g.lattice, c, True, True))
+        with pytest.raises(ValueError, match="Hermitian"):
+            read_field(path)
+        write_field(path, SpectralScalarField(g.lattice, c, False, True))
+        assert not read_field(path).is_real  # the same data flagged complex is fine
+
 
 class TestTensorFile:
     def test_round_trip(self, tmp_path):

@@ -139,6 +139,19 @@ class TestAdvectionOracle:
         slow = advection_bruteforce(w)
         assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_bruteforce_for_general_fields_in_three_dimensions(self, m):
+        # the (div w) w correction path; m=4 puts the product grid at the
+        # 5-smooth N=15 instead of 3m+1=13
+        from tsflow.spectral import dealias_grid
+
+        assert dealias_grid(m) == {3: 10, 4: 15}[m]
+        w = random_vector_field(10 + m, make_lattice(3, m), decay=3.0)
+        assert sobolev_norm(divergence(w), 0.0) > 1e-3 * sobolev_norm(w, 1.0)
+        fast = advection(w)
+        slow = advection_bruteforce(w)
+        assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-11 * np.max(np.abs(slow.coeffs))
+
     def test_single_mode_two_term_convolution(self):
         # w1 = 2 cos(2 pi x1): the product collapses onto the doubled mode
         lat = make_lattice(2, 1)
@@ -277,6 +290,24 @@ class TestPicardSolve:
         u, _, report = picard_solve(ISO, prob.f, NSSolveOptions(initial_guess="zero"))
         assert report.converged
         assert sobolev_norm(u - prob.u_star, 1.0) <= 1e-9
+
+    def test_factors_the_stokes_symbol_once(self, monkeypatch):
+        import tsflow.navier_stokes as ns
+
+        built = []
+
+        class Counting(ns.StokesOperator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ns, "StokesOperator", Counting)
+        u_star = random_vector_field(30, make_lattice(2, 3), decay=3.0, divergence_free=True)
+        u_star = (0.05 / sobolev_norm(u_star, 1.0)) * u_star
+        prob = manufacture(u_star, 0.05 * random_scalar_field(31, u_star.lattice), ISO, True)
+        _, _, report = picard_solve(ISO, prob.f)
+        assert report.converged and report.iterations > 2
+        assert len(built) == 1
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

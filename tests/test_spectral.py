@@ -8,6 +8,7 @@ from tsflow.spectral import (
     NonzeroMeanWarning,
     divergence,
     embed_field,
+    dealias_grid,
     grid_transform,
     gradient,
     index_grids,
@@ -261,6 +262,33 @@ class TestGridTransforms:
         g = random_scalar_field(8, lat)
         with pytest.warns(AliasingWarning):
             grid_transform(g, 2 * lat.m)
+
+    @pytest.mark.parametrize("n, N", [(1, 12), (2, 9), (2, 10), (3, 8)])
+    def test_real_path_matches_complex_path(self, n, N):
+        # the real FFT path against the full complex one on the same data
+        lat = make_lattice(n, 3)
+        u = random_vector_field(31, lat, decay=1.0)
+        as_complex = vector_field(lat, u.coeffs)
+        real = grid_transform(u, N)
+        assert not np.iscomplexobj(real)
+        np.testing.assert_allclose(real, grid_transform(as_complex, N).real, atol=1e-13)
+        back = sampling_transform(real, lat)
+        ref = sampling_transform(real.astype(np.complex128), lat, is_real=True)
+        np.testing.assert_allclose(back.coeffs, ref.coeffs, atol=1e-14)
+        np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-13)
+        c = back.coeffs
+        assert np.array_equal(c, np.conj(np.flip(c, axis=tuple(range(1, n + 1)))))
+
+    def test_dealias_grid_is_five_smooth(self):
+        assert [dealias_grid(m) for m in (1, 2, 4, 8, 16, 24, 32)] == [4, 8, 15, 25, 50, 75, 100]
+        for m in range(1, 60):
+            N = dealias_grid(m)
+            assert N >= 3 * m + 1
+            k = N
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            assert k == 1
 
     def test_parseval_mean_square(self):
         lat = make_lattice(2, 5)

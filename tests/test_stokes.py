@@ -18,7 +18,9 @@ from tsflow.spectral import (
 )
 from tsflow.stokes import (
     NonPositiveMu,
+    NotSolenoidal,
     SingularSymbol,
+    StokesOperator,
     ZeroMode,
     assemble_symbol,
     estimate_constants,
@@ -29,7 +31,7 @@ from tsflow.stokes import (
     solve_stokes,
     solve_stokes_incompressible,
 )
-from tsflow.viscosity import make_isotropic, stokes_operator
+from tsflow.viscosity import apply_viscosity, make_isotropic, stokes_operator
 
 
 ISO = make_isotropic(0.0, 1.0, 2)
@@ -64,26 +66,118 @@ class TestSymbolAssembly:
 
 
 class TestBatchedElimination:
+    """The batched real-symbol inverse and solve behind every Stokes solve."""
+
+    @staticmethod
+    def _dressed(R):
+        # the complex matrices D R D, D = diag(1, ..., 1, i)
+        d = np.ones(R.shape[-1], np.complex128)
+        d[-1] = 1j
+        return d[:, None] * R * d[None, :]
+
     def test_matches_lapack_on_random_systems(self):
-        # oracle: numpy's LU-based solver on the same stacked systems
-        from tsflow.stokes import _solve_batched
+        # oracle: numpy's complex LU solver on the same stacked systems
+        from tsflow.stokes import _invert, _solve_symbols
 
         rng = np.random.default_rng(0)
         for d in (3, 4, 5):
-            mats = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
-            mats += 3.0 * np.eye(d)  # keep them comfortably nonsingular
+            R = rng.standard_normal((40, d, d)) + 3.0 * np.eye(d)  # comfortably nonsingular
             rhs = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
-            mine = _solve_batched(mats, rhs)
-            ref = np.linalg.solve(mats, rhs[..., None])[..., 0]
+            x = rhs.copy()
+            x[:, -1] *= -1j  # D^-1 rhs
+            y, residual = _solve_symbols(R, _invert(R, np.zeros((40, 2))), x)
+            mine = y.copy()
+            mine[:, -1] *= -1j  # D^-1 y
+            ref = np.linalg.solve(self._dressed(R), rhs[..., None])[..., 0]
             assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert residual <= 1e-13
 
     def test_detects_singular_member(self):
-        from tsflow.stokes import _solve_batched
+        from tsflow.stokes import _invert
 
-        mats = np.stack([np.eye(3, dtype=np.complex128)] * 3)
-        mats[1, :, 0] = 0.0  # one singular system in the batch
-        with pytest.raises(SingularSymbol):
-            _solve_batched(mats, np.ones((3, 3), np.complex128), xis=[(1, 0), (2, 0), (3, 0)])
+        xis = [(1, 0), (2, 0), (3, 0)]
+        R = np.stack([np.eye(3)] * 3)
+        R[1, :, 0] = 0.0  # one exactly singular system in the batch
+        with pytest.raises(SingularSymbol) as exc:
+            _invert(R, xis)
+        assert exc.value.xi == (2, 0)
+        R = np.stack([np.eye(3)] * 3)
+        R[2, 1, 1] = 1e-15  # invertible, but past the conditioning limit
+        with pytest.raises(SingularSymbol) as exc:
+            _invert(R, xis)
+        assert exc.value.xi == (3, 0)
+
+
+class TestStokesOperator:
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    def test_matches_lapack_on_assembled_symbols(self, n, m):
+        # oracle: np.linalg.solve on the complex assemble_symbol matrix of
+        # every nonzero mode, against one operator solve of the whole cube
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(40 + n, n)
+        f = random_vector_field(41, lat, decay=1.0)
+        g = random_scalar_field(42, lat, decay=1.0)
+        u, p, report = StokesOperator(A, lat).solve(f, g)
+        assert report.residual <= 1e-13
+        scale = max(np.max(np.abs(u.coeffs)), np.max(np.abs(p.coeffs)))
+        for xi in lat.indices():
+            if not np.any(xi):
+                continue
+            pos = tuple(xi + m)
+            rhs = np.append(f.coeffs[(slice(None),) + pos], g.coeffs[pos])
+            ref = np.linalg.solve(assemble_symbol(A, xi).mat, rhs)
+            assert np.max(np.abs(u.coeffs[(slice(None),) + pos] - ref[:n])) <= 1e-12 * scale
+            assert abs(p.coeffs[pos] - ref[n]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_member_names_its_mode(self, n, monkeypatch):
+        # mu = 0: the velocity block of every mode has rank one
+        import tsflow.stokes as stokes_mod
+        from tsflow.viscosity import NotElliptic
+
+        bad = make_isotropic(1.0, 0.0, n)
+        xi = (0,) * (n - 1) + (2,)
+        with pytest.raises(SingularSymbol) as exc:
+            solve_mode(assemble_symbol(bad, xi), np.ones(n), 0.0)
+        assert exc.value.xi == xi
+        lat = make_lattice(n, 2)
+        with pytest.raises(NotElliptic):  # the tensor is rejected before factoring
+            StokesOperator(bad, lat)
+        monkeypatch.setattr(stokes_mod, "estimate_constants", lambda tensor: {})
+        with pytest.raises(SingularSymbol) as exc:
+            StokesOperator(bad, lat)
+        named = exc.value.xi
+        assert len(named) == n and any(named)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(assemble_symbol(bad, named).mat)
+
+    def test_one_operator_many_solves(self):
+        lat = make_lattice(2, 5)
+        A = random_elliptic_tensor(43, 2)
+        op = StokesOperator(A, lat)
+        for seed in range(3):
+            f = random_vector_field(50 + seed, lat, decay=2.0)
+            g = random_scalar_field(60 + seed, lat, decay=2.0)
+            u1, p1, r1 = op.solve(f, g)
+            u2, p2, r2 = solve_stokes(A, f, g)
+            assert np.array_equal(u1.coeffs, u2.coeffs)
+            assert np.array_equal(p1.coeffs, p2.coeffs)
+            assert r1.flat_items() == r2.flat_items()
+
+    def test_viscous_matches_apply_viscosity(self):
+        lat = make_lattice(3, 3)
+        A = random_elliptic_tensor(44, 3)
+        u = random_vector_field(45, lat, decay=1.0)
+        mine = StokesOperator(A, lat).viscous(u).coeffs
+        ref = apply_viscosity(A, u).coeffs
+        assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_rejects_foreign_lattice(self):
+        op = StokesOperator(ISO, make_lattice(2, 3))
+        with pytest.raises(ValueError):
+            op.solve(random_vector_field(1, make_lattice(2, 4)))
+        with pytest.raises(ValueError):
+            StokesOperator(make_isotropic(0.0, 1.0, 3), make_lattice(2, 3))
 
 
 class TestSolveMode:
@@ -291,6 +385,65 @@ class TestIncompressibleSolve:
         u, _, _ = solve_stokes_incompressible(ISO, f)
         assert u.divergence_free
         assert sobolev_norm(divergence(u), 0.0) <= 1e-12
+
+    def test_divergence_defect_raises(self, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        import tsflow.stokes as stokes_mod
+
+        real = stokes_mod._solve_symbols
+
+        def skewed(R, inv, x):
+            y, residual = real(R, inv, x)
+            y[:, 0] += 1e-6 * np.max(np.abs(y))
+            return y, residual
+
+        monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
+        f = random_vector_field(16, make_lattice(2, 4), decay=2.0)
+        with pytest.raises(NotSolenoidal):
+            solve_stokes_incompressible(ISO, f)
+
+
+class TestScaleInvariantVerdicts:
+    SCALES = [10.0**k for k in range(-20, 21, 5)]
+
+    def test_estimates_ok_at_every_scale(self):
+        # lambda = mu = 1 with transverse forcing makes the velocity bound an
+        # equality, so the slack is pure rounding at every magnitude
+        lat = make_lattice(2, 6)
+        A = make_isotropic(1.0, 1.0, 2)
+        f = random_vector_field(70, lat, decay=2.0, divergence_free=True)
+        for scale in self.SCALES:
+            _, _, report = solve_stokes(A, scale * f, None)
+            assert report.estimates_ok, scale
+            assert np.max(np.abs(report.slack_u)) <= 1e-14 * scale * np.max(np.abs(f.coeffs))
+
+    def test_violated_estimate_fails_at_every_scale(self, monkeypatch):
+        # a solve inflated by 1e-9 overshoots the equality bound at every scale
+        import tsflow.stokes as stokes_mod
+
+        real = stokes_mod._solve_symbols
+
+        def inflated(R, inv, x):
+            y, residual = real(R, inv, x)
+            return y * (1.0 + 1e-9), residual
+
+        monkeypatch.setattr(stokes_mod, "_solve_symbols", inflated)
+        lat = make_lattice(2, 4)
+        A = make_isotropic(1.0, 1.0, 2)
+        f = random_vector_field(71, lat, decay=2.0, divergence_free=True)
+        for scale in self.SCALES:
+            _, _, report = solve_stokes(A, scale * f, None)
+            assert not report.estimates_ok, scale
+
+    def test_divergence_check_at_every_scale(self):
+        # gradient forcing leaves a velocity of pure rounding noise, whose
+        # divergence must be judged against the data, not against itself
+        lat = make_lattice(2, 6)
+        phi = random_scalar_field(72, lat, decay=2.0)
+        for scale in self.SCALES:
+            u, p, _ = solve_stokes_incompressible(ISO, gradient(scale * phi))
+            assert u.divergence_free
+            assert sobolev_norm(p - scale * phi, 0.0) <= 1e-12 * scale * sobolev_norm(phi, 0.0)
 
 
 class TestModeEstimates:
