@@ -9,8 +9,6 @@ sweeps a seeded ensemble and reports margins.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +31,17 @@ from .spectral import (
     symmetric_gradient,
     vector_field,
 )
-from .stokes import solve_isotropic_mode, solve_mode, assemble_symbol, solve_stokes
+from .stokes import (
+    _invert,
+    _mode_slacks,
+    _mode_symbols,
+    _solve_symbols,
+    assemble_symbol,
+    estimate_constants,
+    solve_isotropic_mode,
+    solve_mode,
+    solve_stokes,
+)
 from .viscosity import make_isotropic, make_tensor, symmetrize
 
 __all__ = [
@@ -218,24 +226,12 @@ class HarnessReport:
         return items
 
 
-def _worker_count():
-    raw = os.environ.get("TSF_THREADS", "0")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"TSF_THREADS must be an integer, got {raw!r}")
-    if count < 0:
-        raise ValueError(f"TSF_THREADS must be >= 0, got {count}")
-    return count if count > 0 else (os.cpu_count() or 1)
-
-
 def _map_cases(fn, args_list):
-    """Run independent cases, recombining results in submission order."""
-    workers = _worker_count()
-    if workers == 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+    """Run independent cases in order, in the calling thread.
+
+    A module-level function because tsbench/tracer.py wraps it by name.
+    """
+    return [fn(a) for a in args_list]
 
 
 def _suite_rho_bound(seed, m, n, draws):
@@ -308,24 +304,24 @@ def _suite_trilinear(seed, m, n, draws):
 
 
 def _suite_mode_estimates(seed, m, n, draws):
-    from .stokes import mode_estimate_slack
-
     rng = np.random.default_rng(seed)
+    modes = 50
 
     def case(i):
         tensor = random_elliptic_tensor(seed + 1000 + i, n)
-        worst = np.inf
-        for _ in range(50):
+        xis = np.empty((modes, n))
+        x = np.empty((modes, n + 1), np.complex128)  # D^-1 (fhat, ghat)
+        for b in range(modes):
             xi = rng.integers(-m, m + 1, size=n)
             if np.all(xi == 0):
                 xi[0] = 1
-            fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            sym = assemble_symbol(tensor, xi)
-            uhat, phat = solve_mode(sym, fhat, ghat)
-            su, sp = mode_estimate_slack(tensor, xi, fhat, ghat, uhat, phat)
-            worst = min(worst, su, sp)
-        return worst + 1e-12
+            xis[b] = xi
+            x[b, :n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x[b, n] = -1j * complex(rng.standard_normal() + 1j * rng.standard_normal())
+        R = _mode_symbols(tensor, xis)
+        y, _ = _solve_symbols(R, _invert(R, xis), x)
+        slack_u, slack_p, _, _ = _mode_slacks(estimate_constants(tensor), xis, x, y)
+        return min(np.min(slack_u), np.min(slack_p)) + 1e-12
 
     margins = [case(i) for i in range(draws)]  # rng shared: keep sequential
     worst = float(np.min(margins))

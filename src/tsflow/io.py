@@ -182,24 +182,23 @@ def export_grid_csv(path, field, N):
         samples = np.concatenate([p.astype(np.complex128) for p in parts], axis=0)
     ncomp = samples.shape[0]
     is_real = not np.iscomplexobj(samples)
-    cols = [f"x{i + 1}" for i in range(lat.n)]
-    for c in range(ncomp):
+    # i / N is the same IEEE division as the float array np.indices / N
+    names = [f"x{i + 1}" for i in range(lat.n)]
+    columns = list(np.indices((N,) * lat.n).reshape(lat.n, -1) / N)
+    for c, values in enumerate(samples.reshape(ncomp, -1), start=1):
         if is_real:
-            cols.append(f"v{c + 1}")
+            names.append(f"v{c}")
+            columns.append(values)
         else:
-            cols += [f"v{c + 1}_re", f"v{c + 1}_im"]
-    out = [",".join(cols)]
-    for flat in range(N**lat.n):
-        idx = np.unravel_index(flat, (N,) * lat.n)
-        row = [_fmt(i / N) for i in idx]
-        for c in range(ncomp):
-            val = samples[(c,) + idx]
-            if is_real:
-                row.append(_fmt(float(val)))
-            else:
-                row += [_fmt(float(val.real)), _fmt(float(val.imag))]
-        out.append(",".join(row))
-    atomic_write_text(path, "\n".join(out) + "\n")
+            names += [f"v{c}_re", f"v{c}_im"]
+            columns += [values.real, values.imag]
+    row = ",".join(["%.17g"] * len(columns))  # the format of _fmt on floats
+    lines = [",".join(names)]
+    step = 4096  # rows per block: bounds the Python floats alive at once
+    for start in range(0, N**lat.n, step):
+        block = zip(*(c[start : start + step].tolist() for c in columns))
+        lines.append("\n".join([row % values for values in block]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report(path, items, config_echo=None, history=None):

@@ -166,7 +166,11 @@ def advection_bruteforce(w, out_m=None):
     """Direct lattice convolution of (w . grad) w; oracle for `advection`.
 
     Exact on the output cube up to 2m. By default the result is truncated to
-    the input cube; pass out_m (<= 2m) to keep a larger band.
+    the input cube; pass out_m (<= 2m) to keep a larger band. Each of the n^2
+    products what_j * (2*pi*i*eta_j*what_k) is one `np.convolve` of the two
+    blocks placed at the corner of the doubled (4m+1)^n cube and flattened:
+    index sums stay within 4m along every axis, so flat offsets add without
+    carrying and the full convolution is the doubled cube in C order.
     """
     if not w.is_real:
         raise ValueError("advection of complex fields is not supported")
@@ -178,24 +182,21 @@ def advection_bruteforce(w, out_m=None):
     from .spectral import LatticeSpec, restrict_field
 
     big = LatticeSpec(n, 2 * m)
-    acc = np.zeros((n,) + big.shape, np.complex128)
+    corner = (slice(0, 2 * m + 1),) * n
+    head = (big.size + 1) // 2  # flat end of the corner block
+
+    def flat(block):
+        out = np.zeros(big.shape, np.complex128)
+        out[corner] = block
+        return out.ravel()[:head]
+
     grids = index_grids(lat)
-    # d[j, k] holds the gradient coefficients 2*pi*i*eta_j*what_k(eta)
-    d = np.empty((n, n) + lat.shape, np.complex128)
-    for j in range(n):
-        for k in range(n):
-            d[j, k] = 2j * np.pi * grids[j] * w.coeffs[k]
-    width = 2 * m + 1
-    for flat_eta, eta in enumerate(lat.indices()):
-        pos = np.unravel_index(flat_eta, lat.shape)
-        window = tuple(slice(p, p + width) for p in pos)
-        for k in range(n):
-            # sum_j what_j(xi - eta) * d[j,k](eta), accumulated as a shifted block
-            block = np.zeros(lat.shape, np.complex128)
-            for j in range(n):
-                block += w.coeffs[j] * d[j, k][pos]
-            acc[(k,) + window] += block
-    result = SpectralVectorField(big, acc, True, False, False)
+    what = [flat(c) for c in w.coeffs]
+    acc = np.zeros((n, big.size), np.complex128)
+    for k in range(n):
+        for j in range(n):
+            acc[k] += np.convolve(what[j], flat(2j * np.pi * grids[j] * w.coeffs[k]))
+    result = SpectralVectorField(big, acc.reshape((n,) + big.shape), True, False, False)
     out = restrict_field(result, out_m)
     coeffs = out.coeffs.copy()
     if w.divergence_free:

@@ -60,10 +60,11 @@ __all__ = [
 ]
 
 # Largest accepted Frobenius condition number ||R||_F * ||R^-1||_F of a real
-# symbol, and the relative tolerances of the estimate and divergence checks.
+# symbol, and the relative tolerances of the estimate, divergence and mean checks.
 COND_LIMIT = 1e13
 ESTIMATE_RTOL = 1e-12
 DIVERGENCE_RTOL = 1e-12
+MEAN_RTOL = 1e-14
 
 
 class ZeroMode(ValueError):
@@ -155,9 +156,12 @@ def assemble_symbol(tensor, xi):
         raise ValueError(f"mode must have {n} components, got {xi.shape}")
     if np.all(xi == 0):
         raise ZeroMode("the Stokes symbol is singular by construction at xi = 0")
-    block = np.einsum("a,kjab,b->kj", xi, tensor.entries, xi)
-    real = _real_symbols(block[None], xi[None])[0]
-    return StokesSymbol(tuple(int(x) for x in xi), real)
+    return StokesSymbol(tuple(int(x) for x in xi), _mode_symbols(tensor, xi[None])[0])
+
+
+def _mode_symbols(tensor, xis):
+    """Real symbols R of a tensor at a (B, n) stack of nonzero modes."""
+    return _real_symbols(np.einsum("ba,kjac,bc->bkj", xis, tensor.entries, xis), xis)
 
 
 def _real_symbols(blocks, xis):
@@ -258,7 +262,9 @@ def solve_isotropic_mode(lam, mu, xi, fhat, ghat):
 
 def _project_mean(fld, what):
     zero = (slice(None),) * (fld.coeffs.ndim - fld.lattice.n) + fld.lattice.zero_index
-    removed = bool(np.max(np.abs(np.atleast_1d(fld.coeffs[zero]))) > 1e-14)
+    # judged against the field's own scale, so rescaling cannot flip the flag
+    mean = np.max(np.abs(np.atleast_1d(fld.coeffs[zero])))
+    removed = bool(mean > MEAN_RTOL * np.max(np.abs(fld.coeffs)))
     if removed:
         warnings.warn(
             f"{what} has a nonzero mean; projecting onto the zero-mean subspace",
@@ -388,20 +394,28 @@ def solve_stokes(tensor, f, g=None, s=1.0, check_estimates=True):
     return StokesOperator(tensor, f.lattice).solve(f, g, s=s, check_estimates=check_estimates)
 
 
-def _attach_estimates(report, constants, xis, rhs, z):
+def _mode_slacks(constants, xis, rhs, z):
+    """Slacks and bounds of the two per-mode estimates over a stack of modes.
+
+    rhs and z are (B, n+1) stacks carrying the moduli of (fhat, ghat) and
+    (uhat, phat). Returns (slack_u, slack_p, bound_u, bound_p), each (B,).
+    """
     n = xis.shape[1]
     abs_xi = np.sqrt(np.sum(xis**2, axis=1))
     abs_f = np.sqrt(np.sum(np.abs(rhs[:, :n]) ** 2, axis=1))
     abs_g = np.abs(rhs[:, n])
-    abs_u = np.sqrt(np.sum(np.abs(z[:, :n]) ** 2, axis=1))
-    abs_p = np.abs(z[:, n])
     bound_u = (
         constants["C_uf"] * abs_f / (TWO_PI * abs_xi) ** 2
         + constants["C_ug"] * abs_g / (TWO_PI * abs_xi)
     )
     bound_p = constants["C_pf"] * abs_f / (TWO_PI * abs_xi) + constants["C_pg"] * abs_g
-    report.slack_u = bound_u - abs_u
-    report.slack_p = bound_p - abs_p
+    slack_u = bound_u - np.sqrt(np.sum(np.abs(z[:, :n]) ** 2, axis=1))
+    slack_p = bound_p - np.abs(z[:, n])
+    return slack_u, slack_p, bound_u, bound_p
+
+
+def _attach_estimates(report, constants, xis, rhs, z):
+    report.slack_u, report.slack_p, bound_u, bound_p = _mode_slacks(constants, xis, rhs, z)
     report.min_slack_u = float(np.min(report.slack_u))
     report.min_slack_p = float(np.min(report.slack_p))
     # each mode's slack is held to its own bound, so rescaling the data
@@ -425,24 +439,13 @@ def mode_estimate_slack(tensor, xi, fhat, ghat, uhat, phat):
     Velocity: |uhat| <= C_uf*|fhat|/(2*pi*|xi|)^2 + C_ug*|ghat|/(2*pi*|xi|).
     Pressure: |phat| <= C_pf*|fhat|/(2*pi*|xi|) + C_pg*|ghat|.
     """
-    constants = estimate_constants(tensor)
     xi = np.asarray(xi, dtype=float)
-    abs_xi = float(np.linalg.norm(xi))
-    if abs_xi == 0:
+    if not np.any(xi):
         raise ZeroMode("estimates hold only away from xi = 0")
-    abs_f = float(np.linalg.norm(np.atleast_1d(fhat)))
-    abs_g = abs(ghat)
-    slack_u = (
-        constants["C_uf"] * abs_f / (TWO_PI * abs_xi) ** 2
-        + constants["C_ug"] * abs_g / (TWO_PI * abs_xi)
-        - float(np.linalg.norm(np.atleast_1d(uhat)))
-    )
-    slack_p = (
-        constants["C_pf"] * abs_f / (TWO_PI * abs_xi)
-        + constants["C_pg"] * abs_g
-        - abs(phat)
-    )
-    return slack_u, slack_p
+    rhs = np.append(fhat, ghat)[None]
+    z = np.append(uhat, phat)[None]
+    slack_u, slack_p, _, _ = _mode_slacks(estimate_constants(tensor), xi[None], rhs, z)
+    return float(slack_u[0]), float(slack_p[0])
 
 
 def global_estimate_slack(tensor, u, p, f, g, s):

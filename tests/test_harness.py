@@ -222,7 +222,33 @@ class TestRandomEllipticTensor:
         assert np.max(np.abs(A.entries - iso.entries)) > 1e-3
 
 
+def _modewise_estimate_margin(seed, m, n, draws):
+    """Worst mode-estimates margin from one assemble/solve/slack call per mode."""
+    from tsflow.stokes import assemble_symbol, mode_estimate_slack, solve_mode
+
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for i in range(draws):
+        tensor = random_elliptic_tensor(seed + 1000 + i, n)
+        for _ in range(50):
+            xi = rng.integers(-m, m + 1, size=n)
+            if np.all(xi == 0):
+                xi[0] = 1
+            fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            uhat, phat = solve_mode(assemble_symbol(tensor, xi), fhat, ghat)
+            worst = min(worst, *mode_estimate_slack(tensor, xi, fhat, ghat, uhat, phat))
+    return worst + 1e-12
+
+
 class TestSuites:
+    @pytest.mark.parametrize("seed, n", [(0, 2), (5, 3)])
+    def test_batched_mode_estimates_match_modewise_loop(self, seed, n):
+        result = run_suite("mode-estimates", seed=seed, m=8, n=n, draws=6).results[0]
+        expected = _modewise_estimate_margin(seed, 8, n, 6)
+        assert result.cases == 6
+        assert abs(result.worst_margin - expected) <= 1e-15 * abs(expected)
+
     def test_all_suites_pass_at_desk_scale(self):
         report = run_suite("all", seed=0, m=4, n=2, draws=8)
         assert report.passed

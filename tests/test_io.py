@@ -18,6 +18,7 @@ from tsflow.spectral import (
     random_scalar_field,
     random_vector_field,
     scalar_field,
+    vector_field,
 )
 from tsflow.viscosity import make_isotropic
 
@@ -151,6 +152,53 @@ class TestGridExport:
         path = tmp_path / "z.csv"
         export_grid_csv(path, scalar_field(lat, c), 3)
         assert path.read_text().split("\n")[0] == "x1,x2,v1_re,v1_im"
+
+
+def _rowwise_csv(samples, n, N):
+    """The row-by-row writer: one `_fmt` call per coordinate and value."""
+    from tsflow.io import _fmt
+
+    is_real = not np.iscomplexobj(samples)
+    cols = [f"x{i + 1}" for i in range(n)]
+    for c in range(samples.shape[0]):
+        cols += [f"v{c + 1}"] if is_real else [f"v{c + 1}_re", f"v{c + 1}_im"]
+    out = [",".join(cols)]
+    for flat in range(N**n):
+        idx = np.unravel_index(flat, (N,) * n)
+        row = [_fmt(i / N) for i in idx]
+        for val in samples[(slice(None),) + idx]:
+            row += [_fmt(float(val))] if is_real else [_fmt(val.real), _fmt(val.imag)]
+        out.append(",".join(row))
+    return "\n".join(out) + "\n"
+
+
+class TestGridExportBytes:
+    @pytest.mark.parametrize("n, N", [(2, 7), (2, 70), (3, 5)])  # 70^2 rows: two blocks
+    @pytest.mark.parametrize("is_real", [True, False])
+    def test_matches_rowwise_writer(self, tmp_path, monkeypatch, n, N, is_real):
+        import tsflow.io as tio
+
+        lat = make_lattice(n, 2)
+        u = random_vector_field(30 + n, lat, decay=2.0)
+        p = random_scalar_field(40 + n, lat, decay=2.0)
+        if not is_real:  # non-Hermitian coefficients sample to complex values
+            u = vector_field(lat, 1j * u.coeffs + u.coeffs[:, ::-1])
+            p = scalar_field(lat, p.coeffs + 0.5j * p.coeffs[::-1])
+        real_transform = tio.grid_transform
+        parts = []
+
+        def with_negative_zeros(f, N):
+            s = np.array(real_transform(f, N))
+            s.reshape(-1)[::7] = -0.0 if is_real else complex(-0.0, -0.0)
+            parts.append(s if s.ndim > n else s[None])
+            return s
+
+        monkeypatch.setattr(tio, "grid_transform", with_negative_zeros)
+        path = tmp_path / "out.csv"
+        export_grid_csv(path, [u, p], N)
+        expected = _rowwise_csv(np.concatenate(parts), n, N)
+        assert ",-0," in expected or ",-0\n" in expected
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestReport:

@@ -445,6 +445,27 @@ class TestScaleInvariantVerdicts:
             assert u.divergence_free
             assert sobolev_norm(p - scale * phi, 0.0) <= 1e-12 * scale * sobolev_norm(phi, 0.0)
 
+    def test_mean_flag_at_every_scale(self):
+        # a mean of half the field scale is flagged (with a warning) and a
+        # zero mean is not, whatever the magnitude of the forcing
+        import warnings
+
+        from tsflow.spectral import NonzeroMeanWarning
+
+        lat = make_lattice(2, 3)
+        base = random_vector_field(73, lat, decay=2.0)
+        c = base.coeffs.copy()
+        c[(0,) + lat.zero_index] = 0.5 * np.max(np.abs(c))
+        with_mean = vector_field(lat, c, is_real=True)
+        for fld, expected in ((with_mean, True), (base, False)):
+            for scale in self.SCALES:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    u, _, report = solve_stokes(ISO, scale * fld, None)
+                warned = any(issubclass(w.category, NonzeroMeanWarning) for w in caught)
+                assert report.mean_removed_f is expected and warned is expected, scale
+                assert u.coeffs[(0,) + lat.zero_index] == 0
+
 
 class TestModeEstimates:
     def test_constants_for_unit_isotropic(self):
