@@ -12,8 +12,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import io as tio
 from .harness import manufacture, run_suite, suite_names
 from .navier_stokes import (
@@ -28,9 +26,7 @@ from .spectral import (
     make_lattice,
     random_scalar_field,
     random_vector_field,
-    scalar_field,
     sobolev_norm,
-    vector_field,
 )
 from .stokes import NotSolenoidal, SingularSymbol, solve_stokes
 from .viscosity import (
@@ -249,39 +245,11 @@ def _drop_mean(fld):
     return SpectralScalarField(fld.lattice, coeffs, fld.is_real, True)
 
 
-def _write_solution(path, u, p):
-    combined = np.concatenate([u.coeffs, p.coeffs[None]], axis=0)
-    blob = (
-        b"SPF1\n"
-        + f"n={u.lattice.n}\nm={u.lattice.m}\ncomponents={u.lattice.n + 1}\n"
-        f"real={int(u.is_real and p.is_real)}\n".encode("ascii")
-        + np.ascontiguousarray(combined, dtype="<c16").tobytes()
-    )
-    tio.atomic_write_bytes(path, blob)
-
-
-def _read_solution(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    lines = blob.split(b"\n", 5)
-    if len(lines) < 6 or lines[0] != b"SPF1":
-        raise UsageError(f"{path}: not an SPF1 dump")
-    header = dict(ln.decode("ascii").split("=", 1) for ln in lines[1:5])
-    n, m = int(header["n"]), int(header["m"])
-    comps = int(header["components"])
-    if comps != n + 1:
-        raise UsageError(f"{path}: expected a combined dump with {n + 1} components")
-    lat = make_lattice(n, m)
-    coeffs = np.frombuffer(lines[5], dtype="<c16").reshape((comps,) + lat.shape)
-    is_real = bool(int(header["real"]))
-    try:  # the validating constructors check Hermitian symmetry for real=1
-        u = vector_field(lat, coeffs[:n], is_real)
-        p = scalar_field(lat, coeffs[n], is_real)
-    except ValueError as exc:
-        raise ValueError(f"{path}: real={int(is_real)} but {exc}") from None
-    u = SpectralVectorField(lat, u.coeffs, is_real, True, False)
-    p = SpectralScalarField(lat, p.coeffs, is_real, True)
-    return u, p
+def _read_pair(path):
+    pair = tio.read_field(path)
+    if not isinstance(pair, tuple):
+        raise UsageError(f"{path}: expected a combined velocity+pressure dump")
+    return pair
 
 
 def _cmd_tensor_check(config):
@@ -310,7 +278,7 @@ def _cmd_stokes_solve(config):
         f = _drop_mean(f)
         g = None if g is None else _drop_mean(g)
     u, p, report = solve_stokes(tensor, f, g, s=config.s)
-    _write_solution(config.out, u, p)
+    tio.write_field(config.out, (u, p))
     if config.report:
         tio.write_report(config.report, report.flat_items(), config.echo_items())
     print(f"residual = {report.residual:.3e}  min_slack_u = {report.min_slack_u:.3e}")
@@ -369,15 +337,7 @@ def _cmd_verify(config):
 
 
 def _cmd_export_grid(config):
-    path = getattr(config, "in")
-    try:
-        payload = tio.read_field(path)
-    except ValueError as exc:
-        try:
-            payload = list(_read_solution(path))  # combined velocity+pressure dump
-        except UsageError:
-            raise exc from None  # not a combined dump either: the reader's error stands
-    tio.export_grid_csv(config.out, payload, config.N)
+    tio.export_grid_csv(config.out, tio.read_field(getattr(config, "in")), config.N)
     return 0
 
 
@@ -401,7 +361,7 @@ def _cmd_residual(config):
     tensor = tio.read_tensor(config.tensor)
     f = _read_vector(config.f)
     if config.solution is not None:
-        u, p = _read_solution(config.solution)
+        u, p = _read_pair(config.solution)
     else:
         u, p = _read_vector(config.u), _read_scalar(config.p)
     items = []

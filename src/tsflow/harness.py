@@ -96,28 +96,41 @@ def manufacture(u_star, p_star, tensor, include_nonlinear=False):
     return ManufacturedProblem(u_star, p_star, tensor, f, g, include_nonlinear)
 
 
+def _trilinear_grid(v1, v2, v3):
+    """The quadrature grid of the trilinear form, after checking its fields."""
+    if not (v1.is_real and v2.is_real and v3.is_real):
+        raise ValueError("trilinear forms are taken over real fields")
+    lat = v1.lattice
+    if v2.lattice != lat or v3.lattice != lat:
+        raise ValueError("all three fields must share a lattice")
+    return dealias_grid(lat.m)
+
+
+def _gradient_samples(v, N):
+    """Grid samples of grad v_b for each component b, each (n, N...)."""
+    return [grid_transform(gradient(v[b]), N) for b in range(v.lattice.n)]
+
+
+def _trilinear_samples(s1, grad2, s3):
+    """((v1 . grad) v2, v3) from the grid samples of v1, grad v2 and v3."""
+    total = 0.0
+    for b in range(len(s1)):
+        directional = np.zeros_like(s1[0])
+        for j in range(len(s1)):
+            directional += s1[j] * grad2[b][j]
+        total += float(np.sum(directional * s3[b]))
+    return total / float(s1[0].size)
+
+
 def trilinear_form(v1, v2, v3):
     """Quadrature of the advection pairing ((v1 . grad) v2, v3).
 
     Uses the 5-smooth `dealias_grid(m)` >= 3m+1, which integrates triple
     products of cube-limited fields exactly.
     """
-    if not (v1.is_real and v2.is_real and v3.is_real):
-        raise ValueError("trilinear forms are taken over real fields")
-    lat = v1.lattice
-    if v2.lattice != lat or v3.lattice != lat:
-        raise ValueError("all three fields must share a lattice")
-    N = dealias_grid(lat.m)
-    s1 = grid_transform(v1, N)
-    s3 = grid_transform(v3, N)
-    total = 0.0
-    for b in range(lat.n):
-        grad_b = grid_transform(gradient(v2[b]), N)
-        directional = np.zeros_like(s1[0])
-        for j in range(lat.n):
-            directional += s1[j] * grad_b[j]
-        total += float(np.sum(directional * s3[b]))
-    return total / float(N) ** lat.n
+    N = _trilinear_grid(v1, v2, v3)
+    s1, s3 = grid_transform(v1, N), grid_transform(v3, N)
+    return _trilinear_samples(s1, _gradient_samples(v2, N), s3)
 
 
 def advection_identity_defects(v1, v2, v3):
@@ -126,18 +139,15 @@ def advection_identity_defects(v1, v2, v3):
     Returns (general_defect, energy_value): the first is
     T(v1,v2,v3) + T(v1,v3,v2) + ((div v1) v3, v2) and vanishes for any real
     fields; the second is T(v1,v2,v2), which vanishes when v1 is solenoidal.
+    Each field and gradient is sampled once and shared by the three forms.
     """
-    lat = v1.lattice
-    N = dealias_grid(lat.m)
-    t_123 = trilinear_form(v1, v2, v3)
-    t_132 = trilinear_form(v1, v3, v2)
+    N = _trilinear_grid(v1, v2, v3)
+    s1, s2, s3 = (grid_transform(v, N) for v in (v1, v2, v3))
+    grad2, grad3 = _gradient_samples(v2, N), _gradient_samples(v3, N)
     div1 = grid_transform(divergence(v1), N)
-    s2 = grid_transform(v2, N)
-    s3 = grid_transform(v3, N)
-    correction = float(np.sum(div1 * np.sum(s2 * s3, axis=0))) / float(N) ** lat.n
-    general = t_123 + t_132 + correction
-    energy = trilinear_form(v1, v2, v2)
-    return general, energy
+    correction = float(np.sum(div1 * np.sum(s2 * s3, axis=0))) / float(div1.size)
+    general = _trilinear_samples(s1, grad2, s3) + _trilinear_samples(s1, grad3, s2) + correction
+    return general, _trilinear_samples(s1, grad2, s2)
 
 
 def korn_ratio(v):

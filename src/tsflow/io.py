@@ -4,9 +4,11 @@ Spectral dump (.spf): the magic line "SPF1" followed by ASCII header lines
 `n=<int>`, `m=<int>`, `components=<int>`, `real=<0|1>`, then little-endian
 float64 (re, im) pairs, one per coefficient, component by component, each
 component in canonical C order over the mode cube. components == 1 encodes
-a scalar field; otherwise components must equal n. real=1 promises Hermitian
-coefficients, c(-xi) = conj(c(xi)), and the reader rejects a dump that breaks
-it: real fields are sampled with real FFTs, which read only half the cube.
+a scalar field, components == n a vector field, and components == n + 1 a
+combined velocity-pressure dump: the (u, p) pair of a Stokes solve. real=1
+promises Hermitian coefficients, c(-xi) = conj(c(xi)), and the reader
+rejects a dump that breaks it: real fields are sampled with real FFTs, which
+read only half the cube.
 
 Tensor file: ASCII, a header `n=<int>` followed by lines
 `k j alpha beta value` with 1-based indices; omitted entries are zero.
@@ -16,6 +18,7 @@ All writers go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
@@ -45,17 +48,24 @@ __all__ = [
 _MAGIC = b"SPF1"
 
 
-def atomic_write_bytes(path, data):
+@contextlib.contextmanager
+def _atomic_file(path):
+    """Binary file handle on a temp file that is renamed to path on success."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tsflow-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data):
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text):
@@ -73,58 +83,71 @@ def _fmt(x):
 
 
 def write_field(path, field):
-    """Dump a scalar or vector field in the SPF1 format."""
-    if isinstance(field, SpectralVectorField):
-        components = field.lattice.n
-        data = field.coeffs
-    elif isinstance(field, SpectralScalarField):
-        components = 1
-        data = field.coeffs[None]
-    else:
-        raise TypeError(f"cannot dump object of type {type(field).__name__}")
+    """Dump a scalar field, a vector field or a (u, p) pair in the SPF1 format.
+
+    The header goes out first, then each component's coefficients straight
+    from its own buffer, without a joined copy of the payload.
+    """
+    fields = field if isinstance(field, tuple) else (field,)
+    lattice = fields[0].lattice
+    pair = (SpectralVectorField, SpectralScalarField)
+    if len(fields) > 1 and (tuple(map(type, fields)) != pair or fields[1].lattice != lattice):
+        raise TypeError("a combined dump takes a (vector, scalar) pair on one lattice")
+    components = []
+    for fld in fields:
+        if isinstance(fld, SpectralVectorField):
+            components += list(fld.coeffs)
+        elif isinstance(fld, SpectralScalarField):
+            components.append(fld.coeffs)
+        else:
+            raise TypeError(f"cannot dump object of type {type(fld).__name__}")
     header = (
-        _MAGIC
-        + b"\n"
-        + f"n={field.lattice.n}\nm={field.lattice.m}\n"
-        f"components={components}\nreal={int(field.is_real)}\n".encode("ascii")
+        f"n={lattice.n}\nm={lattice.m}\ncomponents={len(components)}\n"
+        f"real={int(all(fld.is_real for fld in fields))}\n"
     )
-    payload = np.ascontiguousarray(data, dtype="<c16").tobytes()
-    atomic_write_bytes(path, header + payload)
+    with _atomic_file(path) as fh:
+        fh.write(_MAGIC + b"\n" + header.encode("ascii"))
+        for c in components:
+            fh.write(np.ascontiguousarray(c, dtype="<c16"))
 
 
 def read_field(path):
-    """Read an SPF1 dump back into a field."""
+    """Read an SPF1 dump back: a field, or the (u, p) pair of a combined dump."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    lines = blob.split(b"\n", 5)
-    if len(lines) < 6 or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not an SPF1 spectral dump")
-    header = {}
-    for raw in lines[1:5]:
-        key, _, value = raw.decode("ascii").partition("=")
-        header[key] = int(value)
-    for key in ("n", "m", "components", "real"):
-        if key not in header:
-            raise ValueError(f"{path}: missing header field {key!r}")
-    lattice = LatticeSpec(header["n"], header["m"])
-    components = header["components"]
-    if components not in (1, lattice.n):
-        raise ValueError(f"{path}: components={components} does not fit n={lattice.n}")
-    expected = components * lattice.size
-    coeffs = np.frombuffer(lines[5], dtype="<c16", count=-1)
-    if coeffs.size != expected:
-        raise ValueError(f"{path}: expected {expected} coefficients, found {coeffs.size}")
-    coeffs = coeffs.reshape((components,) + lattice.shape)
+        lines = [fh.readline() for _ in range(5)]
+        if lines[0] != _MAGIC + b"\n" or not lines[4].endswith(b"\n"):
+            raise ValueError(f"{path}: not an SPF1 spectral dump")
+        header = {}
+        for raw in lines[1:]:
+            key, _, value = raw.decode("ascii").partition("=")
+            header[key] = int(value)
+        for key in ("n", "m", "components", "real"):
+            if key not in header:
+                raise ValueError(f"{path}: missing header field {key!r}")
+        lattice = LatticeSpec(header["n"], header["m"])
+        n, components = lattice.n, header["components"]
+        if components not in (1, n, n + 1):
+            raise ValueError(f"{path}: components={components} does not fit n={n}")
+        coeffs = np.empty((components,) + lattice.shape, "<c16")
+        found = fh.readinto(coeffs.view(np.uint8)) + len(fh.read())
+    if found != coeffs.nbytes:
+        raise ValueError(
+            f"{path}: expected {coeffs.size} coefficients, found {found / coeffs.itemsize:g}"
+        )
     is_real = bool(header["real"])
-    zero_mean = bool(
-        np.max(np.abs(coeffs[(slice(None),) + lattice.zero_index])) == 0.0
-    )
+
+    def zero_mean(c):
+        return bool(np.max(np.abs(c[(slice(None),) * (c.ndim - n) + lattice.zero_index])) == 0.0)
+
     # the validating constructors copy the data and, for real=1, reject
     # coefficients that are not Hermitian (real FFTs rely on the flag)
     try:
         if components == 1:
-            return scalar_field(lattice, coeffs[0], is_real, zero_mean)
-        return vector_field(lattice, coeffs, is_real, zero_mean)
+            return scalar_field(lattice, coeffs[0], is_real, zero_mean(coeffs[0]))
+        u = vector_field(lattice, coeffs[:n], is_real, zero_mean(coeffs[:n]))
+        if components == n:
+            return u
+        return u, scalar_field(lattice, coeffs[n], is_real, zero_mean(coeffs[n]))
     except ValueError as exc:
         raise ValueError(f"{path}: real={header['real']} but {exc}") from None
 

@@ -8,12 +8,16 @@ For every nonzero mode xi the velocity-pressure pair solves the complex
 
 whose matrix is D R D with D = diag(1, ..., 1, i) and R real symmetric
 (velocity block 4*pi^2*xi.a.xi, coupling column 2*pi*xi, zero corner).
-`StokesOperator(tensor, lattice)` builds R for every nonzero mode once, with
-its inverse from LAPACK (`np.linalg.inv`), both stored as real float64
-stacks; a conditioning check names the offending mode of a singular symbol.
-Each solve is then one batched real matrix product on the float view of the
-complex data, followed by a residual check. `solve_stokes` is a one-shot
-operator solve and `solve_mode` the single-mode case of the same code. The
+Since R(-xi) = S R(xi) S with S = diag(1, ..., 1, -1), only half the cube
+is needed: `StokesOperator(tensor, lattice)` builds R once for each of the
+(size - 1) / 2 modes before xi = 0, with its inverse from LAPACK
+(`np.linalg.inv`), both stored as real float64 stacks; a conditioning check
+names the offending mode of a singular symbol. A solve of real data is then
+one batched real matrix product on the float view of the half, whose other
+half follows by conjugation; complex data also solves the mirrored half
+against the same stacks. The residual check covers every nonzero mode,
+mirrored ones included. `solve_stokes` is a one-shot operator solve and
+`solve_mode` the single-mode case of the same code. The
 isotropic closed forms and the per-mode / summed a-priori bounds with
 constants
 
@@ -39,7 +43,7 @@ from .spectral import (
     seminorm,
     zero_scalar_field,
 )
-from .viscosity import ellipticity_constant, mode_blocks, tensor_norm
+from .viscosity import ellipticity_constant, tensor_norm
 
 __all__ = [
     "ZeroMode",
@@ -161,14 +165,9 @@ def assemble_symbol(tensor, xi):
 
 def _mode_symbols(tensor, xis):
     """Real symbols R of a tensor at a (B, n) stack of nonzero modes."""
-    return _real_symbols(np.einsum("ba,kjac,bc->bkj", xis, tensor.entries, xis), xis)
-
-
-def _real_symbols(blocks, xis):
-    """Real symbols R from velocity blocks (B, n, n) and modes (B, n)."""
     B, n = xis.shape
     R = np.zeros((B, n + 1, n + 1))
-    R[:, :n, :n] = 4.0 * np.pi**2 * blocks
+    R[:, :n, :n] = 4.0 * np.pi**2 * np.einsum("ba,kjac,bc->bkj", xis, tensor.entries, xis)
     R[:, :n, n] = TWO_PI * xis
     R[:, n, :n] = TWO_PI * xis
     return R
@@ -200,31 +199,22 @@ def _invert(R, xis):
     return inv
 
 
-def _mirrored(stack):
-    """Extend a stack over the modes before xi = 0 by the stack over their negatives.
-
-    The negatives follow in reverse order, each member conjugated by
-    S = diag(1, ..., 1, -1): the coupling row and column change sign.
-    """
-    out = np.concatenate([stack, stack[::-1]])
-    tail = out[len(stack):]
-    tail[:, -1, :-1] *= -1.0
-    tail[:, :-1, -1] *= -1.0
-    return out
-
-
 def _solve_symbols(R, inv, x):
     """Solve R y = x for a complex (B, d) stack x, given the real inverses.
 
     Both products act on the float view of x, real and imaginary parts side
     by side. Returns y and the largest defect |R y - x| relative to max |x|.
+    x may also be a (2, B, d) pair of two copies of one right-hand side, as
+    the half and mirror members of a real field are: y then solves the
+    first, and the defect covers both.
     """
-    B, d = x.shape
-    xv = x.view(np.float64).reshape(B, d, 2)
-    yv = np.matmul(inv, xv)
-    defect = (np.matmul(R, yv) - xv).reshape(B, 2 * d).view(np.complex128)
+    B, d = x.shape[-2:]
+    xv = x.view(np.float64).reshape(-1, B, d, 2)
+    yv = np.matmul(inv, xv[0])
+    Ry = np.matmul(R, yv)
+    defect = max(np.max(np.abs((Ry - m).reshape(B, 2 * d).view(np.complex128))) for m in xv)
     scale = max(float(np.max(np.abs(x))), 1e-300)
-    return yv.reshape(B, 2 * d).view(np.complex128), float(np.max(np.abs(defect))) / scale
+    return yv.reshape(B, 2 * d).view(np.complex128), float(defect) / scale
 
 
 def solve_mode(symbol, fhat, ghat):
@@ -283,11 +273,22 @@ def _project_mean(fld, what):
 class StokesOperator:
     """Solution operator of the Stokes system for one tensor on one mode cube.
 
-    Construction assembles the real symbol R of every nonzero mode and
-    inverts the whole stack once (raising SingularSymbol, or NotElliptic for
-    the tensor); both stacks are kept as float64, in canonical mode order
-    with the zero mode left out. A solve is then two batched real matrix
-    products (solution and residual) on the float view of the data, and
+    Only the H = (size - 1) / 2 modes before xi = 0 are stored: `xis`,
+    `symbols` (real R) and `inverses` are (H, ...) float64 stacks in
+    canonical order. The modes after xi = 0 are their negatives, with
+    R(-xi) = S R(xi) S, S = diag(1, ..., 1, -1). `_split` brings a field's
+    coefficients into that layout as a (half, mirror) pair of stacks, the
+    mirror holding the conjugates of the coefficients at -xi in the order of
+    the half, and `_join` takes such a pair back to canonical order.
+
+    In this layout the data of a real field is the same in both members, and
+    so is its solution: a real solve is one batched matrix product on the
+    half, whose other half follows by conjugation, u(-xi) = conj u(xi) and
+    p(-xi) = conj p(xi). A complex (is_real=False) solve also solves the
+    mirror member against the same stacks. Either way the residual covers
+    every nonzero mode, the mirrored ones included, so a real-flagged field
+    that is Hermitian only to rounding shows its asymmetry there.
+    Construction raises SingularSymbol, or NotElliptic for the tensor;
     `viscous` applies the velocity blocks of the same symbols.
     """
 
@@ -297,27 +298,39 @@ class StokesOperator:
         self.tensor = tensor
         self.lattice = lattice
         self.constants = estimate_constants(tensor)  # validates ellipticity up front
-        self._zero = lattice.size // 2  # flat position of xi = 0 in canonical order
-        self.xis = self._gather(np.stack(index_grids(lattice)).astype(float))  # (B, n)
-        # canonical order lists -xi at the mirror position of xi, and
-        # R(-xi) = S R(xi) S with S = diag(1, ..., 1, -1): factor one half
-        half = self._zero
-        blocks = self._gather(mode_blocks(tensor, lattice))[:half]
-        symbols = _real_symbols(blocks, self.xis[:half])
-        self.symbols = _mirrored(symbols)
-        self.inverses = _mirrored(_invert(symbols, self.xis[:half]))
+        self._half = lattice.size // 2  # H, also the flat position of xi = 0
+        modes = np.stack(index_grids(lattice)).reshape(lattice.n, -1)[:, : self._half]
+        self.xis = np.ascontiguousarray(modes.T, dtype=float)  # (H, n)
+        self.symbols = _mode_symbols(tensor, self.xis)
+        self.inverses = _invert(self.symbols, self.xis)
 
-    def _gather(self, coeffs):
-        """(k..., cube) coefficients as a (B, k...) stack over the nonzero modes."""
-        lead = coeffs.shape[: coeffs.ndim - self.lattice.n]
-        flat = np.delete(coeffs.reshape(lead + (-1,)), self._zero, axis=-1)
-        return np.moveaxis(flat, -1, 0)
+    def _split(self, coeffs, out):
+        """Write (k..., cube) coefficients into out, a (2, H, k...) pair of stacks.
 
-    def _scatter(self, stack):
-        """Inverse of _gather; the zero mode comes back as an exact zero."""
-        lead = stack.shape[1:]
-        flat = np.insert(np.moveaxis(stack, 0, -1), self._zero, 0.0, axis=-1)
-        return flat.reshape(lead + self.lattice.shape)
+        out[0] takes the modes before xi = 0 and out[1] the conjugates of
+        their negatives, in the same order; the two are equal for a real
+        field. A one-member out takes the half only.
+        """
+        flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - self.lattice.n] + (-1,))
+        out[0] = np.moveaxis(flat[..., : self._half], -1, 0)
+        if len(out) > 1:
+            np.conjugate(np.moveaxis(flat[..., : self._half : -1], -1, 0), out=out[1])
+        return out
+
+    def _join(self, half, mirror, zero_mode=True):
+        """Inverse of _split: two (H, k...) stacks back to canonical order.
+
+        Returns (k..., cube) coefficients whose zero mode is exactly zero,
+        or, with zero_mode=False, the (k..., 2H) values at the nonzero modes.
+        """
+        H = self._half
+        lead = half.shape[1:]
+        flat = np.empty(lead + (2 * H + zero_mode,), half.dtype)
+        flat[..., :H] = np.moveaxis(half, 0, -1)
+        if zero_mode:
+            flat[..., H] = 0.0
+        np.conjugate(np.moveaxis(mirror, 0, -1), out=flat[..., : -H - 1 : -1])
+        return flat.reshape(lead + self.lattice.shape) if zero_mode else flat
 
     def _check_lattice(self, fld, what):
         if fld.lattice != self.lattice:
@@ -334,25 +347,37 @@ class StokesOperator:
         g, removed_g = _project_mean(g, "divergence data")
 
         n = lat.n
-        x = np.empty((len(self.xis), n + 1), np.complex128)  # D^-1 (fhat, ghat)
-        x[:, :n] = self._gather(f.coeffs)
-        x[:, n] = -1j * self._gather(g.coeffs)
-        y, residual = _solve_symbols(self.symbols, self.inverses, x)
-
+        x = np.empty((2, self._half, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
+        self._split(f.coeffs, x[..., :n])
+        self._split(g.coeffs, x[..., n])
+        x[..., n] *= -1j
         is_real = f.is_real and g.is_real
-        u = SpectralVectorField(lat, self._scatter(y[:, :n]), is_real, True, False)
-        p = SpectralScalarField(lat, self._scatter(-1j * y[:, n]), is_real, True)
+        if is_real:
+            # one solution serves both members, checked against both
+            y, residual = _solve_symbols(self.symbols, self.inverses, x)
+            y_mirror = y
+        else:
+            y, residual = _solve_symbols(self.symbols, self.inverses, x[0])
+            y_mirror, residual_mirror = _solve_symbols(self.symbols, self.inverses, x[1])
+            residual = max(residual, residual_mirror)
+
+        p_half = -1j * y[:, n]
+        p_mirror = p_half if is_real else -1j * y_mirror[:, n]
+        u = SpectralVectorField(lat, self._join(y[:, :n], y_mirror[:, :n]), is_real, True, False)
+        p = SpectralScalarField(lat, self._join(p_half, p_mirror), is_real, True)
         report = StokesSolveReport(
             s=s,
-            n_modes=len(self.xis),
+            n_modes=2 * self._half,
             residual=residual,
             constants=self.constants,
             mean_removed_f=removed_f,
             mean_removed_g=removed_g,
         )
         if check_estimates:
-            # x and y carry the moduli of (fhat, ghat) and (uhat, phat)
-            _attach_estimates(report, self.constants, self.xis, x, y)
+            # x and (y, y_mirror) carry the moduli of (fhat, ghat) and (uhat, phat)
+            half = _mode_slacks(self.constants, self.xis, x[0], y)
+            mirror = _mode_slacks(self.constants, self.xis, x[1], y_mirror)
+            _attach_estimates(report, *(self._join(a, b, False) for a, b in zip(half, mirror)))
             report.global_bound = global_estimate_slack(self.tensor, u, p, f, g, s)
         return u, p, report
 
@@ -372,14 +397,19 @@ class StokesOperator:
         return u, p, report
 
     def viscous(self, u):
-        """Viscous term of the momentum equation; the same as `apply_viscosity`."""
+        """Viscous term of the momentum equation; the same as `apply_viscosity`.
+
+        The velocity blocks are even in xi, so the mirror member of a
+        complex field takes the same blocks and a real field needs only the
+        half.
+        """
         self._check_lattice(u, "velocity")
         n = self.lattice.n
-        uk = np.ascontiguousarray(self._gather(u.coeffs))  # (B, n) complex
-        v = np.matmul(self.symbols[:, :n, :n], uk.view(np.float64).reshape(-1, n, 2))
+        uk = self._split(u.coeffs, np.empty((1 if u.is_real else 2, self._half, n), np.complex128))
+        v = np.matmul(self.symbols[:, :n, :n], uk.view(np.float64).reshape(len(uk), -1, n, 2))
         np.negative(v, out=v)
-        out = self._scatter(v.reshape(-1, 2 * n).view(np.complex128))
-        return SpectralVectorField(self.lattice, out, u.is_real, True, False)
+        v = v.reshape(len(uk), -1, 2 * n).view(np.complex128)
+        return SpectralVectorField(self.lattice, self._join(v[0], v[-1]), u.is_real, True, False)
 
 
 def solve_stokes(tensor, f, g=None, s=1.0, check_estimates=True):
@@ -414,15 +444,15 @@ def _mode_slacks(constants, xis, rhs, z):
     return slack_u, slack_p, bound_u, bound_p
 
 
-def _attach_estimates(report, constants, xis, rhs, z):
-    report.slack_u, report.slack_p, bound_u, bound_p = _mode_slacks(constants, xis, rhs, z)
-    report.min_slack_u = float(np.min(report.slack_u))
-    report.min_slack_p = float(np.min(report.slack_p))
+def _attach_estimates(report, slack_u, slack_p, bound_u, bound_p):
+    report.slack_u, report.slack_p = slack_u, slack_p
+    report.min_slack_u = float(np.min(slack_u))
+    report.min_slack_p = float(np.min(slack_p))
     # each mode's slack is held to its own bound, so rescaling the data
     # cannot flip the verdict
     report.estimates_ok = bool(
-        np.all(report.slack_u >= -ESTIMATE_RTOL * bound_u)
-        and np.all(report.slack_p >= -ESTIMATE_RTOL * bound_p)
+        np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
+        and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
     )
 
 

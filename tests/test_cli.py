@@ -235,6 +235,33 @@ class TestStokesCommands:
         assert len(lines) == 1 + 81
 
 
+    def test_dump_kind_exit_codes(self, iso_tensor, forcing, tmp_path, capsys):
+        from tsflow.spectral import SpectralScalarField
+
+        sol = tmp_path / "sol.spf"
+        solve = ["stokes-solve", "--tensor", iso_tensor, "--out", str(sol), "--f"]
+        assert main(solve + [forcing]) == 0
+        u, p = read_field(sol)
+        base = ["residual", "--tensor", iso_tensor, "--f", forcing, "--solution"]
+        # a single field where a combined dump belongs, and the reverse: usage errors
+        assert main(base + [forcing]) == 2
+        assert "combined" in capsys.readouterr().err
+        assert main(solve + [str(sol)]) == 2
+        assert "vector field" in capsys.readouterr().err
+        # a combined dump whose real=1 is false, and a file that is no dump: I/O errors
+        c = p.coeffs.copy()
+        c[1, 2] += 0.1
+        write_field(sol, (u, SpectralScalarField(p.lattice, c, True, True)))
+        assert main(base + [str(sol)]) == 1
+        assert "Hermitian" in capsys.readouterr().err
+        export = ["export-grid", "--N", "8", "--out", str(tmp_path / "g.csv"), "--in"]
+        assert main(export + [str(sol)]) == 1
+        assert "Hermitian" in capsys.readouterr().err
+        (tmp_path / "junk.spf").write_bytes(b"not a dump\n")
+        assert main(base + [str(tmp_path / "junk.spf")]) == 1
+        assert "not an SPF1" in capsys.readouterr().err
+
+
 class TestNSCommands:
     def test_manufacture_then_solve(self, iso_tensor, tmp_path, capsys):
         paths = {k: str(tmp_path / f"{k}.spf") for k in ("u", "p", "f", "g")}

@@ -156,6 +156,43 @@ class TestTrilinearIdentities:
         assert quad == pytest.approx(spectral, rel=1e-12, abs=1e-14)
 
 
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    def test_shared_samples_match_three_forms(self, n, m, monkeypatch):
+        # oracle: the identities composed from three trilinear_form calls
+        # (3n + 9 grid transforms); sharing the samples must give the same
+        # bits from 2n + 4
+        import tsflow.harness as harness_mod
+        from tsflow.spectral import dealias_grid, divergence, grid_transform
+
+        lat = make_lattice(n, m)
+        v1, v2, v3 = (random_vector_field(20 + k, lat, decay=2.0) for k in range(3))
+        N = dealias_grid(m)
+        s2, s3 = grid_transform(v2, N), grid_transform(v3, N)
+        div1 = grid_transform(divergence(v1), N)
+        correction = float(np.sum(div1 * np.sum(s2 * s3, axis=0))) / float(N) ** n
+        general = trilinear_form(v1, v2, v3) + trilinear_form(v1, v3, v2) + correction
+        energy = trilinear_form(v1, v2, v2)
+
+        calls = []
+
+        def counted(field, N):
+            calls.append(N)
+            return grid_transform(field, N)
+
+        monkeypatch.setattr(harness_mod, "grid_transform", counted)
+        assert advection_identity_defects(v1, v2, v3) == (general, energy)
+        assert len(calls) == 2 * n + 4
+
+    def test_rejects_complex_or_mixed_fields(self):
+        lat = make_lattice(2, 3)
+        v = random_vector_field(30, lat, decay=2.0)
+        w = vector_field(lat, 1j * v.coeffs)
+        with pytest.raises(ValueError, match="real"):
+            advection_identity_defects(v, w, v)
+        with pytest.raises(ValueError, match="lattice"):
+            advection_identity_defects(v, v, random_vector_field(31, make_lattice(2, 4)))
+
+
 class TestKorn:
     def test_shear_attains_two(self):
         lat = make_lattice(2, 2)

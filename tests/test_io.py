@@ -86,6 +86,87 @@ class TestFieldDump:
         assert not read_field(path).is_real  # the same data flagged complex is fine
 
 
+def _joined_spf(field_or_pair):
+    """Reference SPF1 bytes: the header and one joined payload, in one blob."""
+    if isinstance(field_or_pair, tuple):
+        u, p = field_or_pair
+        data = np.concatenate([u.coeffs, p.coeffs[None]], axis=0)
+        lat, real = u.lattice, u.is_real and p.is_real
+    elif isinstance(field_or_pair, SpectralVectorField):
+        data, lat, real = field_or_pair.coeffs, field_or_pair.lattice, field_or_pair.is_real
+    else:
+        data, lat, real = field_or_pair.coeffs[None], field_or_pair.lattice, field_or_pair.is_real
+    header = (
+        f"n={lat.n}\nm={lat.m}\ncomponents={data.shape[0]}\nreal={int(real)}\n"
+    ).encode("ascii")
+    return b"SPF1\n" + header + np.ascontiguousarray(data, dtype="<c16").tobytes()
+
+
+class TestCombinedDump:
+    @staticmethod
+    def _pair(n, is_real):
+        lat = make_lattice(n, 2)
+        u = random_vector_field(80 + n, lat, decay=2.0)
+        p = random_scalar_field(90 + n, lat, decay=2.0)
+        if not is_real:
+            u = vector_field(lat, 1j * u.coeffs + u.coeffs[:, ::-1])
+            p = scalar_field(lat, p.coeffs + 0.5j * p.coeffs[::-1])
+        return u, p
+
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bytes_match_joined_writer(self, tmp_path, n, is_real):
+        u, p = self._pair(n, is_real)
+        for what in ((u, p), u, p):
+            path = tmp_path / "out.spf"
+            write_field(path, what)
+            assert path.read_bytes() == _joined_spf(what)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pair_round_trip(self, tmp_path, n):
+        u, p = self._pair(n, True)
+        path = tmp_path / "sol.spf"
+        write_field(path, (u, p))
+        back_u, back_p = read_field(path)
+        assert isinstance(back_u, SpectralVectorField)
+        assert isinstance(back_p, SpectralScalarField)
+        assert back_u.is_real and back_p.is_real
+        assert back_u.zero_mean and back_p.zero_mean
+        assert np.array_equal(back_u.coeffs, u.coeffs)
+        assert np.array_equal(back_p.coeffs, p.coeffs)
+
+    def test_rejects_bad_pairs(self, tmp_path):
+        u, p = self._pair(2, True)
+        path = tmp_path / "bad.spf"
+        with pytest.raises(TypeError):
+            write_field(path, (p, u))
+        with pytest.raises(TypeError):
+            write_field(path, (u, random_scalar_field(1, make_lattice(2, 3))))
+        assert not path.exists()
+
+    def test_rejects_non_hermitian_pressure(self, tmp_path):
+        u, p = self._pair(2, True)
+        c = p.coeffs.copy()
+        c[1, 2] += 1e-3
+        path = tmp_path / "lying.spf"
+        write_field(path, (u, SpectralScalarField(p.lattice, c, True, True)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            read_field(path)
+
+    def test_rejects_wrong_payload_size(self, tmp_path):
+        u, p = self._pair(2, True)
+        path = tmp_path / "sol.spf"
+        write_field(path, (u, p))
+        blob = path.read_bytes()
+        for bad in (blob[:-16], blob + bytes(16), blob[:-3]):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="coefficients"):
+                read_field(path)
+        path.write_bytes(blob.replace(b"components=3", b"components=5"))
+        with pytest.raises(ValueError, match="components=5"):
+            read_field(path)
+
+
 class TestTensorFile:
     def test_round_trip(self, tmp_path):
         A = make_isotropic(1.5, 0.75, 2)

@@ -6,11 +6,13 @@ import pytest
 from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import regularity_slope
 from tsflow.spectral import (
+    SpectralVectorField,
     divergence,
     gradient,
     make_lattice,
     random_scalar_field,
     random_vector_field,
+    scalar_field,
     sobolev_norm,
     vector_field,
     zero_scalar_field,
@@ -92,6 +94,23 @@ class TestBatchedElimination:
             assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert residual <= 1e-13
 
+    def test_pair_is_solved_once_and_checked_twice(self):
+        # the (half, mirror) pair of a real field: y solves the first member,
+        # and a mismatch in the second shows in the defect alone
+        from tsflow.stokes import _invert, _solve_symbols
+
+        rng = np.random.default_rng(1)
+        R = rng.standard_normal((30, 4, 4)) + 3.0 * np.eye(4)
+        x = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+        inv = _invert(R, np.zeros((30, 3)))
+        y, residual = _solve_symbols(R, inv, x)
+        pair = np.stack([x, x])
+        assert _solve_symbols(R, inv, pair)[1] == residual
+        pair[1, 7, 2] += 1e-6 * np.max(np.abs(x))
+        y_pair, residual_pair = _solve_symbols(R, inv, pair)
+        assert np.array_equal(y_pair, y)
+        assert residual <= 1e-13 and 0.9e-6 <= residual_pair <= 1.1e-6
+
     def test_detects_singular_member(self):
         from tsflow.stokes import _invert
 
@@ -128,6 +147,90 @@ class TestStokesOperator:
             ref = np.linalg.solve(assemble_symbol(A, xi).mat, rhs)
             assert np.max(np.abs(u.coeffs[(slice(None),) + pos] - ref[:n])) <= 1e-12 * scale
             assert abs(p.coeffs[pos] - ref[n]) <= 1e-12 * scale
+
+    @staticmethod
+    def _data(lat, seed, is_real):
+        # real data is Hermitian; complex data has independent coefficients
+        # at xi and -xi, so the mirrored half is a system of its own
+        if is_real:
+            return (
+                random_vector_field(seed, lat, decay=1.0),
+                random_scalar_field(seed + 1, lat, decay=1.0),
+            )
+        rng = np.random.default_rng(seed)
+        shape = (lat.n + 1,) + lat.shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[(slice(None),) + lat.zero_index] = 0.0
+        return vector_field(lat, c[: lat.n]), scalar_field(lat, c[lat.n])
+
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_both_halves_match_lapack(self, n, m, is_real):
+        # oracle: np.linalg.solve on the complex assemble_symbol matrix at
+        # every nonzero mode, before and after xi = 0
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(50 + n, n)
+        f, g = self._data(lat, 60 + n, is_real)
+        u, p, report = StokesOperator(A, lat).solve(f, g)
+        assert u.is_real == is_real and p.is_real == is_real
+        assert report.residual <= 1e-13 and report.n_modes == lat.size - 1
+        scale = max(np.max(np.abs(u.coeffs)), np.max(np.abs(p.coeffs)))
+        mirrored = 0
+        for xi in lat.indices():
+            if not np.any(xi):
+                continue
+            mirrored += tuple(xi) > (0,) * n
+            pos = tuple(xi + m)
+            rhs = np.append(f.coeffs[(slice(None),) + pos], g.coeffs[pos])
+            ref = np.linalg.solve(assemble_symbol(A, xi).mat, rhs)
+            assert np.max(np.abs(u.coeffs[(slice(None),) + pos] - ref[:n])) <= 1e-12 * scale
+            assert abs(p.coeffs[pos] - ref[n]) <= 1e-12 * scale
+        assert mirrored == (lat.size - 1) // 2
+        assert np.all(u.coeffs[(slice(None),) + lat.zero_index] == 0)
+        assert p.coeffs[lat.zero_index] == 0
+
+    @pytest.mark.parametrize("is_real", [True, False])
+    def test_slacks_in_canonical_order(self, is_real):
+        # oracle: mode_estimate_slack on each nonzero mode, in lattice order
+        lat = make_lattice(2, 3)
+        A = random_elliptic_tensor(53, 2)
+        f, g = self._data(lat, 63, is_real)
+        u, p, report = StokesOperator(A, lat).solve(f, g)
+        ref = []
+        for xi in lat.indices():
+            if np.any(xi):
+                pos = tuple(xi + lat.m)
+                ref.append(mode_estimate_slack(
+                    A, xi, f.coeffs[(slice(None),) + pos], g.coeffs[pos],
+                    u.coeffs[(slice(None),) + pos], p.coeffs[pos],
+                ))
+        ref = np.array(ref)
+        np.testing.assert_allclose(report.slack_u, ref[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.slack_p, ref[:, 1], rtol=1e-12, atol=0)
+        assert report.min_slack_u == np.min(report.slack_u)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_stores_only_the_half_before_zero(self, n, m):
+        lat = make_lattice(n, m)
+        op = StokesOperator(random_elliptic_tensor(54, n), lat)
+        half = (lat.size - 1) // 2
+        assert op.symbols.shape == (half, n + 1, n + 1)
+        assert op.inverses.shape == (half, n + 1, n + 1)
+        assert op.xis.shape == (half, n)
+        np.testing.assert_array_equal(op.xis, lat.indices()[:half])
+
+    def test_residual_sees_the_mirrored_half(self):
+        # a real-flagged field that is Hermitian only to 1e-6: the half solve
+        # fits the modes before xi = 0 exactly, so only the mirrored half's
+        # defect can show the asymmetry
+        lat = make_lattice(2, 3)
+        f = random_vector_field(64, lat, decay=1.0)
+        c = f.coeffs.copy()
+        c[0, lat.m + 1, lat.m + 2] += 1e-6 * np.max(np.abs(c))  # after xi = 0
+        lying = SpectralVectorField(lat, c, True, True, False)
+        op = StokesOperator(random_elliptic_tensor(55, 2), lat)
+        assert op.solve(f)[2].residual <= 1e-13
+        assert op.solve(lying)[2].residual >= 1e-7
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_singular_member_names_its_mode(self, n, monkeypatch):
@@ -171,6 +274,17 @@ class TestStokesOperator:
         mine = StokesOperator(A, lat).viscous(u).coeffs
         ref = apply_viscosity(A, u).coeffs
         assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    def test_viscous_of_complex_field(self, n, m):
+        # the mirrored half of a complex field is applied, not conjugated
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(46, n)
+        u, _ = self._data(lat, 47, False)
+        out = StokesOperator(A, lat).viscous(u)
+        ref = apply_viscosity(A, u).coeffs
+        assert not out.is_real
+        assert np.max(np.abs(out.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_rejects_foreign_lattice(self):
         op = StokesOperator(ISO, make_lattice(2, 3))
