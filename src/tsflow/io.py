@@ -19,6 +19,7 @@ All writers go through a temp file and an atomic rename.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import tempfile
 
@@ -205,9 +206,8 @@ def export_grid_csv(path, field, N):
         samples = np.concatenate([p.astype(np.complex128) for p in parts], axis=0)
     ncomp = samples.shape[0]
     is_real = not np.iscomplexobj(samples)
-    # i / N is the same IEEE division as the float array np.indices / N
     names = [f"x{i + 1}" for i in range(lat.n)]
-    columns = list(np.indices((N,) * lat.n).reshape(lat.n, -1) / N)
+    columns = []
     for c, values in enumerate(samples.reshape(ncomp, -1), start=1):
         if is_real:
             names.append(f"v{c}")
@@ -215,12 +215,18 @@ def export_grid_csv(path, field, N):
         else:
             names += [f"v{c}_re", f"v{c}_im"]
             columns += [values.real, values.imag]
-    row = ",".join(["%.17g"] * len(columns))  # the format of _fmt on floats
+    # each coordinate is formatted once (the format of _fmt on floats); i / N
+    # is the same IEEE division as the float array np.indices / N, and the
+    # product runs over the grid in C order
+    coord = ["%.17g," % (i / N) for i in range(N)]
+    prefixes = map("".join, itertools.product(coord, repeat=lat.n))
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(names)]
     step = 4096  # rows per block: bounds the Python floats alive at once
     for start in range(0, N**lat.n, step):
-        block = zip(*(c[start : start + step].tolist() for c in columns))
-        lines.append("\n".join([row % values for values in block]))
+        values = zip(*(c[start : start + step].tolist() for c in columns))
+        rows = zip(itertools.islice(prefixes, step), values)
+        lines.append("\n".join([p + row % v for p, v in rows]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -5,8 +5,13 @@ form, div(w (x) w) - (div w) w (Canuto, Hussaini, Quarteroni & Zang,
 Spectral Methods, sec. 3.4; Zang 1991): the n velocity components go to the
 grid by inverse real FFTs, and the n(n+1)/2 distinct products w_j w_k come
 back by forward real FFTs, one at a time, to be differentiated mode by mode
-(9 real transforms at n=3). The (div w) w correction is formed only for
-fields not flagged divergence-free. The grid has the 5-smooth size
+(9 real transforms at n=3). Both directions are pruned: only the 1-D lines
+that carry a cube mode are transformed (at n=3, m=16 that is 1,411 complex
+lines of the 2,600 of a full half-spectrum transform), and the derivatives
+are accumulated on the xi_n >= 0 half of the cube, the other half following
+by conjugation; the result is the same bit for bit as full transforms and a
+full-cube accumulation. The (div w) w correction is formed only for fields
+not flagged divergence-free. The grid has the 5-smooth size
 `dealias_grid(m)` >= 3m+1, so the retained modes agree exactly with the
 lattice convolution (quadratic products of cube-truncated fields live on the
 doubled cube; 3m+1 points leave the inner cube alias-free). A direct
@@ -35,13 +40,15 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     SpectralVectorField,
+    _average_zero_plane,
+    _flip,
+    _rfftn_half,
     dealias_grid,
     divergence,
     grid_transform,
     index_grids,
     inner,
     mode_abs2,
-    sampling_transform,
     seminorm,
     sobolev_norm,
     zero_vector_field,
@@ -133,32 +140,47 @@ def advection(w, dealias=True):
     """Convective term (w . grad) w, in divergence form on a product grid.
 
     Computes sum_j d_j(w_j w_k) - (div w) w_k: the n(n+1)/2 distinct
-    products w_j w_k are formed on the grid, brought back by real FFTs one
-    at a time and differentiated mode by mode. The correction (div w) w is
-    formed only when w is not flagged divergence-free, where it vanishes
-    analytically, so the result is exact for every w. Requires a real
-    field. With dealias the grid is the 5-smooth `dealias_grid(m)` >= 3m+1
-    and the retained modes are exact; without it the grid has 2m+1 points
-    and the products alias back into the cube.
+    products w_j w_k are formed on the grid and brought back by pruned real
+    FFTs one at a time, as the xi_n >= 0 half of the cube only; the lines
+    of the transforms that stay outside the cube are never computed. Each
+    product's xi_n = 0 plane is averaged with its mirror, as
+    `sampling_transform` does, and the derivatives are accumulated on that
+    half with multipliers restricted to it; the accumulated plane is then
+    exactly Hermitian, and one conjugate fill supplies xi_n < 0. The result
+    equals an accumulation over the whole cube bit for bit. The correction
+    (div w) w is formed only when w is not flagged divergence-free, where
+    it vanishes analytically, so the result is exact for every w. Requires
+    a real field. With dealias the grid is the 5-smooth `dealias_grid(m)`
+    >= 3m+1 and the retained modes are exact; without it the grid has 2m+1
+    points and the products alias back into the cube.
     """
     if not w.is_real:
         raise ValueError("advection of complex fields is not supported")
     lat = w.lattice
-    n = lat.n
-    N = dealias_grid(lat.m) if dealias else 2 * lat.m + 1
+    n, m = lat.n, lat.m
+    N = dealias_grid(m) if dealias else 2 * m + 1
     w_grid = grid_transform(w, N)  # (n, N, ..., N) real samples
-    grids = index_grids(lat)
-    out = np.zeros((n,) + lat.shape, np.complex128)
+    d = [TWO_PI * 1j * g[..., m:] for g in index_grids(lat)]  # 2*pi*i*xi_j on xi_n >= 0
+
+    def product(a, b):
+        return _average_zero_plane(_rfftn_half(a * b, lat))
+
+    upper = np.zeros((n,) + lat.shape[:-1] + (m + 1,), np.complex128)
     for j in range(n):
         for k in range(j, n):
-            prod = sampling_transform(w_grid[j] * w_grid[k], lat, is_real=True).coeffs
-            out[k] += TWO_PI * 1j * grids[j] * prod
+            prod = product(w_grid[j], w_grid[k])
+            upper[k] += d[j] * prod
             if k != j:
-                out[j] += TWO_PI * 1j * grids[k] * prod
+                upper[j] += d[k] * prod
     if not w.divergence_free:
         div_grid = grid_transform(divergence(w), N)
         for k in range(n):
-            out[k] -= sampling_transform(div_grid * w_grid[k], lat, is_real=True).coeffs
+            upper[k] -= product(div_grid, w_grid[k])
+    out = np.empty((n,) + lat.shape, np.complex128)
+    out[..., m:] = upper
+    # xi_n < 0 by conjugation; + 0.0 turns the conjugates' -0 imaginary
+    # parts into the +0 that a sum over the full cube leaves there
+    out[..., :m] = np.conj(_flip(upper[..., 1:], lat, component_axis=True)) + 0.0
     return SpectralVectorField(lat, out, True, w.divergence_free, False)
 
 

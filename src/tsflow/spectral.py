@@ -368,8 +368,12 @@ def symmetric_gradient(u):
 #
 # A real-flagged field is transformed with numpy's real FFTs, which keep only
 # the half spectrum xi_n >= 0 of the last axis; the other half is its
-# Hermitian mirror. On grids with N >= 2m+1 points the cube occupies disjoint
-# corner blocks of the (half) spectrum and is moved by slice assignment.
+# Hermitian mirror. On grids with N >= 2m+1 points that half is transformed
+# one axis at a time, each axis zero-padded to N (or cropped back to the
+# cube) only when its turn comes, so the 1-D lines that are all zero padding
+# are never transformed (a pruned FFT; Frigo & Johnson, Proc. IEEE 93, 2005).
+# The axis order is that of numpy 2.x's irfftn / rfftn, so every line that is
+# transformed is one they transform, and the results are theirs bit for bit.
 
 
 def dealias_grid(m):
@@ -394,18 +398,54 @@ def _embed_offsets(lattice, N):
     return np.arange(-lattice.m, lattice.m + 1) % N
 
 
-def _corner_blocks(lattice, N, half):
-    """Pairs (spectrum slices, cube slices) covering the cube once.
-
-    Requires N >= 2m+1. With half, the last axis holds only xi_n >= 0.
-    """
+def _corner_blocks(lattice, N):
+    """Pairs (spectrum slices, cube slices) covering the cube once; N >= 2m+1."""
     m = lattice.m
     axis = ((slice(0, m + 1), slice(m, 2 * m + 1)), (slice(N - m, N), slice(0, m)))
-    axes = [axis] * lattice.n
-    if half:
-        axes[-1] = axis[:1]
-    for pieces in itertools.product(*axes):
+    for pieces in itertools.product(*([axis] * lattice.n)):
         yield tuple(p[0] for p in pieces), tuple(p[1] for p in pieces)
+
+
+def _irfftn_half(half, lattice, N):
+    """Real samples on N^n points from the xi_n >= 0 half of a cube.
+
+    half has shape (2m+1,)*(n-1) + (m+1,), in cube order. Axes 0 .. n-2 are
+    zero-padded to N one at a time (frequencies 0..m to slots 0..m, -m..-1
+    to slots N-m..N-1) and inverse-transformed; the last goes through
+    irfft(n=N), which zero-pads it to N//2+1 itself (no padded copy is
+    allocated). The samples equal numpy 2.x's irfftn of the fully padded
+    half spectrum bit for bit. Requires N >= 2m+1.
+    """
+    m = lattice.m
+    a = half
+    for axis in range(lattice.n - 1):
+        lead = (slice(None),) * axis
+        spec = np.zeros(a.shape[:axis] + (N,) + a.shape[axis + 1 :], np.complex128)
+        spec[lead + (slice(0, m + 1),)] = a[lead + (slice(m, None),)]
+        spec[lead + (slice(N - m, N),)] = a[lead + (slice(0, m),)]
+        a = np.fft.ifft(spec, axis=axis, norm="forward")
+    return np.fft.irfft(a, n=N, axis=-1, norm="forward")
+
+
+def _rfftn_half(samples, lattice):
+    """The xi_n >= 0 half of the cube from real samples on N^n points.
+
+    The mirror of _irfftn_half: rfft the last axis and keep frequencies
+    0..m, then, for axes n-2 .. 0 (numpy 2.x rfftn order), fft each one and
+    keep slots N-m..N-1 followed by 0..m, which is cube order. The result
+    equals the cube's part of numpy 2.x's rfftn bit for bit. Requires
+    N >= 2m+1.
+    """
+    m = lattice.m
+    N = samples.shape[-1]
+    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : m + 1]
+    for axis in range(lattice.n - 2, -1, -1):
+        spec = np.fft.fft(a, axis=axis, norm="forward")
+        lead = (slice(None),) * axis
+        a = np.concatenate(
+            (spec[lead + (slice(N - m, N),)], spec[lead + (slice(0, m + 1),)]), axis=axis
+        )
+    return a
 
 
 def grid_transform(field, N):
@@ -413,14 +453,19 @@ def grid_transform(field, N):
 
     Exact sampling of the stored trigonometric polynomial for any N >= 2;
     when N < 2m+1 distinct modes collapse onto shared grid frequencies and
-    an AliasingWarning is issued. Real-flagged fields return real samples,
-    computed by an inverse real FFT of the half spectrum.
+    an AliasingWarning is issued. Real-flagged fields return real samples:
+    with N >= 2m+1 their xi_n >= 0 half goes through the pruned inverse real
+    FFT (`_irfftn_half`), which skips every line that is all zero padding
+    and follows numpy 2.x's irfftn axis order, so the samples are irfftn's
+    bit for bit. A vector field is transformed component by component into
+    one (n, N, ..., N) array.
     """
     lat = field.lattice
+    m = lat.m
     shape = (N,) * lat.n
-    if N < 2 * lat.m + 1:
+    if N < 2 * m + 1:
         warnings.warn(
-            f"grid of {N} points per axis aliases a band limit of m={lat.m}",
+            f"grid of {N} points per axis aliases a band limit of m={m}",
             AliasingWarning,
             stacklevel=2,
         )
@@ -432,21 +477,37 @@ def grid_transform(field, N):
             samples = np.fft.ifftn(spec, norm="forward")
             return samples.real if field.is_real else samples
 
-    else:
-        half = field.is_real
-        blocks = list(_corner_blocks(lat, N, half))
+    elif field.is_real:
 
         def one(coeffs):
-            spec = np.zeros(shape[:-1] + ((N // 2 + 1,) if half else (N,)), np.complex128)
+            return _irfftn_half(coeffs[..., m:], lat, N)
+
+    else:
+        blocks = list(_corner_blocks(lat, N))
+
+        def one(coeffs):
+            spec = np.zeros(shape, np.complex128)
             for dst, src in blocks:
                 spec[dst] = coeffs[src]
-            if half:
-                return np.fft.irfftn(spec, s=shape, axes=range(lat.n), norm="forward")
             return np.fft.ifftn(spec, norm="forward")
 
     if isinstance(field, SpectralVectorField):
-        return np.stack([one(field.coeffs[j]) for j in range(lat.n)])
+        out = np.empty((lat.n,) + shape, np.float64 if field.is_real else np.complex128)
+        for j in range(lat.n):
+            out[j] = one(field.coeffs[j])
+        return out
     return one(field.coeffs)
+
+
+def _average_zero_plane(half):
+    """Average the xi_n = 0 plane of a half cube with its conjugate mirror.
+
+    half holds xi_n >= 0, so the plane is its first slice on the last axis;
+    afterwards that plane is exactly Hermitian.
+    """
+    plane = half[..., 0]
+    half[..., 0] = 0.5 * (plane + np.conj(np.flip(plane)))
+    return half
 
 
 def _hermitian_from_upper(c, lattice):
@@ -457,8 +518,7 @@ def _hermitian_from_upper(c, lattice):
     """
     m = lattice.m
     c[..., :m] = np.conj(_flip(c[..., m + 1 :], lattice))
-    plane = c[..., m]
-    c[..., m] = 0.5 * (plane + np.conj(np.flip(plane)))
+    _average_zero_plane(c[..., m:])
     return c
 
 
@@ -467,8 +527,12 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 
     The inverse of grid_transform: exact whenever the grid has N >= 2m+1
     points per axis and the sampled function is band-limited to the cube.
-    Real samples go through a forward real FFT; the half of the cube that
-    it omits is filled by Hermitian symmetry.
+    Real samples on such a grid go through the pruned forward real FFT
+    (`_rfftn_half`, only the lines that reach the cube); the half of the
+    cube that it omits is filled by Hermitian symmetry. The transform
+    follows numpy 2.x's rfftn axis order and matches it bit for bit; numpy
+    1.x's rfftn takes the complex axes in the other order, so there the
+    two agree to rounding only.
     """
     samples = np.asarray(samples)
     vector = samples.ndim == lattice.n + 1
@@ -489,13 +553,10 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
             stacklevel=2,
         )
     if is_real and not aliased and not np.iscomplexobj(samples):
-        blocks = list(_corner_blocks(lattice, N, half=True))
 
         def one(grid):
-            spec = np.fft.rfftn(grid, norm="forward")
             c = np.empty(lattice.shape, np.complex128)
-            for src, dst in blocks:
-                c[dst] = spec[src]
+            c[..., lattice.m :] = _rfftn_half(grid, lattice)
             return _hermitian_from_upper(c, lattice)
 
     else:

@@ -340,18 +340,21 @@ class StokesOperator:
         """Solve the compressible system; the contract of `solve_stokes`."""
         lat = self.lattice
         self._check_lattice(f, "forcing")
-        if g is None:
-            g = zero_scalar_field(lat)
-        self._check_lattice(g, "divergence data")
+        if g is not None:
+            self._check_lattice(g, "divergence data")
         f, removed_f = _project_mean(f, "stokes forcing")
-        g, removed_g = _project_mean(g, "divergence data")
-
         n = lat.n
         x = np.empty((2, self._half, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
         self._split(f.coeffs, x[..., :n])
-        self._split(g.coeffs, x[..., n])
-        x[..., n] *= -1j
-        is_real = f.is_real and g.is_real
+        if g is None:
+            # zero divergence data: nothing to project, split or rotate
+            x[..., n] = 0.0
+            is_real, removed_g = f.is_real, False
+        else:
+            g, removed_g = _project_mean(g, "divergence data")
+            self._split(g.coeffs, x[..., n])
+            x[..., n] *= -1j
+            is_real = f.is_real and g.is_real
         if is_real:
             # one solution serves both members, checked against both
             y, residual = _solve_symbols(self.symbols, self.inverses, x)
@@ -378,6 +381,8 @@ class StokesOperator:
             half = _mode_slacks(self.constants, self.xis, x[0], y)
             mirror = _mode_slacks(self.constants, self.xis, x[1], y_mirror)
             _attach_estimates(report, *(self._join(a, b, False) for a, b in zip(half, mirror)))
+            if g is None:
+                g = zero_scalar_field(lat)
             report.global_bound = global_estimate_slack(self.tensor, u, p, f, g, s)
         return u, p, report
 

@@ -1,5 +1,7 @@
 """Nonlinear term, fixed-point solver, a-priori bound, decay diagnostic."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from tsflow.navier_stokes import (
     residual,
 )
 from tsflow.spectral import (
+    TWO_PI,
+    dealias_grid,
     divergence,
+    index_grids,
     inner,
     make_lattice,
     random_scalar_field,
@@ -209,6 +214,74 @@ class TestAdvectionOracle:
         w = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True)
         assert np.all(advection_bruteforce(w).coeffs == 0)
 
+
+def _full_product(samples, lat):
+    # the unpruned forward transform: rfftn, corner blocks, Hermitian fill
+    m, n, N = lat.m, lat.n, samples.shape[-1]
+    spec = np.fft.rfftn(samples, norm="forward")
+    axis = ((slice(0, m + 1), slice(m, 2 * m + 1)), (slice(N - m, N), slice(0, m)))
+    c = np.empty(lat.shape, np.complex128)
+    for pieces in itertools.product(*([axis] * (n - 1) + [axis[:1]])):
+        c[tuple(p[1] for p in pieces)] = spec[tuple(p[0] for p in pieces)]
+    c[..., :m] = np.conj(np.flip(c[..., m + 1 :]))
+    plane = c[..., m]
+    c[..., m] = 0.5 * (plane + np.conj(np.flip(plane)))
+    return c
+
+
+def full_cube_advection(w, dealias=True):
+    """The unpruned advection: full real transforms and a full-cube accumulation."""
+    lat = w.lattice
+    n, m = lat.n, lat.m
+    N = dealias_grid(m) if dealias else 2 * m + 1
+
+    def samples(coeffs):
+        spec = np.zeros((N,) * n, np.complex128)
+        spec[np.ix_(*([np.arange(-m, m + 1) % N] * n))] = coeffs
+        return np.fft.irfftn(spec[..., : N // 2 + 1], s=(N,) * n, axes=range(n), norm="forward")
+
+    w_grid = [samples(c) for c in w.coeffs]
+    grids = index_grids(lat)
+    out = np.zeros((n,) + lat.shape, np.complex128)
+    for j in range(n):
+        for k in range(j, n):
+            prod = _full_product(w_grid[j] * w_grid[k], lat)
+            out[k] += TWO_PI * 1j * grids[j] * prod
+            if k != j:
+                out[j] += TWO_PI * 1j * grids[k] * prod
+    if not w.divergence_free:
+        div_grid = samples(divergence(w).coeffs)
+        for k in range(n):
+            out[k] -= _full_product(div_grid * w_grid[k], lat)
+    return out
+
+
+class TestHalfCubeAdvection:
+    """The pruned half-cube advection against the full-cube one, bit for bit."""
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("solenoidal", [True, False])
+    def test_matches_full_cube_accumulation(self, n, m, dealias, solenoidal):
+        w = random_vector_field(80 + n, make_lattice(n, m), decay=2.0, divergence_free=solenoidal)
+        got = advection(w, dealias=dealias).coeffs
+        ref = full_cube_advection(w, dealias=dealias)
+        np.testing.assert_array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("field", ["taylor-green", "zero"])
+    def test_matches_on_exact_zeros(self, field):
+        # most products and coefficients are exact zeros: their signs must
+        # match too
+        lat = make_lattice(2, 3)
+        if field == "zero":
+            w = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True)
+        else:
+            w = taylor_green(m=3)
+        got = advection(w).coeffs
+        ref = full_cube_advection(w)
+        np.testing.assert_array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()
 
 class TestQuadraticBoundRatio:
     def test_ratio_finite_and_scale_invariant(self):

@@ -1,5 +1,7 @@
 """Core field representation: norms, calculus, projections, transforms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,92 @@ class TestGridTransforms:
         grid_ms = np.sum(np.abs(samples) ** 2) / N**2
         assert grid_ms == pytest.approx(sobolev_norm(g, 0.0) ** 2, rel=1e-12)
 
+
+def _full_half_blocks(lat, N):
+    # (half-spectrum slices, cube slices) pairs: every full axis in two
+    # corner blocks, the last axis xi_n >= 0 only
+    m = lat.m
+    axis = ((slice(0, m + 1), slice(m, 2 * m + 1)), (slice(N - m, N), slice(0, m)))
+    for pieces in itertools.product(*([axis] * (lat.n - 1) + [axis[:1]])):
+        yield tuple(p[0] for p in pieces), tuple(p[1] for p in pieces)
+
+
+def full_grid_transform(field, N):
+    """The unpruned real transform: irfftn of the whole zero-padded half spectrum."""
+    lat = field.lattice
+
+    def one(coeffs):
+        spec = np.zeros((N,) * (lat.n - 1) + (N // 2 + 1,), np.complex128)
+        for dst, src in _full_half_blocks(lat, N):
+            spec[dst] = coeffs[src]
+        return np.fft.irfftn(spec, s=(N,) * lat.n, axes=range(lat.n), norm="forward")
+
+    if field.coeffs.ndim > lat.n:
+        return np.stack([one(c) for c in field.coeffs])
+    return one(field.coeffs)
+
+
+def full_sampling_transform(samples, lat):
+    """The unpruned real inverse: rfftn, block copies, then a Hermitian fill."""
+    m, N = lat.m, samples.shape[-1]
+
+    def one(grid):
+        spec = np.fft.rfftn(grid, norm="forward")
+        c = np.empty(lat.shape, np.complex128)
+        for src, dst in _full_half_blocks(lat, N):
+            c[dst] = spec[src]
+        c[..., :m] = np.conj(np.flip(c[..., m + 1 :]))
+        plane = c[..., m]
+        c[..., m] = 0.5 * (plane + np.conj(np.flip(plane)))
+        return c
+
+    if samples.ndim > lat.n:
+        return np.stack([one(g) for g in samples])
+    return one(samples)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros too
+
+
+PRUNED_CASES = [(1, 3, 7), (1, 3, 8), (2, 4, 9), (2, 4, 16), (2, 8, 25), (3, 3, 7), (3, 4, 15),
+                (3, 16, 50)]
+
+
+class TestPrunedTransforms:
+    """The pruned real transforms against the full numpy transforms, bit for bit."""
+
+    @pytest.mark.parametrize("n, m, N", PRUNED_CASES)
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_grid_transform_matches_full_irfftn(self, n, m, N, vector):
+        lat = make_lattice(n, m)
+        if vector:
+            fld = random_vector_field(60 + n, lat, decay=1.0)
+        else:
+            fld = random_scalar_field(60 + n, lat, decay=1.0, zero_mean=False)
+        assert_same_bits(grid_transform(fld, N), full_grid_transform(fld, N))
+
+    @pytest.mark.parametrize("n, m, N", PRUNED_CASES)
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_sampling_transform_matches_full_rfftn(self, n, m, N, vector):
+        lat = make_lattice(n, m)
+        rng = np.random.default_rng(70 + n)
+        samples = rng.standard_normal(((n,) if vector else ()) + (N,) * n)
+        got = sampling_transform(samples, lat)
+        assert got.is_real
+        assert_same_bits(got.coeffs, full_sampling_transform(samples, lat))
+
+    def test_zero_plane_is_averaged(self):
+        # rfftn leaves the xi_n = 0 plane Hermitian only to rounding; the
+        # averaged plane must be exactly Hermitian
+        lat = make_lattice(3, 4)
+        samples = np.random.default_rng(5).standard_normal((15,) * 3)
+        raw = np.fft.rfftn(samples, norm="forward")[..., 0]
+        ix = np.ix_(*([np.arange(-4, 5) % 15] * 2))
+        assert not np.array_equal(raw[ix], np.conj(np.flip(raw[ix])))
+        plane = sampling_transform(samples, lat).coeffs[..., lat.m]
+        assert np.array_equal(plane, np.conj(np.flip(plane)))
 
 class TestNormEquivalence:
     def test_gradient_norm_bracket_random(self):

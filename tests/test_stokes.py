@@ -267,6 +267,27 @@ class TestStokesOperator:
             assert np.array_equal(p1.coeffs, p2.coeffs)
             assert r1.flat_items() == r2.flat_items()
 
+    @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("check_estimates", [True, False])
+    def test_absent_divergence_data_is_a_zero_field(self, n, m, is_real, check_estimates):
+        # g=None skips building, projecting and splitting a zero field; the
+        # solution and the report must not notice
+        lat = make_lattice(n, m)
+        op = StokesOperator(random_elliptic_tensor(48, n), lat)
+        f, _ = self._data(lat, 49, is_real)
+        u1, p1, r1 = op.solve(f, check_estimates=check_estimates)
+        u2, p2, r2 = op.solve(f, zero_scalar_field(lat), check_estimates=check_estimates)
+        for a, b in ((u1, u2), (p1, p2)):
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert (a.is_real, a.zero_mean) == (b.is_real, b.zero_mean) == (is_real, True)
+        assert r1.flat_items() == r2.flat_items()
+        if check_estimates:
+            np.testing.assert_array_equal(r1.slack_u, r2.slack_u)
+            np.testing.assert_array_equal(r1.slack_p, r2.slack_p)
+            assert r1.global_bound == r2.global_bound
+
     def test_viscous_matches_apply_viscosity(self):
         lat = make_lattice(3, 3)
         A = random_elliptic_tensor(44, 3)
