@@ -24,8 +24,8 @@ from tsflow.harness import manufacture, random_elliptic_tensor
 
 ############################################################
 # One mode first: the (n+1) x (n+1) symbol couples velocity and pressure.
-# For isotropic tensors the inverse has a closed form; the general
-# (LAPACK) inverse must reproduce it.
+# For isotropic tensors the solution has a closed form; the general
+# (bordered closed-form) inverse of the symbol must reproduce it.
 
 iso = make_isotropic(0.0, 1.0, 2)
 sym = assemble_symbol(iso, (1, 0))

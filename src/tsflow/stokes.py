@@ -10,14 +10,23 @@ whose matrix is D R D with D = diag(1, ..., 1, i) and R real symmetric
 (velocity block 4*pi^2*xi.a.xi, coupling column 2*pi*xi, zero corner).
 Since R(-xi) = S R(xi) S with S = diag(1, ..., 1, -1), only half the cube
 is needed: `StokesOperator(tensor, lattice)` builds R once for each of the
-(size - 1) / 2 modes before xi = 0, with its inverse from LAPACK
-(`np.linalg.inv`), both stored as real float64 stacks; a conditioning check
-names the offending mode of a singular symbol. A solve of real data is then
-one batched real matrix product on the float view of the half, whose other
-half follows by conjugation; complex data also solves the mirrored half
-against the same stacks. The residual check covers every nonzero mode,
-mirrored ones included. `solve_stokes` is a one-shot operator solve and
-`solve_mode` the single-mode case of the same code. The
+(size - 1) / 2 modes before xi = 0, with its inverse, both stored as real
+float64 stacks. R = [[A, b], [b^T, 0]] is a bordered matrix, A = 4*pi^2
+xi.a.xi and b = 2*pi*xi. Relaxed ellipticity makes A positive only on the
+vectors orthogonal to xi, so A may be singular, but the inverse has a closed
+form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
+
+    R^-1 = [[X A X^T, adj(A) b], [(adj(A) b)^T, -det A]] / s,
+
+with X v = b x v for n = 3, and X A X^T replaced by t t^T, t = (-b_2, b_1),
+for n = 2. LAPACK (`np.linalg.inv`) is the oracle of the tests only. A zero
+s or a conditioning check names the offending mode of a singular symbol.
+A solve of real data is then one batched real matrix product on the float
+view of the half, whose other half follows by conjugation; complex data
+also solves the mirrored half against the same stacks. The residual check
+covers every nonzero mode, mirrored ones included. `solve_stokes` is a
+one-shot operator solve and `solve_mode` the single-mode case of the same
+code. Other dimensions n are rejected with a ValueError. The
 isotropic closed forms and the per-mode / summed a-priori bounds with
 constants
 
@@ -163,30 +172,107 @@ def assemble_symbol(tensor, xi):
     return StokesSymbol(tuple(int(x) for x in xi), _mode_symbols(tensor, xi[None])[0])
 
 
+def _check_dimension(n):
+    if n not in (2, 3):
+        raise ValueError(f"Stokes solves support n in {{2, 3}}, got n={n}")
+
+
 def _mode_symbols(tensor, xis):
     """Real symbols R of a tensor at a (B, n) stack of nonzero modes."""
     B, n = xis.shape
     R = np.zeros((B, n + 1, n + 1))
-    R[:, :n, :n] = 4.0 * np.pi**2 * np.einsum("ba,kjac,bc->bkj", xis, tensor.entries, xis)
-    R[:, :n, n] = TWO_PI * xis
-    R[:, n, :n] = TWO_PI * xis
+    # velocity blocks as one product: the n^2 products xi_a * xi_c (exact
+    # for integer modes) against a[k, j, a, c] in (a c) x (k j) order. An
+    # einsum, not a matmul: a BLAS product this large runs on a second
+    # thread, whose buffers add about 1 MB to the peak resident set.
+    x = np.ascontiguousarray(xis.T)
+    pairs = (x[:, None] * x[None]).reshape(n * n, B)
+    ac_kj = tensor.entries.transpose(2, 3, 0, 1).reshape(n * n, n * n)
+    blocks = np.einsum("pb,pq->bq", pairs, ac_kj)
+    np.multiply(4.0 * np.pi**2, blocks.reshape(B, n, n), out=R[:, :n, :n])
+    np.multiply(TWO_PI, xis, out=R[:, :n, n])
+    R[:, n, :n] = R[:, :n, n]
     return R
 
 
-def _invert(R, xis):
-    """Inverses of a stack of real symbols, from LAPACK.
+# Modes per block of the closed-form inverse: the block's temporaries stay
+# a few hundred kB whatever the cube.
+_BLOCK = 4096
 
-    Raises SingularSymbol naming the first mode whose symbol is exactly
-    singular or has a Frobenius condition number above COND_LIMIT.
+
+def _bordered_parts_2(r):
+    """(t t^T entries, adj(A) b, det A, s) of a component-major (3, 3, B) block."""
+    a00, a01, a11 = r[0, 0], r[0, 1], r[1, 1]
+    b0, b1 = r[0, 2], r[1, 2]
+    c = (a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)
+    m = {(0, 0): b1 * b1, (0, 1): -(b0 * b1), (1, 1): b0 * b0}
+    return m, c, a00 * a11 - a01 * a01, b0 * c[0] + b1 * c[1]
+
+
+def _bordered_parts_3(r):
+    """(X A X^T entries, adj(A) b, det A, s) of a component-major (4, 4, B) block."""
+    a00, a01, a02, a11, a12, a22 = r[0, 0], r[0, 1], r[0, 2], r[1, 1], r[1, 2], r[2, 2]
+    b0, b1, b2 = r[0, 3], r[1, 3], r[2, 3]
+    adj00 = a11 * a22 - a12 * a12
+    adj01 = a02 * a12 - a01 * a22
+    adj02 = a01 * a12 - a02 * a11
+    adj11 = a00 * a22 - a02 * a02
+    adj12 = a01 * a02 - a00 * a12
+    adj22 = a00 * a11 - a01 * a01
+    c = (
+        adj00 * b0 + adj01 * b1 + adj02 * b2,
+        adj01 * b0 + adj11 * b1 + adj12 * b2,
+        adj02 * b0 + adj12 * b1 + adj22 * b2,
+    )
+    b00, b11, b22, b01, b02, b12 = b0 * b0, b1 * b1, b2 * b2, b0 * b1, b0 * b2, b1 * b2
+    m = {  # row i of X is e_i x b
+        (0, 0): a11 * b22 - 2.0 * a12 * b12 + a22 * b11,
+        (1, 1): a00 * b22 - 2.0 * a02 * b02 + a22 * b00,
+        (2, 2): a00 * b11 - 2.0 * a01 * b01 + a11 * b00,
+        (0, 1): a12 * b02 + a02 * b12 - a01 * b22 - a22 * b01,
+        (0, 2): a01 * b12 + a12 * b01 - a11 * b02 - a02 * b11,
+        (1, 2): a01 * b02 + a02 * b01 - a00 * b12 - a12 * b00,
+    }
+    det = a00 * adj00 + a01 * adj01 + a02 * adj02
+    return m, c, det, b0 * c[0] + b1 * c[1] + b2 * c[2]
+
+
+def _invert(R, xis):
+    """Inverses of a stack of real symbols, in closed form.
+
+    R = [[A, b], [b^T, 0]] with s = b.adj(A).b = -det R has the inverse
+    [[M, adj(A) b], [(adj(A) b)^T, -det A]] / s, M = X A X^T (X v = b x v)
+    for n = 3 and M = t t^T (t = (-b_2, b_1)) for n = 2, so no step divides
+    by det A, which is zero where relaxed ellipticity leaves A singular.
+    The stack is taken in blocks of _BLOCK modes, each transposed to
+    component-major rows. Raises SingularSymbol naming the first mode whose
+    s is zero, or whose Frobenius condition number is above COND_LIMIT.
     """
-    try:
-        inv = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        # a pivot was exactly zero; det factors each member the same way
-        i = int(np.argmin(np.abs(np.linalg.det(R))))
-        xi = tuple(int(x) for x in xis[i])
-        raise SingularSymbol(f"singular symbol at mode {xi}", xi) from None
-    cond2 = np.einsum("bij,bij->b", R, R) * np.einsum("bij,bij->b", inv, inv)
+    H, d = R.shape[:2]
+    _check_dimension(d - 1)
+    parts = _bordered_parts_2 if d == 3 else _bordered_parts_3
+    inv = np.empty_like(R)
+    # at extreme scales products overflow to inf or nan, which the
+    # conditioning check rejects without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, H, _BLOCK):
+            r = np.ascontiguousarray(R[lo : lo + _BLOCK].transpose(1, 2, 0))
+            m, c, det, s = parts(r)
+            zero = s == 0
+            if np.any(zero):
+                xi = tuple(int(x) for x in xis[lo + int(np.argmax(zero))])
+                raise SingularSymbol(f"singular symbol at mode {xi}", xi)
+            rs = 1.0 / s
+            out = np.empty_like(r)
+            for (i, j), v in m.items():
+                np.multiply(v, rs, out=out[i, j])
+                out[j, i] = out[i, j]
+            for i, v in enumerate(c):
+                np.multiply(v, rs, out=out[i, -1])
+                out[-1, i] = out[i, -1]
+            np.multiply(det, -rs, out=out[-1, -1])
+            inv[lo : lo + _BLOCK] = out.transpose(2, 0, 1)
+        cond2 = np.einsum("bij,bij->b", R, R) * np.einsum("bij,bij->b", inv, inv)
     bad = ~(cond2 <= COND_LIMIT**2)  # also catches nan
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -293,6 +379,7 @@ class StokesOperator:
     """
 
     def __init__(self, tensor, lattice):
+        _check_dimension(tensor.n)
         if tensor.n != lattice.n:
             raise ValueError(f"tensor dimension {tensor.n} does not match field n={lattice.n}")
         self.tensor = tensor
@@ -436,17 +523,23 @@ def _mode_slacks(constants, xis, rhs, z):
     (uhat, phat). Returns (slack_u, slack_p, bound_u, bound_p), each (B,).
     """
     n = xis.shape[1]
-    abs_xi = np.sqrt(np.sum(xis**2, axis=1))
-    abs_f = np.sqrt(np.sum(np.abs(rhs[:, :n]) ** 2, axis=1))
-    abs_g = np.abs(rhs[:, n])
+    abs_xi = _moduli(xis)
+    abs_f = _moduli(rhs[:, :n])
+    abs_g = _moduli(rhs[:, n:])
     bound_u = (
         constants["C_uf"] * abs_f / (TWO_PI * abs_xi) ** 2
         + constants["C_ug"] * abs_g / (TWO_PI * abs_xi)
     )
     bound_p = constants["C_pf"] * abs_f / (TWO_PI * abs_xi) + constants["C_pg"] * abs_g
-    slack_u = bound_u - np.sqrt(np.sum(np.abs(z[:, :n]) ** 2, axis=1))
-    slack_p = bound_p - np.abs(z[:, n])
+    slack_u = bound_u - _moduli(z[:, :n])
+    slack_p = bound_p - _moduli(z[:, n:])
     return slack_u, slack_p, bound_u, bound_p
+
+
+def _moduli(z):
+    """Euclidean norm of each row of a (B, k) stack, from its float view's squares."""
+    v = z.view(np.float64)
+    return np.sqrt(np.einsum("bi,bi->b", v, v))
 
 
 def _attach_estimates(report, slack_u, slack_p, bound_u, bound_p):

@@ -261,6 +261,19 @@ class TestStokesCommands:
         assert main(base + [str(tmp_path / "junk.spf")]) == 1
         assert "not an SPF1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_other_dimensions_exit_1(self, n, forcing, tmp_path, capsys):
+        tensor = tmp_path / f"iso{n}.txt"
+        write_tensor(tensor, make_isotropic(0.0, 1.0, n))
+        if n > 1:  # an n=1 vector dump reads as a scalar one, so keep the n=2 forcing
+            forcing = str(tmp_path / f"f{n}.spf")
+            write_field(forcing, random_vector_field(2, make_lattice(n, 1), decay=3.0))
+        out = tmp_path / "sol.spf"
+        argv = ["stokes-solve", "--tensor", str(tensor), "--f", forcing, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"n in {{2, 3}}, got n={n}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNSCommands:
     def test_manufacture_then_solve(self, iso_tensor, tmp_path, capsys):

@@ -9,6 +9,7 @@ from tsflow.spectral import (
     SpectralVectorField,
     divergence,
     gradient,
+    index_grids,
     make_lattice,
     random_scalar_field,
     random_vector_field,
@@ -33,7 +34,7 @@ from tsflow.stokes import (
     solve_stokes,
     solve_stokes_incompressible,
 )
-from tsflow.viscosity import apply_viscosity, make_isotropic, stokes_operator
+from tsflow.viscosity import apply_viscosity, make_isotropic, make_tensor, stokes_operator
 
 
 ISO = make_isotropic(0.0, 1.0, 2)
@@ -67,6 +68,29 @@ class TestSymbolAssembly:
         assert np.max(np.abs(block.imag)) == 0
 
 
+def _symbol_stack(seed, n, count):
+    """Stokes symbols of a random elliptic tensor at random nonzero integer modes."""
+    from tsflow.stokes import _mode_symbols
+
+    rng = np.random.default_rng(seed)
+    xis = rng.integers(-6, 7, size=(count, n)).astype(float)
+    xis[~xis.any(axis=1), 0] = 1.0
+    return xis, _mode_symbols(random_elliptic_tensor(seed, n), xis)
+
+
+def _half_cube_modes(n, m):
+    """The modes before xi = 0 in canonical order, as a StokesOperator stores them."""
+    lat = make_lattice(n, m)
+    modes = np.stack(index_grids(lat)).reshape(n, -1)[:, : lat.size // 2]
+    return np.ascontiguousarray(modes.T, dtype=float)
+
+
+def _per_mode_gap(inv, ref):
+    """Largest entry gap of each member relative to its largest reference entry."""
+    gap = np.abs(inv - ref).reshape(len(ref), -1)
+    return np.max(gap, axis=1) / np.max(np.abs(ref).reshape(len(ref), -1), axis=1)
+
+
 class TestBatchedElimination:
     """The batched real-symbol inverse and solve behind every Stokes solve."""
 
@@ -82,12 +106,12 @@ class TestBatchedElimination:
         from tsflow.stokes import _invert, _solve_symbols
 
         rng = np.random.default_rng(0)
-        for d in (3, 4, 5):
-            R = rng.standard_normal((40, d, d)) + 3.0 * np.eye(d)  # comfortably nonsingular
-            rhs = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
+        for n in (2, 3):
+            xis, R = _symbol_stack(10 + n, n, 40)
+            rhs = rng.standard_normal((40, n + 1)) + 1j * rng.standard_normal((40, n + 1))
             x = rhs.copy()
             x[:, -1] *= -1j  # D^-1 rhs
-            y, residual = _solve_symbols(R, _invert(R, np.zeros((40, 2))), x)
+            y, residual = _solve_symbols(R, _invert(R, xis), x)
             mine = y.copy()
             mine[:, -1] *= -1j  # D^-1 y
             ref = np.linalg.solve(self._dressed(R), rhs[..., None])[..., 0]
@@ -100,9 +124,9 @@ class TestBatchedElimination:
         from tsflow.stokes import _invert, _solve_symbols
 
         rng = np.random.default_rng(1)
-        R = rng.standard_normal((30, 4, 4)) + 3.0 * np.eye(4)
+        xis, R = _symbol_stack(14, 3, 30)
         x = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
-        inv = _invert(R, np.zeros((30, 3)))
+        inv = _invert(R, xis)
         y, residual = _solve_symbols(R, inv, x)
         pair = np.stack([x, x])
         assert _solve_symbols(R, inv, pair)[1] == residual
@@ -112,19 +136,132 @@ class TestBatchedElimination:
         assert residual <= 1e-13 and 0.9e-6 <= residual_pair <= 1.1e-6
 
     def test_detects_singular_member(self):
-        from tsflow.stokes import _invert
+        import warnings
 
-        xis = [(1, 0), (2, 0), (3, 0)]
-        R = np.stack([np.eye(3)] * 3)
-        R[1, :, 0] = 0.0  # one exactly singular system in the batch
+        from tsflow.stokes import COND_LIMIT, _invert, _mode_symbols
+
+        modes = {2: [(1, 2), (0, 2), (3, -1)], 3: [(1, 2, 0), (0, 0, 2), (3, -1, 1)]}
+        for n, listed in modes.items():
+            xis = np.array(listed, dtype=float)
+            tensor = random_elliptic_tensor(20 + n, n)
+            R = _mode_symbols(tensor, xis)
+            # mu = 0 on an axis mode: A = 4 pi^2 lam xi xi^T, so s = b.adj(A).b is exactly 0
+            R[1] = _mode_symbols(make_isotropic(1.0, 0.0, n), xis[1:2])[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no division warning leaks out
+                with pytest.raises(SingularSymbol, match="singular symbol at mode") as exc:
+                    _invert(R, xis)
+            assert exc.value.xi == listed[1]
+            R = _mode_symbols(tensor, xis)
+            R[2, :n, :n] *= 1e-15  # invertible, but past the conditioning limit
+            assert np.linalg.norm(R[2]) * np.linalg.norm(np.linalg.inv(R[2])) > COND_LIMIT
+            with pytest.raises(SingularSymbol, match="condition number") as exc:
+                _invert(R, xis)
+            assert exc.value.xi == listed[2]
+
+
+class TestClosedFormInverse:
+    """The bordered closed-form inverse against LAPACK on whole half cubes."""
+
+    TENSORS = {
+        "lambda=-2mu": lambda n: make_isotropic(-2.0, 1.0, n),
+        "lambda=-2mu+1e-8": lambda n: make_isotropic(-2.0 + 1e-8, 1.0, n),
+        "random": lambda n: random_elliptic_tensor(60 + n, n),
+    }
+
+    @staticmethod
+    def _lapack_verdict(R):
+        """LAPACK's inverses and the members its Frobenius condition puts past the limit."""
+        from tsflow.stokes import COND_LIMIT
+
+        ref = np.linalg.inv(R)
+        cond2 = np.einsum("bij,bij->b", R, R) * np.einsum("bij,bij->b", ref, ref)
+        return ref, ~(cond2 <= COND_LIMIT**2)
+
+    @pytest.mark.parametrize("n, m", [(2, 12), (3, 6)])
+    @pytest.mark.parametrize("kind", sorted(TENSORS))
+    def test_matches_lapack_on_every_half_cube_mode(self, n, m, kind):
+        from tsflow.stokes import _invert, _mode_symbols
+
+        tensor = self.TENSORS[kind](n)
+        xis = _half_cube_modes(n, m)
+        R = _mode_symbols(tensor, xis)
+        if kind == "lambda=-2mu":
+            # accepted by relaxed ellipticity, yet every velocity block is singular
+            assert estimate_constants(tensor)["C_A"] == pytest.approx(0.5)
+            A = R[:, :n, :n]
+            scale = np.max(np.abs(A).reshape(len(A), -1), axis=1) ** n
+            assert np.all(np.abs(np.linalg.det(A)) <= 1e-13 * scale)
+        assert np.max(_per_mode_gap(_invert(R, xis), np.linalg.inv(R))) <= 1e-13
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_same_verdict_as_lapack_at_every_scale(self, n, m, scale):
+        from tsflow.stokes import _invert, _mode_symbols
+
+        xis = _half_cube_modes(n, m)
+        for make in self.TENSORS.values():
+            R = _mode_symbols(make_tensor(n, scale * make(n).entries), xis)
+            ref, bad = self._lapack_verdict(R)
+            if np.any(bad):
+                with pytest.raises(SingularSymbol) as exc:
+                    _invert(R, xis)
+                assert exc.value.xi == tuple(int(x) for x in xis[np.argmax(bad)])
+            else:
+                assert np.max(_per_mode_gap(_invert(R, xis), ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    def test_names_the_first_ill_conditioned_mode(self, n, m):
+        # at this scale some modes pass the conditioning check and some fail
+        from tsflow.stokes import _invert, _mode_symbols
+
+        xis = _half_cube_modes(n, m)
+        R = _mode_symbols(make_tensor(n, 1e5 * random_elliptic_tensor(61, n).entries), xis)
+        bad = self._lapack_verdict(R)[1]
+        assert 0 < np.sum(bad) < len(bad)
         with pytest.raises(SingularSymbol) as exc:
             _invert(R, xis)
-        assert exc.value.xi == (2, 0)
-        R = np.stack([np.eye(3)] * 3)
-        R[2, 1, 1] = 1e-15  # invertible, but past the conditioning limit
-        with pytest.raises(SingularSymbol) as exc:
-            _invert(R, xis)
-        assert exc.value.xi == (3, 0)
+        assert exc.value.xi == tuple(int(x) for x in xis[np.argmax(bad)])
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
+    def test_extreme_scales_rejected_without_warnings(self, n, m, scale):
+        # the products under- or overflow; the verdict must still be a clean rejection
+        import warnings
+
+        from tsflow.stokes import _invert, _mode_symbols
+
+        xis = _half_cube_modes(n, m)
+        for make in self.TENSORS.values():
+            R = _mode_symbols(make_tensor(n, scale * make(n).entries), xis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularSymbol):
+                    _invert(R, xis)
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        import tsflow.stokes as stokes_mod
+
+        xis = _half_cube_modes(3, 3)
+        R = stokes_mod._mode_symbols(random_elliptic_tensor(63, 3), xis)
+        whole = stokes_mod._invert(R, xis)
+        monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
+        assert np.array_equal(stokes_mod._invert(R, xis), whole)
+        i = len(xis) - 2  # the axis mode (0, 0, -2), second member of its block
+        R[i] = stokes_mod._mode_symbols(make_isotropic(1.0, 0.0, 3), xis[i : i + 1])[0]
+        with pytest.raises(SingularSymbol, match="singular symbol") as exc:
+            stokes_mod._invert(R, xis)
+        assert exc.value.xi == (0, 0, -2)
+
+    def test_operator_builds_without_lapack(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called while building the operator")
+
+        monkeypatch.setattr(np.linalg, "inv", no_lapack)
+        lat = make_lattice(3, 3)
+        op = StokesOperator(random_elliptic_tensor(62, 3), lat)
+        _, _, report = op.solve(random_vector_field(5, lat, decay=2.0))
+        assert report.residual <= 1e-13 and report.estimates_ok
 
 
 class TestStokesOperator:
@@ -313,6 +450,14 @@ class TestStokesOperator:
             op.solve(random_vector_field(1, make_lattice(2, 4)))
         with pytest.raises(ValueError):
             StokesOperator(make_isotropic(0.0, 1.0, 3), make_lattice(2, 3))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_rejects_other_dimensions(self, n):
+        tensor = make_isotropic(0.0, 1.0, n)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            StokesOperator(tensor, make_lattice(n, 1))
+        with pytest.raises(ValueError, match=f"n={n}"):
+            solve_mode(assemble_symbol(tensor, (1,) * n), np.ones(n), 0.0)
 
 
 class TestSolveMode:
