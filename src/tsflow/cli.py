@@ -23,6 +23,8 @@ from .navier_stokes import (
 from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
+    _without_mean,
+    divergence,
     make_lattice,
     random_scalar_field,
     random_vector_field,
@@ -222,34 +224,15 @@ def _validate(command, options):
             raise UsageError("residual needs either --solution or both --u and --p")
 
 
-def _read_scalar(path):
+_DUMPS = {"scalar field": SpectralScalarField, "vector field": SpectralVectorField,
+          "combined velocity+pressure": tuple}
+
+
+def _read(path, kind):
     fld = tio.read_field(path)
-    if not isinstance(fld, SpectralScalarField):
-        raise UsageError(f"{path}: expected a scalar field dump")
+    if not isinstance(fld, _DUMPS[kind]):
+        raise UsageError(f"{path}: expected a {kind} dump")
     return fld
-
-
-def _read_vector(path):
-    fld = tio.read_field(path)
-    if not isinstance(fld, SpectralVectorField):
-        raise UsageError(f"{path}: expected a vector field dump")
-    return fld
-
-
-def _drop_mean(fld):
-    zero = (slice(None),) * (fld.coeffs.ndim - fld.lattice.n) + fld.lattice.zero_index
-    coeffs = fld.coeffs.copy()
-    coeffs[zero] = 0.0
-    if isinstance(fld, SpectralVectorField):
-        return SpectralVectorField(fld.lattice, coeffs, fld.is_real, True, fld.divergence_free)
-    return SpectralScalarField(fld.lattice, coeffs, fld.is_real, True)
-
-
-def _read_pair(path):
-    pair = tio.read_field(path)
-    if not isinstance(pair, tuple):
-        raise UsageError(f"{path}: expected a combined velocity+pressure dump")
-    return pair
 
 
 def _cmd_tensor_check(config):
@@ -272,11 +255,11 @@ def _cmd_tensor_check(config):
 
 def _cmd_stokes_solve(config):
     tensor = tio.read_tensor(config.tensor)
-    f = _read_vector(config.f)
-    g = None if config.g in (None, "none") else _read_scalar(config.g)
+    f = _read(config.f, "vector field")
+    g = None if config.g in (None, "none") else _read(config.g, "scalar field")
     if config.project_mean:
-        f = _drop_mean(f)
-        g = None if g is None else _drop_mean(g)
+        f = _without_mean(f)
+        g = None if g is None else _without_mean(g)
     u, p, report = solve_stokes(tensor, f, g, s=config.s)
     tio.write_field(config.out, (u, p))
     if config.report:
@@ -287,9 +270,9 @@ def _cmd_stokes_solve(config):
 
 def _cmd_ns_solve(config):
     tensor = tio.read_tensor(config.tensor)
-    f = _read_vector(config.f)
+    f = _read(config.f, "vector field")
     if config.project_mean:
-        f = _drop_mean(f)
+        f = _without_mean(f)
     opts = NSSolveOptions(
         relaxation=config.omega,
         max_iterations=config.max_iter,
@@ -359,11 +342,11 @@ def _cmd_manufacture(config):
 
 def _cmd_residual(config):
     tensor = tio.read_tensor(config.tensor)
-    f = _read_vector(config.f)
+    f = _read(config.f, "vector field")
     if config.solution is not None:
-        u, p = _read_pair(config.solution)
+        u, p = _read(config.solution, "combined velocity+pressure")
     else:
-        u, p = _read_vector(config.u), _read_scalar(config.p)
+        u, p = _read(config.u, "vector field"), _read(config.p, "scalar field")
     items = []
     if config.nonlinear:
         defect = ns_residual(tensor, u, p, f)
@@ -373,9 +356,7 @@ def _cmd_residual(config):
         scale = max(sobolev_norm(f, -1.0), 1e-300)
         defect = sobolev_norm(r, -1.0) / scale
         items.append(("momentum_defect_rel_hm1", defect))
-        g = None if config.g in (None, "none") else _read_scalar(config.g)
-        from .spectral import divergence
-
+        g = None if config.g in (None, "none") else _read(config.g, "scalar field")
         div_defect = divergence(u) if g is None else divergence(u) - g
         gscale = max(sobolev_norm(g, 0.0), 1.0) if g is not None else 1.0
         items.append(("divergence_defect_rel", sobolev_norm(div_defect, 0.0) / gscale))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .navier_stokes import advection, advection_bruteforce, picard_solve
+from .navier_stokes import advection, advection_bound_ratio, advection_bruteforce, picard_solve
 from .spectral import (
     dealias_grid,
     divergence,
@@ -38,11 +38,18 @@ from .stokes import (
     _solve_symbols,
     assemble_symbol,
     estimate_constants,
+    global_estimate_slack,
     solve_isotropic_mode,
     solve_mode,
     solve_stokes,
 )
-from .viscosity import make_isotropic, make_tensor, symmetrize
+from .viscosity import (
+    make_isotropic,
+    make_tensor,
+    restricted_form_matrix,
+    stokes_operator,
+    symmetrize,
+)
 
 __all__ = [
     "ManufacturedProblem",
@@ -82,8 +89,6 @@ def manufacture(u_star, p_star, tensor, include_nonlinear=False):
         raise ValueError("manufactured solutions must be real fields")
     if u_star.lattice != p_star.lattice:
         raise ValueError("velocity and pressure must share a lattice")
-    from .viscosity import stokes_operator
-
     if include_nonlinear:
         if not u_star.divergence_free:
             raise ValueError("nonlinear manufacture requires a divergence-free velocity")
@@ -192,8 +197,6 @@ def random_elliptic_tensor(seed, n, scale=0.3, target=0.5):
     """
     rng = np.random.default_rng(seed)
     raw = symmetrize(n, scale * rng.standard_normal((n,) * 4))
-    from .viscosity import restricted_form_matrix
-
     lam_min = float(np.linalg.eigvalsh(restricted_form_matrix(raw))[0])
     # the mu-part contributes 2*mu to every restricted eigenvalue
     mu_shift = (target - lam_min) / 2.0
@@ -244,6 +247,12 @@ def _map_cases(fn, args_list):
     return [fn(a) for a in args_list]
 
 
+def _tally(name, margins):
+    """A suite's result from its per-case margins; a case fails below 0."""
+    failures = int(np.sum(np.array(margins) < 0))
+    return SuiteResult(name, len(margins), failures, float(np.min(margins)))
+
+
 def _suite_rho_bound(seed, m, n, draws):
     lat = make_lattice(n, m)
     a2 = sum(g.astype(float) ** 2 for g in index_grids(lat))
@@ -269,9 +278,7 @@ def _suite_norm_equivalence(seed, m, n, draws):
     tight[tuple(np.array(lat.zero_index) + np.eye(n, dtype=int)[0])] = 1.0
     ratio = gradient_norm_bracket(scalar_field(lat, tight))
     margins.append(1e-12 - abs(ratio - 2 * np.pi**2))
-    worst = float(np.min(margins))
-    failures = int(np.sum(np.array(margins) < -1e-12))
-    return SuiteResult("norm-equivalence", len(margins), failures, worst)
+    return _tally("norm-equivalence", margins)
 
 
 def _suite_korn(seed, m, n, draws):
@@ -291,8 +298,7 @@ def _suite_korn(seed, m, n, draws):
     shear[tuple([0] + pos)] = -0.5 / 1j
     ratio = korn_ratio(vector_field(lat, shear, is_real=True))
     margins.append(1e-9 - abs(ratio - 2.0))
-    worst = float(np.min(margins))
-    return SuiteResult("korn", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("korn", margins)
 
 
 def _suite_trilinear(seed, m, n, draws):
@@ -309,8 +315,7 @@ def _suite_trilinear(seed, m, n, draws):
         return 1e-11 - max(abs(general), abs(energy)) / scale
 
     margins = _map_cases(case, list(range(draws)))
-    worst = float(np.min(margins))
-    return SuiteResult("trilinear", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("trilinear", margins)
 
 
 def _suite_mode_estimates(seed, m, n, draws):
@@ -334,8 +339,7 @@ def _suite_mode_estimates(seed, m, n, draws):
         return min(np.min(slack_u), np.min(slack_p)) + 1e-12
 
     margins = [case(i) for i in range(draws)]  # rng shared: keep sequential
-    worst = float(np.min(margins))
-    return SuiteResult("mode-estimates", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("mode-estimates", margins)
 
 
 def _suite_isotropic(seed, m, n, draws):
@@ -355,8 +359,7 @@ def _suite_isotropic(seed, m, n, draws):
         scale = max(np.max(np.abs(uref)), abs(pref), 1.0)
         err = max(float(np.max(np.abs(uhat - uref))), abs(phat - pref)) / scale
         margins.append(1e-12 - err)
-    worst = float(np.min(margins))
-    return SuiteResult("isotropic", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("isotropic", margins)
 
 
 def _suite_stokes_roundtrip(seed, m, n, draws):
@@ -378,15 +381,12 @@ def _suite_stokes_roundtrip(seed, m, n, draws):
         rel = err / np.sqrt(sobolev_norm(u_star, 1.0) ** 2 + sobolev_norm(p_star, 0.0) ** 2)
         margin = min(1e-10 - rel, report.min_slack_u + 1e-12, report.min_slack_p + 1e-12)
         for s in (0.0, 1.0, 2.0):
-            from .stokes import global_estimate_slack
-
             gb = global_estimate_slack(tensor, u, p, prob.f, prob.g, s)
             margin = min(margin, gb["slack_u"], gb["slack_p"])
         return margin
 
     margins = _map_cases(case, list(range(draws)))
-    worst = float(np.min(margins))
-    return SuiteResult("stokes-roundtrip", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("stokes-roundtrip", margins)
 
 
 def _suite_advection_oracle(seed, m, n, draws):
@@ -401,8 +401,7 @@ def _suite_advection_oracle(seed, m, n, draws):
         return 1e-11 - float(np.max(np.abs(fast.coeffs - slow.coeffs))) / scale
 
     margins = _map_cases(case, list(range(draws)))
-    worst = float(np.min(margins))
-    return SuiteResult("advection-oracle", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("advection-oracle", margins)
 
 
 def _suite_navier_stokes(seed, m, n, draws):
@@ -426,14 +425,12 @@ def _suite_navier_stokes(seed, m, n, draws):
         return margin
 
     margins = _map_cases(case, list(range(cases)))
-    worst = float(np.min(margins))
-    return SuiteResult("navier-stokes", len(margins), int(np.sum(np.array(margins) < 0)), worst)
+    return _tally("navier-stokes", margins)
 
 
 def _suite_quadratic_ratio(seed, m, n, draws):
     # reported, not asserted: the product-estimate constant is not explicit
     lat = make_lattice(n, m)
-    from .navier_stokes import advection_bound_ratio
 
     def case(i):
         w = random_vector_field(seed + i, lat, decay=3.0, divergence_free=True)

@@ -39,22 +39,25 @@ import numpy as np
 
 from .spectral import (
     TWO_PI,
+    LatticeSpec,
     SpectralVectorField,
     _average_zero_plane,
     _flip,
     _rfftn_half,
+    _without_mean,
     dealias_grid,
     divergence,
     grid_transform,
     index_grids,
     inner,
     mode_abs2,
+    restrict_field,
     seminorm,
     sobolev_norm,
     zero_vector_field,
 )
 from .stokes import StokesOperator
-from .viscosity import ellipticity_constant
+from .viscosity import ellipticity_constant, stokes_operator
 
 __all__ = [
     "Diverged",
@@ -201,8 +204,6 @@ def advection_bruteforce(w, out_m=None):
     out_m = lat.m if out_m is None else int(out_m)
     if out_m > 2 * m:
         raise ValueError(f"output band {out_m} exceeds the exact range 2m={2 * m}")
-    from .spectral import LatticeSpec, restrict_field
-
     big = LatticeSpec(n, 2 * m)
     corner = (slice(0, 2 * m + 1),) * n
     head = (big.size + 1) // 2  # flat end of the corner block
@@ -220,10 +221,7 @@ def advection_bruteforce(w, out_m=None):
             acc[k] += np.convolve(what[j], flat(2j * np.pi * grids[j] * w.coeffs[k]))
     result = SpectralVectorField(big, acc.reshape((n,) + big.shape), True, False, False)
     out = restrict_field(result, out_m)
-    coeffs = out.coeffs.copy()
-    if w.divergence_free:
-        coeffs[(slice(None),) + out.lattice.zero_index] = 0.0
-    return SpectralVectorField(out.lattice, coeffs, True, w.divergence_free, False)
+    return _without_mean(out) if w.divergence_free else out
 
 
 def advection_bound_ratio(w, s):
@@ -253,8 +251,6 @@ def apriori_velocity_bound(tensor, f):
 
 def residual(tensor, u, p, f, dealias=True):
     """H^{-1} norm of the momentum defect for the nonlinear system."""
-    from .viscosity import stokes_operator
-
     r = -1.0 * stokes_operator(tensor, u, p) + advection(u, dealias=dealias) - f
     return sobolev_norm(r, -1.0)
 

@@ -18,13 +18,15 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# A mean is nonzero when max |c(0)| exceeds MEAN_RTOL * max |c| over the cube:
+# judged against the field's own scale, so rescaling cannot flip the verdict.
+MEAN_RTOL = 1e-14
 
 __all__ = [
     "AliasingWarning",
@@ -181,10 +183,7 @@ class SpectralVectorField:
 
     @property
     def components(self):
-        return tuple(
-            SpectralScalarField(self.lattice, self.coeffs[j], self.is_real, self.zero_mean)
-            for j in range(self.lattice.n)
-        )
+        return tuple(self[j] for j in range(self.lattice.n))
 
     def __getitem__(self, j):
         return SpectralScalarField(self.lattice, self.coeffs[j], self.is_real, self.zero_mean)
@@ -219,13 +218,27 @@ def _check_same_lattice(a, b):
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
 
 
-def _enforce_zero_mean(coeffs, lattice, what):
-    zero = (slice(None),) * (coeffs.ndim - lattice.n) + lattice.zero_index
-    if np.max(np.abs(np.atleast_1d(coeffs[zero]))) > 1e-14:
+def _nonzero_mean(lattice, coeffs, what):
+    """Whether the xi = 0 entries of (k..., cube) coeffs exceed MEAN_RTOL * max |coeffs|.
+
+    A nonzero mean also raises a NonzeroMeanWarning naming `what`.
+    """
+    mean = np.max(np.abs(coeffs[(...,) + lattice.zero_index]))
+    nonzero = bool(mean > MEAN_RTOL * np.max(np.abs(coeffs)))
+    if nonzero:
         warnings.warn(
-            f"{what}: removed nonzero mean {coeffs[zero]!r}", NonzeroMeanWarning, stacklevel=3
+            f"{what} has a nonzero mean; projecting onto the zero-mean subspace",
+            NonzeroMeanWarning,
+            stacklevel=3,
         )
-    coeffs[zero] = 0.0
+    return nonzero
+
+
+def _without_mean(fld):
+    """A copy of fld whose xi = 0 coefficients are exactly zero."""
+    c = fld.coeffs.copy()
+    c[(...,) + fld.lattice.zero_index] = 0.0
+    return replace(fld, coeffs=c, zero_mean=True)
 
 
 def _check_hermitian(coeffs, lattice, component_axis=False):
@@ -243,7 +256,8 @@ def scalar_field(lattice, coeffs, is_real=False, zero_mean=False):
     if is_real:
         _check_hermitian(c, lattice)
     if zero_mean:
-        _enforce_zero_mean(c, lattice, "scalar field")
+        _nonzero_mean(lattice, c, "scalar field")
+        c[(...,) + lattice.zero_index] = 0.0
     return SpectralScalarField(lattice, c, is_real, zero_mean)
 
 
@@ -255,7 +269,8 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
     if is_real:
         _check_hermitian(c, lattice, component_axis=True)
     if zero_mean:
-        _enforce_zero_mean(c, lattice, "vector field")
+        _nonzero_mean(lattice, c, "vector field")
+        c[(...,) + lattice.zero_index] = 0.0
     if divergence_free:
         div = _divergence_coeffs(lattice, c)
         scale = TWO_PI * lattice.m * max(float(np.max(np.abs(c))), 1e-300)
@@ -292,11 +307,13 @@ def sobolev_norm(field, s):
 
 
 def seminorm(field, s):
-    """Same sum as sobolev_norm but excluding the zero mode."""
-    w = rho2(field.lattice) ** s
-    a = w * _abs2_scalarized(field)
-    total = np.sum(a) - a[field.lattice.zero_index]
-    return float(np.sqrt(max(total, 0.0)))
+    """Same sum as sobolev_norm but excluding the zero mode.
+
+    The zero mode is left out, not subtracted, so a field's mean never enters.
+    """
+    a = rho2(field.lattice) ** s * _abs2_scalarized(field)
+    a[field.lattice.zero_index] = 0.0
+    return float(np.sqrt(np.sum(a)))
 
 
 def inner(a, b):
@@ -336,14 +353,7 @@ def leray_project(u):
     increases any Sobolev norm.
     """
     lat = u.lattice
-    xdotu = np.zeros(lat.shape, np.complex128)
-    for j, xi_j in enumerate(index_grids(lat)):
-        xdotu += xi_j * u.coeffs[j]
-    a2 = mode_abs2(lat).copy()
-    a2[lat.zero_index] = 1.0  # keep the division defined; mode is zeroed below
-    out = np.empty_like(u.coeffs)
-    for j, xi_j in enumerate(index_grids(lat)):
-        out[j] = u.coeffs[j] - xi_j * xdotu / a2
+    out = _project_transverse(lat, u.coeffs)
     out[(slice(None),) + lat.zero_index] = 0.0
     return SpectralVectorField(lat, out, u.is_real, True, True)
 
@@ -396,14 +406,6 @@ def dealias_grid(m):
 
 def _embed_offsets(lattice, N):
     return np.arange(-lattice.m, lattice.m + 1) % N
-
-
-def _corner_blocks(lattice, N):
-    """Pairs (spectrum slices, cube slices) covering the cube once; N >= 2m+1."""
-    m = lattice.m
-    axis = ((slice(0, m + 1), slice(m, 2 * m + 1)), (slice(N - m, N), slice(0, m)))
-    for pieces in itertools.product(*([axis] * lattice.n)):
-        yield tuple(p[0] for p in pieces), tuple(p[1] for p in pieces)
 
 
 def _irfftn_half(half, lattice, N):
@@ -463,33 +465,29 @@ def grid_transform(field, N):
     lat = field.lattice
     m = lat.m
     shape = (N,) * lat.n
-    if N < 2 * m + 1:
+    aliased = N < 2 * m + 1
+    if aliased:
         warnings.warn(
             f"grid of {N} points per axis aliases a band limit of m={m}",
             AliasingWarning,
             stacklevel=2,
         )
-        ix = np.ix_(*([_embed_offsets(lat, N)] * lat.n))
-
-        def one(coeffs):
-            spec = np.zeros(shape, np.complex128)
-            np.add.at(spec, ix, coeffs)
-            samples = np.fft.ifftn(spec, norm="forward")
-            return samples.real if field.is_real else samples
-
-    elif field.is_real:
+    if field.is_real and not aliased:
 
         def one(coeffs):
             return _irfftn_half(coeffs[..., m:], lat, N)
 
     else:
-        blocks = list(_corner_blocks(lat, N))
+        ix = np.ix_(*([_embed_offsets(lat, N)] * lat.n))
 
         def one(coeffs):
             spec = np.zeros(shape, np.complex128)
-            for dst, src in blocks:
-                spec[dst] = coeffs[src]
-            return np.fft.ifftn(spec, norm="forward")
+            if aliased:  # modes that share a grid frequency add up
+                np.add.at(spec, ix, coeffs)
+            else:
+                spec[ix] = coeffs
+            samples = np.fft.ifftn(spec, norm="forward")
+            return samples.real if field.is_real else samples
 
     if isinstance(field, SpectralVectorField):
         out = np.empty((lat.n,) + shape, np.float64 if field.is_real else np.complex128)
@@ -568,14 +566,12 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
                 c = 0.5 * (c + np.conj(_flip(c, lattice)))
             return c
 
-    if vector:
-        coeffs = np.stack([one(samples[j]) for j in range(lattice.n)])
-        if zero_mean:
-            _enforce_zero_mean(coeffs, lattice, "sampled vector field")
-        return SpectralVectorField(lattice, coeffs, is_real, zero_mean, False)
-    coeffs = one(samples)
+    coeffs = np.stack([one(samples[j]) for j in range(lattice.n)]) if vector else one(samples)
     if zero_mean:
-        _enforce_zero_mean(coeffs, lattice, "sampled scalar field")
+        _nonzero_mean(lattice, coeffs, "sampled field")
+        coeffs[(...,) + lattice.zero_index] = 0.0
+    if vector:
+        return SpectralVectorField(lattice, coeffs, is_real, zero_mean, False)
     return SpectralScalarField(lattice, coeffs, is_real, zero_mean)
 
 
@@ -629,13 +625,7 @@ def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_fre
     n = lattice.n
     z = rng.standard_normal((n,) + lattice.shape) + 1j * rng.standard_normal((n,) + lattice.shape)
     if divergence_free:
-        xdotz = np.zeros(lattice.shape, np.complex128)
-        for j, xi_j in enumerate(index_grids(lattice)):
-            xdotz += xi_j * z[j]
-        a2 = mode_abs2(lattice).copy()
-        a2[lattice.zero_index] = 1.0
-        for j, xi_j in enumerate(index_grids(lattice)):
-            z[j] = z[j] - xi_j * xdotz / a2
+        z = _project_transverse(lattice, z)
     norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
     degenerate = norm < 1e-12
     if np.any(degenerate):
@@ -658,11 +648,12 @@ def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_fre
 
 
 def _project_transverse(lattice, coeffs):
+    """coeffs minus its along-xi part at every mode; xi = 0 is left as is."""
     xdotc = np.zeros(lattice.shape, np.complex128)
     for j, xi_j in enumerate(index_grids(lattice)):
         xdotc += xi_j * coeffs[j]
     a2 = mode_abs2(lattice).copy()
-    a2[lattice.zero_index] = 1.0
+    a2[lattice.zero_index] = 1.0  # keep the division defined at xi = 0
     out = np.empty_like(coeffs)
     for j, xi_j in enumerate(index_grids(lattice)):
         out[j] = coeffs[j] - xi_j * xdotc / a2
@@ -681,16 +672,7 @@ def ball_filter(field, radius):
     cube-truncated field. All flags survive (the mask is symmetric under
     index negation and always keeps the zero mode).
     """
-    mask = ball_mask(field.lattice, radius)
-    if isinstance(field, SpectralVectorField):
-        return SpectralVectorField(
-            field.lattice,
-            field.coeffs * mask,
-            field.is_real,
-            field.zero_mean,
-            field.divergence_free,
-        )
-    return SpectralScalarField(field.lattice, field.coeffs * mask, field.is_real, field.zero_mean)
+    return replace(field, coeffs=field.coeffs * ball_mask(field.lattice, radius))
 
 
 def _center_slices(big, small):
@@ -705,14 +687,9 @@ def embed_field(field, m):
     if m < lat.m:
         raise ValueError(f"embed target m={m} is smaller than source m={lat.m}")
     big = LatticeSpec(lat.n, m)
-    sl = _center_slices(big, lat)
-    if isinstance(field, SpectralVectorField):
-        out = np.zeros((lat.n,) + big.shape, np.complex128)
-        out[(slice(None),) + sl] = field.coeffs
-        return SpectralVectorField(big, out, field.is_real, field.zero_mean, field.divergence_free)
-    out = np.zeros(big.shape, np.complex128)
-    out[sl] = field.coeffs
-    return SpectralScalarField(big, out, field.is_real, field.zero_mean)
+    out = np.zeros(field.coeffs.shape[: -lat.n] + big.shape, np.complex128)
+    out[(...,) + _center_slices(big, lat)] = field.coeffs
+    return replace(field, lattice=big, coeffs=out)
 
 
 def restrict_field(field, m):
@@ -721,13 +698,5 @@ def restrict_field(field, m):
     if m > lat.m:
         raise ValueError(f"restrict target m={m} exceeds source m={lat.m}")
     small = LatticeSpec(lat.n, m)
-    sl = _center_slices(lat, small)
-    if isinstance(field, SpectralVectorField):
-        return SpectralVectorField(
-            small,
-            field.coeffs[(slice(None),) + sl].copy(),
-            field.is_real,
-            field.zero_mean,
-            field.divergence_free,
-        )
-    return SpectralScalarField(small, field.coeffs[sl].copy(), field.is_real, field.zero_mean)
+    coeffs = field.coeffs[(...,) + _center_slices(lat, small)].copy()
+    return replace(field, lattice=small, coeffs=coeffs)

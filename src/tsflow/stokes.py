@@ -37,16 +37,15 @@ are provided as cross-checks; every solve can verify its own estimates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import (
     TWO_PI,
-    NonzeroMeanWarning,
     SpectralScalarField,
     SpectralVectorField,
+    _nonzero_mean,
     divergence,
     index_grids,
     seminorm,
@@ -73,11 +72,10 @@ __all__ = [
 ]
 
 # Largest accepted Frobenius condition number ||R||_F * ||R^-1||_F of a real
-# symbol, and the relative tolerances of the estimate, divergence and mean checks.
+# symbol, and the relative tolerances of the estimate and divergence checks.
 COND_LIMIT = 1e13
 ESTIMATE_RTOL = 1e-12
 DIVERGENCE_RTOL = 1e-12
-MEAN_RTOL = 1e-14
 
 
 class ZeroMode(ValueError):
@@ -336,26 +334,6 @@ def solve_isotropic_mode(lam, mu, xi, fhat, ghat):
     return uhat, phat
 
 
-def _project_mean(fld, what):
-    zero = (slice(None),) * (fld.coeffs.ndim - fld.lattice.n) + fld.lattice.zero_index
-    # judged against the field's own scale, so rescaling cannot flip the flag
-    mean = np.max(np.abs(np.atleast_1d(fld.coeffs[zero])))
-    removed = bool(mean > MEAN_RTOL * np.max(np.abs(fld.coeffs)))
-    if removed:
-        warnings.warn(
-            f"{what} has a nonzero mean; projecting onto the zero-mean subspace",
-            NonzeroMeanWarning,
-            stacklevel=4,
-        )
-        c = fld.coeffs.copy()
-        c[zero] = 0.0
-        if isinstance(fld, SpectralVectorField):
-            fld = SpectralVectorField(fld.lattice, c, fld.is_real, True, fld.divergence_free)
-        else:
-            fld = SpectralScalarField(fld.lattice, c, fld.is_real, True)
-    return fld, removed
-
-
 class StokesOperator:
     """Solution operator of the Stokes system for one tensor on one mode cube.
 
@@ -429,7 +407,9 @@ class StokesOperator:
         self._check_lattice(f, "forcing")
         if g is not None:
             self._check_lattice(g, "divergence data")
-        f, removed_f = _project_mean(f, "stokes forcing")
+        # a nonzero mean is only flagged: no step below reads xi = 0 (_split
+        # stops before it, _join writes 0 there, the seminorms skip it)
+        removed_f = _nonzero_mean(lat, f.coeffs, "stokes forcing")
         n = lat.n
         x = np.empty((2, self._half, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
         self._split(f.coeffs, x[..., :n])
@@ -438,7 +418,7 @@ class StokesOperator:
             x[..., n] = 0.0
             is_real, removed_g = f.is_real, False
         else:
-            g, removed_g = _project_mean(g, "divergence data")
+            removed_g = _nonzero_mean(lat, g.coeffs, "divergence data")
             self._split(g.coeffs, x[..., n])
             x[..., n] *= -1j
             is_real = f.is_real and g.is_real

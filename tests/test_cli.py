@@ -1,5 +1,6 @@
 """Command line front end: parsing, dispatch, exit codes, round trips."""
 
+import numpy as np
 import pytest
 
 from tsflow.cli import UsageError, main, parse_config
@@ -321,6 +322,36 @@ class TestNSCommands:
         assert status == 0
         value = float(capsys.readouterr().out.strip().split("\n")[-1].split("=")[1])
         assert value <= 1e-10
+
+    @pytest.mark.parametrize("mean", [1e-16, 0.3])
+    def test_project_mean_zeroes_exactly(self, iso_tensor, forcing, tmp_path, mean):
+        # a forcing mean below the flag's relative threshold (1e-16) or above
+        # it (0.3) is zeroed exactly: the dumps and the report, m0 included,
+        # are those of the forcing whose mean is zero already
+        import warnings
+
+        from tsflow.spectral import NonzeroMeanWarning, vector_field
+
+        f = read_field(forcing)
+        c = f.coeffs.copy()
+        c[(0,) + f.lattice.zero_index] = mean * np.max(np.abs(c))
+        write_field(tmp_path / "fm.spf", vector_field(f.lattice, c, is_real=True))
+
+        def run(path, tag, *extra):
+            u, p, report = (tmp_path / f"{tag}_{k}" for k in ("u.spf", "p.spf", "report.txt"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NonzeroMeanWarning)
+                status = main(
+                    ["ns-solve", "--tensor", iso_tensor, "--f", str(path), *extra,
+                     "--out-u", str(u), "--out-p", str(p), "--report", str(report)]
+                )
+            assert status == 0
+            lines = report.read_text().splitlines()
+            return u.read_bytes(), p.read_bytes(), [x for x in lines if not x.startswith("config.")]
+
+        projected = run(tmp_path / "fm.spf", "projected", "--project-mean")
+        assert any(x.startswith("m0 = ") for x in projected[2])
+        assert projected == run(forcing, "zeroed")
 
     def test_failure_still_writes_report(self, iso_tensor, forcing, tmp_path, capsys):
         report = tmp_path / "fail.txt"

@@ -286,6 +286,18 @@ class TestSuites:
         assert result.cases == 6
         assert abs(result.worst_margin - expected) <= 1e-15 * abs(expected)
 
+    def test_norm_equivalence_fails_below_zero(self, monkeypatch):
+        # its margins already carry their slack, so like every other suite it
+        # counts a failure at any margin below 0
+        import tsflow.harness as harness_mod
+
+        monkeypatch.setattr(
+            harness_mod, "gradient_norm_bracket", lambda fld: 2 * np.pi**2 - 5e-13
+        )
+        result = run_suite("norm-equivalence", seed=1, m=3, n=2, draws=4).results[0]
+        assert result.cases == 5 and result.failures == 4
+        assert result.worst_margin == pytest.approx(-5e-13, rel=1e-2)
+
     def test_all_suites_pass_at_desk_scale(self):
         report = run_suite("all", seed=0, m=4, n=2, draws=8)
         assert report.passed

@@ -8,6 +8,10 @@ import pytest
 from tsflow.spectral import (
     AliasingWarning,
     NonzeroMeanWarning,
+    SpectralScalarField,
+    SpectralVectorField,
+    _hermitianize_half,
+    ball_filter,
     divergence,
     embed_field,
     dealias_grid,
@@ -17,6 +21,7 @@ from tsflow.spectral import (
     inner,
     leray_project,
     make_lattice,
+    mode_abs2,
     random_scalar_field,
     random_vector_field,
     restrict_field,
@@ -97,6 +102,11 @@ class TestNorms:
         c[lat.zero_index] = 5.0
         const = scalar_field(lat, c)
         assert seminorm(const, 2.0) == 0.0
+        # a huge mean is left out of the sum, not cancelled from it, so a
+        # mode below its rounding survives
+        c[lat.zero_index] = 1e10
+        c[lat.m, lat.m + 1] = 1e-3
+        assert seminorm(scalar_field(lat, c), 0.0) == pytest.approx(1e-3, rel=1e-15)
 
     def test_pythagorean_split(self):
         # mean 3 plus unit mode of size 4: seminorm 4, full norm 5
@@ -386,6 +396,174 @@ class TestPrunedTransforms:
         assert not np.array_equal(raw[ix], np.conj(np.flip(raw[ix])))
         plane = sampling_transform(samples, lat).coeffs[..., lat.m]
         assert np.array_equal(plane, np.conj(np.flip(plane)))
+
+# Reference code: the per-type implementations that the shared helpers of
+# tsflow.spectral replaced (the along-xi projection written out twice, the
+# corner-block placement of complex fields, the two-constructor rebuilds).
+# Seeded fields, verify reports and benchmark inputs depend on these bytes.
+
+
+def reference_transverse(lattice, z):
+    """The along-xi projection as random_vector_field wrote it, row by row."""
+    z = z.copy()
+    xdotz = np.zeros(lattice.shape, np.complex128)
+    for j, xi_j in enumerate(index_grids(lattice)):
+        xdotz += xi_j * z[j]
+    a2 = mode_abs2(lattice).copy()
+    a2[lattice.zero_index] = 1.0
+    for j, xi_j in enumerate(index_grids(lattice)):
+        z[j] = z[j] - xi_j * xdotz / a2
+    return z
+
+
+def reference_leray_project(u):
+    lat = u.lattice
+    xdotu = np.zeros(lat.shape, np.complex128)
+    for j, xi_j in enumerate(index_grids(lat)):
+        xdotu += xi_j * u.coeffs[j]
+    a2 = mode_abs2(lat).copy()
+    a2[lat.zero_index] = 1.0
+    out = np.empty_like(u.coeffs)
+    for j, xi_j in enumerate(index_grids(lat)):
+        out[j] = u.coeffs[j] - xi_j * xdotu / a2
+    out[(slice(None),) + lat.zero_index] = 0.0
+    return SpectralVectorField(lat, out, u.is_real, True, True)
+
+
+def reference_random_solenoidal(seed, lattice, decay, zero_mean):
+    """random_vector_field(divergence_free=True) with the projection inline."""
+    rng = np.random.default_rng(seed)
+    n = lattice.n
+    z = rng.standard_normal((n,) + lattice.shape) + 1j * rng.standard_normal((n,) + lattice.shape)
+    z = reference_transverse(lattice, z)
+    norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+    degenerate = norm < 1e-12
+    if np.any(degenerate):
+        fb = np.zeros((n,) + lattice.shape, np.complex128)
+        fb[-1] = 1.0
+        z = np.where(degenerate, reference_transverse(lattice, fb), z)
+        norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+        norm[norm == 0.0] = 1.0
+    amp = rho2(lattice) ** (-decay / 2.0)
+    coeffs = np.empty_like(z)
+    for j in range(n):
+        coeffs[j] = _hermitianize_half(lattice, amp * z[j] / norm)
+    coeffs[(slice(None),) + lattice.zero_index] = 0.0
+    return SpectralVectorField(lattice, coeffs, True, True, True)
+
+
+def reference_complex_grid_transform(field, N):
+    """Complex samples with the cube placed as 2^n corner blocks (N >= 2m+1)."""
+    lat, m = field.lattice, field.lattice.m
+    axis = ((slice(0, m + 1), slice(m, 2 * m + 1)), (slice(N - m, N), slice(0, m)))
+    blocks = [
+        (tuple(p[0] for p in pieces), tuple(p[1] for p in pieces))
+        for pieces in itertools.product(*([axis] * lat.n))
+    ]
+
+    def one(coeffs):
+        spec = np.zeros((N,) * lat.n, np.complex128)
+        for dst, src in blocks:
+            spec[dst] = coeffs[src]
+        return np.fft.ifftn(spec, norm="forward")
+
+    if field.coeffs.ndim > lat.n:
+        return np.stack([one(c) for c in field.coeffs])
+    return one(field.coeffs)
+
+
+def reference_ball_filter(field, radius):
+    mask = mode_abs2(field.lattice) <= float(radius) ** 2
+    if isinstance(field, SpectralVectorField):
+        return SpectralVectorField(
+            field.lattice, field.coeffs * mask, field.is_real, field.zero_mean,
+            field.divergence_free,
+        )
+    return SpectralScalarField(field.lattice, field.coeffs * mask, field.is_real, field.zero_mean)
+
+
+def reference_embed_field(field, m):
+    lat = field.lattice
+    big = make_lattice(lat.n, m)
+    sl = (slice(m - lat.m, m + lat.m + 1),) * lat.n
+    if isinstance(field, SpectralVectorField):
+        out = np.zeros((lat.n,) + big.shape, np.complex128)
+        out[(slice(None),) + sl] = field.coeffs
+        return SpectralVectorField(big, out, field.is_real, field.zero_mean, field.divergence_free)
+    out = np.zeros(big.shape, np.complex128)
+    out[sl] = field.coeffs
+    return SpectralScalarField(big, out, field.is_real, field.zero_mean)
+
+
+def reference_restrict_field(field, m):
+    lat = field.lattice
+    small = make_lattice(lat.n, m)
+    sl = (slice(lat.m - m, lat.m + m + 1),) * lat.n
+    if isinstance(field, SpectralVectorField):
+        return SpectralVectorField(
+            small, field.coeffs[(slice(None),) + sl].copy(), field.is_real, field.zero_mean,
+            field.divergence_free,
+        )
+    return SpectralScalarField(small, field.coeffs[sl].copy(), field.is_real, field.zero_mean)
+
+
+def assert_same_field(a, b):
+    assert type(a) is type(b) and a.lattice == b.lattice
+    assert a.__dict__.keys() == b.__dict__.keys()
+    for key in a.__dict__:
+        if key != "coeffs":
+            assert getattr(a, key) == getattr(b, key), key
+    assert_same_bits(a.coeffs, b.coeffs)
+
+
+def flagged_fields(n, m, seed):
+    """Scalar and vector fields with every combination of flags the helpers keep."""
+    lat = make_lattice(n, m)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n,) + lat.shape) + 1j * rng.standard_normal((n,) + lat.shape)
+    return [
+        scalar_field(lat, z[0]),
+        random_scalar_field(seed, lat, decay=1.0, zero_mean=False),
+        random_scalar_field(seed, lat, decay=2.0),
+        vector_field(lat, z),
+        random_vector_field(seed, lat, decay=1.0, zero_mean=False),
+        random_vector_field(seed, lat, decay=3.0),
+        random_vector_field(seed, lat, decay=2.0, divergence_free=True),
+    ]
+
+
+class TestSharedPrimitives:
+    """The shared projection, placement and rebuild code against the references, bit for bit."""
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 4), (3, 3)])
+    def test_transverse_projection(self, n, m):
+        lat = make_lattice(n, m)
+        for seed in range(3):
+            for u in flagged_fields(n, m, seed):
+                if isinstance(u, SpectralVectorField):
+                    assert_same_field(leray_project(u), reference_leray_project(u))
+            for decay, zero_mean in ((3.0, True), (1.0, False)):
+                assert_same_field(
+                    random_vector_field(seed, lat, decay, zero_mean, divergence_free=True),
+                    reference_random_solenoidal(seed, lat, decay, zero_mean),
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_complex_grid_placement(self, n):
+        m = 3
+        for N in (2 * m + 1, 2 * m + 4, 3 * m + 1):
+            for fld in flagged_fields(n, m, 40 + N):
+                if not fld.is_real:
+                    assert_same_bits(grid_transform(fld, N), reference_complex_grid_transform(fld, N))
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (3, 3)])
+    def test_rebuilds_keep_bytes_and_flags(self, n, m):
+        for fld in flagged_fields(n, m, 50 + n):
+            assert_same_field(embed_field(fld, m + 2), reference_embed_field(fld, m + 2))
+            assert_same_field(restrict_field(fld, m - 1), reference_restrict_field(fld, m - 1))
+            for radius in (1.0, m - 0.5, m * np.sqrt(n)):
+                assert_same_field(ball_filter(fld, radius), reference_ball_filter(fld, radius))
+
 
 class TestNormEquivalence:
     def test_gradient_norm_bracket_random(self):

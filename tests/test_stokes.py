@@ -606,6 +606,32 @@ class TestSolveStokes:
         assert report.mean_removed_f
         assert u.coeffs[(0,) + lat.zero_index] == 0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mean_is_flagged_never_read(self, n):
+        # the solve reads no xi = 0 entry, so data with a mean gives the
+        # bytes of the same data with its mean zeroed, the report included
+        import warnings
+
+        from tsflow.spectral import NonzeroMeanWarning, _without_mean
+
+        A = random_elliptic_tensor(5, n)
+        lat = make_lattice(n, 3)
+        f = random_vector_field(14, lat, decay=2.0, zero_mean=False)
+        g = random_scalar_field(15, lat, decay=2.0, zero_mean=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonzeroMeanWarning)
+            u, p, report = solve_stokes(A, f, g)
+        u0, p0, report0 = solve_stokes(A, _without_mean(f), _without_mean(g))
+        assert report.mean_removed_f and report.mean_removed_g
+        assert not (report0.mean_removed_f or report0.mean_removed_g)
+        assert u.coeffs.tobytes() == u0.coeffs.tobytes()
+        assert p.coeffs.tobytes() == p0.coeffs.tobytes()
+        assert report.slack_u.tobytes() == report0.slack_u.tobytes()
+        assert report.slack_p.tobytes() == report0.slack_p.tobytes()
+        flags = ("mean_removed_f", "mean_removed_g")
+        items = [kv for kv in report.flat_items() if kv[0] not in flags]
+        assert items == [kv for kv in report0.flat_items() if kv[0] not in flags]
+
     def test_matches_modewise_isotropic_assembly(self):
         # assemble the whole solution from the closed forms, mode by mode
         lam, mu = 0.3, 1.4
@@ -727,24 +753,40 @@ class TestScaleInvariantVerdicts:
 
     def test_mean_flag_at_every_scale(self):
         # a mean of half the field scale is flagged (with a warning) and a
-        # zero mean is not, whatever the magnitude of the forcing
+        # zero mean is not, whatever the magnitude of the data, by the solve
+        # and by every constructor that zeroes the mean
         import warnings
 
-        from tsflow.spectral import NonzeroMeanWarning
+        from tsflow.spectral import NonzeroMeanWarning, grid_transform, sampling_transform
 
         lat = make_lattice(2, 3)
         base = random_vector_field(73, lat, decay=2.0)
         c = base.coeffs.copy()
         c[(0,) + lat.zero_index] = 0.5 * np.max(np.abs(c))
         with_mean = vector_field(lat, c, is_real=True)
-        for fld, expected in ((with_mean, True), (base, False)):
-            for scale in self.SCALES:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    u, _, report = solve_stokes(ISO, scale * fld, None)
-                warned = any(issubclass(w.category, NonzeroMeanWarning) for w in caught)
-                assert report.mean_removed_f is expected and warned is expected, scale
-                assert u.coeffs[(0,) + lat.zero_index] == 0
+
+        def solve(fld):
+            u, _, report = solve_stokes(ISO, fld, None)
+            return u, report.mean_removed_f
+
+        entries = {
+            "solve_stokes": solve,
+            "scalar_field": lambda fld: (scalar_field(lat, fld.coeffs[0], zero_mean=True), None),
+            "vector_field": lambda fld: (vector_field(lat, fld.coeffs, True, zero_mean=True), None),
+            "sampling_transform": lambda fld: (
+                sampling_transform(grid_transform(fld, 2 * lat.m + 1), lat, zero_mean=True),
+                None,
+            ),
+        }
+        for name, entry in entries.items():
+            for fld, expected in ((with_mean, True), (base, False)):
+                for scale in self.SCALES:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        out, removed = entry(scale * fld)
+                    warned = any(issubclass(w.category, NonzeroMeanWarning) for w in caught)
+                    assert warned is expected and removed in (None, expected), (name, scale)
+                    assert np.all(out.coeffs[(...,) + lat.zero_index] == 0), (name, scale)
 
 
 class TestModeEstimates:
