@@ -43,6 +43,7 @@ from .spectral import (
     SpectralVectorField,
     _average_zero_plane,
     _flip,
+    _nonzero_mean,
     _rfftn_half,
     _without_mean,
     dealias_grid,
@@ -124,6 +125,7 @@ class NSSolveReport:
     bound_satisfied: bool = True
     energy_check: float = 0.0
     omega_final: float = 1.0
+    mean_removed_f: bool = False
 
     def flat_items(self):
         return [
@@ -136,6 +138,7 @@ class NSSolveReport:
             ("bound_satisfied", int(self.bound_satisfied)),
             ("energy_check", self.energy_check),
             ("omega_final", self.omega_final),
+            ("mean_removed_f", int(self.mean_removed_f)),
         ]
 
 
@@ -244,9 +247,13 @@ def advection_bound_ratio(w, s):
 
 
 def apriori_velocity_bound(tensor, f):
-    """Bound M0 = C_A * |f|_{H^{-1}} / pi^2 on any solution velocity."""
+    """Bound M0 = C_A * |f|_{H^{-1}} / pi^2 on any solution velocity.
+
+    The norm leaves out the zero mode: the bound is for zero-mean data, and
+    the solvers drop the mean of f.
+    """
     c_a = ellipticity_constant(tensor)
-    return c_a * sobolev_norm(f, -1.0) / np.pi**2
+    return c_a * seminorm(f, -1.0) / np.pi**2
 
 
 def residual(tensor, u, p, f, dealias=True):
@@ -265,7 +272,8 @@ def picard_solve(tensor, f, opts=None):
     at the floor, MaxIterationsExceeded if the budget runs out. On success
     the returned velocity is divergence-free, the pressure is the one
     induced by the final velocity, and the report records whether the
-    a-priori bound held.
+    a-priori bound held. A nonzero mean of f is flagged once, with a
+    NonzeroMeanWarning, recorded as mean_removed_f, and dropped.
     """
     opts = opts or NSSolveOptions()
     lat = f.lattice
@@ -274,6 +282,9 @@ def picard_solve(tensor, f, opts=None):
     if not f.is_real:
         raise ValueError("forcing must be a real field")
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
+    report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
+    if report.mean_removed_f:
+        f = _without_mean(f)
     omega = opts.relaxation
     stokes = StokesOperator(tensor, lat)  # factored once, used by every pass
     if opts.initial_guess == "stokes":

@@ -134,36 +134,46 @@ def _flip(coeffs, lattice, component_axis=False):
     return np.flip(coeffs, axis=axes)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralScalarField:
-    lattice: LatticeSpec
-    coeffs: np.ndarray  # complex128, shape lattice.shape
-    is_real: bool = False
-    zero_mean: bool = False
+class _FieldArithmetic:
+    """Arithmetic of the field types, each naming its flags in _FLAGS.
+
+    _FLAGS are the constructor arguments after coeffs, is_real first. A sum
+    keeps a flag only when both terms carry it; a scalar product keeps them
+    all, except is_real under a factor with a nonzero imaginary part.
+    """
+
+    _FLAGS = ()
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
 
     def __add__(self, other):
         _check_same_lattice(self, other)
-        return SpectralScalarField(
-            self.lattice,
-            self.coeffs + other.coeffs,
-            self.is_real and other.is_real,
-            self.zero_mean and other.zero_mean,
-        )
+        flags = (getattr(self, f) and getattr(other, f) for f in self._FLAGS)
+        return type(self)(self.lattice, self.coeffs + other.coeffs, *flags)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, c):
         real = self.is_real and (not isinstance(c, complex) or c.imag == 0.0)
-        return SpectralScalarField(self.lattice, c * self.coeffs, real, self.zero_mean)
+        rest = (getattr(self, f) for f in self._FLAGS[1:])
+        return type(self)(self.lattice, c * self.coeffs, real, *rest)
 
     __mul__ = __rmul__
 
     def __neg__(self):
         return (-1.0) * self
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralScalarField(_FieldArithmetic):
+    lattice: LatticeSpec
+    coeffs: np.ndarray  # complex128, shape lattice.shape
+    is_real: bool = False
+    zero_mean: bool = False
+
+    _FLAGS = ("is_real", "zero_mean")
 
     @property
     def mean(self):
@@ -171,15 +181,14 @@ class SpectralScalarField:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralVectorField:
+class SpectralVectorField(_FieldArithmetic):
     lattice: LatticeSpec
     coeffs: np.ndarray  # complex128, shape (n,) + lattice.shape
     is_real: bool = False
     zero_mean: bool = False
     divergence_free: bool = False
 
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
+    _FLAGS = ("is_real", "zero_mean", "divergence_free")
 
     @property
     def components(self):
@@ -187,30 +196,6 @@ class SpectralVectorField:
 
     def __getitem__(self, j):
         return SpectralScalarField(self.lattice, self.coeffs[j], self.is_real, self.zero_mean)
-
-    def __add__(self, other):
-        _check_same_lattice(self, other)
-        return SpectralVectorField(
-            self.lattice,
-            self.coeffs + other.coeffs,
-            self.is_real and other.is_real,
-            self.zero_mean and other.zero_mean,
-            self.divergence_free and other.divergence_free,
-        )
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, c):
-        real = self.is_real and (not isinstance(c, complex) or c.imag == 0.0)
-        return SpectralVectorField(
-            self.lattice, c * self.coeffs, real, self.zero_mean, self.divergence_free
-        )
-
-    __mul__ = __rmul__
-
-    def __neg__(self):
-        return (-1.0) * self
 
 
 def _check_same_lattice(a, b):
@@ -272,7 +257,7 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
         _nonzero_mean(lattice, c, "vector field")
         c[(...,) + lattice.zero_index] = 0.0
     if divergence_free:
-        div = _divergence_coeffs(lattice, c)
+        div = TWO_PI * 1j * _xi_dot(lattice, c)
         scale = TWO_PI * lattice.m * max(float(np.max(np.abs(c))), 1e-300)
         if np.max(np.abs(div)) > 1e-13 * scale:
             raise ValueError("divergence_free flag requires solenoidal coefficients; project first")
@@ -294,9 +279,11 @@ def zero_vector_field(lattice, is_real=True):
 
 
 def _abs2_scalarized(field):
-    a = np.abs(field.coeffs) ** 2
-    if isinstance(field, SpectralVectorField):
-        a = np.sum(a, axis=0)
+    """|c|^2 at each mode, summed over components, as re^2 + im^2: no square root."""
+    a = np.zeros(field.lattice.shape)
+    for c in field.coeffs if isinstance(field, SpectralVectorField) else (field.coeffs,):
+        a += c.real * c.real
+        a += c.imag * c.imag
     return a
 
 
@@ -335,15 +322,17 @@ def gradient(g):
     return SpectralVectorField(lat, out, g.is_real, True, False)
 
 
-def _divergence_coeffs(lattice, coeffs):
+def _xi_dot(lattice, coeffs):
+    """xi . c at every mode of the cube, for (n, cube) coefficients c."""
     out = np.zeros(lattice.shape, np.complex128)
     for j, xi_j in enumerate(index_grids(lattice)):
         out += xi_j * coeffs[j]
-    return TWO_PI * 1j * out
+    return out
 
 
 def divergence(u):
-    return SpectralScalarField(u.lattice, _divergence_coeffs(u.lattice, u.coeffs), u.is_real, True)
+    div = TWO_PI * 1j * _xi_dot(u.lattice, u.coeffs)
+    return SpectralScalarField(u.lattice, div, u.is_real, True)
 
 
 def leray_project(u):
@@ -570,34 +559,29 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
     if zero_mean:
         _nonzero_mean(lattice, coeffs, "sampled field")
         coeffs[(...,) + lattice.zero_index] = 0.0
-    if vector:
-        return SpectralVectorField(lattice, coeffs, is_real, zero_mean, False)
-    return SpectralScalarField(lattice, coeffs, is_real, zero_mean)
+    cls = SpectralVectorField if vector else SpectralScalarField
+    return cls(lattice, coeffs, is_real, zero_mean)
 
 
 # ---------------------------------------------------------------------------
 # random fields and resizing
 
 
-@functools.lru_cache(maxsize=128)
-def _positive_half_mask(lattice):
-    # True where the first nonzero component of xi is positive, so that each
-    # conjugate pair {xi, -xi} has exactly one marked member; xi = 0 is False.
-    mask = np.zeros(lattice.shape, dtype=bool)
-    undecided = np.ones(lattice.shape, dtype=bool)
-    for g in index_grids(lattice):
-        mask |= undecided & (g > 0)
-        undecided &= g == 0
-    mask.setflags(write=False)
-    return mask
-
-
 def _hermitianize_half(lattice, coeffs):
-    # Keep draws on the positive half, define the other half by conjugation.
-    mirrored = np.conj(_flip(coeffs, lattice))
-    out = np.where(_positive_half_mask(lattice), coeffs, mirrored)
-    out[lattice.zero_index] = coeffs[lattice.zero_index].real
-    return out
+    """Keep the draws after xi = 0 in C order, define the rest by conjugation.
+
+    Flat index k of the cube holds the negative of the mode at size-1-k (the
+    reversal that StokesOperator._split and _join use), so the modes before
+    xi = 0 take the conjugates of the reversed modes after it; xi = 0 keeps
+    its real part.
+    """
+    H = lattice.size // 2
+    flat = coeffs.reshape(-1)
+    out = np.empty_like(flat)
+    out[H:] = flat[H:]
+    np.conjugate(flat[:H:-1], out=out[:H])
+    out[H] = flat[H].real
+    return out.reshape(lattice.shape)
 
 
 def random_scalar_field(seed, lattice, decay=3.0, zero_mean=True):
@@ -649,9 +633,7 @@ def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_fre
 
 def _project_transverse(lattice, coeffs):
     """coeffs minus its along-xi part at every mode; xi = 0 is left as is."""
-    xdotc = np.zeros(lattice.shape, np.complex128)
-    for j, xi_j in enumerate(index_grids(lattice)):
-        xdotc += xi_j * coeffs[j]
+    xdotc = _xi_dot(lattice, coeffs)
     a2 = mode_abs2(lattice).copy()
     a2[lattice.zero_index] = 1.0  # keep the division defined at xi = 0
     out = np.empty_like(coeffs)

@@ -51,7 +51,7 @@ from .spectral import (
     seminorm,
     zero_scalar_field,
 )
-from .viscosity import ellipticity_constant, tensor_norm
+from .viscosity import _apply_blocks, ellipticity_constant, mode_blocks, tensor_norm
 
 __all__ = [
     "ZeroMode",
@@ -179,15 +179,7 @@ def _mode_symbols(tensor, xis):
     """Real symbols R of a tensor at a (B, n) stack of nonzero modes."""
     B, n = xis.shape
     R = np.zeros((B, n + 1, n + 1))
-    # velocity blocks as one product: the n^2 products xi_a * xi_c (exact
-    # for integer modes) against a[k, j, a, c] in (a c) x (k j) order. An
-    # einsum, not a matmul: a BLAS product this large runs on a second
-    # thread, whose buffers add about 1 MB to the peak resident set.
-    x = np.ascontiguousarray(xis.T)
-    pairs = (x[:, None] * x[None]).reshape(n * n, B)
-    ac_kj = tensor.entries.transpose(2, 3, 0, 1).reshape(n * n, n * n)
-    blocks = np.einsum("pb,pq->bq", pairs, ac_kj)
-    np.multiply(4.0 * np.pi**2, blocks.reshape(B, n, n), out=R[:, :n, :n])
+    R[:, :n, :n] = mode_blocks(tensor, xis)
     np.multiply(TWO_PI, xis, out=R[:, :n, n])
     R[:, n, :n] = R[:, :n, n]
     return R
@@ -478,9 +470,7 @@ class StokesOperator:
         self._check_lattice(u, "velocity")
         n = self.lattice.n
         uk = self._split(u.coeffs, np.empty((1 if u.is_real else 2, self._half, n), np.complex128))
-        v = np.matmul(self.symbols[:, :n, :n], uk.view(np.float64).reshape(len(uk), -1, n, 2))
-        np.negative(v, out=v)
-        v = v.reshape(len(uk), -1, 2 * n).view(np.complex128)
+        v = _apply_blocks(self.symbols[:, :n, :n], uk)
         return SpectralVectorField(self.lattice, self._join(v[0], v[-1]), u.is_real, True, False)
 
 

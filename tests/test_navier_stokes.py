@@ -1,6 +1,7 @@
 """Nonlinear term, fixed-point solver, a-priori bound, decay diagnostic."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tsflow.navier_stokes import (
 )
 from tsflow.spectral import (
     TWO_PI,
+    NonzeroMeanWarning,
     dealias_grid,
     divergence,
     index_grids,
@@ -399,6 +401,22 @@ class TestPicardSolve:
         u, _, report = picard_solve(ISO, prob.f, NSSolveOptions(initial_guess="zero"))
         assert report.converged
         assert sobolev_norm(u - prob.u_star, 1.0) <= 1e-9
+
+    def test_forcing_mean_flagged_once_and_dropped(self):
+        prob = small_manufactured(17, m=3)  # nonlinear: the forcing lives on m=6
+        lat = prob.f.lattice
+        c = prob.f.coeffs.copy()
+        c[(slice(None),) + lat.zero_index] = 0.3 * np.max(np.abs(c))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            u, p, report = picard_solve(ISO, vector_field(lat, c, is_real=True))
+        flagged = [w for w in caught if issubclass(w.category, NonzeroMeanWarning)]
+        assert len(flagged) == 1 and flagged[0].filename == __file__
+        assert ("mean_removed_f", 1) in report.flat_items()
+        u0, p0, clean = picard_solve(ISO, prob.f)
+        assert ("mean_removed_f", 0) in clean.flat_items()
+        assert report.m0 == clean.m0 and report.iterations == clean.iterations
+        assert np.array_equal(u.coeffs, u0.coeffs) and np.array_equal(p.coeffs, p0.coeffs)
 
     def test_factors_the_stokes_symbol_once(self, monkeypatch):
         import tsflow.navier_stokes as ns

@@ -10,6 +10,7 @@ from tsflow.spectral import (
     NonzeroMeanWarning,
     SpectralScalarField,
     SpectralVectorField,
+    _abs2_scalarized,
     _hermitianize_half,
     ball_filter,
     divergence,
@@ -107,6 +108,17 @@ class TestNorms:
         c[lat.zero_index] = 1e10
         c[lat.m, lat.m + 1] = 1e-3
         assert seminorm(scalar_field(lat, c), 0.0) == pytest.approx(1e-3, rel=1e-15)
+
+    @pytest.mark.parametrize("n, m", [(1, 6), (2, 4), (3, 3)])
+    def test_squared_moduli_match_abs(self, n, m):
+        # re^2 + im^2 against the |c|^2 of np.abs it replaced: a reordered
+        # rounding, held to a few units in the last place
+        lat = make_lattice(n, m)
+        for fld in flagged_fields(n, m, 70 + n):
+            a = np.abs(fld.coeffs) ** 2
+            ref = np.sum(a, axis=0) if isinstance(fld, SpectralVectorField) else a
+            np.testing.assert_allclose(_abs2_scalarized(fld), ref, rtol=4 * np.finfo(float).eps)
+            assert _abs2_scalarized(fld).shape == lat.shape
 
     def test_pythagorean_split(self):
         # mean 3 plus unit mode of size 4: seminorm 4, full norm 5
@@ -452,6 +464,18 @@ def reference_random_solenoidal(seed, lattice, decay, zero_mean):
     return SpectralVectorField(lattice, coeffs, True, True, True)
 
 
+def reference_hermitianize_half(lattice, coeffs):
+    """_hermitianize_half as a mask of the modes whose first nonzero component is positive."""
+    mask = np.zeros(lattice.shape, dtype=bool)
+    undecided = np.ones(lattice.shape, dtype=bool)
+    for g in index_grids(lattice):
+        mask |= undecided & (g > 0)
+        undecided &= g == 0
+    out = np.where(mask, coeffs, np.conj(np.flip(coeffs)))
+    out[lattice.zero_index] = coeffs[lattice.zero_index].real
+    return out
+
+
 def reference_complex_grid_transform(field, N):
     """Complex samples with the cube placed as 2^n corner blocks (N >= 2m+1)."""
     lat, m = field.lattice, field.lattice.m
@@ -547,6 +571,18 @@ class TestSharedPrimitives:
                     random_vector_field(seed, lat, decay, zero_mean, divergence_free=True),
                     reference_random_solenoidal(seed, lat, decay, zero_mean),
                 )
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (3, 3)])
+    def test_hermitianize_half(self, n, m):
+        lat = make_lattice(n, m)
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            z = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+            out = _hermitianize_half(lat, z)
+            assert_same_bits(out, reference_hermitianize_half(lat, z))
+            np.testing.assert_array_equal(out, np.conj(np.flip(out)))
+            after = np.arange(lat.size).reshape(lat.shape) > lat.size // 2
+            np.testing.assert_array_equal(out[after], z[after])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_grid_placement(self, n):
@@ -647,6 +683,27 @@ class TestBallFilter:
         assert sobolev_norm(cut, 1.0) <= sobolev_norm(g, 1.0)
 
 
+def _both(fa, fb):
+    return tuple(x and y for x, y in zip(fa, fb))
+
+
+# operation on fields (a, b), the same on their coefficients, and the flags
+# expected from the flags of a and b
+FLAG_OPS = {
+    "add": (lambda a, b: a + b, lambda a, b: a + b, _both),
+    "sub": (lambda a, b: a - b, lambda a, b: a + (-1.0) * b, _both),
+    "real_left": (lambda a, b: 2.5 * a, lambda a, b: 2.5 * a, lambda fa, fb: fa),
+    "real_right": (lambda a, b: a * 2.5, lambda a, b: 2.5 * a, lambda fa, fb: fa),
+    "complex_zero_imag": (
+        lambda a, b: complex(2.5, 0.0) * a, lambda a, b: complex(2.5, 0.0) * a, lambda fa, fb: fa
+    ),
+    "complex": (
+        lambda a, b: a * (0.5 + 1j), lambda a, b: (0.5 + 1j) * a, lambda fa, fb: (False,) + fa[1:]
+    ),
+    "neg": (lambda a, b: -a, lambda a, b: -1.0 * a, lambda fa, fb: fa),
+}
+
+
 class TestFieldConstruction:
     def test_zero_mean_warns_and_zeroes(self):
         lat = make_lattice(2, 2)
@@ -676,6 +733,26 @@ class TestFieldConstruction:
         w = u - 0.5 * v
         assert w.is_real and w.zero_mean and w.divergence_free
         assert sobolev_norm(divergence(w), 0.0) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    @pytest.mark.parametrize("op", sorted(FLAG_OPS))
+    def test_arithmetic_flag_propagation(self, kind, op):
+        lat = make_lattice(2, 2)
+        rng = np.random.default_rng(7)
+        if kind == "scalar":
+            cls, names, shape = SpectralScalarField, ("is_real", "zero_mean"), lat.shape
+        else:
+            cls, shape = SpectralVectorField, (2,) + lat.shape
+            names = ("is_real", "zero_mean", "divergence_free")
+        za, zb = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+        apply, coeffs, expect = FLAG_OPS[op]
+        for fa in itertools.product((False, True), repeat=len(names)):
+            for fb in itertools.product((False, True), repeat=len(names)):
+                out = apply(cls(lat, za.copy(), *fa), cls(lat, zb.copy(), *fb))
+                assert type(out) is cls and out.lattice == lat
+                assert tuple(getattr(out, f) for f in names) == expect(fa, fb)
+                assert_same_bits(out.coeffs, coeffs(za, zb))
+                assert not out.coeffs.flags.writeable
 
     def test_inner_product_hermitian(self):
         lat = make_lattice(2, 3)

@@ -34,7 +34,13 @@ from tsflow.stokes import (
     solve_stokes,
     solve_stokes_incompressible,
 )
-from tsflow.viscosity import apply_viscosity, make_isotropic, make_tensor, stokes_operator
+from tsflow.viscosity import (
+    apply_viscosity,
+    make_isotropic,
+    make_tensor,
+    mode_blocks,
+    stokes_operator,
+)
 
 
 ISO = make_isotropic(0.0, 1.0, 2)
@@ -426,12 +432,12 @@ class TestStokesOperator:
             assert r1.global_bound == r2.global_bound
 
     def test_viscous_matches_apply_viscosity(self):
-        lat = make_lattice(3, 3)
-        A = random_elliptic_tensor(44, 3)
-        u = random_vector_field(45, lat, decay=1.0)
-        mine = StokesOperator(A, lat).viscous(u).coeffs
-        ref = apply_viscosity(A, u).coeffs
-        assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for n, m in ((2, 4), (3, 3)):
+            lat = make_lattice(n, m)
+            A = random_elliptic_tensor(44, n)
+            u = random_vector_field(45, lat, decay=1.0)
+            mine = StokesOperator(A, lat).viscous(u).coeffs
+            assert np.array_equal(mine, apply_viscosity(A, u).coeffs)
 
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
     def test_viscous_of_complex_field(self, n, m):
@@ -440,9 +446,14 @@ class TestStokesOperator:
         A = random_elliptic_tensor(46, n)
         u, _ = self._data(lat, 47, False)
         out = StokesOperator(A, lat).viscous(u)
-        ref = apply_viscosity(A, u).coeffs
         assert not out.is_real
-        assert np.max(np.abs(out.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(out.coeffs, apply_viscosity(A, u).coeffs)
+
+    @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
+    def test_velocity_blocks_are_mode_blocks(self, n, m):
+        A = random_elliptic_tensor(48, n)
+        op = StokesOperator(A, make_lattice(n, m))
+        assert np.array_equal(op.symbols[:, :n, :n], mode_blocks(A, op.xis))
 
     def test_rejects_foreign_lattice(self):
         op = StokesOperator(ISO, make_lattice(2, 3))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from tsflow.harness import random_elliptic_tensor
 from tsflow.spectral import (
+    index_grids,
     inner,
     make_lattice,
     random_scalar_field,
@@ -166,6 +168,19 @@ class TestViscousOperator:
         a2 = mode_abs2(lat)
         expected = (lam + mu) * grad_div.coeffs - 4 * np.pi**2 * mu * a2 * u.coeffs
         np.testing.assert_allclose(out.coeffs, expected, atol=1e-11)
+
+    @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
+    def test_matches_lattice_einsum(self, n, m):
+        # the lattice einsum that mode_blocks replaced, summed in another
+        # order: equal to rounding, relative to the largest coefficient
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(9, n)
+        u = random_vector_field(8, lat, decay=1.0)
+        x = np.stack(index_grids(lat)).astype(float).reshape(n, -1)
+        blocks = np.einsum("ap,kjab,bp->kjp", x, A.entries, x).reshape((n, n) + lat.shape)
+        ref = -4.0 * np.pi**2 * np.einsum("kj...,j...->k...", blocks, u.coeffs)
+        atol = 64 * np.finfo(float).eps * np.max(np.abs(ref))
+        np.testing.assert_allclose(apply_viscosity(A, u).coeffs, ref, rtol=0, atol=atol)
 
     def test_preserves_reality(self):
         u = random_vector_field(5, make_lattice(2, 3))
