@@ -328,7 +328,7 @@ def _suite_mode_estimates(seed, m, n, draws):
         x = np.empty((modes, n + 1), np.complex128)  # D^-1 (fhat, ghat)
         for b in range(modes):
             xi = rng.integers(-m, m + 1, size=n)
-            if np.all(xi == 0):
+            if not xi.any():
                 xi[0] = 1
             xis[b] = xi
             x[b, :n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -349,7 +349,7 @@ def _suite_isotropic(seed, m, n, draws):
         lam = float(rng.uniform(-5.0, 5.0))
         mu = float(rng.uniform(0.1, 5.0))
         xi = rng.integers(-m, m + 1, size=n)
-        if np.all(xi == 0):
+        if not xi.any():
             xi[0] = 1
         fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())

@@ -24,10 +24,16 @@ cube, and iterates
 
 with adaptive halving of omega whenever the defect grows, and stops when the
 defect of the momentum equation, measured in the H^{-1} norm, drops below the
-requested tolerance. The same operator supplies the initial guess and the
-viscous term of the defect. Converged velocities are checked against the
-a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution
-satisfies.
+requested tolerance. Each pass works on the operator's Hermitian-half
+stacks, the modes before xi = 0; every field here is real, so the other
+half holds their conjugates. The forcing is split to the half once. A pass
+splits (u . grad) u to the half, applies the operator's inverses, checks
+the new velocity's divergence, and measures the defect (the operator's
+velocity blocks applied to u - S(...)) with the half's H^{-1} weights. Only
+the relaxed iterate goes back to the cube, for the next convective term;
+the pressure is joined once, on return. Converged velocities are checked
+against the a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true
+solution satisfies.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     LatticeSpec,
+    SpectralScalarField,
     SpectralVectorField,
+    _abs2_sum,
     _average_zero_plane,
     _flip,
     _nonzero_mean,
@@ -53,12 +61,13 @@ from .spectral import (
     inner,
     mode_abs2,
     restrict_field,
+    rho2,
     seminorm,
     sobolev_norm,
     zero_vector_field,
 )
-from .stokes import StokesOperator
-from .viscosity import ellipticity_constant, stokes_operator
+from .stokes import StokesOperator, _apply_inverses, _check_solenoidal
+from .viscosity import _apply_blocks, ellipticity_constant, stokes_operator
 
 __all__ = [
     "Diverged",
@@ -168,16 +177,19 @@ def advection(w, dealias=True):
     w_grid = grid_transform(w, N)  # (n, N, ..., N) real samples
     d = [TWO_PI * 1j * g[..., m:] for g in index_grids(lat)]  # 2*pi*i*xi_j on xi_n >= 0
 
-    def product(a, b):
-        return _average_zero_plane(_rfftn_half(a * b, lat))
-
     upper = np.zeros((n,) + lat.shape[:-1] + (m + 1,), np.complex128)
+    grid = np.empty(w_grid.shape[1:])  # one product's samples at a time
+    term = np.empty(upper.shape[1:], np.complex128)  # one multiplier product at a time
+
+    def product(a, b):
+        return _average_zero_plane(_rfftn_half(np.multiply(a, b, out=grid), lat))
+
     for j in range(n):
         for k in range(j, n):
             prod = product(w_grid[j], w_grid[k])
-            upper[k] += d[j] * prod
+            upper[k] += np.multiply(d[j], prod, out=term)
             if k != j:
-                upper[j] += d[k] * prod
+                upper[j] += np.multiply(d[k], prod, out=term)
     if not w.divergence_free:
         div_grid = grid_transform(divergence(w), N)
         for k in range(n):
@@ -186,7 +198,8 @@ def advection(w, dealias=True):
     out[..., m:] = upper
     # xi_n < 0 by conjugation; + 0.0 turns the conjugates' -0 imaginary
     # parts into the +0 that a sum over the full cube leaves there
-    out[..., :m] = np.conj(_flip(upper[..., 1:], lat, component_axis=True)) + 0.0
+    np.conjugate(_flip(upper[..., 1:], lat, component_axis=True), out=out[..., :m])
+    out[..., :m] += 0.0
     return SpectralVectorField(lat, out, True, w.divergence_free, False)
 
 
@@ -265,14 +278,20 @@ def residual(tensor, u, p, f, dealias=True):
 def picard_solve(tensor, f, opts=None):
     """Damped fixed-point solve of the incompressible nonlinear system.
 
-    Each pass evaluates the convective term at the current iterate, solves
-    the linear system with forcing f - (u . grad) u, measures the momentum
-    defect in H^{-1}, and relaxes toward the linear solution. The step
-    omega halves whenever the defect grows; Diverged is raised if it grows
-    at the floor, MaxIterationsExceeded if the budget runs out. On success
-    the returned velocity is divergence-free, the pressure is the one
-    induced by the final velocity, and the report records whether the
-    a-priori bound held. A nonzero mean of f is flagged once, with a
+    Every pass runs on the Hermitian half of the operator's layout
+    (`StokesOperator._split`): (H, n) stacks over the modes before xi = 0,
+    the other half following by conjugation, since every field here is
+    real. The forcing is split once. A pass joins the iterate u to the cube
+    once, evaluates (u . grad) u there and splits it to the half, applies
+    the operator's inverses to D^-1 (f - (u . grad) u, 0), checks that the
+    new velocity is solenoidal, forms the momentum defect with the
+    operator's velocity blocks, measures it in H^{-1} with the weights of
+    the half, and relaxes u toward the linear solution. The step omega
+    halves whenever the defect grows; Diverged is raised if it grows at the
+    floor, MaxIterationsExceeded if the budget runs out. On success the
+    returned velocity is divergence-free, the pressure is the one induced by
+    the final velocity (joined only then), and the report records whether
+    the a-priori bound held. A nonzero mean of f is flagged once, with a
     NonzeroMeanWarning, recorded as mean_removed_f, and dropped.
     """
     opts = opts or NSSolveOptions()
@@ -287,19 +306,37 @@ def picard_solve(tensor, f, opts=None):
         f = _without_mean(f)
     omega = opts.relaxation
     stokes = StokesOperator(tensor, lat)  # factored once, used by every pass
+    n, H = lat.n, stokes._half
+    x = np.zeros((H, n + 1), np.complex128)  # D^-1 (f - (u . grad) u, 0)
+    stokes._split(f.coeffs, x[None, :, :n])
+    f_h = x[:, :n].copy()
+    weights = rho2(lat).reshape(-1)[:H] ** -1.0
+
+    def linear():
+        """The half of S applied to x: velocity and pressure rows, checked solenoidal."""
+        y = _apply_inverses(stokes.inverses, x)
+        div = TWO_PI * 1j * sum(stokes.xis[:, j] * y[:, j] for j in range(n))
+        _check_solenoidal(np.max(np.abs(div)), np.max(np.abs(x[:, :n])))
+        return y
+
     if opts.initial_guess == "stokes":
-        u, _, _ = stokes.solve_incompressible(f, check_estimates=False)
+        u_h = linear()[:, :n]
+        u = SpectralVectorField(lat, stokes._join(u_h, u_h), True, True, True)
     else:
+        u_h = np.zeros((H, n), np.complex128)
         u = zero_vector_field(lat)
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
         bu = advection(u, dealias=opts.dealias)
-        u_lin, p_lin, _ = stokes.solve_incompressible(f - bu, check_estimates=False)
+        stokes._split(bu.coeffs, x[None, :, :n])
+        np.subtract(f_h, x[:, :n], out=x[:, :n])
+        y = linear()
         # the pressure gradient cancels in the defect, leaving the viscous
-        # operator applied to the gap between u and the linear solution
-        defect = stokes.viscous(u - u_lin)
-        res = sobolev_norm(defect, -1.0)
+        # operator applied to the gap between u and the linear solution; the
+        # mirrored half has the same squares and xi = 0 holds none
+        defect2 = _abs2_sum(_apply_blocks(stokes.symbols[:, :n, :n], u_h - y[:, :n]).T)
+        res = float(np.sqrt(2.0 * np.sum(weights * defect2)))
         report.residual_history.append(res)
         report.final_residual = res
         report.omega_final = omega
@@ -311,7 +348,8 @@ def picard_solve(tensor, f, opts=None):
             report.velocity_norm = seminorm(u, 1.0)
             report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
             report.energy_check = inner(bu, u).real
-            return u, p_lin, report
+            p_h = -1j * y[:, n]
+            return u, SpectralScalarField(lat, stokes._join(p_h, p_h), True, True), report
         if res > prev:
             if omega <= OMEGA_FLOOR:
                 report.diverged = True
@@ -319,7 +357,10 @@ def picard_solve(tensor, f, opts=None):
                     f"defect grew to {res:.3e} with omega at the floor {OMEGA_FLOOR}", report
                 )
             omega = max(0.5 * omega, OMEGA_FLOOR)
-        u = (1.0 - omega) * u + omega * u_lin
+        u_h = (1.0 - omega) * u_h + omega * y[:, :n]
+        # conjugation leaves -0 imaginary parts at exact zeros of the mirror,
+        # where relaxing the whole field gives +0; + 0.0 keeps those bits
+        u = SpectralVectorField(lat, stokes._join(u_h, u_h) + 0.0, True, True, True)
         prev = res
     raise MaxIterationsExceeded(
         f"no convergence within {opts.max_iterations} iterations "

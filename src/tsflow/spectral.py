@@ -203,10 +203,11 @@ def _check_same_lattice(a, b):
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
 
 
-def _nonzero_mean(lattice, coeffs, what):
+def _nonzero_mean(lattice, coeffs, what, stacklevel=3):
     """Whether the xi = 0 entries of (k..., cube) coeffs exceed MEAN_RTOL * max |coeffs|.
 
-    A nonzero mean also raises a NonzeroMeanWarning naming `what`.
+    A nonzero mean also raises a NonzeroMeanWarning naming `what`, placed
+    at the caller of the function that asks unless stacklevel says otherwise.
     """
     mean = np.max(np.abs(coeffs[(...,) + lattice.zero_index]))
     nonzero = bool(mean > MEAN_RTOL * np.max(np.abs(coeffs)))
@@ -214,7 +215,7 @@ def _nonzero_mean(lattice, coeffs, what):
         warnings.warn(
             f"{what} has a nonzero mean; projecting onto the zero-mean subspace",
             NonzeroMeanWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return nonzero
 
@@ -280,8 +281,13 @@ def zero_vector_field(lattice, is_real=True):
 
 def _abs2_scalarized(field):
     """|c|^2 at each mode, summed over components, as re^2 + im^2: no square root."""
-    a = np.zeros(field.lattice.shape)
-    for c in field.coeffs if isinstance(field, SpectralVectorField) else (field.coeffs,):
+    return _abs2_sum(field.coeffs if isinstance(field, SpectralVectorField) else (field.coeffs,))
+
+
+def _abs2_sum(components):
+    """re^2 + im^2 of a sequence of equal-shape complex arrays, summed over it in order."""
+    a = np.zeros(components[0].shape)
+    for c in components:
         a += c.real * c.real
         a += c.imag * c.imag
     return a

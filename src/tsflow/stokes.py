@@ -37,6 +37,7 @@ are provided as cross-checks; every solve can verify its own estimates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,9 +166,22 @@ def assemble_symbol(tensor, xi):
     n = tensor.n
     if xi.shape != (n,):
         raise ValueError(f"mode must have {n} components, got {xi.shape}")
-    if np.all(xi == 0):
+    if not xi.any():
         raise ZeroMode("the Stokes symbol is singular by construction at xi = 0")
     return StokesSymbol(tuple(int(x) for x in xi), _mode_symbols(tensor, xi[None])[0])
+
+
+def _caller_stacklevel():
+    """Warning stack level of the first frame outside this module.
+
+    Levels count from a _nonzero_mean called by this function's caller, so
+    a mean warning names the line that called into the solvers, whichever
+    of this module's wrappers lie between.
+    """
+    frame, level = sys._getframe(2), 3
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _check_dimension(n):
@@ -275,6 +289,13 @@ def _invert(R, xis):
     return inv
 
 
+def _apply_inverses(inv, x):
+    """y = R^-1 x for a complex (B, d) stack x: one real product on its float view."""
+    B, d = x.shape
+    yv = np.matmul(inv, x.view(np.float64).reshape(B, d, 2))
+    return yv.reshape(B, 2 * d).view(np.complex128)
+
+
 def _solve_symbols(R, inv, x):
     """Solve R y = x for a complex (B, d) stack x, given the real inverses.
 
@@ -286,11 +307,21 @@ def _solve_symbols(R, inv, x):
     """
     B, d = x.shape[-2:]
     xv = x.view(np.float64).reshape(-1, B, d, 2)
-    yv = np.matmul(inv, xv[0])
-    Ry = np.matmul(R, yv)
+    y = _apply_inverses(inv, x.reshape(-1, B, d)[0])
+    Ry = np.matmul(R, y.view(np.float64).reshape(B, d, 2))
     defect = max(np.max(np.abs((Ry - m).reshape(B, 2 * d).view(np.complex128))) for m in xv)
     scale = max(float(np.max(np.abs(x))), 1e-300)
-    return yv.reshape(B, 2 * d).view(np.complex128), float(defect) / scale
+    return y, float(defect) / scale
+
+
+def _check_solenoidal(defect, scale):
+    """Raise NotSolenoidal when a divergence defect exceeds DIVERGENCE_RTOL * scale.
+
+    scale is max |fhat| of the data solved for, so the check is relative.
+    """
+    defect, limit = float(defect), DIVERGENCE_RTOL * float(scale)
+    if not defect <= limit:
+        raise NotSolenoidal(f"velocity divergence {defect:.3e} exceeds {limit:.3e}")
 
 
 def solve_mode(symbol, fhat, ghat):
@@ -401,7 +432,7 @@ class StokesOperator:
             self._check_lattice(g, "divergence data")
         # a nonzero mean is only flagged: no step below reads xi = 0 (_split
         # stops before it, _join writes 0 there, the seminorms skip it)
-        removed_f = _nonzero_mean(lat, f.coeffs, "stokes forcing")
+        removed_f = _nonzero_mean(lat, f.coeffs, "stokes forcing", _caller_stacklevel())
         n = lat.n
         x = np.empty((2, self._half, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
         self._split(f.coeffs, x[..., :n])
@@ -410,7 +441,7 @@ class StokesOperator:
             x[..., n] = 0.0
             is_real, removed_g = f.is_real, False
         else:
-            removed_g = _nonzero_mean(lat, g.coeffs, "divergence data")
+            removed_g = _nonzero_mean(lat, g.coeffs, "divergence data", _caller_stacklevel())
             self._split(g.coeffs, x[..., n])
             x[..., n] *= -1j
             is_real = f.is_real and g.is_real
@@ -453,10 +484,7 @@ class StokesOperator:
         raised above DIVERGENCE_RTOL times max |fhat|.
         """
         u, p, report = self.solve(f, None, s=s, check_estimates=check_estimates)
-        defect = float(np.max(np.abs(divergence(u).coeffs)))
-        limit = DIVERGENCE_RTOL * float(np.max(np.abs(f.coeffs)))
-        if not defect <= limit:
-            raise NotSolenoidal(f"velocity divergence {defect:.3e} exceeds {limit:.3e}")
+        _check_solenoidal(np.max(np.abs(divergence(u).coeffs)), np.max(np.abs(f.coeffs)))
         u = SpectralVectorField(u.lattice, u.coeffs, u.is_real, True, True)
         return u, p, report
 

@@ -8,9 +8,11 @@ import pytest
 
 from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import (
+    OMEGA_FLOOR,
     Diverged,
     MaxIterationsExceeded,
     NSSolveOptions,
+    NSSolveReport,
     advection,
     advection_bound_ratio,
     advection_bruteforce,
@@ -22,6 +24,8 @@ from tsflow.navier_stokes import (
 from tsflow.spectral import (
     TWO_PI,
     NonzeroMeanWarning,
+    _nonzero_mean,
+    _without_mean,
     dealias_grid,
     divergence,
     index_grids,
@@ -30,12 +34,16 @@ from tsflow.spectral import (
     random_scalar_field,
     random_vector_field,
     sampling_transform,
+    seminorm,
     sobolev_norm,
     vector_field,
+    zero_vector_field,
 )
+from tsflow.stokes import NotSolenoidal, StokesOperator
 from tsflow.viscosity import make_isotropic
 
 ISO = make_isotropic(0.0, 1.0, 2)
+ISO3 = make_isotropic(0.0, 1.0, 3)
 
 
 def grid_points(N):
@@ -333,7 +341,7 @@ class TestAprioriBound:
 
 
 def small_manufactured(seed, amplitude=0.05, m=4, tensor=ISO):
-    lat = make_lattice(2, m)
+    lat = make_lattice(tensor.n, m)
     u_star = random_vector_field(seed, lat, decay=3.0, divergence_free=True)
     u_star = (amplitude / sobolev_norm(u_star, 1.0)) * u_star
     p_star = amplitude * random_scalar_field(seed + 1, lat, decay=3.0)
@@ -445,6 +453,145 @@ class TestPicardSolve:
             NSSolveOptions(max_iterations=0)
         with pytest.raises(ValueError):
             NSSolveOptions(initial_guess="newton")
+
+
+def full_field_picard(tensor, f, opts):
+    """The Picard loop on whole fields, the reference of picard_solve's half-stack passes.
+
+    Each pass solves the incompressible system for f - (u . grad) u with
+    `solve_incompressible`, measures `viscous(u - u_lin)` in H^{-1} with
+    `sobolev_norm`, and relaxes the whole field; the report is kept as
+    picard_solve keeps it.
+    """
+    lat = f.lattice
+    report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
+    report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
+    if report.mean_removed_f:
+        f = _without_mean(f)
+    omega = opts.relaxation
+    stokes = StokesOperator(tensor, lat)
+    if opts.initial_guess == "stokes":
+        u, _, _ = stokes.solve_incompressible(f, check_estimates=False)
+    else:
+        u = zero_vector_field(lat)
+    prev = np.inf
+    for iteration in range(1, opts.max_iterations + 1):
+        report.iterations = iteration
+        bu = advection(u, dealias=opts.dealias)
+        u_lin, p_lin, _ = stokes.solve_incompressible(f - bu, check_estimates=False)
+        res = sobolev_norm(stokes.viscous(u - u_lin), -1.0)
+        report.residual_history.append(res)
+        report.final_residual = res
+        report.omega_final = omega
+        if not np.isfinite(res):
+            report.diverged = True
+            raise Diverged("non-finite defect", report)
+        if res <= opts.tol:
+            report.converged = True
+            report.velocity_norm = seminorm(u, 1.0)
+            report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
+            report.energy_check = inner(bu, u).real
+            return u, p_lin, report
+        if res > prev:
+            if omega <= OMEGA_FLOOR:
+                report.diverged = True
+                raise Diverged("defect grew at the floor", report)
+            omega = max(0.5 * omega, OMEGA_FLOOR)
+        u = (1.0 - omega) * u + omega * u_lin
+        prev = res
+    raise MaxIterationsExceeded("budget exhausted", report)
+
+
+def _outcome(solve, tensor, f, opts):
+    """(u, p, report, exception type) of one solve; u and p are None on failure."""
+    try:
+        u, p, report = solve(tensor, f, opts)
+    except (Diverged, MaxIterationsExceeded) as exc:
+        return None, None, exc.report, type(exc)
+    return u, p, report, None
+
+
+def manufactured_forcing(amplitude, tensor):
+    return small_manufactured(60, amplitude, m=4 if tensor.n == 2 else 2, tensor=tensor).f
+
+
+def _assert_matches_full_field(tensor, f, opts):
+    """Run both loops; u, p and the report agree but for the residuals' last bits."""
+    u, p, got, err = _outcome(picard_solve, tensor, f, opts)
+    u0, p0, ref, err0 = _outcome(full_field_picard, tensor, f, opts)
+    assert err is err0
+    if err is None:
+        assert u.coeffs.tobytes() == u0.coeffs.tobytes()  # signed zeros too
+        assert p.coeffs.tobytes() == p0.coeffs.tobytes()
+        assert (u.is_real, u.zero_mean, u.divergence_free) == (True, True, True)
+        assert (p.is_real, p.zero_mean) == (True, True)
+    for key in ("iterations", "converged", "diverged", "omega_final", "bound_satisfied",
+                "velocity_norm", "energy_check", "mean_removed_f", "m0"):
+        assert getattr(got, key) == getattr(ref, key), key
+    # the half's sum of squares rounds in another order than the cube's
+    assert len(got.residual_history) == len(ref.residual_history)
+    np.testing.assert_array_max_ulp(got.residual_history, ref.residual_history, maxulp=4)
+    np.testing.assert_array_max_ulp(got.final_residual, ref.final_residual, maxulp=4)
+    return got, err
+
+
+class TestHalfStackPasses:
+    """picard_solve's passes on the Hermitian half against the whole-field loop."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("amplitude", [0.05, 1.0, 5.0])
+    @pytest.mark.parametrize("relaxation", [1.0, 0.5])
+    @pytest.mark.parametrize("guess", ["stokes", "zero"])
+    @pytest.mark.parametrize("anisotropic", [False, True])
+    def test_matches_full_field_loop(self, n, amplitude, relaxation, guess, anisotropic):
+        tensor = random_elliptic_tensor(70 + n, n) if anisotropic else make_isotropic(0.0, 1.0, n)
+        f = manufactured_forcing(amplitude, tensor)
+        opts = NSSolveOptions(relaxation=relaxation, initial_guess=guess, max_iterations=40)
+        _assert_matches_full_field(tensor, f, opts)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_full_field_loop_on_the_aliased_grid(self, n):
+        tensor = random_elliptic_tensor(70 + n, n)
+        f = manufactured_forcing(1.0, tensor)
+        _assert_matches_full_field(tensor, f, NSSolveOptions(dealias=False, max_iterations=40))
+
+    @pytest.mark.parametrize(
+        "n, amplitude, outcome",
+        [(2, 10.0, MaxIterationsExceeded), (2, 20.0, Diverged), (3, 40.0, Diverged)],
+    )
+    def test_matches_full_field_loop_as_omega_halves(self, n, amplitude, outcome):
+        tensor = random_elliptic_tensor(70 + n, n)
+        f = manufactured_forcing(amplitude, tensor)
+        report, err = _assert_matches_full_field(tensor, f, NSSolveOptions(max_iterations=40))
+        assert err is outcome
+        assert report.omega_final < 1.0
+
+    @pytest.mark.parametrize("guess", ["stokes", "zero"])
+    def test_matches_full_field_loop_on_zero_forcing(self, guess):
+        # every coefficient is an exact zero, so every sign bit is compared
+        f = zero_vector_field(make_lattice(3, 2))
+        report, _ = _assert_matches_full_field(ISO3, f, NSSolveOptions(initial_guess=guess))
+        assert report.iterations == 1
+
+    @pytest.mark.parametrize("guess", ["stokes", "zero"])
+    def test_divergence_defect_raises(self, monkeypatch, guess):
+        # skewed inverses leave u_lin with a divergence; the check is an
+        # explicit raise, so it also holds under python -O
+        import tsflow.navier_stokes as ns
+
+        class Skewed(ns.StokesOperator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.inverses[:, 0] += 1e-6 * np.max(np.abs(self.inverses))
+
+        monkeypatch.setattr(ns, "StokesOperator", Skewed)
+        monkeypatch.setitem(globals(), "StokesOperator", Skewed)  # for full_field_picard
+        f = manufactured_forcing(0.05, ISO)
+        opts = NSSolveOptions(initial_guess=guess)
+        with pytest.raises(NotSolenoidal):
+            picard_solve(ISO, f, opts)
+        with pytest.raises(NotSolenoidal):
+            full_field_picard(ISO, f, opts)
 
 
 class TestResidual:

@@ -617,6 +617,34 @@ class TestSolveStokes:
         assert report.mean_removed_f
         assert u.coeffs[(0,) + lat.zero_index] == 0
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda f, g: solve_stokes(ISO, f, g),
+            lambda f, g: solve_stokes_incompressible(ISO, f),
+            lambda f, g: StokesOperator(ISO, f.lattice).solve(f, g),
+            lambda f, g: StokesOperator(ISO, f.lattice).solve_incompressible(f),
+        ],
+        ids=["solve_stokes", "solve_stokes_incompressible", "solve", "solve_incompressible"],
+    )
+    def test_mean_warning_names_the_caller(self, entry):
+        # however many wrappers lie between, the warning names this file
+        import warnings
+
+        from tsflow.spectral import NonzeroMeanWarning
+
+        lat = make_lattice(2, 3)
+        f = random_vector_field(12, lat, decay=2.0)
+        c = f.coeffs.copy()
+        c[(slice(None),) + lat.zero_index] = 0.3 * np.max(np.abs(c))
+        g = random_scalar_field(13, lat, decay=2.0, zero_mean=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry(vector_field(lat, c, is_real=True), g)
+        flagged = [w for w in caught if issubclass(w.category, NonzeroMeanWarning)]
+        assert flagged
+        assert all(w.filename == __file__ for w in flagged)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_mean_is_flagged_never_read(self, n):
         # the solve reads no xi = 0 entry, so data with a mean gives the
