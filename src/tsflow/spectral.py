@@ -406,16 +406,18 @@ def _embed_offsets(lattice, N):
 def _irfftn_half(half, lattice, N):
     """Real samples on N^n points from the xi_n >= 0 half of a cube.
 
-    half has shape (2m+1,)*(n-1) + (m+1,), in cube order. Axes 0 .. n-2 are
-    zero-padded to N one at a time (frequencies 0..m to slots 0..m, -m..-1
-    to slots N-m..N-1) and inverse-transformed; the last goes through
-    irfft(n=N), which zero-pads it to N//2+1 itself (no padded copy is
-    allocated). The samples equal numpy 2.x's irfftn of the fully padded
-    half spectrum bit for bit. Requires N >= 2m+1.
+    half has shape (k...,) + (2m+1,)*(n-1) + (m+1,), in cube order, with any
+    number of leading axes k..., each slice of which is sampled on its own.
+    Cube axes 0 .. n-2 are zero-padded to N one at a time (frequencies 0..m
+    to slots 0..m, -m..-1 to slots N-m..N-1) and inverse-transformed; the
+    last goes through irfft(n=N), which zero-pads it to N//2+1 itself (no
+    padded copy is allocated). The samples of each slice equal numpy 2.x's
+    irfftn of its fully padded half spectrum bit for bit, so a stack of
+    fields costs one call per axis. Requires N >= 2m+1.
     """
     m = lattice.m
     a = half
-    for axis in range(lattice.n - 1):
+    for axis in range(half.ndim - lattice.n, half.ndim - 1):
         lead = (slice(None),) * axis
         spec = np.zeros(a.shape[:axis] + (N,) + a.shape[axis + 1 :], np.complex128)
         spec[lead + (slice(0, m + 1),)] = a[lead + (slice(m, None),)]
@@ -579,15 +581,16 @@ def _hermitianize_half(lattice, coeffs):
     Flat index k of the cube holds the negative of the mode at size-1-k (the
     reversal that StokesOperator._split and _join use), so the modes before
     xi = 0 take the conjugates of the reversed modes after it; xi = 0 keeps
-    its real part.
+    its real part. coeffs may carry leading axes (k...,) + cube; each slice
+    is treated on its own.
     """
     H = lattice.size // 2
-    flat = coeffs.reshape(-1)
+    flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - lattice.n] + (-1,))
     out = np.empty_like(flat)
-    out[H:] = flat[H:]
-    np.conjugate(flat[:H:-1], out=out[:H])
-    out[H] = flat[H].real
-    return out.reshape(lattice.shape)
+    out[..., H:] = flat[..., H:]
+    np.conjugate(flat[..., :H:-1], out=out[..., :H])
+    out[..., H] = flat[..., H].real
+    return out.reshape(coeffs.shape)
 
 
 def random_scalar_field(seed, lattice, decay=3.0, zero_mean=True):
@@ -628,9 +631,7 @@ def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_fre
         norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
         norm[norm == 0.0] = 1.0
     amp = rho2(lattice) ** (-decay / 2.0)
-    coeffs = np.empty_like(z)
-    for j in range(n):
-        coeffs[j] = _hermitianize_half(lattice, amp * z[j] / norm)
+    coeffs = _hermitianize_half(lattice, amp * z / norm)
     zero = (slice(None),) + lattice.zero_index
     if zero_mean or divergence_free:
         coeffs[zero] = 0.0

@@ -393,31 +393,33 @@ class StokesOperator:
         self.inverses = _invert(self.symbols, self.xis)
 
     def _split(self, coeffs, out):
-        """Write (k..., cube) coefficients into out, a (2, H, k...) pair of stacks.
+        """Write (k, cube) or (cube) coefficients into out, a (2, H, k) or (2, H) pair of stacks.
 
         out[0] takes the modes before xi = 0 and out[1] the conjugates of
         their negatives, in the same order; the two are equal for a real
-        field. A one-member out takes the half only.
+        field. A one-member out takes the half only. With at most one
+        component axis, the move of the mode axis to the front is `.T`.
         """
         flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - self.lattice.n] + (-1,))
-        out[0] = np.moveaxis(flat[..., : self._half], -1, 0)
+        out[0] = flat[..., : self._half].T
         if len(out) > 1:
-            np.conjugate(np.moveaxis(flat[..., : self._half : -1], -1, 0), out=out[1])
+            np.conjugate(flat[..., : self._half : -1].T, out=out[1])
         return out
 
     def _join(self, half, mirror, zero_mode=True):
-        """Inverse of _split: two (H, k...) stacks back to canonical order.
+        """Inverse of _split: two (H, k) or (H,) stacks back to canonical order.
 
-        Returns (k..., cube) coefficients whose zero mode is exactly zero,
-        or, with zero_mode=False, the (k..., 2H) values at the nonzero modes.
+        Returns (k, cube) or (cube) coefficients whose zero mode is exactly
+        zero, or, with zero_mode=False, the (k, 2H) or (2H,) values at the
+        nonzero modes.
         """
         H = self._half
         lead = half.shape[1:]
         flat = np.empty(lead + (2 * H + zero_mode,), half.dtype)
-        flat[..., :H] = np.moveaxis(half, 0, -1)
+        flat[..., :H] = half.T
         if zero_mode:
             flat[..., H] = 0.0
-        np.conjugate(np.moveaxis(mirror, 0, -1), out=flat[..., : -H - 1 : -1])
+        np.conjugate(mirror.T, out=flat[..., : -H - 1 : -1])
         return flat.reshape(lead + self.lattice.shape) if zero_mode else flat
 
     def _check_lattice(self, fld, what):
@@ -467,10 +469,20 @@ class StokesOperator:
             mean_removed_g=removed_g,
         )
         if check_estimates:
-            # x and (y, y_mirror) carry the moduli of (fhat, ghat) and (uhat, phat)
-            half = _mode_slacks(self.constants, self.xis, x[0], y)
-            mirror = _mode_slacks(self.constants, self.xis, x[1], y_mirror)
-            _attach_estimates(report, *(self._join(a, b, False) for a, b in zip(half, mirror)))
+            # x and (y, y_mirror) carry the moduli of (fhat, ghat) and (uhat, phat);
+            # both members go through one pass, a real solve's one solution once
+            z = y[None] if is_real else np.stack((y, y_mirror))
+            slack_u, slack_p, bound_u, bound_p = _mode_slacks(self.constants, self.xis, x, z)
+            report.slack_u = self._join(slack_u[0], slack_u[1], False)
+            report.slack_p = self._join(slack_p[0], slack_p[1], False)
+            report.min_slack_u = float(np.min(slack_u))
+            report.min_slack_p = float(np.min(slack_p))
+            # each mode's slack is held to its own bound, so rescaling the data
+            # cannot flip the verdict
+            report.estimates_ok = bool(
+                np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
+                and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
+            )
             if g is None:
                 g = zero_scalar_field(lat)
             report.global_bound = global_estimate_slack(self.tensor, u, p, f, g, s)
@@ -517,39 +529,34 @@ def solve_stokes(tensor, f, g=None, s=1.0, check_estimates=True):
 def _mode_slacks(constants, xis, rhs, z):
     """Slacks and bounds of the two per-mode estimates over a stack of modes.
 
-    rhs and z are (B, n+1) stacks carrying the moduli of (fhat, ghat) and
-    (uhat, phat). Returns (slack_u, slack_p, bound_u, bound_p), each (B,).
+    rhs and z are (..., B, n+1) stacks carrying the moduli of (fhat, ghat)
+    and (uhat, phat) at the (B, n) modes xis. Their leading member axes
+    broadcast against each other: StokesOperator.solve passes its (2, B)
+    half and mirror data with a (1, B) solution when the two members share
+    one. The constants are scalars or (B,) arrays, one per mode. Returns
+    (slack_u, slack_p, bound_u, bound_p), each of the broadcast shape (..., B).
     """
     n = xis.shape[1]
     abs_xi = _moduli(xis)
-    abs_f = _moduli(rhs[:, :n])
-    abs_g = _moduli(rhs[:, n:])
+    abs_f = _moduli(rhs[..., :n])
+    abs_g = _moduli(rhs[..., n:])
     bound_u = (
         constants["C_uf"] * abs_f / (TWO_PI * abs_xi) ** 2
         + constants["C_ug"] * abs_g / (TWO_PI * abs_xi)
     )
     bound_p = constants["C_pf"] * abs_f / (TWO_PI * abs_xi) + constants["C_pg"] * abs_g
-    slack_u = bound_u - _moduli(z[:, :n])
-    slack_p = bound_p - _moduli(z[:, n:])
+    slack_u = bound_u - _moduli(z[..., :n])
+    slack_p = bound_p - _moduli(z[..., n:])
     return slack_u, slack_p, bound_u, bound_p
 
 
 def _moduli(z):
-    """Euclidean norm of each row of a (B, k) stack, from its float view's squares."""
+    """Euclidean norm of each row of a (..., B, k) stack, from its float view's squares.
+
+    Leading (member) axes are kept: the result has shape (..., B).
+    """
     v = z.view(np.float64)
-    return np.sqrt(np.einsum("bi,bi->b", v, v))
-
-
-def _attach_estimates(report, slack_u, slack_p, bound_u, bound_p):
-    report.slack_u, report.slack_p = slack_u, slack_p
-    report.min_slack_u = float(np.min(slack_u))
-    report.min_slack_p = float(np.min(slack_p))
-    # each mode's slack is held to its own bound, so rescaling the data
-    # cannot flip the verdict
-    report.estimates_ok = bool(
-        np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
-        and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
-    )
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
 def solve_stokes_incompressible(tensor, f, s=1.0, check_estimates=True):

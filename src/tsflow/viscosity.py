@@ -13,6 +13,7 @@ and its reciprocal is the stored ellipticity constant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,9 +144,17 @@ def trace_free_symmetric_basis(n):
     return np.stack(mats)
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_basis(n):
+    """trace_free_symmetric_basis(n), built once per n and read-only."""
+    basis = trace_free_symmetric_basis(n)
+    basis.setflags(write=False)
+    return basis
+
+
 def restricted_form_matrix(tensor):
     """Gram matrix of the viscosity form on the trace-free symmetric basis."""
-    basis = trace_free_symmetric_basis(tensor.n)
+    basis = _cached_basis(tensor.n)
     return np.einsum("kjab,pka,qjb->pq", tensor.entries, basis, basis)
 
 

@@ -159,10 +159,10 @@ class TestTrilinearIdentities:
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
     def test_shared_samples_match_three_forms(self, n, m, monkeypatch):
         # oracle: the identities composed from three trilinear_form calls
-        # (3n + 9 grid transforms); sharing the samples must give the same
-        # bits from 2n + 4
+        # and grid transforms; sampling every field, gradient and the
+        # divergence in one stacked transform must give the same bits
         import tsflow.harness as harness_mod
-        from tsflow.spectral import dealias_grid, divergence, grid_transform
+        from tsflow.spectral import _irfftn_half, dealias_grid, divergence, grid_transform
 
         lat = make_lattice(n, m)
         v1, v2, v3 = (random_vector_field(20 + k, lat, decay=2.0) for k in range(3))
@@ -175,13 +175,13 @@ class TestTrilinearIdentities:
 
         calls = []
 
-        def counted(field, N):
-            calls.append(N)
-            return grid_transform(field, N)
+        def counted(half, lattice, N):
+            calls.append(half.shape[0])
+            return _irfftn_half(half, lattice, N)
 
-        monkeypatch.setattr(harness_mod, "grid_transform", counted)
+        monkeypatch.setattr(harness_mod, "_irfftn_half", counted)
         assert advection_identity_defects(v1, v2, v3) == (general, energy)
-        assert len(calls) == 2 * n + 4
+        assert calls == [3 * n + 2 * n * n + 1]
 
     def test_rejects_complex_or_mixed_fields(self):
         lat = make_lattice(2, 3)
@@ -278,7 +278,60 @@ def _modewise_estimate_margin(seed, m, n, draws):
     return worst + 1e-12
 
 
+def _reference_mode_estimate_margins(seed, m, n, draws):
+    """Every mode-estimates margin from one solve per tensor, with its own draws.
+
+    Each mode takes integers(size=n) and four separate normal draws, the
+    stream the one-pass suite must reproduce.
+    """
+    from tsflow.stokes import _invert, _mode_slacks, _mode_symbols, _solve_symbols
+    from tsflow.stokes import estimate_constants
+
+    rng = np.random.default_rng(seed)
+    margins = []
+    for i in range(draws):
+        tensor = random_elliptic_tensor(seed + 1000 + i, n)
+        xis = np.empty((50, n))
+        x = np.empty((50, n + 1), np.complex128)
+        for b in range(50):
+            xi = rng.integers(-m, m + 1, size=n)
+            if not xi.any():
+                xi[0] = 1
+            xis[b] = xi
+            x[b, :n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x[b, n] = -1j * complex(rng.standard_normal() + 1j * rng.standard_normal())
+        R = _mode_symbols(tensor, xis)
+        y, _ = _solve_symbols(R, _invert(R, xis), x)
+        slack_u, slack_p, _, _ = _mode_slacks(estimate_constants(tensor), xis, x, y)
+        margins.append(min(np.min(slack_u), np.min(slack_p)) + 1e-12)
+    return margins
+
+
+def _recorded_margins(monkeypatch, *args):
+    """The per-case margins that one run_suite call hands to _tally."""
+    import tsflow.harness as harness_mod
+
+    seen = []
+    tally = harness_mod._tally
+
+    def recording(name, margins):
+        seen.append(list(margins))
+        return tally(name, margins)
+
+    monkeypatch.setattr(harness_mod, "_tally", recording)
+    run_suite(*args)
+    (margins,) = seen
+    return margins
+
+
 class TestSuites:
+    @pytest.mark.parametrize("seed, n, m", [(0, 2, 8), (7, 2, 1), (0, 3, 4), (7, 3, 1)])
+    def test_one_pass_mode_estimates_match_per_tensor_draws(self, seed, n, m, monkeypatch):
+        # m = 1 draws xi = 0 often, which the pass must move to xi_1 = 1
+        # as the per-mode loop did
+        margins = _recorded_margins(monkeypatch, "mode-estimates", seed, m, n, 6)
+        assert margins == _reference_mode_estimate_margins(seed, m, n, 6)
+
     @pytest.mark.parametrize("seed, n", [(0, 2), (5, 3)])
     def test_batched_mode_estimates_match_modewise_loop(self, seed, n):
         result = run_suite("mode-estimates", seed=seed, m=8, n=n, draws=6).results[0]
@@ -298,6 +351,25 @@ class TestSuites:
         assert result.cases == 5 and result.failures == 4
         assert result.worst_margin == pytest.approx(-5e-13, rel=1e-2)
 
+    def test_nan_margin_counts_as_failure(self, monkeypatch):
+        # korn_ratio is nan for a zero field; a nan margin must not pass
+        import tsflow.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "korn_ratio", lambda v: float("nan"))
+        report = run_suite("korn", seed=1, m=3, n=2, draws=4)
+        result = report.results[0]
+        assert result.cases == 5 and result.failures == 5
+        assert np.isnan(result.worst_margin) and not report.passed
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="no suite selected"):
+            run_suite([])
+
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_draws_below_one_rejected(self, draws):
+        with pytest.raises(ValueError, match="draws must be >= 1"):
+            run_suite("mode-estimates", draws=draws)
+
     def test_all_suites_pass_at_desk_scale(self):
         report = run_suite("all", seed=0, m=4, n=2, draws=8)
         assert report.passed
@@ -311,6 +383,8 @@ class TestSuites:
         report = run_suite("all", seed=0, m=8, n=2, draws=50)
         elapsed = time.perf_counter() - start
         assert report.passed
+        for result in report.results:
+            assert result.cases > 0 and result.failures == 0, result.name
         assert elapsed < 60.0
 
     def test_single_suite_selection(self):

@@ -12,6 +12,7 @@ from tsflow.spectral import (
     SpectralVectorField,
     _abs2_scalarized,
     _hermitianize_half,
+    _irfftn_half,
     ball_filter,
     divergence,
     embed_field,
@@ -388,6 +389,19 @@ class TestPrunedTransforms:
             fld = random_scalar_field(60 + n, lat, decay=1.0, zero_mean=False)
         assert_same_bits(grid_transform(fld, N), full_grid_transform(fld, N))
 
+    @pytest.mark.parametrize("n, m, N", PRUNED_CASES[:-1])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_leading_axes_match_per_slice_calls(self, n, m, N, lead):
+        # oracle: _irfftn_half on each slice of the stack on its own
+        lat = make_lattice(n, m)
+        rng = np.random.default_rng(80 + n)
+        shape = lead + lat.shape[:-1] + (m + 1,)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = _irfftn_half(half, lat, N)
+        assert stacked.shape == lead + (N,) * n
+        for k in np.ndindex(*lead):
+            assert_same_bits(stacked[k], _irfftn_half(half[k], lat, N))
+
     @pytest.mark.parametrize("n, m, N", PRUNED_CASES)
     @pytest.mark.parametrize("vector", [False, True])
     def test_sampling_transform_matches_full_rfftn(self, n, m, N, vector):
@@ -583,6 +597,18 @@ class TestSharedPrimitives:
             np.testing.assert_array_equal(out, np.conj(np.flip(out)))
             after = np.arange(lat.size).reshape(lat.shape) > lat.size // 2
             np.testing.assert_array_equal(out[after], z[after])
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (3, 3)])
+    def test_hermitianize_half_leading_axes(self, n, m):
+        # oracle: _hermitianize_half on each slice of the stack on its own
+        lat = make_lattice(n, m)
+        rng = np.random.default_rng(70 + n)
+        for lead in ((3,), (2, 2)):
+            z = rng.standard_normal(lead + lat.shape) + 1j * rng.standard_normal(lead + lat.shape)
+            out = _hermitianize_half(lat, z)
+            assert out.shape == z.shape
+            for k in np.ndindex(*lead):
+                assert_same_bits(out[k], _hermitianize_half(lat, z[k]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_grid_placement(self, n):

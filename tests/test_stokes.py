@@ -332,6 +332,43 @@ class TestStokesOperator:
         assert np.all(u.coeffs[(slice(None),) + lat.zero_index] == 0)
         assert p.coeffs[lat.zero_index] == 0
 
+    @pytest.mark.parametrize("shrink", [1.0, 0.01])
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    def test_estimate_pass_matches_two_member_calls(self, n, m, is_real, shrink):
+        # oracle: _mode_slacks called once per member, the two joined, and the
+        # minima and verdict taken on the joined arrays, bit for bit; shrunken
+        # constants make the verdict fail
+        from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
+
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(54 + n, n)
+        f, g = self._data(lat, 64 + n, is_real)
+        op = StokesOperator(A, lat)
+        op.constants = {k: shrink * v for k, v in op.constants.items()}
+        u, p, report = op.solve(f, g)
+
+        x = np.empty((2, lat.size // 2, n + 1), np.complex128)
+        op._split(f.coeffs, x[..., :n])
+        op._split(g.coeffs, x[..., n])
+        x[..., n] *= -1j
+        y = _solve_symbols(op.symbols, op.inverses, x[0])[0]
+        y_mirror = y if is_real else _solve_symbols(op.symbols, op.inverses, x[1])[0]
+        members = [_mode_slacks(op.constants, op.xis, x[k], z) for k, z in enumerate((y, y_mirror))]
+        slack_u, slack_p, bound_u, bound_p = (
+            op._join(half, mirror, False) for half, mirror in zip(*members)
+        )
+        for got, ref in ((report.slack_u, slack_u), (report.slack_p, slack_p)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert report.min_slack_u == float(np.min(slack_u))
+        assert report.min_slack_p == float(np.min(slack_p))
+        ok = bool(
+            np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
+            and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
+        )
+        assert report.estimates_ok is ok and ok == (shrink == 1.0)
+        assert report.global_bound == global_estimate_slack(A, u, p, f, g, 1.0)
+
     @pytest.mark.parametrize("is_real", [True, False])
     def test_slacks_in_canonical_order(self, is_real):
         # oracle: mode_estimate_slack on each nonzero mode, in lattice order
