@@ -3,7 +3,8 @@
 Commands: tensor-check, stokes-solve, ns-solve, verify, export-grid,
 manufacture, residual. Every option can also come from a line-oriented
 `key = value` config file (--config); explicit flags win over file values.
-Exit status: 0 success, 1 solver or I/O error, 2 verification failure.
+Exit status: 0 success, 1 solver or I/O error, 2 usage error or verification
+failure.
 """
 
 from __future__ import annotations
@@ -384,12 +385,7 @@ def dispatch(config):
 
 def main(argv=None):
     try:
-        config = parse_config(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(config)
+        return dispatch(parse_config(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

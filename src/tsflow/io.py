@@ -74,9 +74,7 @@ def atomic_write_text(path, text):
 
 
 def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
@@ -113,28 +111,42 @@ def write_field(path, field):
 
 
 def read_field(path):
-    """Read an SPF1 dump back: a field, or the (u, p) pair of a combined dump."""
+    """Read an SPF1 dump back: a field, or the (u, p) pair of a combined dump.
+
+    Errors name the path. The payload that the header declares is checked
+    against the file before it is allocated; coefficients must be finite.
+    """
     with open(path, "rb") as fh:
         lines = [fh.readline() for _ in range(5)]
         if lines[0] != _MAGIC + b"\n" or not lines[4].endswith(b"\n"):
             raise ValueError(f"{path}: not an SPF1 spectral dump")
         header = {}
-        for raw in lines[1:]:
-            key, _, value = raw.decode("ascii").partition("=")
-            header[key] = int(value)
-        for key in ("n", "m", "components", "real"):
-            if key not in header:
-                raise ValueError(f"{path}: missing header field {key!r}")
-        lattice = LatticeSpec(header["n"], header["m"])
+        try:
+            for raw in lines[1:]:
+                key, _, value = raw.decode("ascii").partition("=")
+                header[key] = int(value)
+            for key in ("n", "m", "components", "real"):
+                if key not in header:
+                    raise ValueError(f"missing header field {key!r}")
+            lattice = LatticeSpec(header["n"], header["m"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         n, components = lattice.n, header["components"]
         if components not in (1, n, n + 1):
             raise ValueError(f"{path}: components={components} does not fit n={n}")
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        # 16 * 3^65 bytes fit in no file: n > 64 fails before the power is taken
+        if n > 64 or found != 16 * components * lattice.size:
+            raise ValueError(
+                f"{path}: expected {components} x {2 * lattice.m + 1}^{n} coefficients, "
+                f"found {found / 16:g}"
+            )
         coeffs = np.empty((components,) + lattice.shape, "<c16")
-        found = fh.readinto(coeffs.view(np.uint8)) + len(fh.read())
-    if found != coeffs.nbytes:
-        raise ValueError(
-            f"{path}: expected {coeffs.size} coefficients, found {found / coeffs.itemsize:g}"
-        )
+        if fh.readinto(coeffs.view(np.uint8)) != found:
+            raise ValueError(f"{path}: file shrank while it was read")
+    bad = np.count_nonzero(~np.isfinite(coeffs))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite coefficients")
     is_real = bool(header["real"])
 
     def zero_mean(c):
@@ -165,23 +177,33 @@ def write_tensor(path, tensor):
 
 
 def read_tensor(path):
-    """Parse a tensor file; unlisted entries are zero."""
+    """Parse a tensor file; unlisted entries are zero. Errors name the path and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw_lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n="):
+        numbered = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)]
+    lines = [(lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#")]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError(f"{path}: tensor file must start with an n=<int> header")
-    n = int(lines[0][2:])
+    text = lines[0][1][2:].strip()
+    n = int(text) if text.isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"{path}: header {lines[0][1]!r} is not n=<int >= 1>")
     entries = np.zeros((n, n, n, n))
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
+        where = f"{path}, line {lineno}"
         parts = ln.split()
+        malformed = ValueError(f"{where}: malformed entry line {ln!r}")
         if len(parts) != 5:
-            raise ValueError(f"{path}: malformed entry line {ln!r}")
-        k, j, a, b = (int(p) - 1 for p in parts[:4])
-        for idx in (k, j, a, b):
-            if not 0 <= idx < n:
-                raise ValueError(f"{path}: index out of range in line {ln!r}")
-        entries[k, j, a, b] = float(parts[4])
+            raise malformed
+        try:
+            k, j, a, b = (int(p) - 1 for p in parts[:4])
+            value = float(parts[4])
+        except ValueError:
+            raise malformed from None
+        if not all(0 <= idx < n for idx in (k, j, a, b)):
+            raise ValueError(f"{where}: index out of range in line {ln!r}")
+        if not np.isfinite(value):
+            raise ValueError(f"{where}: non-finite entry in line {ln!r}")
+        entries[k, j, a, b] = value
     return ViscosityTensor(n, entries)
 
 
@@ -200,10 +222,7 @@ def export_grid_csv(path, field, N):
     for f in fields:
         s = grid_transform(f, N)
         parts.append(s[None] if s.ndim == lat.n else s)
-    if all(not np.iscomplexobj(p) for p in parts):
-        samples = np.concatenate(parts, axis=0)
-    else:
-        samples = np.concatenate([p.astype(np.complex128) for p in parts], axis=0)
+    samples = np.concatenate(parts, axis=0)  # complex128 if any field samples complex
     ncomp = samples.shape[0]
     is_real = not np.iscomplexobj(samples)
     names = [f"x{i + 1}" for i in range(lat.n)]

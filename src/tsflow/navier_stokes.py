@@ -24,16 +24,10 @@ cube, and iterates
 
 with adaptive halving of omega whenever the defect grows, and stops when the
 defect of the momentum equation, measured in the H^{-1} norm, drops below the
-requested tolerance. Each pass works on the operator's Hermitian-half
-stacks, the modes before xi = 0; every field here is real, so the other
-half holds their conjugates. The forcing is split to the half once. A pass
-splits (u . grad) u to the half, applies the operator's inverses, checks
-the new velocity's divergence, and measures the defect (the operator's
-velocity blocks applied to u - S(...)) with the half's H^{-1} weights. Only
-the relaxed iterate goes back to the cube, for the next convective term;
-the pressure is joined once, on return. Converged velocities are checked
-against the a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true
-solution satisfies.
+requested tolerance. Each pass works on the Hermitian half of the cube, as
+`picard_solve` describes. Converged velocities are checked against the
+a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution
+satisfies.
 """
 
 from __future__ import annotations
@@ -51,8 +45,10 @@ from .spectral import (
     _abs2_sum,
     _average_zero_plane,
     _flip,
+    _join,
     _nonzero_mean,
     _rfftn_half,
+    _split,
     _without_mean,
     dealias_grid,
     divergence,
@@ -278,8 +274,8 @@ def residual(tensor, u, p, f, dealias=True):
 def picard_solve(tensor, f, opts=None):
     """Damped fixed-point solve of the incompressible nonlinear system.
 
-    Every pass runs on the Hermitian half of the operator's layout
-    (`StokesOperator._split`): (H, n) stacks over the modes before xi = 0,
+    Every pass runs on the Hermitian half (`spectral._split`), the layout
+    of the operator's stacks: (H, n) stacks over the modes before xi = 0,
     the other half following by conjugation, since every field here is
     real. The forcing is split once. A pass joins the iterate u to the cube
     once, evaluates (u . grad) u there and splits it to the half, applies
@@ -306,9 +302,9 @@ def picard_solve(tensor, f, opts=None):
         f = _without_mean(f)
     omega = opts.relaxation
     stokes = StokesOperator(tensor, lat)  # factored once, used by every pass
-    n, H = lat.n, stokes._half
+    n, H = lat.n, len(stokes.xis)
     x = np.zeros((H, n + 1), np.complex128)  # D^-1 (f - (u . grad) u, 0)
-    stokes._split(f.coeffs, x[None, :, :n])
+    _split(lat, f.coeffs, x[None, :, :n])
     f_h = x[:, :n].copy()
     weights = rho2(lat).reshape(-1)[:H] ** -1.0
 
@@ -321,7 +317,7 @@ def picard_solve(tensor, f, opts=None):
 
     if opts.initial_guess == "stokes":
         u_h = linear()[:, :n]
-        u = SpectralVectorField(lat, stokes._join(u_h, u_h), True, True, True)
+        u = SpectralVectorField(lat, _join(lat, u_h, u_h), True, True, True)
     else:
         u_h = np.zeros((H, n), np.complex128)
         u = zero_vector_field(lat)
@@ -329,7 +325,7 @@ def picard_solve(tensor, f, opts=None):
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
         bu = advection(u, dealias=opts.dealias)
-        stokes._split(bu.coeffs, x[None, :, :n])
+        _split(lat, bu.coeffs, x[None, :, :n])
         np.subtract(f_h, x[:, :n], out=x[:, :n])
         y = linear()
         # the pressure gradient cancels in the defect, leaving the viscous
@@ -349,7 +345,7 @@ def picard_solve(tensor, f, opts=None):
             report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
             report.energy_check = inner(bu, u).real
             p_h = -1j * y[:, n]
-            return u, SpectralScalarField(lat, stokes._join(p_h, p_h), True, True), report
+            return u, SpectralScalarField(lat, _join(lat, p_h, p_h), True, True), report
         if res > prev:
             if omega <= OMEGA_FLOOR:
                 report.diverged = True
@@ -360,7 +356,7 @@ def picard_solve(tensor, f, opts=None):
         u_h = (1.0 - omega) * u_h + omega * y[:, :n]
         # conjugation leaves -0 imaginary parts at exact zeros of the mirror,
         # where relaxing the whole field gives +0; + 0.0 keeps those bits
-        u = SpectralVectorField(lat, stokes._join(u_h, u_h) + 0.0, True, True, True)
+        u = SpectralVectorField(lat, _join(lat, u_h, u_h) + 0.0, True, True, True)
         prev = res
     raise MaxIterationsExceeded(
         f"no convergence within {opts.max_iterations} iterations "

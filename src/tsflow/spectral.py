@@ -572,17 +572,50 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 
 
 # ---------------------------------------------------------------------------
-# random fields and resizing
+# the Hermitian half: flat index k of a cube holds the negative of the mode
+# at size-1-k, so the H = (size - 1) / 2 modes before xi = 0 fix a real field
+
+
+def _split(lattice, coeffs, out):
+    """Write (k, cube) or (cube) coefficients into out, a (2, H, k) or (2, H) pair of stacks.
+
+    out[0] takes the modes before xi = 0 and out[1] the conjugates of
+    their negatives, in the same order; the two are equal for a real
+    field. A one-member out takes the half only. With at most one
+    component axis, the move of the mode axis to the front is `.T`.
+    """
+    H = lattice.size // 2
+    flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - lattice.n] + (-1,))
+    out[0] = flat[..., :H].T
+    if len(out) > 1:
+        np.conjugate(flat[..., :H:-1].T, out=out[1])
+    return out
+
+
+def _join(lattice, half, mirror, zero_mode=True):
+    """Inverse of _split: two (H, k) or (H,) stacks back to canonical order.
+
+    Returns (k, cube) or (cube) coefficients whose zero mode is exactly
+    zero, or, with zero_mode=False, the (k, 2H) or (2H,) values at the
+    nonzero modes.
+    """
+    H = lattice.size // 2
+    lead = half.shape[1:]
+    flat = np.empty(lead + (2 * H + zero_mode,), half.dtype)
+    flat[..., :H] = half.T
+    if zero_mode:
+        flat[..., H] = 0.0
+    np.conjugate(mirror.T, out=flat[..., : -H - 1 : -1])
+    return flat.reshape(lead + lattice.shape) if zero_mode else flat
 
 
 def _hermitianize_half(lattice, coeffs):
     """Keep the draws after xi = 0 in C order, define the rest by conjugation.
 
-    Flat index k of the cube holds the negative of the mode at size-1-k (the
-    reversal that StokesOperator._split and _join use), so the modes before
-    xi = 0 take the conjugates of the reversed modes after it; xi = 0 keeps
-    its real part. coeffs may carry leading axes (k...,) + cube; each slice
-    is treated on its own.
+    The modes before xi = 0 take the conjugates of the reversed modes after
+    it (the reversal of `_split` and `_join`, in one copy); xi = 0 keeps its
+    real part. coeffs may carry leading axes (k...,) + cube; each slice is
+    treated on its own.
     """
     H = lattice.size // 2
     flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - lattice.n] + (-1,))
@@ -591,6 +624,10 @@ def _hermitianize_half(lattice, coeffs):
     np.conjugate(flat[..., :H:-1], out=out[..., :H])
     out[..., H] = flat[..., H].real
     return out.reshape(coeffs.shape)
+
+
+# ---------------------------------------------------------------------------
+# random fields and resizing
 
 
 def random_scalar_field(seed, lattice, decay=3.0, zero_mean=True):

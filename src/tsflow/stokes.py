@@ -21,14 +21,10 @@ form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
 with X v = b x v for n = 3, and X A X^T replaced by t t^T, t = (-b_2, b_1),
 for n = 2. LAPACK (`np.linalg.inv`) is the oracle of the tests only. A zero
 s or a conditioning check names the offending mode of a singular symbol.
-A solve of real data is then one batched real matrix product on the float
-view of the half, whose other half follows by conjugation; complex data
-also solves the mirrored half against the same stacks. The residual check
-covers every nonzero mode, mirrored ones included. `solve_stokes` is a
-one-shot operator solve and `solve_mode` the single-mode case of the same
-code. Other dimensions n are rejected with a ValueError. The
-isotropic closed forms and the per-mode / summed a-priori bounds with
-constants
+`solve_stokes` is a one-shot operator solve and `solve_mode` the
+single-mode case of the same code. Other dimensions n are rejected with a
+ValueError. The isotropic closed forms and the per-mode / summed a-priori
+bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
@@ -46,13 +42,14 @@ from .spectral import (
     TWO_PI,
     SpectralScalarField,
     SpectralVectorField,
+    _join,
     _nonzero_mean,
+    _split,
     divergence,
-    index_grids,
     seminorm,
     zero_scalar_field,
 )
-from .viscosity import _apply_blocks, ellipticity_constant, mode_blocks, tensor_norm
+from .viscosity import ellipticity_constant, mode_blocks, tensor_norm
 
 __all__ = [
     "ZeroMode",
@@ -363,10 +360,9 @@ class StokesOperator:
     Only the H = (size - 1) / 2 modes before xi = 0 are stored: `xis`,
     `symbols` (real R) and `inverses` are (H, ...) float64 stacks in
     canonical order. The modes after xi = 0 are their negatives, with
-    R(-xi) = S R(xi) S, S = diag(1, ..., 1, -1). `_split` brings a field's
-    coefficients into that layout as a (half, mirror) pair of stacks, the
-    mirror holding the conjugates of the coefficients at -xi in the order of
-    the half, and `_join` takes such a pair back to canonical order.
+    R(-xi) = S R(xi) S, S = diag(1, ..., 1, -1). A field enters that layout
+    as the (half, mirror) pair of stacks of `spectral._split`, and a
+    solution leaves it through `spectral._join`.
 
     In this layout the data of a real field is the same in both members, and
     so is its solution: a real solve is one batched matrix product on the
@@ -375,8 +371,7 @@ class StokesOperator:
     mirror member against the same stacks. Either way the residual covers
     every nonzero mode, the mirrored ones included, so a real-flagged field
     that is Hermitian only to rounding shows its asymmetry there.
-    Construction raises SingularSymbol, or NotElliptic for the tensor;
-    `viscous` applies the velocity blocks of the same symbols.
+    Construction raises SingularSymbol, or NotElliptic for the tensor.
     """
 
     def __init__(self, tensor, lattice):
@@ -386,65 +381,29 @@ class StokesOperator:
         self.tensor = tensor
         self.lattice = lattice
         self.constants = estimate_constants(tensor)  # validates ellipticity up front
-        self._half = lattice.size // 2  # H, also the flat position of xi = 0
-        modes = np.stack(index_grids(lattice)).reshape(lattice.n, -1)[:, : self._half]
-        self.xis = np.ascontiguousarray(modes.T, dtype=float)  # (H, n)
+        self.xis = lattice.indices()[: lattice.size // 2].astype(float)  # (H, n)
         self.symbols = _mode_symbols(tensor, self.xis)
         self.inverses = _invert(self.symbols, self.xis)
-
-    def _split(self, coeffs, out):
-        """Write (k, cube) or (cube) coefficients into out, a (2, H, k) or (2, H) pair of stacks.
-
-        out[0] takes the modes before xi = 0 and out[1] the conjugates of
-        their negatives, in the same order; the two are equal for a real
-        field. A one-member out takes the half only. With at most one
-        component axis, the move of the mode axis to the front is `.T`.
-        """
-        flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - self.lattice.n] + (-1,))
-        out[0] = flat[..., : self._half].T
-        if len(out) > 1:
-            np.conjugate(flat[..., : self._half : -1].T, out=out[1])
-        return out
-
-    def _join(self, half, mirror, zero_mode=True):
-        """Inverse of _split: two (H, k) or (H,) stacks back to canonical order.
-
-        Returns (k, cube) or (cube) coefficients whose zero mode is exactly
-        zero, or, with zero_mode=False, the (k, 2H) or (2H,) values at the
-        nonzero modes.
-        """
-        H = self._half
-        lead = half.shape[1:]
-        flat = np.empty(lead + (2 * H + zero_mode,), half.dtype)
-        flat[..., :H] = half.T
-        if zero_mode:
-            flat[..., H] = 0.0
-        np.conjugate(mirror.T, out=flat[..., : -H - 1 : -1])
-        return flat.reshape(lead + self.lattice.shape) if zero_mode else flat
-
-    def _check_lattice(self, fld, what):
-        if fld.lattice != self.lattice:
-            raise ValueError(f"{what} lattice {fld.lattice} does not match {self.lattice}")
 
     def solve(self, f, g=None, s=1.0, check_estimates=True):
         """Solve the compressible system; the contract of `solve_stokes`."""
         lat = self.lattice
-        self._check_lattice(f, "forcing")
-        if g is not None:
-            self._check_lattice(g, "divergence data")
+        for fld, what in ((f, "forcing"), (g, "divergence data")):
+            if fld is not None and fld.lattice != lat:
+                raise ValueError(f"{what} lattice {fld.lattice} does not match {lat}")
         # a nonzero mean is only flagged: no step below reads xi = 0 (_split
         # stops before it, _join writes 0 there, the seminorms skip it)
         removed_f = _nonzero_mean(lat, f.coeffs, "stokes forcing", _caller_stacklevel())
         n = lat.n
-        x = np.empty((2, self._half, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
-        self._split(f.coeffs, x[..., :n])
+        x = np.empty((2, len(self.xis), n + 1), np.complex128)  # D^-1 (fhat, ghat), split
+        _split(lat, f.coeffs, x[..., :n])
         if g is None:
             # zero divergence data: nothing to project, split or rotate
             x[..., n] = 0.0
             is_real, removed_g = f.is_real, False
         else:
             removed_g = _nonzero_mean(lat, g.coeffs, "divergence data", _caller_stacklevel())
-            self._split(g.coeffs, x[..., n])
+            _split(lat, g.coeffs, x[..., n])
             x[..., n] *= -1j
             is_real = f.is_real and g.is_real
         if is_real:
@@ -456,13 +415,11 @@ class StokesOperator:
             y_mirror, residual_mirror = _solve_symbols(self.symbols, self.inverses, x[1])
             residual = max(residual, residual_mirror)
 
-        p_half = -1j * y[:, n]
-        p_mirror = p_half if is_real else -1j * y_mirror[:, n]
-        u = SpectralVectorField(lat, self._join(y[:, :n], y_mirror[:, :n]), is_real, True, False)
-        p = SpectralScalarField(lat, self._join(p_half, p_mirror), is_real, True)
+        u = SpectralVectorField(lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, True, False)
+        p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real, True)
         report = StokesSolveReport(
             s=s,
-            n_modes=2 * self._half,
+            n_modes=lat.size - 1,
             residual=residual,
             constants=self.constants,
             mean_removed_f=removed_f,
@@ -473,8 +430,8 @@ class StokesOperator:
             # both members go through one pass, a real solve's one solution once
             z = y[None] if is_real else np.stack((y, y_mirror))
             slack_u, slack_p, bound_u, bound_p = _mode_slacks(self.constants, self.xis, x, z)
-            report.slack_u = self._join(slack_u[0], slack_u[1], False)
-            report.slack_p = self._join(slack_p[0], slack_p[1], False)
+            report.slack_u = _join(lat, slack_u[0], slack_u[1], False)
+            report.slack_p = _join(lat, slack_p[0], slack_p[1], False)
             report.min_slack_u = float(np.min(slack_u))
             report.min_slack_p = float(np.min(slack_p))
             # each mode's slack is held to its own bound, so rescaling the data
@@ -499,19 +456,6 @@ class StokesOperator:
         _check_solenoidal(np.max(np.abs(divergence(u).coeffs)), np.max(np.abs(f.coeffs)))
         u = SpectralVectorField(u.lattice, u.coeffs, u.is_real, True, True)
         return u, p, report
-
-    def viscous(self, u):
-        """Viscous term of the momentum equation; the same as `apply_viscosity`.
-
-        The velocity blocks are even in xi, so the mirror member of a
-        complex field takes the same blocks and a real field needs only the
-        half.
-        """
-        self._check_lattice(u, "velocity")
-        n = self.lattice.n
-        uk = self._split(u.coeffs, np.empty((1 if u.is_real else 2, self._half, n), np.complex128))
-        v = _apply_blocks(self.symbols[:, :n, :n], uk)
-        return SpectralVectorField(self.lattice, self._join(v[0], v[-1]), u.is_real, True, False)
 
 
 def solve_stokes(tensor, f, g=None, s=1.0, check_estimates=True):

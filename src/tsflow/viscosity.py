@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralVectorField, gradient
+from .spectral import SpectralVectorField, _join, _split, gradient
 
 __all__ = [
     "NotElliptic",
@@ -208,15 +208,18 @@ def apply_viscosity(tensor, u):
     """Viscous term of the momentum equation, mode by mode.
 
     Component k picks up -4*pi^2 * xi_alpha * a[k,j,alpha,beta] * xi_beta * uhat_j:
-    the `mode_blocks` of every mode of the cube, applied as
-    `StokesOperator.viscous` applies them, so the two agree bit for bit.
+    the `mode_blocks` of the H modes before xi = 0, applied to u's Hermitian
+    half (`spectral._split`) and joined back to the cube with an exact zero
+    at xi = 0. The blocks are even in xi, so the mirror member of a complex
+    field takes the same blocks and a real field needs only the half.
     """
     lat = u.lattice
     if tensor.n != lat.n:
         raise ValueError(f"tensor dimension {tensor.n} does not match field n={lat.n}")
-    uk = np.ascontiguousarray(u.coeffs.reshape(lat.n, -1).T, dtype=np.complex128)
-    out = _apply_blocks(mode_blocks(tensor, lat.indices()), uk).T.reshape(u.coeffs.shape)
-    return SpectralVectorField(lat, out, u.is_real, True, False)
+    H = lat.size // 2
+    uk = _split(lat, u.coeffs, np.empty((1 if u.is_real else 2, H, lat.n), np.complex128))
+    v = _apply_blocks(mode_blocks(tensor, lat.indices()[:H]), uk)
+    return SpectralVectorField(lat, _join(lat, v[0], v[-1]), u.is_real, True, False)
 
 
 def stokes_operator(tensor, u, p):

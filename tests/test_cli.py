@@ -7,6 +7,7 @@ from tsflow.cli import UsageError, main, parse_config
 from tsflow.harness import manufacture
 from tsflow.io import read_field, write_field, write_tensor
 from tsflow.spectral import (
+    SpectralVectorField,
     make_lattice,
     random_scalar_field,
     random_vector_field,
@@ -80,6 +81,13 @@ class TestParsing:
                 ]
             )
 
+    def test_unreadable_config_file_exits_1(self, tmp_path, capsys):
+        # an I/O error of the config file is reported like any other, not raised
+        cfg = tmp_path / "missing.cfg"
+        assert main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+
     def test_missing_required_option(self, forcing, tmp_path):
         with pytest.raises(UsageError, match="--tensor"):
             parse_config(
@@ -133,6 +141,55 @@ class TestParsing:
         argv = ["export-grid", "--in", str(path), "--N", "8", "--out", str(tmp_path / "f.csv")]
         assert main(argv) == 1
         assert "Hermitian" in capsys.readouterr().err
+
+
+class TestBadInputFiles:
+    """Reader errors reach the user as `error: <path>: ...` with exit status 1."""
+
+    def test_oversized_header_exits_1_without_allocating(
+        self, tmp_path, capsys, forbid_large_empty
+    ):
+        path = tmp_path / "huge.spf"
+        path.write_bytes(b"SPF1\nn=3\nm=4000\ncomponents=3\nreal=0\n" + bytes(4))
+        out = tmp_path / "g.csv"
+        assert main(["export-grid", "--in", str(path), "--N", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: expected 3 x 8001^3 coefficients")
+        assert not out.exists()
+
+    def test_header_error_names_the_path(self, tmp_path, capsys):
+        path = tmp_path / "n0.spf"
+        path.write_bytes(b"SPF1\nn=0\nm=2\ncomponents=1\nreal=0\n")
+        argv = ["export-grid", "--in", str(path), "--N", "8", "--out", str(tmp_path / "g.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: dimension must be >= 1, got n=0\n"
+
+    def test_non_finite_dump_exits_1(self, iso_tensor, forcing, tmp_path, capsys):
+        f = read_field(forcing)
+        c = f.coeffs.copy()
+        c[0, 1, 2] = c[1, 7, 6] = np.nan
+        path = tmp_path / "nan.spf"
+        write_field(path, SpectralVectorField(f.lattice, c))
+        out, report = tmp_path / "sol.spf", tmp_path / "report.txt"
+        argv = ["stokes-solve", "--tensor", iso_tensor, "--f", str(path), "--out", str(out),
+                "--report", str(report)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: 2 non-finite coefficients\n"
+        assert not out.exists() and not report.exists()
+        csv = tmp_path / "nan.csv"
+        assert main(["export-grid", "--in", str(path), "--N", "9", "--out", str(csv)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: 2 non-finite coefficients\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=2\n1 1 1 1 nan\n", ", line 2: non-finite entry in line '1 1 1 1 nan'"),
+        ("n=x\n", ": header 'n=x' is not n=<int >= 1>"),
+    ])
+    def test_bad_tensor_file_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["tensor-check", "--tensor", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
 
 class TestTensorCheck:

@@ -166,6 +166,40 @@ class TestCombinedDump:
         with pytest.raises(ValueError, match="components=5"):
             read_field(path)
 
+    def test_header_checked_before_allocation(self, tmp_path, forbid_large_empty):
+        # a 40-byte dump declaring n=3, m=4000 (7.45 TiB): the reader must
+        # compare the declared payload with the file before np.empty
+        path = tmp_path / "huge.spf"
+        path.write_bytes(b"SPF1\nn=3\nm=4000\ncomponents=3\nreal=0\n" + bytes(4))
+        assert len(path.read_bytes()) == 40
+        with pytest.raises(ValueError, match=r"huge\.spf: expected 3 x 8001\^3 coefficients"):
+            read_field(path)
+        path.write_bytes(b"SPF1\nn=1000000000\nm=1\ncomponents=1\nreal=0\n" + bytes(16))
+        with pytest.raises(ValueError, match=r"huge\.spf: expected 1 x 3\^1000000000"):
+            read_field(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (b"n=0\nm=2", "dimension must be >= 1, got n=0"),
+        (b"n=x\nm=2", "invalid literal"),
+        (b"n=-2\nm=2", "dimension must be >= 1"),
+        (b"n=2\nmm=2", "missing header field 'm'"),
+    ])
+    def test_header_errors_name_the_path(self, tmp_path, lines, message):
+        path = tmp_path / "bad.spf"
+        path.write_bytes(b"SPF1\n" + lines + b"\ncomponents=1\nreal=0\n")
+        with pytest.raises(ValueError, match=f"bad\\.spf: {message}"):
+            read_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_rejects_non_finite_coefficients(self, tmp_path, bad):
+        u, p = self._pair(2, False)
+        c = u.coeffs.copy()
+        c[1, 0, 3] = c[0, 4, 4] = bad
+        path = tmp_path / "nan.spf"
+        write_field(path, (SpectralVectorField(u.lattice, c), p))
+        with pytest.raises(ValueError, match=r"nan\.spf: 2 non-finite coefficients"):
+            read_field(path)
+
 
 class TestTensorFile:
     def test_round_trip(self, tmp_path):
@@ -204,6 +238,20 @@ class TestTensorFile:
             read_tensor(path)
         path.write_text("n=2\n1 2 5 1 1.0\n")
         with pytest.raises(ValueError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=2\n1 1 1 1 1.0\n# c\n1 2 1 2 nan\n", r"line 4: non-finite entry in line '1 2 1 2 nan'"),
+        ("n=2\n\n1 1 1 1 -inf\n", "line 3: non-finite entry"),
+        ("n=2\n1 1 x 1 1.0\n", "line 2: malformed entry line '1 1 x 1 1.0'"),
+        ("n=2\n1 1 1 1 one\n", "line 2: malformed entry line"),
+        ("n=x\n1 1 1 1 1.0\n", "header 'n=x' is not n=<int >= 1>"),
+        ("n=0\n", "header 'n=0' is not n=<int >= 1>"),
+    ])
+    def test_errors_name_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"bad\.txt(, |: )" + message):
             read_tensor(path)
 
 

@@ -40,7 +40,7 @@ from tsflow.spectral import (
     zero_vector_field,
 )
 from tsflow.stokes import NotSolenoidal, StokesOperator
-from tsflow.viscosity import make_isotropic
+from tsflow.viscosity import apply_viscosity, make_isotropic
 
 ISO = make_isotropic(0.0, 1.0, 2)
 ISO3 = make_isotropic(0.0, 1.0, 3)
@@ -459,9 +459,9 @@ def full_field_picard(tensor, f, opts):
     """The Picard loop on whole fields, the reference of picard_solve's half-stack passes.
 
     Each pass solves the incompressible system for f - (u . grad) u with
-    `solve_incompressible`, measures `viscous(u - u_lin)` in H^{-1} with
-    `sobolev_norm`, and relaxes the whole field; the report is kept as
-    picard_solve keeps it.
+    `solve_incompressible`, measures `apply_viscosity` of u - u_lin in
+    H^{-1} with `sobolev_norm`, and relaxes the whole field; the report is
+    kept as picard_solve keeps it.
     """
     lat = f.lattice
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
@@ -479,7 +479,7 @@ def full_field_picard(tensor, f, opts):
         report.iterations = iteration
         bu = advection(u, dealias=opts.dealias)
         u_lin, p_lin, _ = stokes.solve_incompressible(f - bu, check_estimates=False)
-        res = sobolev_norm(stokes.viscous(u - u_lin), -1.0)
+        res = sobolev_norm(apply_viscosity(tensor, u - u_lin), -1.0)
         report.residual_history.append(res)
         report.final_residual = res
         report.omega_final = omega

@@ -13,6 +13,8 @@ from tsflow.spectral import (
     _abs2_scalarized,
     _hermitianize_half,
     _irfftn_half,
+    _join,
+    _split,
     ball_filter,
     divergence,
     embed_field,
@@ -609,6 +611,38 @@ class TestSharedPrimitives:
             assert out.shape == z.shape
             for k in np.ndindex(*lead):
                 assert_same_bits(out[k], _hermitianize_half(lat, z[k]))
+
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("vector", [True, False])
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    def test_split_join_round_trip(self, n, m, vector, is_real):
+        # the half holds the modes before xi = 0 and the mirror the conjugates
+        # of their negatives, both in canonical order; _join restores the
+        # cube with +0 at xi = 0, or, with zero_mode=False, lists the nonzero
+        # modes in canonical order
+        lat = make_lattice(n, m)
+        H = lat.size // 2
+        lead = (n,) if vector else ()
+        if is_real:
+            make = random_vector_field if vector else random_scalar_field
+            c = make(80 + n, lat, decay=1.0, zero_mean=False).coeffs
+        else:
+            rng = np.random.default_rng(80 + n)
+            c = rng.standard_normal(lead + lat.shape) + 1j * rng.standard_normal(lead + lat.shape)
+        flat = c.reshape(lead + (-1,))
+        out = _split(lat, c, np.empty((2, H) + lead, np.complex128))
+        assert_same_bits(out[0].T, flat[..., :H])
+        assert_same_bits(out[1].T, np.conj(flat[..., ::-1][..., :H]))
+        if is_real:
+            assert_same_bits(out[0], out[1])
+        one = _split(lat, c, np.empty((1, H) + lead, np.complex128))
+        assert_same_bits(one[0], out[0])
+
+        expected = c.copy()
+        expected[(...,) + lat.zero_index] = 0.0
+        assert_same_bits(_join(lat, out[0], out[1]), expected)
+        nonzero = np.arange(lat.size) != H
+        assert_same_bits(_join(lat, out[0], out[1], zero_mode=False), flat[..., nonzero])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_grid_placement(self, n):

@@ -7,6 +7,8 @@ from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import regularity_slope
 from tsflow.spectral import (
     SpectralVectorField,
+    _join,
+    _split,
     divergence,
     gradient,
     index_grids,
@@ -35,6 +37,7 @@ from tsflow.stokes import (
     solve_stokes_incompressible,
 )
 from tsflow.viscosity import (
+    _apply_blocks,
     apply_viscosity,
     make_isotropic,
     make_tensor,
@@ -89,6 +92,31 @@ def _half_cube_modes(n, m):
     lat = make_lattice(n, m)
     modes = np.stack(index_grids(lat)).reshape(n, -1)[:, : lat.size // 2]
     return np.ascontiguousarray(modes.T, dtype=float)
+
+
+def full_cube_viscosity(tensor, u):
+    """The viscous operator as one block product over every mode of the cube.
+
+    The reference of `apply_viscosity`, which applies the blocks of the
+    modes before xi = 0 only: the `mode_blocks` of the whole cube against
+    the (size, n) stack of u's coefficients.
+    """
+    lat = u.lattice
+    uk = np.ascontiguousarray(u.coeffs.reshape(lat.n, -1).T, dtype=np.complex128)
+    return _apply_blocks(mode_blocks(tensor, lat.indices()), uk).T.reshape(u.coeffs.shape)
+
+
+def _assert_matches_full_cube(tensor, u):
+    """Assert that apply_viscosity matches the full-cube product bit for bit at xi != 0.
+
+    At xi = 0 it must hold +0, where the product leaves -0 for a zero-mean u.
+    """
+    lat = u.lattice
+    out = apply_viscosity(tensor, u).coeffs.reshape(lat.n, -1)
+    ref = full_cube_viscosity(tensor, u).reshape(lat.n, -1)
+    nonzero = np.arange(lat.size) != lat.size // 2
+    assert out[:, nonzero].tobytes() == ref[:, nonzero].tobytes()
+    assert out[:, ~nonzero].tobytes() == np.zeros((lat.n, 1), np.complex128).tobytes()
 
 
 def _per_mode_gap(inv, ref):
@@ -349,14 +377,14 @@ class TestStokesOperator:
         u, p, report = op.solve(f, g)
 
         x = np.empty((2, lat.size // 2, n + 1), np.complex128)
-        op._split(f.coeffs, x[..., :n])
-        op._split(g.coeffs, x[..., n])
+        _split(lat, f.coeffs, x[..., :n])
+        _split(lat, g.coeffs, x[..., n])
         x[..., n] *= -1j
         y = _solve_symbols(op.symbols, op.inverses, x[0])[0]
         y_mirror = y if is_real else _solve_symbols(op.symbols, op.inverses, x[1])[0]
         members = [_mode_slacks(op.constants, op.xis, x[k], z) for k, z in enumerate((y, y_mirror))]
         slack_u, slack_p, bound_u, bound_p = (
-            op._join(half, mirror, False) for half, mirror in zip(*members)
+            _join(lat, half, mirror, False) for half, mirror in zip(*members)
         )
         for got, ref in ((report.slack_u, slack_u), (report.slack_p, slack_p)):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -469,12 +497,14 @@ class TestStokesOperator:
             assert r1.global_bound == r2.global_bound
 
     def test_viscous_matches_apply_viscosity(self):
+        # apply_viscosity's half-cube blocks against the full-cube product
         for n, m in ((2, 4), (3, 3)):
             lat = make_lattice(n, m)
             A = random_elliptic_tensor(44, n)
             u = random_vector_field(45, lat, decay=1.0)
-            mine = StokesOperator(A, lat).viscous(u).coeffs
+            mine = full_cube_viscosity(A, u)
             assert np.array_equal(mine, apply_viscosity(A, u).coeffs)
+            _assert_matches_full_cube(A, u)
 
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
     def test_viscous_of_complex_field(self, n, m):
@@ -482,9 +512,10 @@ class TestStokesOperator:
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(46, n)
         u, _ = self._data(lat, 47, False)
-        out = StokesOperator(A, lat).viscous(u)
+        out = apply_viscosity(A, u)
         assert not out.is_real
-        assert np.array_equal(out.coeffs, apply_viscosity(A, u).coeffs)
+        assert np.array_equal(out.coeffs, full_cube_viscosity(A, u))
+        _assert_matches_full_cube(A, u)
 
     @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
     def test_velocity_blocks_are_mode_blocks(self, n, m):
