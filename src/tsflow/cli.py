@@ -3,8 +3,8 @@
 Commands: tensor-check, stokes-solve, ns-solve, verify, export-grid,
 manufacture, residual. Every option can also come from a line-oriented
 `key = value` config file (--config); explicit flags win over file values.
-Exit status: 0 success, 1 solver or I/O error, 2 usage error or verification
-failure.
+Exit status: 0 success, 1 solver, I/O or out-of-memory error, 2 usage error
+or verification failure.
 """
 
 from __future__ import annotations
@@ -389,7 +389,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NotElliptic, SingularSymbol, NotSolenoidal, OSError, ValueError) as exc:
+    except (NotElliptic, SingularSymbol, NotSolenoidal, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ promises Hermitian coefficients, c(-xi) = conj(c(xi)), and the reader
 rejects a dump that breaks it: real fields are sampled with real FFTs, which
 read only half the cube.
 
-Tensor file: ASCII, a header `n=<int>` followed by lines
+Tensor file: ASCII, a header `n=<int>` (1 <= n <= 3) followed by lines
 `k j alpha beta value` with 1-based indices; omitted entries are zero.
 
 All writers go through a temp file and an atomic rename.
@@ -128,6 +128,8 @@ def read_field(path):
             for key in ("n", "m", "components", "real"):
                 if key not in header:
                     raise ValueError(f"missing header field {key!r}")
+            if header["real"] not in (0, 1):
+                raise ValueError(f"real={header['real']} is not 0 or 1")
             lattice = LatticeSpec(header["n"], header["m"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -187,6 +189,8 @@ def read_tensor(path):
     n = int(text) if text.isdecimal() else 0
     if n < 1:
         raise ValueError(f"{path}: header {lines[0][1]!r} is not n=<int >= 1>")
+    if n > 3:  # the largest n any solver takes; bounds the n^4 entries allocated
+        raise ValueError(f"{path}: header {lines[0][1]!r} exceeds n=3")
     entries = np.zeros((n, n, n, n))
     for lineno, ln in lines[1:]:
         where = f"{path}, line {lineno}"

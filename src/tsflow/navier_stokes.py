@@ -43,8 +43,7 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _abs2_sum,
-    _average_zero_plane,
-    _flip,
+    _hermitian_from_upper,
     _join,
     _nonzero_mean,
     _rfftn_half,
@@ -153,17 +152,18 @@ def advection(w, dealias=True):
     Computes sum_j d_j(w_j w_k) - (div w) w_k: the n(n+1)/2 distinct
     products w_j w_k are formed on the grid and brought back by pruned real
     FFTs one at a time, as the xi_n >= 0 half of the cube only; the lines
-    of the transforms that stay outside the cube are never computed. Each
-    product's xi_n = 0 plane is averaged with its mirror, as
-    `sampling_transform` does, and the derivatives are accumulated on that
-    half with multipliers restricted to it; the accumulated plane is then
-    exactly Hermitian, and one conjugate fill supplies xi_n < 0. The result
-    equals an accumulation over the whole cube bit for bit. The correction
-    (div w) w is formed only when w is not flagged divergence-free, where
-    it vanishes analytically, so the result is exact for every w. Requires
-    a real field. With dealias the grid is the 5-smooth `dealias_grid(m)`
-    >= 3m+1 and the retained modes are exact; without it the grid has 2m+1
-    points and the products alias back into the cube.
+    of the transforms that stay outside the cube are never computed.
+    `_rfftn_half` returns each product's half with its xi_n = 0 plane
+    already averaged with its mirror, and the derivatives are accumulated on
+    that half with multipliers restricted to it; the accumulated plane is
+    then exactly Hermitian, and `_hermitian_from_upper` fills xi_n < 0.
+    The result equals an accumulation over the whole cube bit for bit. The
+    correction (div w) w is formed only when w is not flagged
+    divergence-free, where it vanishes analytically, so the result is exact
+    for every w. Requires a real field. With dealias the grid is the
+    5-smooth `dealias_grid(m)` >= 3m+1 and the retained modes are exact;
+    without it the grid has 2m+1 points and the products alias back into
+    the cube.
     """
     if not w.is_real:
         raise ValueError("advection of complex fields is not supported")
@@ -178,7 +178,7 @@ def advection(w, dealias=True):
     term = np.empty(upper.shape[1:], np.complex128)  # one multiplier product at a time
 
     def product(a, b):
-        return _average_zero_plane(_rfftn_half(np.multiply(a, b, out=grid), lat))
+        return _rfftn_half(np.multiply(a, b, out=grid), lat)
 
     for j in range(n):
         for k in range(j, n):
@@ -192,9 +192,9 @@ def advection(w, dealias=True):
             upper[k] -= product(div_grid, w_grid[k])
     out = np.empty((n,) + lat.shape, np.complex128)
     out[..., m:] = upper
-    # xi_n < 0 by conjugation; + 0.0 turns the conjugates' -0 imaginary
-    # parts into the +0 that a sum over the full cube leaves there
-    np.conjugate(_flip(upper[..., 1:], lat, component_axis=True), out=out[..., :m])
+    _hermitian_from_upper(out, lat)
+    # + 0.0 turns the conjugates' -0 imaginary parts into the +0 that a sum
+    # over the full cube leaves there
     out[..., :m] += 0.0
     return SpectralVectorField(lat, out, True, w.divergence_free, False)
 
@@ -288,7 +288,8 @@ def picard_solve(tensor, f, opts=None):
     returned velocity is divergence-free, the pressure is the one induced by
     the final velocity (joined only then), and the report records whether
     the a-priori bound held. A nonzero mean of f is flagged once, with a
-    NonzeroMeanWarning, recorded as mean_removed_f, and dropped.
+    NonzeroMeanWarning, recorded as mean_removed_f, and dropped: the split
+    half holds no xi = 0, and M0 leaves the mean out.
     """
     opts = opts or NSSolveOptions()
     lat = f.lattice
@@ -298,8 +299,6 @@ def picard_solve(tensor, f, opts=None):
         raise ValueError("forcing must be a real field")
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
-    if report.mean_removed_f:
-        f = _without_mean(f)
     omega = opts.relaxation
     stokes = StokesOperator(tensor, lat)  # factored once, used by every pass
     n, H = lat.n, len(stokes.xis)

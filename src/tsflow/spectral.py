@@ -128,10 +128,9 @@ def rho2(lattice):
     return out
 
 
-def _flip(coeffs, lattice, component_axis=False):
-    # Index negation xi -> -xi is a full reversal of every lattice axis.
-    axes = tuple(range(1, lattice.n + 1)) if component_axis else tuple(range(lattice.n))
-    return np.flip(coeffs, axis=axes)
+def _flip(coeffs, lattice):
+    # Index negation xi -> -xi reverses the lattice axes: the trailing n of any stack.
+    return np.flip(coeffs, axis=tuple(range(-lattice.n, 0)))
 
 
 class _FieldArithmetic:
@@ -227,8 +226,8 @@ def _without_mean(fld):
     return replace(fld, coeffs=c, zero_mean=True)
 
 
-def _check_hermitian(coeffs, lattice, component_axis=False):
-    defect = np.max(np.abs(coeffs - np.conj(_flip(coeffs, lattice, component_axis))))
+def _check_hermitian(coeffs, lattice):
+    defect = np.max(np.abs(coeffs - np.conj(_flip(coeffs, lattice))))
     scale = max(np.max(np.abs(coeffs)), 1e-300)
     if defect > 1e-12 * scale:
         raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")
@@ -253,7 +252,7 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
     if c.shape != (lattice.n,) + lattice.shape:
         raise ValueError(f"coefficient shape {c.shape} does not match lattice {lattice.shape}")
     if is_real:
-        _check_hermitian(c, lattice, component_axis=True)
+        _check_hermitian(c, lattice)
     if zero_mean:
         _nonzero_mean(lattice, c, "vector field")
         c[(...,) + lattice.zero_index] = 0.0
@@ -399,8 +398,13 @@ def dealias_grid(m):
         N += 1
 
 
-def _embed_offsets(lattice, N):
-    return np.arange(-lattice.m, lattice.m + 1) % N
+def _embed_index(lattice, N, lead):
+    """np.ix_ index of the cube's modes, xi_j at slot xi_j mod N, in a (lead..., N^n) stack.
+
+    The leading axes are indexed by arrays too, so an indexed stack is C-contiguous.
+    """
+    offsets = np.arange(-lattice.m, lattice.m + 1) % N
+    return np.ix_(*map(np.arange, lead), *([offsets] * lattice.n))
 
 
 def _irfftn_half(half, lattice, N):
@@ -409,9 +413,9 @@ def _irfftn_half(half, lattice, N):
     half has shape (k...,) + (2m+1,)*(n-1) + (m+1,), in cube order, with any
     number of leading axes k..., each slice of which is sampled on its own.
     Cube axes 0 .. n-2 are zero-padded to N one at a time (frequencies 0..m
-    to slots 0..m, -m..-1 to slots N-m..N-1) and inverse-transformed; the
-    last goes through irfft(n=N), which zero-pads it to N//2+1 itself (no
-    padded copy is allocated). The samples of each slice equal numpy 2.x's
+    to slots 0..m, -m..-1 to slots N-m..N-1) and inverse-transformed in
+    place; the last goes through irfft(n=N), which zero-pads it to N//2+1
+    itself (no padded copy is allocated). The samples of each slice equal numpy 2.x's
     irfftn of its fully padded half spectrum bit for bit, so a stack of
     fields costs one call per axis. Requires N >= 2m+1.
     """
@@ -422,28 +426,34 @@ def _irfftn_half(half, lattice, N):
         spec = np.zeros(a.shape[:axis] + (N,) + a.shape[axis + 1 :], np.complex128)
         spec[lead + (slice(0, m + 1),)] = a[lead + (slice(m, None),)]
         spec[lead + (slice(N - m, N),)] = a[lead + (slice(0, m),)]
-        a = np.fft.ifft(spec, axis=axis, norm="forward")
+        a = np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
     return np.fft.irfft(a, n=N, axis=-1, norm="forward")
 
 
 def _rfftn_half(samples, lattice):
     """The xi_n >= 0 half of the cube from real samples on N^n points.
 
-    The mirror of _irfftn_half: rfft the last axis and keep frequencies
-    0..m, then, for axes n-2 .. 0 (numpy 2.x rfftn order), fft each one and
-    keep slots N-m..N-1 followed by 0..m, which is cube order. The result
-    equals the cube's part of numpy 2.x's rfftn bit for bit. Requires
-    N >= 2m+1.
+    samples has shape (k...,) + (N,)*n, with any number of leading axes
+    k..., each slice of which is transformed on its own. The mirror of
+    _irfftn_half: rfft the last axis and keep frequencies 0..m, then, for
+    the other lattice axes from last to first (numpy 2.x rfftn order), fft
+    each one in place and keep slots N-m..N-1 followed by 0..m, which is
+    cube order. Up to that point the result equals the cube's part of numpy 2.x's rfftn
+    bit for bit. Last, the xi_n = 0 plane is averaged with its conjugate
+    mirror, so the plane of the returned half is exactly Hermitian.
+    Requires N >= 2m+1.
     """
     m = lattice.m
     N = samples.shape[-1]
     a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : m + 1]
-    for axis in range(lattice.n - 2, -1, -1):
-        spec = np.fft.fft(a, axis=axis, norm="forward")
+    for axis in range(samples.ndim - 2, samples.ndim - lattice.n - 1, -1):
+        spec = np.fft.fft(a, axis=axis, norm="forward", out=a)
         lead = (slice(None),) * axis
         a = np.concatenate(
             (spec[lead + (slice(N - m, N),)], spec[lead + (slice(0, m + 1),)]), axis=axis
         )
+    plane = a[..., :1]  # flipping its length-1 last axis changes nothing
+    a[..., :1] = 0.5 * (plane + np.conj(_flip(plane, lattice)))
     return a
 
 
@@ -456,12 +466,11 @@ def grid_transform(field, N):
     with N >= 2m+1 their xi_n >= 0 half goes through the pruned inverse real
     FFT (`_irfftn_half`), which skips every line that is all zero padding
     and follows numpy 2.x's irfftn axis order, so the samples are irfftn's
-    bit for bit. A vector field is transformed component by component into
-    one (n, N, ..., N) array.
+    bit for bit. The whole coefficient stack is transformed in one call,
+    a vector field into one (n, N, ..., N) array.
     """
     lat = field.lattice
     m = lat.m
-    shape = (N,) * lat.n
     aliased = N < 2 * m + 1
     if aliased:
         warnings.warn(
@@ -470,51 +479,26 @@ def grid_transform(field, N):
             stacklevel=2,
         )
     if field.is_real and not aliased:
-
-        def one(coeffs):
-            return _irfftn_half(coeffs[..., m:], lat, N)
-
+        return _irfftn_half(field.coeffs[..., m:], lat, N)
+    lead = field.coeffs.shape[: -lat.n]
+    ix = _embed_index(lat, N, lead)
+    spec = np.zeros(lead + (N,) * lat.n, np.complex128)
+    if aliased:  # modes that share a grid frequency add up
+        np.add.at(spec, ix, field.coeffs)
     else:
-        ix = np.ix_(*([_embed_offsets(lat, N)] * lat.n))
-
-        def one(coeffs):
-            spec = np.zeros(shape, np.complex128)
-            if aliased:  # modes that share a grid frequency add up
-                np.add.at(spec, ix, coeffs)
-            else:
-                spec[ix] = coeffs
-            samples = np.fft.ifftn(spec, norm="forward")
-            return samples.real if field.is_real else samples
-
-    if isinstance(field, SpectralVectorField):
-        out = np.empty((lat.n,) + shape, np.float64 if field.is_real else np.complex128)
-        for j in range(lat.n):
-            out[j] = one(field.coeffs[j])
-        return out
-    return one(field.coeffs)
-
-
-def _average_zero_plane(half):
-    """Average the xi_n = 0 plane of a half cube with its conjugate mirror.
-
-    half holds xi_n >= 0, so the plane is its first slice on the last axis;
-    afterwards that plane is exactly Hermitian.
-    """
-    plane = half[..., 0]
-    half[..., 0] = 0.5 * (plane + np.conj(np.flip(plane)))
-    return half
+        spec[ix] = field.coeffs
+    samples = np.fft.ifftn(spec, axes=tuple(range(-lat.n, 0)), norm="forward")
+    return samples.real if field.is_real else samples
 
 
 def _hermitian_from_upper(c, lattice):
-    """Fill xi_n < 0 of a cube whose xi_n >= 0 half is set, by conjugation.
+    """Fill xi_n < 0 of a (k..., cube) stack in place, by conjugation.
 
-    The xi_n = 0 plane is averaged with its own mirror, so the result is
-    exactly Hermitian.
+    Each xi_n < 0 entry takes the conjugate of its mirror in xi_n > 0; the
+    xi_n >= 0 half is read, never written.
     """
     m = lattice.m
-    c[..., :m] = np.conj(_flip(c[..., m + 1 :], lattice))
-    _average_zero_plane(c[..., m:])
-    return c
+    np.conjugate(_flip(c[..., m + 1 :], lattice), out=c[..., :m])
 
 
 def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
@@ -523,11 +507,10 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
     The inverse of grid_transform: exact whenever the grid has N >= 2m+1
     points per axis and the sampled function is band-limited to the cube.
     Real samples on such a grid go through the pruned forward real FFT
-    (`_rfftn_half`, only the lines that reach the cube); the half of the
-    cube that it omits is filled by Hermitian symmetry. The transform
-    follows numpy 2.x's rfftn axis order and matches it bit for bit; numpy
-    1.x's rfftn takes the complex axes in the other order, so there the
-    two agree to rounding only.
+    (`_rfftn_half`, only the lines that reach the cube), which follows
+    numpy 2.x's rfftn axis order and matches it bit for bit; the half of
+    the cube that it omits is filled by Hermitian symmetry. The whole
+    sample stack is transformed in one call.
     """
     samples = np.asarray(samples)
     vector = samples.ndim == lattice.n + 1
@@ -548,22 +531,14 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
             stacklevel=2,
         )
     if is_real and not aliased and not np.iscomplexobj(samples):
-
-        def one(grid):
-            c = np.empty(lattice.shape, np.complex128)
-            c[..., lattice.m :] = _rfftn_half(grid, lattice)
-            return _hermitian_from_upper(c, lattice)
-
+        coeffs = np.empty(samples.shape[: -lattice.n] + lattice.shape, np.complex128)
+        coeffs[..., lattice.m :] = _rfftn_half(samples, lattice)
+        _hermitian_from_upper(coeffs, lattice)
     else:
-        ix = np.ix_(*([_embed_offsets(lattice, N)] * lattice.n))
-
-        def one(grid):
-            c = np.fft.fftn(grid, norm="forward")[ix]
-            if is_real:
-                c = 0.5 * (c + np.conj(_flip(c, lattice)))
-            return c
-
-    coeffs = np.stack([one(samples[j]) for j in range(lattice.n)]) if vector else one(samples)
+        ix = _embed_index(lattice, N, samples.shape[: -lattice.n])
+        coeffs = np.fft.fftn(samples, axes=tuple(range(-lattice.n, 0)), norm="forward")[ix]
+        if is_real:
+            coeffs = 0.5 * (coeffs + np.conj(_flip(coeffs, lattice)))
     if zero_mean:
         _nonzero_mean(lattice, coeffs, "sampled field")
         coeffs[(...,) + lattice.zero_index] = 0.0

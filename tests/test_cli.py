@@ -1,8 +1,13 @@
 """Command line front end: parsing, dispatch, exit codes, round trips."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tsflow
 from tsflow.cli import UsageError, main, parse_config
 from tsflow.harness import manufacture
 from tsflow.io import read_field, write_field, write_tensor
@@ -164,6 +169,32 @@ class TestBadInputFiles:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: dimension must be >= 1, got n=0\n"
 
+    def test_real_flag_other_than_0_or_1_exits_1(self, forcing, tmp_path, capsys):
+        path = tmp_path / "flag.spf"
+        blob = open(forcing, "rb").read()
+        path.write_bytes(blob.replace(b"real=1\n", b"real=7\n", 1))
+        argv = ["export-grid", "--in", str(path), "--N", "9", "--out", str(tmp_path / "g.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: real=7 is not 0 or 1\n"
+
+    def test_out_of_memory_exits_1(self, tmp_path):
+        # the child's address space is capped at 3 GiB, so the 298 GiB cube of
+        # m=100000 fails to allocate at once; never run this without the cap
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = os.environ.copy()
+        package_root = os.path.dirname(os.path.dirname(tsflow.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread buffers must fit under the cap
+        argv = ["verify", "--suite", "rho-bound", "--m", "100000", "--draws", "1"]
+        proc = subprocess.run([sys.executable, "-m", "tsflow", *argv], cwd=tmp_path, env=env,
+                              preexec_fn=cap, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     def test_non_finite_dump_exits_1(self, iso_tensor, forcing, tmp_path, capsys):
         f = read_field(forcing)
         c = f.coeffs.copy()
@@ -184,6 +215,7 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("text, message", [
         ("n=2\n1 1 1 1 nan\n", ", line 2: non-finite entry in line '1 1 1 1 nan'"),
         ("n=x\n", ": header 'n=x' is not n=<int >= 1>"),
+        ("n=1000\n1 1 1 1 1.0\n", ": header 'n=1000' exceeds n=3"),
     ])
     def test_bad_tensor_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
@@ -329,7 +361,9 @@ class TestStokesCommands:
         out = tmp_path / "sol.spf"
         argv = ["stokes-solve", "--tensor", str(tensor), "--f", forcing, "--out", str(out)]
         assert main(argv) == 1
-        assert f"n in {{2, 3}}, got n={n}" in capsys.readouterr().err
+        # the tensor reader takes n <= 3, so an n=4 run stops at the tensor file
+        expected = f"n in {{2, 3}}, got n={n}" if n < 4 else f"{tensor}: header 'n=4' exceeds n=3"
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -190,6 +190,14 @@ class TestCombinedDump:
         with pytest.raises(ValueError, match=f"bad\\.spf: {message}"):
             read_field(path)
 
+    @pytest.mark.parametrize("flag", [b"2", b"7", b"-3", b"-1"])
+    def test_real_flag_must_be_0_or_1(self, tmp_path, flag):
+        path = tmp_path / "flag.spf"
+        write_field(path, random_scalar_field(4, make_lattice(2, 2), decay=2.0))
+        path.write_bytes(path.read_bytes().replace(b"real=1\n", b"real=" + flag + b"\n", 1))
+        with pytest.raises(ValueError, match=f"flag\\.spf: real={flag.decode()} is not 0 or 1"):
+            read_field(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
     def test_rejects_non_finite_coefficients(self, tmp_path, bad):
         u, p = self._pair(2, False)
@@ -253,6 +261,28 @@ class TestTensorFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=r"bad\.txt(, |: )" + message):
             read_tensor(path)
+
+    @pytest.mark.parametrize("n", [4, 1000, 10**12])
+    def test_header_above_3_rejected_before_allocation(self, tmp_path, monkeypatch, n):
+        allocate = np.zeros
+
+        def guarded(shape, *args, **kwargs):
+            if int(np.prod(shape, dtype=object)) > 3**4:
+                pytest.fail(f"np.zeros asked for shape {shape}")
+            return allocate(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", guarded)
+        path = tmp_path / "big.txt"
+        path.write_text(f"n={n}\n1 1 1 1 1.0\n")
+        with pytest.raises(ValueError, match=rf"big\.txt: header 'n={n}' exceeds n=3"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_headers_up_to_3_read(self, tmp_path, n):
+        path = tmp_path / "ok.txt"
+        path.write_text(f"n={n}\n{n} 1 1 {n} 2.5\n")
+        A = read_tensor(path)
+        assert A.n == n and A.entries[n - 1, 0, 0, n - 1] == 2.5
 
 
 class TestGridExport:

@@ -1,5 +1,6 @@
 """Core field representation: norms, calculus, projections, transforms."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -11,9 +12,11 @@ from tsflow.spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _abs2_scalarized,
+    _flip,
     _hermitianize_half,
     _irfftn_half,
     _join,
+    _rfftn_half,
     _split,
     ball_filter,
     divergence,
@@ -424,6 +427,107 @@ class TestPrunedTransforms:
         assert not np.array_equal(raw[ix], np.conj(np.flip(raw[ix])))
         plane = sampling_transform(samples, lat).coeffs[..., lat.m]
         assert np.array_equal(plane, np.conj(np.flip(plane)))
+
+
+# (n, m, N): the smallest alias-free grid 2m+1, a larger one, and an aliased 2m-1
+STACK_CASES = [
+    (n, m, N) for n, m in ((1, 3), (2, 4), (3, 3)) for N in (2 * m + 1, 2 * m + 6, 2 * m - 1)
+]
+
+
+def _stack_cases():
+    # (helper, n, m, N, is_real, lead) for every case the helper takes: the
+    # public transforms stack the n components of a vector field, _rfftn_half
+    # and _flip any leading axes; _rfftn_half takes real samples on
+    # alias-free grids only, and _flip has no grid (one N suffices)
+    for n, m, N in STACK_CASES:
+        for is_real in (True, False):
+            for helper in ("grid_transform", "sampling_transform"):
+                yield helper, n, m, N, is_real, (n,)
+            for lead in ((3,), (2, 3)):
+                if N == 2 * m + 1:
+                    yield "_flip", n, m, N, is_real, lead
+                if is_real and N > 2 * m:
+                    yield "_rfftn_half", n, m, N, is_real, lead
+
+
+def _case_id(value):
+    if isinstance(value, tuple):
+        return "lead" + "x".join(map(str, value))
+    if isinstance(value, bool):
+        return "real" if value else "complex"
+    return str(value)
+
+
+def _stacked_input(helper, lat, N, is_real, lead, seed):
+    rng = np.random.default_rng(seed)
+    if helper == "grid_transform":
+        if is_real:
+            return random_vector_field(seed, lat, decay=1.0)
+        z = rng.standard_normal(lead + lat.shape) + 1j * rng.standard_normal(lead + lat.shape)
+        return vector_field(lat, z)
+    shape = lead + (lat.shape if helper == "_flip" else (N,) * lat.n)
+    data = rng.standard_normal(shape)
+    return data if is_real and helper != "_flip" else data + 1j * rng.standard_normal(shape)
+
+
+def _call(helper, lat, N, data):
+    if helper == "grid_transform":
+        return grid_transform(data, N)
+    if helper == "sampling_transform":
+        return sampling_transform(data, lat).coeffs
+    if helper == "_rfftn_half":
+        return _rfftn_half(data, lat)
+    return _flip(data, lat)
+
+
+class TestStackedHelpers:
+    """Every transform and symmetry helper treats the lattice as the trailing n axes."""
+
+    @pytest.mark.parametrize(
+        "helper, n, m, N, is_real, lead",
+        list(_stack_cases()),
+        ids=_case_id,
+    )
+    def test_stacked_call_matches_row_calls(self, helper, n, m, N, is_real, lead):
+        lat = make_lattice(n, m)
+        data = _stacked_input(helper, lat, N, is_real, lead, seed=100 + n)
+        aliased = N < 2 * m + 1 and helper in ("grid_transform", "sampling_transform")
+        with pytest.warns(AliasingWarning) if aliased else contextlib.nullcontext():
+            stacked = _call(helper, lat, N, data)
+            rows = {k: _call(helper, lat, N, data[k]) for k in np.ndindex(*lead)}
+        assert stacked.shape[: len(lead)] == lead
+        for k, row in rows.items():
+            assert_same_bits(stacked[k], row)
+        if helper == "_rfftn_half":
+            # the xi_n = 0 plane comes back averaged with its mirror: exactly Hermitian
+            plane = stacked[..., 0]
+            mirror = np.flip(plane, axis=tuple(range(plane.ndim - n + 1, plane.ndim)))
+            assert np.array_equal(plane, np.conj(mirror))
+
+    def test_flip_reverses_the_trailing_axes(self):
+        lat = make_lattice(2, 2)
+        c = np.arange(2 * 3 * 25).reshape((2, 3) + lat.shape)
+        assert np.array_equal(_flip(c, lat), c[:, :, ::-1, ::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vector_hermitian_check(self, n):
+        # a defect of 1e-13 of the field's scale passes, one of 1e-10 in any
+        # one component is rejected
+        lat = make_lattice(n, 3)
+        c = random_vector_field(30 + n, lat, decay=1.0).coeffs
+        scale = np.max(np.abs(c))
+        mode = (1,) * n  # not its own mirror
+        for j in range(n):
+            for defect, ok in ((1e-13, True), (1e-10, False)):
+                bad = c.copy()
+                bad[(j,) + mode] += defect * scale
+                if ok:
+                    assert vector_field(lat, bad, is_real=True).is_real
+                else:
+                    with pytest.raises(ValueError, match="not Hermitian"):
+                        vector_field(lat, bad, is_real=True)
+
 
 # Reference code: the per-type implementations that the shared helpers of
 # tsflow.spectral replaced (the along-xi projection written out twice, the
