@@ -257,7 +257,7 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
         _nonzero_mean(lattice, c, "vector field")
         c[(...,) + lattice.zero_index] = 0.0
     if divergence_free:
-        div = TWO_PI * 1j * _xi_dot(lattice, c)
+        div = _divergence(lattice, c)
         scale = TWO_PI * lattice.m * max(float(np.max(np.abs(c))), 1e-300)
         if np.max(np.abs(div)) > 1e-13 * scale:
             raise ValueError("divergence_free flag requires solenoidal coefficients; project first")
@@ -292,10 +292,22 @@ def _abs2_sum(components):
     return a
 
 
+def _weighted_norms(lattice, squares, s, mean=True):
+    """(sum over modes of rho^(2s) * squares)^(1/2) of each (k..., cube) stack of squares.
+
+    The zero mode is left out when mean is False. Each slice is summed on
+    its own, in the order of a single cube, so a stack's norms equal those of
+    its slices bit for bit.
+    """
+    a = rho2(lattice) ** s * squares
+    if not mean:
+        a[(...,) + lattice.zero_index] = 0.0
+    return np.sqrt(np.sum(a, axis=tuple(range(-lattice.n, 0))))
+
+
 def sobolev_norm(field, s):
     """Weighted-l2 norm (sum over modes of rho^(2s) |ghat|^2)^(1/2)."""
-    w = rho2(field.lattice) ** s
-    return float(np.sqrt(np.sum(w * _abs2_scalarized(field))))
+    return float(_weighted_norms(field.lattice, _abs2_scalarized(field), s))
 
 
 def seminorm(field, s):
@@ -303,9 +315,7 @@ def seminorm(field, s):
 
     The zero mode is left out, not subtracted, so a field's mean never enters.
     """
-    a = rho2(field.lattice) ** s * _abs2_scalarized(field)
-    a[field.lattice.zero_index] = 0.0
-    return float(np.sqrt(np.sum(a)))
+    return float(_weighted_norms(field.lattice, _abs2_scalarized(field), s, mean=False))
 
 
 def inner(a, b):
@@ -318,26 +328,43 @@ def inner(a, b):
 # spectral calculus
 
 
-def gradient(g):
-    """Componentwise 2*pi*i*xi_j*ghat; the zero mode maps to zero."""
-    lat = g.lattice
-    out = np.empty((lat.n,) + lat.shape, np.complex128)
-    for j, xi_j in enumerate(index_grids(lat)):
-        out[j] = TWO_PI * 1j * xi_j * g.coeffs
-    return SpectralVectorField(lat, out, g.is_real, True, False)
+def _components(lattice, coeffs):
+    """The n components of a (k..., n, cube) stack, as a view with the component axis first."""
+    lead = coeffs.ndim - lattice.n - 1
+    return coeffs.transpose((lead, *range(lead), *range(lead + 1, coeffs.ndim)))
 
 
-def _xi_dot(lattice, coeffs):
-    """xi . c at every mode of the cube, for (n, cube) coefficients c."""
-    out = np.zeros(lattice.shape, np.complex128)
+def _gradient(lattice, coeffs):
+    """2*pi*i*xi_j * c for each j: a (k..., n, cube) stack from a (k..., cube) stack c."""
+    lead = coeffs.shape[: coeffs.ndim - lattice.n]
+    out = np.empty(lead + (lattice.n,) + lattice.shape, np.complex128)
+    comps = _components(lattice, out)
     for j, xi_j in enumerate(index_grids(lattice)):
-        out += xi_j * coeffs[j]
+        comps[j] = TWO_PI * 1j * xi_j * coeffs
     return out
 
 
+def gradient(g):
+    """Componentwise 2*pi*i*xi_j*ghat; the zero mode maps to zero."""
+    return SpectralVectorField(g.lattice, _gradient(g.lattice, g.coeffs), g.is_real, True, False)
+
+
+def _xi_dot(lattice, coeffs):
+    """xi . c at every mode of the cube, for a (k..., n, cube) stack c: a (k..., cube) stack."""
+    comps = _components(lattice, coeffs)
+    out = np.zeros(comps.shape[1:], np.complex128)
+    for j, xi_j in enumerate(index_grids(lattice)):
+        out += xi_j * comps[j]
+    return out
+
+
+def _divergence(lattice, coeffs):
+    """2*pi*i*xi . c: a (k..., cube) stack from a (k..., n, cube) stack c."""
+    return TWO_PI * 1j * _xi_dot(lattice, coeffs)
+
+
 def divergence(u):
-    div = TWO_PI * 1j * _xi_dot(u.lattice, u.coeffs)
-    return SpectralScalarField(u.lattice, div, u.is_real, True)
+    return SpectralScalarField(u.lattice, _divergence(u.lattice, u.coeffs), u.is_real, True)
 
 
 def leray_project(u):
@@ -552,35 +579,36 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 
 
 def _split(lattice, coeffs, out):
-    """Write (k, cube) or (cube) coefficients into out, a (2, H, k) or (2, H) pair of stacks.
+    """Write (k..., cube) coefficients into out, a (2, H, k...) or (1, H, k...) pair of stacks.
 
     out[0] takes the modes before xi = 0 and out[1] the conjugates of
     their negatives, in the same order; the two are equal for a real
-    field. A one-member out takes the half only. With at most one
-    component axis, the move of the mode axis to the front is `.T`.
+    field. A one-member out takes the half only. The mode axis moves to
+    the front, ahead of any leading (case, component) axes.
     """
     H = lattice.size // 2
     flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - lattice.n] + (-1,))
-    out[0] = flat[..., :H].T
+    front = (flat.ndim - 1, *range(flat.ndim - 1))
+    out[0] = flat[..., :H].transpose(front)
     if len(out) > 1:
-        np.conjugate(flat[..., :H:-1].T, out=out[1])
+        np.conjugate(flat[..., :H:-1].transpose(front), out=out[1])
     return out
 
 
 def _join(lattice, half, mirror, zero_mode=True):
-    """Inverse of _split: two (H, k) or (H,) stacks back to canonical order.
+    """Inverse of _split: two (H, k...) stacks back to canonical order.
 
-    Returns (k, cube) or (cube) coefficients whose zero mode is exactly
-    zero, or, with zero_mode=False, the (k, 2H) or (2H,) values at the
-    nonzero modes.
+    Returns (k..., cube) coefficients whose zero mode is exactly zero, or,
+    with zero_mode=False, the (k..., 2H) values at the nonzero modes.
     """
     H = lattice.size // 2
     lead = half.shape[1:]
     flat = np.empty(lead + (2 * H + zero_mode,), half.dtype)
-    flat[..., :H] = half.T
+    back = (*range(1, half.ndim), 0)
+    flat[..., :H] = half.transpose(back)
     if zero_mode:
         flat[..., H] = 0.0
-    np.conjugate(mirror.T, out=flat[..., : -H - 1 : -1])
+    np.conjugate(mirror.transpose(back), out=flat[..., : -H - 1 : -1])
     return flat.reshape(lead + lattice.shape) if zero_mode else flat
 
 
@@ -606,16 +634,31 @@ def _hermitianize_half(lattice, coeffs):
 
 
 def random_scalar_field(seed, lattice, decay=3.0, zero_mean=True):
-    """Seeded random real field with |ghat(xi)| = rho(xi)^(-decay)."""
+    """Seeded random real field with |ghat(xi)| = rho(xi)^(-decay).
+
+    One seed of `_random_scalars`, the stacked draw of the verification suites.
+    """
+    c = _random_scalars([seed], lattice, decay, zero_mean)[0]
+    return SpectralScalarField(lattice, c, True, zero_mean)
+
+
+def _random_scalars(seeds, lattice, decay=3.0, zero_mean=True):
+    """(k, cube) coefficients of random_scalar_field for each of k seeds.
+
+    Each seed's generator draws its phases on its own; the magnitudes,
+    exponentials and Hermitian fill then run on the whole stack, so slice i
+    is random_scalar_field(seeds[i], ...) bit for bit.
+    """
     if decay < 0:
         raise ValueError(f"decay exponent must be >= 0, got {decay}")
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 1.0, lattice.shape)
+    phases = np.empty((len(seeds),) + lattice.shape)
+    for i, seed in enumerate(seeds):
+        phases[i] = np.random.default_rng(seed).uniform(0.0, 1.0, lattice.shape)
     c = rho2(lattice) ** (-decay / 2.0) * np.exp(TWO_PI * 1j * phases)
     c = _hermitianize_half(lattice, c)
     if zero_mean:
-        c[lattice.zero_index] = 0.0
-    return SpectralScalarField(lattice, c, True, zero_mean)
+        c[(...,) + lattice.zero_index] = 0.0
+    return c
 
 
 def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_free=False):
@@ -623,41 +666,58 @@ def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_fre
 
     With divergence_free the per-mode direction is drawn transverse to xi and
     renormalized, so the magnitude law survives the solenoidal constraint.
+    One seed of `_random_vectors`, the stacked draw of the verification suites.
+    """
+    c = _random_vectors([seed], lattice, decay, zero_mean, divergence_free)[0]
+    return SpectralVectorField(lattice, c, True, zero_mean or divergence_free, divergence_free)
+
+
+def _random_vectors(seeds, lattice, decay=3.0, zero_mean=True, divergence_free=False):
+    """(k, n, cube) coefficients of random_vector_field for each of k seeds.
+
+    Each seed's generator draws its complex normals on its own; the
+    projection, normalisation and Hermitian fill then run on the whole
+    stack, entry by entry, so slice i is random_vector_field(seeds[i], ...)
+    bit for bit.
     """
     if decay < 0:
         raise ValueError(f"decay exponent must be >= 0, got {decay}")
-    rng = np.random.default_rng(seed)
     n = lattice.n
-    z = rng.standard_normal((n,) + lattice.shape) + 1j * rng.standard_normal((n,) + lattice.shape)
+    shape = (n,) + lattice.shape
+    z = np.empty((len(seeds),) + shape, np.complex128)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z.real[i] = rng.standard_normal(shape)
+        z.imag[i] = rng.standard_normal(shape)
     if divergence_free:
         z = _project_transverse(lattice, z)
-    norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+    norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=1))
     degenerate = norm < 1e-12
     if np.any(degenerate):
         # vanishing draw after projection: fall back to a fixed transverse axis
-        fb = np.zeros((n,) + lattice.shape, np.complex128)
+        fb = np.zeros(shape, np.complex128)
         fb[-1] = 1.0
         if divergence_free:
             fb = _project_transverse(lattice, fb)
-        z = np.where(degenerate, fb, z)
-        norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+        z = np.where(degenerate[:, None], fb, z)
+        norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=1))
         norm[norm == 0.0] = 1.0
     amp = rho2(lattice) ** (-decay / 2.0)
-    coeffs = _hermitianize_half(lattice, amp * z / norm)
-    zero = (slice(None),) + lattice.zero_index
+    coeffs = _hermitianize_half(lattice, amp * z / norm[:, None])
     if zero_mean or divergence_free:
-        coeffs[zero] = 0.0
-    return SpectralVectorField(lattice, coeffs, True, zero_mean or divergence_free, divergence_free)
+        coeffs[(...,) + lattice.zero_index] = 0.0
+    return coeffs
 
 
 def _project_transverse(lattice, coeffs):
-    """coeffs minus its along-xi part at every mode; xi = 0 is left as is."""
+    """A (k..., n, cube) stack minus its along-xi part at every mode; xi = 0 is left as is."""
     xdotc = _xi_dot(lattice, coeffs)
     a2 = mode_abs2(lattice).copy()
     a2[lattice.zero_index] = 1.0  # keep the division defined at xi = 0
     out = np.empty_like(coeffs)
+    comps, out_comps = _components(lattice, coeffs), _components(lattice, out)
     for j, xi_j in enumerate(index_grids(lattice)):
-        out[j] = coeffs[j] - xi_j * xdotc / a2
+        out_comps[j] = comps[j] - xi_j * xdotc / a2
     return out
 
 

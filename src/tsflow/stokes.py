@@ -533,11 +533,12 @@ def global_estimate_slack(tensor, u, p, f, g, s):
 
     The extra sqrt(2) factors absorb the mode-weight ratio rho^2/|xi|^2 <= 2.
     """
-    constants = estimate_constants(tensor)
-    norm_u = seminorm(u, s)
-    norm_p = seminorm(p, s - 1.0)
-    norm_f = seminorm(f, s - 2.0)
-    norm_g = seminorm(g, s - 1.0)
+    norms = (seminorm(u, s), seminorm(p, s - 1.0), seminorm(f, s - 2.0), seminorm(g, s - 1.0))
+    return _global_slack(estimate_constants(tensor), s, *norms)
+
+
+def _global_slack(constants, s, norm_u, norm_p, norm_f, norm_g):
+    """global_estimate_slack from the seminorms |u|_s, |p|_{s-1}, |f|_{s-2} and |g|_{s-1}."""
     rhs_u = constants["C_uf"] / (2.0 * np.pi**2) * norm_f + (
         np.sqrt(2.0) * constants["C_ug"] / TWO_PI
     ) * norm_g

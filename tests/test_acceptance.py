@@ -339,7 +339,7 @@ def _determinism_pipeline(workdir, threads):
     )
     _run_cli(
         [
-            "verify", "--suite", "korn", "--m", "4", "--draws", "10",
+            "verify", "--suite", "all", "--m", "4", "--draws", "10",
             "--report", "verify_report.txt",
         ],
         workdir,

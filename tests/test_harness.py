@@ -308,20 +308,211 @@ def _reference_mode_estimate_margins(seed, m, n, draws):
 
 
 def _recorded_margins(monkeypatch, *args):
-    """The per-case margins that one run_suite call hands to _tally."""
+    """The per-case margins that one run_suite call hands to _tally.
+
+    quadratic-ratio tallies none: for it, the per-case ratios of its blocks.
+    """
     import tsflow.harness as harness_mod
 
-    seen = []
-    tally = harness_mod._tally
+    seen, blocked = [], []
+    tally, run_blocks = harness_mod._tally, harness_mod._blocked
 
     def recording(name, margins):
         seen.append(list(margins))
         return tally(name, margins)
 
+    def recording_blocks(*blocks_args):
+        out = run_blocks(*blocks_args)
+        blocked.append(out)
+        return out
+
     monkeypatch.setattr(harness_mod, "_tally", recording)
+    monkeypatch.setattr(harness_mod, "_blocked", recording_blocks)
     run_suite(*args)
-    (margins,) = seen
+    (margins,) = seen or blocked
     return margins
+
+
+def _cases_per_block(monkeypatch, name, n, m):
+    """How many cases one block of suite `name` holds on the (n, m) lattice."""
+    import tsflow.harness as harness_mod
+
+    sizes = []
+    block_size = harness_mod._block_size
+
+    def recording(case_bytes):
+        sizes.append(block_size(case_bytes))
+        return sizes[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness_mod, "_block_size", recording)
+        run_suite(name, 0, m, n, 1)
+    (size,) = sizes
+    return size
+
+
+# Reference code: the sampled suites one case at a time, through the public
+# one-field calls, as they ran before their cases were stacked in blocks.
+
+
+def _reference_norm_equivalence(seed, m, n, draws):
+    lat = make_lattice(n, m)
+    margins = []
+    for i in range(draws):
+        ratio = gradient_norm_bracket(random_vector_field(seed + i, lat, decay=3.0))
+        margins.append(min(ratio - 2 * np.pi**2, 4 * np.pi**2 - ratio))
+    tight = np.zeros(lat.shape, np.complex128)
+    tight[tuple(np.array(lat.zero_index) + np.eye(n, dtype=int)[0])] = 1.0
+    ratio = gradient_norm_bracket(scalar_field(lat, tight))
+    return margins + [1e-12 - abs(ratio - 2 * np.pi**2)]
+
+
+def _reference_korn(seed, m, n, draws):
+    lat = make_lattice(n, m)
+    margins = [
+        2.0 + 1e-12 - korn_ratio(random_vector_field(seed + i, lat, decay=3.0))
+        for i in range(draws)
+    ]
+    shear = np.zeros((n,) + lat.shape, np.complex128)
+    pos = list(lat.zero_index)
+    pos[1] += 1
+    shear[tuple([0] + pos)] = 0.5 / 1j
+    pos[1] -= 2
+    shear[tuple([0] + pos)] = -0.5 / 1j
+    ratio = korn_ratio(vector_field(lat, shear, is_real=True))
+    return margins + [1e-9 - abs(ratio - 2.0)]
+
+
+def _reference_trilinear(seed, m, n, draws):
+    lat = make_lattice(n, m)
+    margins = []
+    for i in range(draws):
+        v1 = random_vector_field(seed + 3 * i, lat, decay=3.0, divergence_free=True)
+        v2 = random_vector_field(seed + 3 * i + 1, lat, decay=3.0)
+        v3 = random_vector_field(seed + 3 * i + 2, lat, decay=3.0)
+        scale = sobolev_norm(v1, 1.0) * sobolev_norm(v2, 1.0) * (sobolev_norm(v3, 1.0) + 1.0)
+        general, energy = advection_identity_defects(v1, v2, v3)
+        margins.append(1e-11 - max(abs(general), abs(energy)) / scale)
+    return margins
+
+
+def _reference_stokes_roundtrip(seed, m, n, draws):
+    from tsflow.stokes import global_estimate_slack
+
+    lat = make_lattice(n, m)
+    iso = make_isotropic(0.0, 1.0, n)
+    margins = []
+    for i in range(draws):
+        tensor = iso if i % 2 == 0 else random_elliptic_tensor(seed + 500 + i, n)
+        u_star = random_vector_field(seed + 2 * i, lat, decay=3.0)
+        p_star = random_scalar_field(seed + 2 * i + 1, lat, decay=3.0)
+        prob = manufacture(u_star, p_star, tensor)
+        u, p, report = solve_stokes(tensor, prob.f, prob.g)
+        err = np.sqrt(sobolev_norm(u - u_star, 1.0) ** 2 + sobolev_norm(p - p_star, 0.0) ** 2)
+        rel = err / np.sqrt(sobolev_norm(u_star, 1.0) ** 2 + sobolev_norm(p_star, 0.0) ** 2)
+        margin = min(1e-10 - rel, report.min_slack_u + 1e-12, report.min_slack_p + 1e-12)
+        for s in (0.0, 1.0, 2.0):
+            gb = global_estimate_slack(tensor, u, p, prob.f, prob.g, s)
+            margin = min(margin, gb["slack_u"], gb["slack_p"])
+        margins.append(margin)
+    return margins
+
+
+def _reference_advection_oracle(seed, m, n, draws):
+    from tsflow.navier_stokes import advection, advection_bruteforce
+
+    lat = make_lattice(n, min(m, 8 if n == 2 else 4))
+    margins = []
+    for i in range(draws):
+        w = random_vector_field(seed + i, lat, decay=3.0, divergence_free=True)
+        fast, slow = advection(w), advection_bruteforce(w)
+        scale = max(float(np.max(np.abs(slow.coeffs))), 1e-300)
+        margins.append(1e-11 - float(np.max(np.abs(fast.coeffs - slow.coeffs))) / scale)
+    return margins
+
+
+def _reference_quadratic_ratio(seed, m, n, draws):
+    from tsflow.navier_stokes import advection_bound_ratio
+
+    lat = make_lattice(n, m)
+    fields = (random_vector_field(seed + i, lat, 3.0, divergence_free=True) for i in range(draws))
+    return [advection_bound_ratio(w, 1.0)[0] for w in fields]
+
+
+REFERENCE_SUITES = {
+    "norm-equivalence": _reference_norm_equivalence,
+    "korn": _reference_korn,
+    "trilinear": _reference_trilinear,
+    "stokes-roundtrip": _reference_stokes_roundtrip,
+    "advection-oracle": _reference_advection_oracle,
+    "quadratic-ratio": _reference_quadratic_ratio,
+}
+
+
+def _traced_peak(*args):
+    """tracemalloc's peak over one run_suite call, after a warm-up run."""
+    import tracemalloc
+
+    run_suite(*args)
+    tracemalloc.start()
+    try:
+        run_suite(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedSuites:
+    """The sampled suites run their cases in blocks; margins and working set."""
+
+    @pytest.mark.parametrize(
+        "seed, n, m, draws", [(0, 2, 8, 50), (7, 3, 4, 5), (3, 2, 1, 1), (5, 2, 4, None)]
+    )
+    @pytest.mark.parametrize("name", list(REFERENCE_SUITES))
+    def test_margins_match_one_case_at_a_time(self, name, seed, n, m, draws, monkeypatch):
+        # draws=None: one full block and one more case
+        if draws is None:
+            draws = _cases_per_block(monkeypatch, name, n, m) + 1
+        margins = _recorded_margins(monkeypatch, name, seed, m, n, draws)
+        expected = REFERENCE_SUITES[name](seed, m, n, draws)
+        assert np.array(margins).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("name", list(REFERENCE_SUITES))
+    def test_working_set_does_not_grow_with_draws(self, name, monkeypatch):
+        B = _cases_per_block(monkeypatch, name, 2, 8)
+        one_block = _traced_peak(name, 0, 8, 2, B)
+        assert _traced_peak(name, 0, 8, 2, 4 * B) <= 1.1 * one_block
+
+    def test_blocks_stay_below_the_mode_estimates_pass(self):
+        # mode-estimates solves all its draws x 50 modes at once and sets the
+        # peak of a default run; no block of another suite may raise it by
+        # more than 0.3 MB
+        assert _traced_peak("all") <= _traced_peak("mode-estimates") + 0.3e6
+
+    def test_each_run_costs_the_same(self, monkeypatch):
+        # nothing is cached across run_suite calls: a second run makes the
+        # same kernel calls as the first
+        import tsflow.harness as harness_mod
+
+        calls = []
+
+        def counted(name):
+            original = getattr(harness_mod, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("_random_vectors", "_advection", "_invert", "_irfftn_half"):
+            monkeypatch.setattr(harness_mod, name, counted(name))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            run_suite("all", seed=1, m=4, n=2, draws=10)
+            counts.append(list(calls))
+        assert counts[0] == counts[1] and counts[0]
 
 
 class TestSuites:

@@ -9,6 +9,7 @@ import pytest
 from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import (
     OMEGA_FLOOR,
+    _advection,
     Diverged,
     MaxIterationsExceeded,
     NSSolveOptions,
@@ -24,6 +25,8 @@ from tsflow.navier_stokes import (
 from tsflow.spectral import (
     TWO_PI,
     NonzeroMeanWarning,
+    _divergence,
+    _irfftn_half,
     _nonzero_mean,
     _without_mean,
     dealias_grid,
@@ -292,6 +295,28 @@ class TestHalfCubeAdvection:
         ref = full_cube_advection(w)
         np.testing.assert_array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()
+
+class TestStackedAdvection:
+    """The stacked kernel against one `advection` call per field, bit for bit."""
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 3)])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("solenoidal", [True, False])
+    def test_matches_per_field_calls(self, n, m, dealias, solenoidal):
+        # unflagged fields take the (div w) w correction
+        lat = make_lattice(n, m)
+        fields = [
+            random_vector_field(seed, lat, decay=2.0, divergence_free=solenoidal)
+            for seed in (4, 17, 4, 30)
+        ]
+        N = dealias_grid(m) if dealias else 2 * m + 1
+        coeffs = np.stack([w.coeffs for w in fields])
+        div_grid = None if solenoidal else _irfftn_half(_divergence(lat, coeffs)[..., m:], lat, N)
+        stack = _advection(lat, _irfftn_half(coeffs[..., m:], lat, N), div_grid)
+        assert stack.shape == (len(fields), n) + lat.shape
+        for w, got in zip(fields, stack):
+            assert got.tobytes() == advection(w, dealias=dealias).coeffs.tobytes()
+
 
 class TestQuadraticBoundRatio:
     def test_ratio_finite_and_scale_invariant(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tsflow.spectral import (
+    TWO_PI,
     AliasingWarning,
     NonzeroMeanWarning,
     SpectralScalarField,
@@ -16,8 +17,11 @@ from tsflow.spectral import (
     _hermitianize_half,
     _irfftn_half,
     _join,
+    _random_scalars,
+    _random_vectors,
     _rfftn_half,
     _split,
+    _weighted_norms,
     ball_filter,
     divergence,
     embed_field,
@@ -140,6 +144,21 @@ class TestNorms:
         g = random_scalar_field(7, make_lattice(2, 6), decay=2.0)
         norms = [sobolev_norm(g, s) for s in (-2, -1, 0, 0.5, 1, 2)]
         assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    def test_stack_matches_per_field_norms(self, n, m):
+        # oracle: sobolev_norm and seminorm of each field of the stack
+        lat = make_lattice(n, m)
+        fields = [random_vector_field(seed, lat, 1.0, False) for seed in (3, 4, 5)]
+        squares = np.stack([_abs2_scalarized(fld) for fld in fields])
+        for s in (-2.0, 0.0, 1.0, 2.0):
+            full = _weighted_norms(lat, squares, s)
+            semi = _weighted_norms(lat, squares, s, mean=False)
+            for k, fld in enumerate(fields):
+                assert full[k] == sobolev_norm(fld, s)
+                assert semi[k] == seminorm(fld, s)
 
 
 class TestCalculus:
@@ -748,6 +767,20 @@ class TestSharedPrimitives:
         nonzero = np.arange(lat.size) != H
         assert_same_bits(_join(lat, out[0], out[1], zero_mode=False), flat[..., nonzero])
 
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    def test_split_join_case_axis(self, n, m):
+        # oracle: one _split and _join per field of a (k, n, cube) stack
+        lat = make_lattice(n, m)
+        H = lat.size // 2
+        rng = np.random.default_rng(90 + n)
+        c = rng.standard_normal((4, n) + lat.shape) + 1j * rng.standard_normal((4, n) + lat.shape)
+        out = _split(lat, c, np.empty((2, H, 4, n), np.complex128))
+        joined = _join(lat, out[0], out[1])
+        for k in range(4):
+            row = _split(lat, c[k], np.empty((2, H, n), np.complex128))
+            assert_same_bits(out[:, :, k], row)
+            assert_same_bits(joined[k], _join(lat, row[0], row[1]))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_grid_placement(self, n):
         m = 3
@@ -779,6 +812,85 @@ class TestNormEquivalence:
         g = single_mode_scalar(lat, (1, 0))
         ratio = sobolev_norm(gradient(g), 0.0) ** 2 / sobolev_norm(g, 1.0) ** 2
         assert ratio == pytest.approx(2 * np.pi**2, rel=1e-14)
+
+
+def reference_random_vector_field(seed, lattice, decay, zero_mean, divergence_free):
+    """random_vector_field as one seed's draw, projection and fill, before the stacked draw."""
+    rng = np.random.default_rng(seed)
+    n = lattice.n
+    z = rng.standard_normal((n,) + lattice.shape) + 1j * rng.standard_normal((n,) + lattice.shape)
+    if divergence_free:
+        z = reference_transverse(lattice, z)
+    norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+    degenerate = norm < 1e-12
+    if np.any(degenerate):
+        fb = np.zeros((n,) + lattice.shape, np.complex128)
+        fb[-1] = 1.0
+        if divergence_free:
+            fb = reference_transverse(lattice, fb)
+        z = np.where(degenerate, fb, z)
+        norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
+        norm[norm == 0.0] = 1.0
+    amp = rho2(lattice) ** (-decay / 2.0)
+    coeffs = _hermitianize_half(lattice, amp * z / norm)
+    if zero_mean or divergence_free:
+        coeffs[(slice(None),) + lattice.zero_index] = 0.0
+    return coeffs
+
+
+def reference_random_scalar_field(seed, lattice, decay, zero_mean):
+    """random_scalar_field as one seed's draw and fill, before the stacked draw."""
+    phases = np.random.default_rng(seed).uniform(0.0, 1.0, lattice.shape)
+    c = rho2(lattice) ** (-decay / 2.0) * np.exp(TWO_PI * 1j * phases)
+    c = _hermitianize_half(lattice, c)
+    if zero_mean:
+        c[lattice.zero_index] = 0.0
+    return c
+
+
+class TestStackedDraws:
+    """The stacked draws against one-seed calls and the one-seed reference, bit for bit."""
+
+    @pytest.mark.parametrize("decay, zero_mean", [(3.0, True), (0.0, False)])
+    @pytest.mark.parametrize("divergence_free", [False, True])
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (3, 2)])
+    def test_vectors_match_per_seed_calls(self, n, m, divergence_free, decay, zero_mean):
+        lat = make_lattice(n, m)
+        seeds = [9, 2, 40, 2]
+        stack = _random_vectors(seeds, lat, decay, zero_mean, divergence_free)
+        assert stack.shape == (len(seeds), n) + lat.shape
+        for seed, c in zip(seeds, stack):
+            one = random_vector_field(seed, lat, decay, zero_mean, divergence_free)
+            assert_same_bits(c, one.coeffs)
+            ref = reference_random_vector_field(seed, lat, decay, zero_mean, divergence_free)
+            assert_same_bits(c, ref)
+            assert one.zero_mean == (zero_mean or divergence_free)
+            assert one.divergence_free == divergence_free
+
+    @pytest.mark.parametrize("decay, zero_mean", [(3.0, True), (0.0, False)])
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (3, 2)])
+    def test_scalars_match_per_seed_calls(self, n, m, decay, zero_mean):
+        lat = make_lattice(n, m)
+        seeds = [9, 2, 40]
+        stack = _random_scalars(seeds, lat, decay, zero_mean)
+        for seed, c in zip(seeds, stack):
+            assert_same_bits(c, random_scalar_field(seed, lat, decay, zero_mean).coeffs)
+            assert_same_bits(c, reference_random_scalar_field(seed, lat, decay, zero_mean))
+
+    def test_one_dimensional_solenoidal_draw_falls_back(self):
+        # at n = 1 the transverse part vanishes at every nonzero mode, so each
+        # mode takes the fallback axis, whose projection is zero as well
+        lat = make_lattice(1, 4)
+        stack = _random_vectors([1, 2], lat, 3.0, True, True)
+        assert not np.any(stack)
+
+    @pytest.mark.parametrize("decay", [-1.0, -1e-9])
+    def test_negative_decay_rejected(self, decay):
+        lat = make_lattice(2, 2)
+        with pytest.raises(ValueError, match="decay"):
+            _random_vectors([1], lat, decay)
+        with pytest.raises(ValueError, match="decay"):
+            _random_scalars([1], lat, decay)
 
 
 class TestRandomFields:
