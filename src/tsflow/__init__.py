@@ -62,7 +62,6 @@ from .stokes import (
     solve_isotropic_mode,
     solve_mode,
     solve_stokes,
-    solve_stokes_incompressible,
 )
 from .navier_stokes import (
     Diverged,

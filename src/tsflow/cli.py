@@ -359,8 +359,9 @@ def _cmd_residual(config):
         items.append(("momentum_defect_rel_hm1", defect))
         g = None if config.g in (None, "none") else _read(config.g, "scalar field")
         div_defect = divergence(u) if g is None else divergence(u) - g
-        gscale = max(sobolev_norm(g, 0.0), 1.0) if g is not None else 1.0
-        items.append(("divergence_defect_rel", sobolev_norm(div_defect, 0.0) / gscale))
+        # relative to the data: rescaling u, p, f and g moves it by rounding only
+        size = sobolev_norm(u, 1.0) + (0.0 if g is None else sobolev_norm(g, 0.0))
+        items.append(("divergence_defect_rel", sobolev_norm(div_defect, 0.0) / max(size, 1e-300)))
     for key, value in items:
         print(f"{key} = {value:.17g}")
     if config.report:

@@ -49,11 +49,11 @@ from .spectral import (
     vector_field,
 )
 from .stokes import (
+    _apply_inverses,
     _global_slack,
     _invert,
     _mode_slacks,
     _mode_symbols,
-    _solve_symbols,
     assemble_symbol,
     estimate_constants,
     solve_isotropic_mode,
@@ -243,18 +243,18 @@ def gradient_norm_bracket(fld):
     return grad2 / h1
 
 
-def random_elliptic_tensor(seed, n, scale=0.3, target=0.5):
-    """Seeded anisotropic tensor with a prescribed restricted eigenvalue.
+def random_elliptic_tensor(seed, n):
+    """Seeded anisotropic tensor whose smallest restricted eigenvalue is 0.5.
 
-    Symmetrizes a random perturbation and shifts it with the trace-free
-    identity part of an isotropic tensor until the smallest restricted
-    eigenvalue equals target.
+    Symmetrizes a random perturbation of entry scale 0.3 and shifts it with
+    the trace-free identity part of an isotropic tensor until the smallest
+    restricted eigenvalue is 0.5, so C_A = 2.
     """
     rng = np.random.default_rng(seed)
-    raw = symmetrize(n, scale * rng.standard_normal((n,) * 4))
+    raw = symmetrize(n, 0.3 * rng.standard_normal((n,) * 4))
     lam_min = float(np.linalg.eigvalsh(restricted_form_matrix(raw))[0])
     # the mu-part contributes 2*mu to every restricted eigenvalue
-    mu_shift = (target - lam_min) / 2.0
+    mu_shift = (0.5 - lam_min) / 2.0
     iso = make_isotropic(0.0, mu_shift, n)
     return make_tensor(n, raw.entries + iso.entries)
 
@@ -429,7 +429,7 @@ def _suite_mode_estimates(seed, m, n, draws):
     R = np.concatenate(
         [_mode_symbols(t, xis[i * modes : (i + 1) * modes]) for i, t in enumerate(tensors)]
     )
-    y, _ = _solve_symbols(R, _invert(R, xis), x)
+    y = _apply_inverses(_invert(R, xis), x)
     constants = [estimate_constants(t) for t in tensors]
     per_mode = {k: np.repeat([c[k] for c in constants], modes) for k in constants[0]}
     slack_u, slack_p, _, _ = _mode_slacks(per_mode, xis, x, y)
@@ -485,7 +485,7 @@ def _suite_stokes_roundtrip(seed, m, n, draws):
         x[..., n] *= -1j
         R, x = R.reshape(H * k, n + 1, n + 1), x.reshape(2, H * k, n + 1)
         modes = np.repeat(xis, k, axis=0)
-        y, _ = _solve_symbols(R, _invert(R, modes), x)
+        y = _apply_inverses(_invert(R, modes), x[0])
         constants = [estimate_constants(t) for t in tensors]
         per_mode = {key: np.tile([c[key] for c in constants], H) for key in constants[0]}
         slacks = _mode_slacks(per_mode, modes, x, y[None])[:2]

@@ -283,9 +283,9 @@ def apriori_velocity_bound(tensor, f):
     return c_a * seminorm(f, -1.0) / np.pi**2
 
 
-def residual(tensor, u, p, f, dealias=True):
+def residual(tensor, u, p, f):
     """H^{-1} norm of the momentum defect for the nonlinear system."""
-    r = -1.0 * stokes_operator(tensor, u, p) + advection(u, dealias=dealias) - f
+    r = -1.0 * stokes_operator(tensor, u, p) + advection(u) - f
     return sobolev_norm(r, -1.0)
 
 
@@ -298,9 +298,10 @@ def picard_solve(tensor, f, opts=None):
     real. The forcing is split once. A pass joins the iterate u to the cube
     once, evaluates (u . grad) u there and splits it to the half, applies
     the operator's inverses to D^-1 (f - (u . grad) u, 0), checks that the
-    new velocity is solenoidal, forms the momentum defect with the
-    operator's velocity blocks, measures it in H^{-1} with the weights of
-    the half, and relaxes u toward the linear solution. The step omega
+    new velocity is solenoidal (the `_check_solenoidal` of the operator's
+    solve), forms the momentum defect with the operator's velocity blocks,
+    measures it in H^{-1} with the weights of the half, and relaxes u
+    toward the linear solution. The step omega
     halves whenever the defect grows; Diverged is raised if it grows at the
     floor, MaxIterationsExceeded if the budget runs out. On success the
     returned velocity is divergence-free, the pressure is the one induced by
@@ -311,14 +312,12 @@ def picard_solve(tensor, f, opts=None):
     """
     opts = opts or NSSolveOptions()
     lat = f.lattice
-    if lat.n not in (2, 3):
-        raise ValueError(f"nonlinear solves support n in {{2, 3}}, got n={lat.n}")
+    stokes = StokesOperator(tensor, lat)  # checks n first; factored once, used by every pass
     if not f.is_real:
         raise ValueError("forcing must be a real field")
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
     omega = opts.relaxation
-    stokes = StokesOperator(tensor, lat)  # factored once, used by every pass
     n, H = lat.n, len(stokes.xis)
     x = np.zeros((H, n + 1), np.complex128)  # D^-1 (f - (u . grad) u, 0)
     _split(lat, f.coeffs, x[None, :, :n])
@@ -328,8 +327,7 @@ def picard_solve(tensor, f, opts=None):
     def linear():
         """The half of S applied to x: velocity and pressure rows, checked solenoidal."""
         y = _apply_inverses(stokes.inverses, x)
-        div = TWO_PI * 1j * sum(stokes.xis[:, j] * y[:, j] for j in range(n))
-        _check_solenoidal(np.max(np.abs(div)), np.max(np.abs(x[:, :n])))
+        _check_solenoidal(stokes.xis, y, x)
         return y
 
     if opts.initial_guess == "stokes":
@@ -388,7 +386,7 @@ class RegularityFit(NamedTuple):
     shells: int
 
 
-def regularity_slope(u, max_shells=None):
+def regularity_slope(u):
     """Fit the spectral decay exponent over dyadic mode shells.
 
     Shell j collects modes with 2^j <= |xi| < 2^(j+1); the fit regresses
@@ -408,8 +406,6 @@ def regularity_slope(u, max_shells=None):
     tail_empty = False
     j = 0
     while 2 ** (j + 1) <= lat.m + 1:
-        if max_shells is not None and j >= max_shells:
-            break
         shell = (abs_xi >= 2**j) & (abs_xi < 2 ** (j + 1))
         peak = float(np.max(mags[shell]))
         if peak <= 0.0:

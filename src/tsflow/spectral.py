@@ -264,13 +264,13 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
     return SpectralVectorField(lattice, c, is_real, zero_mean, divergence_free)
 
 
-def zero_scalar_field(lattice, is_real=True):
-    return SpectralScalarField(lattice, np.zeros(lattice.shape, np.complex128), is_real, True)
+def zero_scalar_field(lattice):
+    return SpectralScalarField(lattice, np.zeros(lattice.shape, np.complex128), True, True)
 
 
-def zero_vector_field(lattice, is_real=True):
+def zero_vector_field(lattice):
     return SpectralVectorField(
-        lattice, np.zeros((lattice.n,) + lattice.shape, np.complex128), is_real, True, True
+        lattice, np.zeros((lattice.n,) + lattice.shape, np.complex128), True, True, True
     )
 
 

@@ -21,20 +21,21 @@ form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
 with X v = b x v for n = 3, and X A X^T replaced by t t^T, t = (-b_2, b_1),
 for n = 2. LAPACK (`np.linalg.inv`) is the oracle of the tests only. A zero
 s or a conditioning check names the offending mode of a singular symbol.
-`solve_stokes` is a one-shot operator solve and `solve_mode` the
-single-mode case of the same code. Other dimensions n are rejected with a
-ValueError. The isotropic closed forms and the per-mode / summed a-priori
-bounds with constants
+The two Stokes solves are `StokesOperator.solve(f, g=None, s=1.0)` and its
+one-shot wrapper `solve_stokes`; with g=None the solve is the incompressible
+one, and `solve_mode` is the single-mode case of the same code. Other
+dimensions n are rejected with a ValueError. The isotropic closed forms and
+the per-mode / summed a-priori bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
-are provided as cross-checks; every solve can verify its own estimates.
+are provided as cross-checks; every solve checks its own estimates.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .spectral import (
     _join,
     _nonzero_mean,
     _split,
-    divergence,
     seminorm,
     zero_scalar_field,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "solve_mode",
     "solve_isotropic_mode",
     "solve_stokes",
-    "solve_stokes_incompressible",
     "mode_estimate_slack",
     "global_estimate_slack",
     "estimate_constants",
@@ -114,15 +113,15 @@ class StokesSolveReport:
     s: float
     n_modes: int
     residual: float  # max per-mode defect relative to the data magnitude
-    constants: dict = field(default_factory=dict)
-    slack_u: np.ndarray | None = None  # per nonzero mode, canonical order
-    slack_p: np.ndarray | None = None
-    min_slack_u: float = np.inf
-    min_slack_p: float = np.inf
-    estimates_ok: bool = True
-    global_bound: dict = field(default_factory=dict)
-    mean_removed_f: bool = False
-    mean_removed_g: bool = False
+    constants: dict
+    slack_u: np.ndarray  # per nonzero mode, canonical order
+    slack_p: np.ndarray
+    min_slack_u: float
+    min_slack_p: float
+    estimates_ok: bool
+    global_bound: dict
+    mean_removed_f: bool
+    mean_removed_g: bool
 
     def flat_items(self):
         """Scalar summary as (key, value) pairs for text reports."""
@@ -311,12 +310,18 @@ def _solve_symbols(R, inv, x):
     return y, float(defect) / scale
 
 
-def _check_solenoidal(defect, scale):
-    """Raise NotSolenoidal when a divergence defect exceeds DIVERGENCE_RTOL * scale.
+def _check_solenoidal(xis, y, x):
+    """Raise NotSolenoidal when the velocity rows of y have a divergence defect.
 
-    scale is max |fhat| of the data solved for, so the check is relative.
+    y and x are (..., H, n+1) half-layout stacks (`spectral._split`) of
+    solutions and data D^-1 (fhat, ghat) at the (H, n) modes xis. The
+    divergence 2*pi*i*xi.uhat of every member is held to DIVERGENCE_RTOL
+    times max |fhat| over the nonzero modes: relative, and blind to the mean.
     """
-    defect, limit = float(defect), DIVERGENCE_RTOL * float(scale)
+    n = xis.shape[1]
+    div = TWO_PI * 1j * sum(xis[:, j] * y[..., j] for j in range(n))
+    defect = float(np.max(np.abs(div)))
+    limit = DIVERGENCE_RTOL * float(np.max(np.abs(x[..., :n])))
     if not defect <= limit:
         raise NotSolenoidal(f"velocity divergence {defect:.3e} exceeds {limit:.3e}")
 
@@ -328,7 +333,7 @@ def solve_mode(symbol, fhat, ghat):
     x = np.empty((1, n + 1), np.complex128)  # D^-1 (fhat, ghat)
     x[0, :n] = fhat
     x[0, n] = -1j * ghat
-    y, _ = _solve_symbols(R, _invert(R, [symbol.xi]), x)
+    y = _apply_inverses(_invert(R, [symbol.xi]), x)
     return y[0, :n], complex(-1j * y[0, n])
 
 
@@ -370,8 +375,9 @@ class StokesOperator:
     p(-xi) = conj p(xi). A complex (is_real=False) solve also solves the
     mirror member against the same stacks. Either way the residual covers
     every nonzero mode, the mirrored ones included, so a real-flagged field
-    that is Hermitian only to rounding shows its asymmetry there.
-    Construction raises SingularSymbol, or NotElliptic for the tensor.
+    that is Hermitian only to rounding shows its asymmetry there. `solve`
+    is the one solve, and `solve_stokes` its one-shot wrapper. Construction
+    raises SingularSymbol, or NotElliptic for the tensor.
     """
 
     def __init__(self, tensor, lattice):
@@ -385,8 +391,8 @@ class StokesOperator:
         self.symbols = _mode_symbols(tensor, self.xis)
         self.inverses = _invert(self.symbols, self.xis)
 
-    def solve(self, f, g=None, s=1.0, check_estimates=True):
-        """Solve the compressible system; the contract of `solve_stokes`."""
+    def solve(self, f, g=None, s=1.0):
+        """Solve the Stokes system; the contract of `solve_stokes`."""
         lat = self.lattice
         for fld, what in ((f, "forcing"), (g, "divergence data")):
             if fld is not None and fld.lattice != lat:
@@ -414,60 +420,50 @@ class StokesOperator:
             y, residual = _solve_symbols(self.symbols, self.inverses, x[0])
             y_mirror, residual_mirror = _solve_symbols(self.symbols, self.inverses, x[1])
             residual = max(residual, residual_mirror)
-
-        u = SpectralVectorField(lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, True, False)
+        # x and z carry the moduli of (fhat, ghat) and (uhat, phat); both
+        # members go through one pass, a real solve's one solution once
+        z = y[None] if is_real else np.stack((y, y_mirror))
+        if g is None:
+            _check_solenoidal(self.xis, z, x)
+        u = SpectralVectorField(
+            lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, True, g is None
+        )
         p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real, True)
-        report = StokesSolveReport(
+        slack_u, slack_p, bound_u, bound_p = _mode_slacks(self.constants, self.xis, x, z)
+        g = zero_scalar_field(lat) if g is None else g
+        return u, p, StokesSolveReport(
             s=s,
             n_modes=lat.size - 1,
             residual=residual,
             constants=self.constants,
+            slack_u=_join(lat, slack_u[0], slack_u[1], False),
+            slack_p=_join(lat, slack_p[0], slack_p[1], False),
+            min_slack_u=float(np.min(slack_u)),
+            min_slack_p=float(np.min(slack_p)),
+            # each mode's slack is held to its own bound, so rescaling the
+            # data cannot flip the verdict
+            estimates_ok=bool(
+                np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
+                and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
+            ),
+            global_bound=global_estimate_slack(self.tensor, u, p, f, g, s),
             mean_removed_f=removed_f,
             mean_removed_g=removed_g,
         )
-        if check_estimates:
-            # x and (y, y_mirror) carry the moduli of (fhat, ghat) and (uhat, phat);
-            # both members go through one pass, a real solve's one solution once
-            z = y[None] if is_real else np.stack((y, y_mirror))
-            slack_u, slack_p, bound_u, bound_p = _mode_slacks(self.constants, self.xis, x, z)
-            report.slack_u = _join(lat, slack_u[0], slack_u[1], False)
-            report.slack_p = _join(lat, slack_p[0], slack_p[1], False)
-            report.min_slack_u = float(np.min(slack_u))
-            report.min_slack_p = float(np.min(slack_p))
-            # each mode's slack is held to its own bound, so rescaling the data
-            # cannot flip the verdict
-            report.estimates_ok = bool(
-                np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
-                and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
-            )
-            if g is None:
-                g = zero_scalar_field(lat)
-            report.global_bound = global_estimate_slack(self.tensor, u, p, f, g, s)
-        return u, p, report
-
-    def solve_incompressible(self, f, s=1.0, check_estimates=True):
-        """Solve with zero divergence target; the velocity comes out solenoidal.
-
-        The divergence is the continuity row of the system, so its defect is
-        held to the scale of the data, like the residual; NotSolenoidal is
-        raised above DIVERGENCE_RTOL times max |fhat|.
-        """
-        u, p, report = self.solve(f, None, s=s, check_estimates=check_estimates)
-        _check_solenoidal(np.max(np.abs(divergence(u).coeffs)), np.max(np.abs(f.coeffs)))
-        u = SpectralVectorField(u.lattice, u.coeffs, u.is_real, True, True)
-        return u, p, report
 
 
-def solve_stokes(tensor, f, g=None, s=1.0, check_estimates=True):
-    """Solve the compressible Stokes system on the whole mode cube.
+def solve_stokes(tensor, f, g=None, s=1.0):
+    """Solve the Stokes system on the whole mode cube.
 
     Inputs are the forcing f (vector field) and divergence target g (scalar
-    field, or None for zero). Nonzero means are projected away with a
-    warning. Returns (u, p, report); u and p are zero-mean, and the zero
-    mode of both is exactly zero. Builds a one-shot StokesOperator; callers
-    that solve repeatedly with one tensor should keep the operator instead.
+    field, or None for zero). Nonzero means are flagged with a warning and
+    never read. Returns (u, p, report); the zero mode of u and p is exactly
+    zero. With g=None the solve is the incompressible one: u is flagged
+    divergence_free, and `_check_solenoidal` raises NotSolenoidal if it is
+    not. Builds a one-shot StokesOperator, whose `solve` is the other entry;
+    callers that solve repeatedly with one tensor should keep the operator.
     """
-    return StokesOperator(tensor, f.lattice).solve(f, g, s=s, check_estimates=check_estimates)
+    return StokesOperator(tensor, f.lattice).solve(f, g, s=s)
 
 
 def _mode_slacks(constants, xis, rhs, z):
@@ -501,13 +497,6 @@ def _moduli(z):
     """
     v = z.view(np.float64)
     return np.sqrt(np.einsum("...i,...i->...", v, v))
-
-
-def solve_stokes_incompressible(tensor, f, s=1.0, check_estimates=True):
-    """Solve with zero divergence target; the velocity comes out solenoidal."""
-    return StokesOperator(tensor, f.lattice).solve_incompressible(
-        f, s=s, check_estimates=check_estimates
-    )
 
 
 def mode_estimate_slack(tensor, xi, fhat, ghat, uhat, phat):

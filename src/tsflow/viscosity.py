@@ -39,6 +39,11 @@ __all__ = [
 # on (k, j, alpha, beta).
 _GENERATORS = ((1, 0, 3, 2), (0, 3, 2, 1))
 
+# Relative tolerances of the symmetry and ellipticity verdicts, so rescaling
+# a tensor cannot flip either.
+SYMMETRY_RTOL = 1e-14
+ELLIPTICITY_RTOL = 1e-12
+
 
 class NotElliptic(ValueError):
     """The restricted quadratic form has a non-positive eigenvalue."""
@@ -96,12 +101,14 @@ def _symmetry_group():
 _GROUP = _symmetry_group()
 
 
-def check_symmetry(tensor, tol=1e-14):
+def check_symmetry(tensor):
     """Return the index quadruples violating either pair symmetry.
 
     Quadruples are 0-based (k, j, alpha, beta) positions; an empty list means
-    the tensor satisfies both relations entrywise to within tol.
+    the tensor satisfies both relations entrywise to within SYMMETRY_RTOL
+    times its `tensor_norm`.
     """
+    tol = SYMMETRY_RTOL * tensor_norm(tensor)
     bad = np.zeros((tensor.n,) * 4, dtype=bool)
     for g in _GENERATORS:
         bad |= np.abs(tensor.entries - np.transpose(tensor.entries, g)) > tol
@@ -158,20 +165,23 @@ def restricted_form_matrix(tensor):
     return np.einsum("kjab,pka,qjb->pq", tensor.entries, basis, basis)
 
 
-def ellipticity_constant(tensor, tol=1e-12):
+def ellipticity_constant(tensor):
     """Reciprocal of the smallest restricted-form eigenvalue; cached.
 
     Raises NotElliptic when the form is not positive definite on symmetric
-    trace-free matrices.
+    trace-free matrices: its least eigenvalue is at most ELLIPTICITY_RTOL
+    times its largest eigenvalue magnitude.
     """
     if tensor.ellipticity is not None:
         return tensor.ellipticity
     form = restricted_form_matrix(tensor)
     form = 0.5 * (form + form.T)
-    lam_min = float(np.linalg.eigvalsh(form)[0])
-    if lam_min <= tol:
+    eigs = np.linalg.eigvalsh(form)
+    lam_min, scale = float(eigs[0]), float(np.max(np.abs(eigs)))
+    if lam_min <= ELLIPTICITY_RTOL * scale:
         raise NotElliptic(
-            f"restricted form eigenvalue {lam_min:.3e} is not positive; "
+            f"least restricted form eigenvalue {lam_min:.3e} is not above "
+            f"{ELLIPTICITY_RTOL:.0e} times the largest magnitude {scale:.3e}; "
             "the tensor is not elliptic on trace-free symmetric matrices"
         )
     tensor.ellipticity = 1.0 / lam_min

@@ -65,14 +65,14 @@ def test_criterion_01_stokes_round_trip():
     worst = 0.0
     for seed in range(50):
         tensor, u_star, p_star, prob = manufactured_case(seed, 2, 8)
-        u, p, _ = solve_stokes(tensor, prob.f, prob.g, check_estimates=False)
+        u, p, _ = solve_stokes(tensor, prob.f, prob.g)
         err = np.sqrt(
             sobolev_norm(u - u_star, 1.0) ** 2 + sobolev_norm(p - p_star, 0.0) ** 2
         ) / np.sqrt(sobolev_norm(u_star, 1.0) ** 2 + sobolev_norm(p_star, 0.0) ** 2)
         worst = max(worst, err)
     for seed in range(10):
         tensor, u_star, p_star, prob = manufactured_case(seed + 100, 3, 4)
-        u, p, _ = solve_stokes(tensor, prob.f, prob.g, check_estimates=False)
+        u, p, _ = solve_stokes(tensor, prob.f, prob.g)
         err = np.sqrt(
             sobolev_norm(u - u_star, 1.0) ** 2 + sobolev_norm(p - p_star, 0.0) ** 2
         ) / np.sqrt(sobolev_norm(u_star, 1.0) ** 2 + sobolev_norm(p_star, 0.0) ** 2)

@@ -18,7 +18,8 @@ from tsflow.spectral import (
     random_vector_field,
     sobolev_norm,
 )
-from tsflow.viscosity import make_isotropic
+from tsflow.stokes import solve_stokes
+from tsflow.viscosity import make_isotropic, make_tensor
 
 
 @pytest.fixture
@@ -243,6 +244,18 @@ class TestTensorCheck:
         assert main(["tensor-check", "--tensor", str(path)]) == 2
         assert "symmetry_violations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "kind, status", [("elliptic", 0), ("degenerate", 2), ("asymmetric", 2)]
+    )
+    def test_exit_code_does_not_change_with_scale(self, tmp_path, kind, status):
+        entries = make_isotropic(1.0, 0.0 if kind == "degenerate" else 1.0, 2).entries.copy()
+        if kind == "asymmetric":
+            entries[0, 1, 0, 1] += 1e-6
+        path = tmp_path / "A.txt"
+        for scale in [10.0**k for k in range(-20, 21, 5)]:
+            write_tensor(path, make_tensor(entries.shape[0], scale * entries))
+            assert main(["tensor-check", "--tensor", str(path)]) == status, scale
+
 
 class TestStokesCommands:
     def test_solve_and_residual_round_trip(self, iso_tensor, tmp_path, capsys):
@@ -305,6 +318,46 @@ class TestStokesCommands:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @staticmethod
+    def _divergence_defects(tensor, u, p, f, g, tmp_path, capsys):
+        """divergence_defect_rel of `residual` on (u, p, f, g) rescaled by 1e-20 ... 1e20."""
+        values = []
+        for scale in [10.0**k for k in range(-20, 21, 5)]:
+            paths = {}
+            for name, fld in (("u", u), ("p", p), ("f", f), ("g", g)):
+                if fld is not None:
+                    paths[name] = str(tmp_path / f"{name}.spf")
+                    write_field(paths[name], scale * fld)
+            argv = ["residual", "--tensor", tensor, "--f", paths["f"],
+                    "--u", paths["u"], "--p", paths["p"]]
+            capsys.readouterr()
+            assert main(argv + (["--g", paths["g"]] if g is not None else [])) == 0
+            out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+            values.append(float(out["divergence_defect_rel"]))
+        return values
+
+    def test_divergence_defect_of_exact_solution_at_every_scale(
+        self, iso_tensor, tmp_path, capsys
+    ):
+        # an exact incompressible solve leaves a defect of rounding size,
+        # whatever the scale
+        lat = make_lattice(2, 8)
+        f = random_vector_field(5, lat, decay=2.0)
+        u, p, _ = solve_stokes(make_isotropic(0.0, 1.0, 2), f)
+        values = self._divergence_defects(iso_tensor, u, p, f, None, tmp_path, capsys)
+        assert max(values) <= 1e-15
+
+    def test_divergence_defect_is_relative_to_the_data(self, iso_tensor, tmp_path, capsys):
+        # a divergent velocity reports the same ratio at every scale
+        lat = make_lattice(2, 8)
+        u = random_vector_field(7, lat, decay=2.0)
+        p = random_scalar_field(8, lat, decay=2.0)
+        f, g = random_vector_field(9, lat, decay=2.0), random_scalar_field(10, lat, decay=2.0)
+        for data in ((u, p, f, None), (u, p, f, g)):
+            values = self._divergence_defects(iso_tensor, *data, tmp_path, capsys)
+            assert values == pytest.approx([values[4]] * len(values), rel=1e-13)
+            assert values[4] > 0.1  # a defect, not rounding
 
     def test_export_grid(self, iso_tensor, forcing, tmp_path):
         out = tmp_path / "sol.spf"

@@ -479,14 +479,21 @@ class TestPicardSolve:
         with pytest.raises(ValueError):
             NSSolveOptions(initial_guess="newton")
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_other_dimensions_rejected(self, n):
+        # the Stokes operator's dimension check is the only one, and it comes first
+        f = zero_vector_field(make_lattice(n, 1))
+        with pytest.raises(ValueError, match=f"got n={n}"):
+            picard_solve(make_isotropic(0.0, 1.0, n), f)
+
 
 def full_field_picard(tensor, f, opts):
     """The Picard loop on whole fields, the reference of picard_solve's half-stack passes.
 
     Each pass solves the incompressible system for f - (u . grad) u with
-    `solve_incompressible`, measures `apply_viscosity` of u - u_lin in
-    H^{-1} with `sobolev_norm`, and relaxes the whole field; the report is
-    kept as picard_solve keeps it.
+    the operator's `solve` and no divergence data, measures
+    `apply_viscosity` of u - u_lin in H^{-1} with `sobolev_norm`, and
+    relaxes the whole field; the report is kept as picard_solve keeps it.
     """
     lat = f.lattice
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
@@ -496,14 +503,14 @@ def full_field_picard(tensor, f, opts):
     omega = opts.relaxation
     stokes = StokesOperator(tensor, lat)
     if opts.initial_guess == "stokes":
-        u, _, _ = stokes.solve_incompressible(f, check_estimates=False)
+        u, _, _ = stokes.solve(f)
     else:
         u = zero_vector_field(lat)
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
         bu = advection(u, dealias=opts.dealias)
-        u_lin, p_lin, _ = stokes.solve_incompressible(f - bu, check_estimates=False)
+        u_lin, p_lin, _ = stokes.solve(f - bu)
         res = sobolev_norm(apply_viscosity(tensor, u - u_lin), -1.0)
         report.residual_history.append(res)
         report.final_residual = res
@@ -603,6 +610,7 @@ class TestHalfStackPasses:
         # skewed inverses leave u_lin with a divergence; the check is an
         # explicit raise, so it also holds under python -O
         import tsflow.navier_stokes as ns
+        import tsflow.stokes as stokes_mod
 
         class Skewed(ns.StokesOperator):
             def __init__(self, *args):
@@ -613,10 +621,12 @@ class TestHalfStackPasses:
         monkeypatch.setitem(globals(), "StokesOperator", Skewed)  # for full_field_picard
         f = manufactured_forcing(0.05, ISO)
         opts = NSSolveOptions(initial_guess=guess)
-        with pytest.raises(NotSolenoidal):
-            picard_solve(ISO, f, opts)
-        with pytest.raises(NotSolenoidal):
-            full_field_picard(ISO, f, opts)
+        # a Picard pass and the operator's solve(f) raise from one check
+        for solve in (picard_solve, full_field_picard):
+            with pytest.raises(NotSolenoidal) as caught:
+                solve(ISO, f, opts)
+            assert caught.traceback[-1].name == "_check_solenoidal"
+            assert str(caught.traceback[-1].path) == stokes_mod.__file__
 
 
 class TestResidual:

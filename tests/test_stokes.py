@@ -34,7 +34,6 @@ from tsflow.stokes import (
     solve_isotropic_mode,
     solve_mode,
     solve_stokes,
-    solve_stokes_incompressible,
 )
 from tsflow.viscosity import (
     _apply_blocks,
@@ -477,24 +476,24 @@ class TestStokesOperator:
 
     @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
     @pytest.mark.parametrize("is_real", [True, False])
-    @pytest.mark.parametrize("check_estimates", [True, False])
-    def test_absent_divergence_data_is_a_zero_field(self, n, m, is_real, check_estimates):
+    def test_absent_divergence_data_is_a_zero_field(self, n, m, is_real):
         # g=None skips building, projecting and splitting a zero field; the
-        # solution and the report must not notice
+        # solution and the report must not notice, but the velocity of this
+        # incompressible solve is flagged divergence-free
         lat = make_lattice(n, m)
         op = StokesOperator(random_elliptic_tensor(48, n), lat)
         f, _ = self._data(lat, 49, is_real)
-        u1, p1, r1 = op.solve(f, check_estimates=check_estimates)
-        u2, p2, r2 = op.solve(f, zero_scalar_field(lat), check_estimates=check_estimates)
+        u1, p1, r1 = op.solve(f)
+        u2, p2, r2 = op.solve(f, zero_scalar_field(lat))
         for a, b in ((u1, u2), (p1, p2)):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
             assert (a.is_real, a.zero_mean) == (b.is_real, b.zero_mean) == (is_real, True)
+        assert u1.divergence_free and not u2.divergence_free
         assert r1.flat_items() == r2.flat_items()
-        if check_estimates:
-            np.testing.assert_array_equal(r1.slack_u, r2.slack_u)
-            np.testing.assert_array_equal(r1.slack_p, r2.slack_p)
-            assert r1.global_bound == r2.global_bound
+        np.testing.assert_array_equal(r1.slack_u, r2.slack_u)
+        np.testing.assert_array_equal(r1.slack_p, r2.slack_p)
+        assert r1.global_bound == r2.global_bound
 
     def test_viscous_matches_apply_viscosity(self):
         # apply_viscosity's half-cube blocks against the full-cube product
@@ -689,9 +688,9 @@ class TestSolveStokes:
         "entry",
         [
             lambda f, g: solve_stokes(ISO, f, g),
-            lambda f, g: solve_stokes_incompressible(ISO, f),
+            lambda f, g: solve_stokes(ISO, f),
             lambda f, g: StokesOperator(ISO, f.lattice).solve(f, g),
-            lambda f, g: StokesOperator(ISO, f.lattice).solve_incompressible(f),
+            lambda f, g: StokesOperator(ISO, f.lattice).solve(f),
         ],
         ids=["solve_stokes", "solve_stokes_incompressible", "solve", "solve_incompressible"],
     )
@@ -764,7 +763,7 @@ class TestSolveStokes:
         # forcing with decay slope a produces velocity with slope >= a + 2
         lat = make_lattice(2, 16)
         f = random_vector_field(13, lat, decay=3.0, divergence_free=True)
-        u, _, _ = solve_stokes_incompressible(ISO, f)
+        u, _, _ = solve_stokes(ISO, f)
         slope_f = regularity_slope(f).slope
         slope_u = regularity_slope(u).slope
         assert slope_f == pytest.approx(3.0, abs=0.2)
@@ -778,7 +777,7 @@ class TestIncompressibleSolve:
         c[1][lat.m + 1, lat.m] = 1.0
         c[1][lat.m - 1, lat.m] = 1.0
         f = vector_field(lat, c, is_real=True)
-        u, p, _ = solve_stokes_incompressible(ISO, f)
+        u, p, _ = solve_stokes(ISO, f)
         assert sobolev_norm(p, 0.0) <= 1e-14
         np.testing.assert_allclose(
             u.coeffs[1][lat.m + 1, lat.m], 1.0 / (4 * np.pi**2), atol=1e-15
@@ -788,19 +787,20 @@ class TestIncompressibleSolve:
         lat = make_lattice(2, 4)
         phi = random_scalar_field(14, lat, decay=3.0)
         f = gradient(phi)
-        u, p, _ = solve_stokes_incompressible(ISO, f)
+        u, p, _ = solve_stokes(ISO, f)
         assert sobolev_norm(u, 1.0) <= 1e-13 * sobolev_norm(phi, 1.0)
         assert sobolev_norm(p - phi, 0.0) <= 1e-12 * sobolev_norm(phi, 0.0)
 
     def test_divergence_free_output(self):
         lat = make_lattice(2, 6)
         f = random_vector_field(15, lat, decay=2.0)
-        u, _, _ = solve_stokes_incompressible(ISO, f)
+        u, _, _ = solve_stokes(ISO, f)
         assert u.divergence_free
         assert sobolev_norm(divergence(u), 0.0) <= 1e-12
 
     def test_divergence_defect_raises(self, monkeypatch):
-        # an explicit check, so it also holds under python -O
+        # an explicit check, so it also holds under python -O; it is the
+        # half-layout check that every Picard pass runs
         import tsflow.stokes as stokes_mod
 
         real = stokes_mod._solve_symbols
@@ -812,8 +812,32 @@ class TestIncompressibleSolve:
 
         monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
         f = random_vector_field(16, make_lattice(2, 4), decay=2.0)
+        with pytest.raises(NotSolenoidal) as caught:
+            solve_stokes(ISO, f)
+        assert caught.traceback[-1].name == "_check_solenoidal"
+        assert str(caught.traceback[-1].path) == stokes_mod.__file__
+
+    def test_divergent_mirror_member_raises(self, monkeypatch):
+        # a complex solve checks its mirror member too: only that one is skewed
+        import tsflow.stokes as stokes_mod
+
+        real = stokes_mod._solve_symbols
+        calls = []
+
+        def skewed(R, inv, x):
+            y, residual = real(R, inv, x)
+            calls.append(x)
+            if len(calls) == 2:
+                y[0, 0] += 1e-6 * np.max(np.abs(y))
+            return y, residual
+
+        monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
+        lat = make_lattice(2, 4)
+        f = random_vector_field(17, lat, decay=2.0)
+        f = vector_field(lat, f.coeffs + 1j * random_vector_field(18, lat).coeffs)
         with pytest.raises(NotSolenoidal):
-            solve_stokes_incompressible(ISO, f)
+            StokesOperator(ISO, lat).solve(f)
+        assert len(calls) == 2
 
 
 class TestScaleInvariantVerdicts:
@@ -854,7 +878,7 @@ class TestScaleInvariantVerdicts:
         lat = make_lattice(2, 6)
         phi = random_scalar_field(72, lat, decay=2.0)
         for scale in self.SCALES:
-            u, p, _ = solve_stokes_incompressible(ISO, gradient(scale * phi))
+            u, p, _ = solve_stokes(ISO, gradient(scale * phi))
             assert u.divergence_free
             assert sobolev_norm(p - scale * phi, 0.0) <= 1e-12 * scale * sobolev_norm(phi, 0.0)
 

@@ -257,3 +257,42 @@ class TestEllipticityInvariance:
         A = symmetrize(3, np.random.default_rng(11).standard_normal((3, 3, 3, 3)))
         M = restricted_form_matrix(A)
         np.testing.assert_allclose(M, M.T, atol=1e-13)
+
+
+class TestScaleInvariantVerdicts:
+    """The symmetry and ellipticity verdicts are relative to the tensor's size."""
+
+    SCALES = [10.0**k for k in range(-20, 21, 5)]
+
+    @staticmethod
+    def tensors():
+        return [
+            make_isotropic(0.0, 1.0, 2),
+            make_isotropic(-3.0, 0.7, 3),
+            random_elliptic_tensor(5, 2),
+            random_elliptic_tensor(6, 3),
+        ]
+
+    def test_ellipticity_constant_scales_inversely(self):
+        for A in self.tensors():
+            c = ellipticity_constant(A)
+            for scale in self.SCALES:
+                scaled = make_tensor(A.n, scale * A.entries)
+                assert scale * ellipticity_constant(scaled) == pytest.approx(c, rel=1e-12), scale
+
+    def test_small_isotropic_viscosity_is_elliptic(self):
+        # an absolute floor would reject every mu below 5e-13
+        for mu in (1e-13, 1e-20):
+            assert ellipticity_constant(make_isotropic(0.0, mu, 2)) == pytest.approx(0.5 / mu)
+
+    def test_symmetric_tensor_has_no_violations(self):
+        symmetrized = symmetrize(3, np.random.default_rng(12).standard_normal((3, 3, 3, 3)))
+        for A in self.tensors() + [symmetrized]:
+            for scale in self.SCALES:
+                assert check_symmetry(make_tensor(A.n, scale * A.entries)) == [], scale
+
+    def test_scaled_asymmetry_found(self):
+        e = make_isotropic(0.0, 1.0, 2).entries.copy()
+        e[0, 1, 0, 1] += 1e-6
+        for scale in self.SCALES:
+            assert (0, 1, 0, 1) in check_symmetry(make_tensor(2, scale * e)), scale
