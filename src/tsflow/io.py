@@ -29,9 +29,8 @@ from .spectral import (
     LatticeSpec,
     SpectralScalarField,
     SpectralVectorField,
+    _check_hermitian,
     grid_transform,
-    scalar_field,
-    vector_field,
 )
 from .viscosity import ViscosityTensor
 
@@ -149,22 +148,29 @@ def read_field(path):
     bad = np.count_nonzero(~np.isfinite(coeffs))
     if bad:
         raise ValueError(f"{path}: {bad} non-finite coefficients")
+    # the fields are views of the buffer just read, never a second copy of
+    # the payload; a big-endian host gets its native dtype here
+    coeffs = coeffs.astype(np.complex128, copy=False)
     is_real = bool(header["real"])
 
-    def zero_mean(c):
-        return bool(np.max(np.abs(c[(slice(None),) * (c.ndim - n) + lattice.zero_index])) == 0.0)
+    def field(cls, c):
+        # the checks of the validating constructors, on the buffer itself:
+        # real FFTs read half the cube, so real=1 needs Hermitian coefficients
+        if is_real:
+            try:
+                _check_hermitian(c, lattice)
+            except ValueError as exc:
+                raise ValueError(f"{path}: real={header['real']} but {exc}") from None
+        mean = (...,) + lattice.zero_index
+        zero_mean = bool(np.max(np.abs(c[mean])) == 0.0)
+        if zero_mean:
+            c[mean] = 0.0  # a -0 mean reads as +0, as the constructors store it
+        return cls(lattice, c, is_real, zero_mean)
 
-    # the validating constructors copy the data and, for real=1, reject
-    # coefficients that are not Hermitian (real FFTs rely on the flag)
-    try:
-        if components == 1:
-            return scalar_field(lattice, coeffs[0], is_real, zero_mean(coeffs[0]))
-        u = vector_field(lattice, coeffs[:n], is_real, zero_mean(coeffs[:n]))
-        if components == n:
-            return u
-        return u, scalar_field(lattice, coeffs[n], is_real, zero_mean(coeffs[n]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: real={header['real']} but {exc}") from None
+    if components == 1:
+        return field(SpectralScalarField, coeffs[0])
+    u = field(SpectralVectorField, coeffs[:n])
+    return u if components == n else (u, field(SpectralScalarField, coeffs[n]))
 
 
 def write_tensor(path, tensor):
@@ -243,14 +249,14 @@ def export_grid_csv(path, field, N):
     # product runs over the grid in C order
     coord = ["%.17g," % (i / N) for i in range(N)]
     prefixes = map("".join, itertools.product(coord, repeat=lat.n))
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(names)]
-    step = 4096  # rows per block: bounds the Python floats alive at once
-    for start in range(0, N**lat.n, step):
-        values = zip(*(c[start : start + step].tolist() for c in columns))
-        rows = zip(itertools.islice(prefixes, step), values)
-        lines.append("\n".join([p + row % v for p, v in rows]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    step = 4096  # rows per block: bounds the Python floats and the text alive at once
+    with _atomic_file(path) as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        for start in range(0, N**lat.n, step):
+            values = zip(*(c[start : start + step].tolist() for c in columns))
+            rows = zip(itertools.islice(prefixes, step), values)
+            fh.write("".join([p + row % v for p, v in rows]).encode("utf-8"))
 
 
 def write_report(path, items, config_echo=None, history=None):

@@ -61,7 +61,7 @@ from .spectral import (
     sobolev_norm,
     zero_vector_field,
 )
-from .stokes import StokesOperator, _apply_inverses, _check_solenoidal
+from .stokes import StokesOperator, _apply_inverses, _check_solenoidal, _divergence_moduli
 from .viscosity import _apply_blocks, ellipticity_constant, stokes_operator
 
 __all__ = [
@@ -327,7 +327,7 @@ def picard_solve(tensor, f, opts=None):
     def linear():
         """The half of S applied to x: velocity and pressure rows, checked solenoidal."""
         y = _apply_inverses(stokes.inverses, x)
-        _check_solenoidal(stokes.xis, y, x)
+        _check_solenoidal(*_divergence_moduli(stokes.xis, y, x))
         return y
 
     if opts.initial_guess == "stokes":

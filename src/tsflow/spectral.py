@@ -227,8 +227,11 @@ def _without_mean(fld):
 
 
 def _check_hermitian(coeffs, lattice):
-    defect = np.max(np.abs(coeffs - np.conj(_flip(coeffs, lattice))))
-    scale = max(np.max(np.abs(coeffs)), 1e-300)
+    # one component at a time, for the maxima over the whole stack: the
+    # temporaries stay one cube whatever the number of components
+    parts = coeffs.reshape((-1,) + lattice.shape)
+    defect = np.max([np.max(np.abs(c - np.conj(_flip(c, lattice)))) for c in parts])
+    scale = max(np.max([np.max(np.abs(c)) for c in parts]), 1e-300)
     if defect > 1e-12 * scale:
         raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")
 
@@ -578,20 +581,22 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 # at size-1-k, so the H = (size - 1) / 2 modes before xi = 0 fix a real field
 
 
-def _split(lattice, coeffs, out):
-    """Write (k..., cube) coefficients into out, a (2, H, k...) or (1, H, k...) pair of stacks.
+def _split(lattice, coeffs, out, lo=0):
+    """Write (k..., cube) coefficients into out, a (2, B, k...) or (1, B, k...) pair of stacks.
 
-    out[0] takes the modes before xi = 0 and out[1] the conjugates of
-    their negatives, in the same order; the two are equal for a real
-    field. A one-member out takes the half only. The mode axis moves to
-    the front, ahead of any leading (case, component) axes.
+    out[0] takes the modes lo .. lo+B-1 of the H before xi = 0 (all of
+    them when B = H) and out[1] the conjugates of their negatives, in the
+    same order; the two are equal for a real field. A one-member out takes
+    the half only. The mode axis moves to the front, ahead of any leading
+    (case, component) axes.
     """
-    H = lattice.size // 2
+    last = lattice.size - 1  # flat index of the negative of mode 0
+    hi = lo + out.shape[1]
     flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - lattice.n] + (-1,))
     front = (flat.ndim - 1, *range(flat.ndim - 1))
-    out[0] = flat[..., :H].transpose(front)
+    out[0] = flat[..., lo:hi].transpose(front)
     if len(out) > 1:
-        np.conjugate(flat[..., :H:-1].transpose(front), out=out[1])
+        np.conjugate(flat[..., last - lo : last - hi : -1].transpose(front), out=out[1])
     return out
 
 
@@ -602,14 +607,25 @@ def _join(lattice, half, mirror, zero_mode=True):
     with zero_mode=False, the (k..., 2H) values at the nonzero modes.
     """
     H = lattice.size // 2
-    lead = half.shape[1:]
-    flat = np.empty(lead + (2 * H + zero_mode,), half.dtype)
-    back = (*range(1, half.ndim), 0)
-    flat[..., :H] = half.transpose(back)
+    flat = np.empty(half.shape[1:] + (2 * H + zero_mode,), half.dtype)
     if zero_mode:
         flat[..., H] = 0.0
-    np.conjugate(mirror.transpose(back), out=flat[..., : -H - 1 : -1])
-    return flat.reshape(lead + lattice.shape) if zero_mode else flat
+    _join_rows(flat, half, mirror)
+    return flat.reshape(half.shape[1:] + lattice.shape) if zero_mode else flat
+
+
+def _join_rows(flat, half, mirror, lo=0):
+    """Write (B, k...) half and mirror stacks of modes lo .. lo+B-1 into flat.
+
+    flat is a (k..., 2H + 1) canonical cube, or the (k..., 2H) values at its
+    nonzero modes, as `_join` returns them; the rows land where `_join` puts
+    them, so writing consecutive blocks joins a whole half.
+    """
+    last = flat.shape[-1] - 1
+    hi = lo + len(half)
+    back = (*range(1, half.ndim), 0)
+    flat[..., lo:hi] = half.transpose(back)
+    np.conjugate(mirror.transpose(back), out=flat[..., last - lo : last - hi : -1])
 
 
 def _hermitianize_half(lattice, coeffs):

@@ -1,4 +1,4 @@
-"""The anisotropic Stokes solution operator, factored once per mode cube.
+"""The anisotropic Stokes solve, one block of Fourier modes at a time.
 
 For every nonzero mode xi the velocity-pressure pair solves the complex
 (n+1) x (n+1) system
@@ -9,9 +9,8 @@ For every nonzero mode xi the velocity-pressure pair solves the complex
 whose matrix is D R D with D = diag(1, ..., 1, i) and R real symmetric
 (velocity block 4*pi^2*xi.a.xi, coupling column 2*pi*xi, zero corner).
 Since R(-xi) = S R(xi) S with S = diag(1, ..., 1, -1), only half the cube
-is needed: `StokesOperator(tensor, lattice)` builds R once for each of the
-(size - 1) / 2 modes before xi = 0, with its inverse, both stored as real
-float64 stacks. R = [[A, b], [b^T, 0]] is a bordered matrix, A = 4*pi^2
+is needed: the H = (size - 1) / 2 modes before xi = 0, whose negatives
+are the rest. R = [[A, b], [b^T, 0]] is a bordered matrix, A = 4*pi^2
 xi.a.xi and b = 2*pi*xi. Relaxed ellipticity makes A positive only on the
 vectors orthogonal to xi, so A may be singular, but the inverse has a closed
 form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
@@ -21,11 +20,14 @@ form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
 with X v = b x v for n = 3, and X A X^T replaced by t t^T, t = (-b_2, b_1),
 for n = 2. LAPACK (`np.linalg.inv`) is the oracle of the tests only. A zero
 s or a conditioning check names the offending mode of a singular symbol.
-The two Stokes solves are `StokesOperator.solve(f, g=None, s=1.0)` and its
-one-shot wrapper `solve_stokes`; with g=None the solve is the incompressible
-one, and `solve_mode` is the single-mode case of the same code. Other
-dimensions n are rejected with a ValueError. The isotropic closed forms and
-the per-mode / summed a-priori bounds with constants
+
+Every Stokes solve is `_solve_half`, over blocks of _BLOCK modes of that
+half. `StokesOperator(tensor, lattice).solve(f, g=None, s=1.0)` feeds it
+R and its inverse, stored once for all H modes; the one-shot `solve_stokes`
+builds each block's and drops it. With g=None the solve is the
+incompressible one, and `solve_mode` is the single-mode case of the same
+code. Other dimensions n are rejected with a ValueError. The isotropic
+closed forms and the per-mode / summed a-priori bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
@@ -43,7 +45,7 @@ from .spectral import (
     TWO_PI,
     SpectralScalarField,
     SpectralVectorField,
-    _join,
+    _join_rows,
     _nonzero_mean,
     _split,
     seminorm,
@@ -195,8 +197,8 @@ def _mode_symbols(tensor, xis):
     return R
 
 
-# Modes per block of the closed-form inverse: the block's temporaries stay
-# a few hundred kB whatever the cube.
+# Modes per block of the closed-form inverse and of every solve: a block's
+# arrays take a few MB at n = 3 whatever the cube.
 _BLOCK = 4096
 
 
@@ -296,34 +298,40 @@ def _solve_symbols(R, inv, x):
     """Solve R y = x for a complex (B, d) stack x, given the real inverses.
 
     Both products act on the float view of x, real and imaginary parts side
-    by side. Returns y and the largest defect |R y - x| relative to max |x|.
-    x may also be a (2, B, d) pair of two copies of one right-hand side, as
-    the half and mirror members of a real field are: y then solves the
-    first, and the defect covers both.
+    by side. Returns y, the largest defect |R y - x| and max |x|, the two
+    parts of the relative residual. x may also be a (2, B, d) pair of two
+    copies of one right-hand side, as the half and mirror members of a real
+    field are: y then solves the first, and the defect and max cover both.
     """
     B, d = x.shape[-2:]
     xv = x.view(np.float64).reshape(-1, B, d, 2)
     y = _apply_inverses(inv, x.reshape(-1, B, d)[0])
     Ry = np.matmul(R, y.view(np.float64).reshape(B, d, 2))
     defect = max(np.max(np.abs((Ry - m).reshape(B, 2 * d).view(np.complex128))) for m in xv)
-    scale = max(float(np.max(np.abs(x))), 1e-300)
-    return y, float(defect) / scale
+    return y, float(defect), float(np.max(np.abs(x)))
 
 
-def _check_solenoidal(xis, y, x):
-    """Raise NotSolenoidal when the velocity rows of y have a divergence defect.
+def _divergence_moduli(xis, y, x):
+    """(max |2*pi*i*xi.uhat|, max |fhat|) of (..., B, n+1) half-layout stacks.
 
-    y and x are (..., H, n+1) half-layout stacks (`spectral._split`) of
-    solutions and data D^-1 (fhat, ghat) at the (H, n) modes xis. The
-    divergence 2*pi*i*xi.uhat of every member is held to DIVERGENCE_RTOL
-    times max |fhat| over the nonzero modes: relative, and blind to the mean.
+    y and x are stacks (`spectral._split`) of solutions and data D^-1
+    (fhat, ghat) at the (B, n) modes xis; `_check_solenoidal` compares the
+    two maxima.
     """
     n = xis.shape[1]
     div = TWO_PI * 1j * sum(xis[:, j] * y[..., j] for j in range(n))
-    defect = float(np.max(np.abs(div)))
-    limit = DIVERGENCE_RTOL * float(np.max(np.abs(x[..., :n])))
-    if not defect <= limit:
-        raise NotSolenoidal(f"velocity divergence {defect:.3e} exceeds {limit:.3e}")
+    return float(np.max(np.abs(div))), float(np.max(np.abs(x[..., :n])))
+
+
+def _check_solenoidal(divergence, scale):
+    """Raise NotSolenoidal when a velocity divergence exceeds DIVERGENCE_RTOL * max |fhat|.
+
+    Both are maxima over the nonzero modes (`_divergence_moduli`), so the
+    check is relative and blind to the mean.
+    """
+    limit = DIVERGENCE_RTOL * scale
+    if not divergence <= limit:
+        raise NotSolenoidal(f"velocity divergence {divergence:.3e} exceeds {limit:.3e}")
 
 
 def solve_mode(symbol, fhat, ghat):
@@ -376,80 +384,25 @@ class StokesOperator:
     mirror member against the same stacks. Either way the residual covers
     every nonzero mode, the mirrored ones included, so a real-flagged field
     that is Hermitian only to rounding shows its asymmetry there. `solve`
-    is the one solve, and `solve_stokes` its one-shot wrapper. Construction
-    raises SingularSymbol, or NotElliptic for the tensor.
+    runs `_solve_half` on slices of the stored stacks. Construction raises
+    SingularSymbol, or NotElliptic for the tensor.
     """
 
     def __init__(self, tensor, lattice):
-        _check_dimension(tensor.n)
-        if tensor.n != lattice.n:
-            raise ValueError(f"tensor dimension {tensor.n} does not match field n={lattice.n}")
         self.tensor = tensor
         self.lattice = lattice
-        self.constants = estimate_constants(tensor)  # validates ellipticity up front
-        self.xis = lattice.indices()[: lattice.size // 2].astype(float)  # (H, n)
+        self.constants = _checked_constants(tensor, lattice)
+        self.xis = _half_modes(lattice, 0, lattice.size // 2)  # (H, n)
         self.symbols = _mode_symbols(tensor, self.xis)
         self.inverses = _invert(self.symbols, self.xis)
 
     def solve(self, f, g=None, s=1.0):
         """Solve the Stokes system; the contract of `solve_stokes`."""
-        lat = self.lattice
-        for fld, what in ((f, "forcing"), (g, "divergence data")):
-            if fld is not None and fld.lattice != lat:
-                raise ValueError(f"{what} lattice {fld.lattice} does not match {lat}")
-        # a nonzero mean is only flagged: no step below reads xi = 0 (_split
-        # stops before it, _join writes 0 there, the seminorms skip it)
-        removed_f = _nonzero_mean(lat, f.coeffs, "stokes forcing", _caller_stacklevel())
-        n = lat.n
-        x = np.empty((2, len(self.xis), n + 1), np.complex128)  # D^-1 (fhat, ghat), split
-        _split(lat, f.coeffs, x[..., :n])
-        if g is None:
-            # zero divergence data: nothing to project, split or rotate
-            x[..., n] = 0.0
-            is_real, removed_g = f.is_real, False
-        else:
-            removed_g = _nonzero_mean(lat, g.coeffs, "divergence data", _caller_stacklevel())
-            _split(lat, g.coeffs, x[..., n])
-            x[..., n] *= -1j
-            is_real = f.is_real and g.is_real
-        if is_real:
-            # one solution serves both members, checked against both
-            y, residual = _solve_symbols(self.symbols, self.inverses, x)
-            y_mirror = y
-        else:
-            y, residual = _solve_symbols(self.symbols, self.inverses, x[0])
-            y_mirror, residual_mirror = _solve_symbols(self.symbols, self.inverses, x[1])
-            residual = max(residual, residual_mirror)
-        # x and z carry the moduli of (fhat, ghat) and (uhat, phat); both
-        # members go through one pass, a real solve's one solution once
-        z = y[None] if is_real else np.stack((y, y_mirror))
-        if g is None:
-            _check_solenoidal(self.xis, z, x)
-        u = SpectralVectorField(
-            lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, True, g is None
-        )
-        p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real, True)
-        slack_u, slack_p, bound_u, bound_p = _mode_slacks(self.constants, self.xis, x, z)
-        g = zero_scalar_field(lat) if g is None else g
-        return u, p, StokesSolveReport(
-            s=s,
-            n_modes=lat.size - 1,
-            residual=residual,
-            constants=self.constants,
-            slack_u=_join(lat, slack_u[0], slack_u[1], False),
-            slack_p=_join(lat, slack_p[0], slack_p[1], False),
-            min_slack_u=float(np.min(slack_u)),
-            min_slack_p=float(np.min(slack_p)),
-            # each mode's slack is held to its own bound, so rescaling the
-            # data cannot flip the verdict
-            estimates_ok=bool(
-                np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
-                and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
-            ),
-            global_bound=global_estimate_slack(self.tensor, u, p, f, g, s),
-            mean_removed_f=removed_f,
-            mean_removed_g=removed_g,
-        )
+
+        def block(lo, hi):
+            return self.xis[lo:hi], self.symbols[lo:hi], self.inverses[lo:hi]
+
+        return _solve_half(self.tensor, self.constants, self.lattice, f, g, s, block)
 
 
 def solve_stokes(tensor, f, g=None, s=1.0):
@@ -460,10 +413,123 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     never read. Returns (u, p, report); the zero mode of u and p is exactly
     zero. With g=None the solve is the incompressible one: u is flagged
     divergence_free, and `_check_solenoidal` raises NotSolenoidal if it is
-    not. Builds a one-shot StokesOperator, whose `solve` is the other entry;
-    callers that solve repeatedly with one tensor should keep the operator.
+    not. After the checks of the StokesOperator constructor, in the same
+    order, it builds and inverts the symbols block by block, so it holds
+    its inputs, its outputs and one block. It gives the bits of
+    `StokesOperator.solve`, which callers that solve repeatedly with one
+    tensor should keep.
     """
-    return StokesOperator(tensor, f.lattice).solve(f, g, s=s)
+    lattice = f.lattice
+    constants = _checked_constants(tensor, lattice)
+
+    def block(lo, hi):
+        xis = _half_modes(lattice, lo, hi)
+        R = _mode_symbols(tensor, xis)
+        return xis, R, _invert(R, xis)
+
+    return _solve_half(tensor, constants, lattice, f, g, s, block)
+
+
+def _checked_constants(tensor, lattice):
+    """The estimate constants of a Stokes solve, after the checks of its setup."""
+    _check_dimension(tensor.n)
+    if tensor.n != lattice.n:
+        raise ValueError(f"tensor dimension {tensor.n} does not match field n={lattice.n}")
+    return estimate_constants(tensor)  # validates ellipticity up front
+
+
+def _half_modes(lattice, lo, hi):
+    """Modes lo .. hi-1 of the canonical order as a (hi - lo, n) float stack."""
+    index = np.unravel_index(np.arange(lo, hi), lattice.shape)
+    return (np.stack(index, axis=-1) - lattice.m).astype(float)
+
+
+def _solve_half(tensor, constants, lattice, f, g, s, block):
+    """The Stokes solve, streamed over the Hermitian half in blocks of _BLOCK modes.
+
+    block(lo, hi) returns the (xis, R, R^-1) stacks of the half's modes
+    lo .. hi-1. Each block takes its rows of f and g from the cubes
+    (`spectral._split`), solves and measures both members, and writes its
+    rows of u, p and the two slack arrays, with their mirrors, to their
+    canonical places (`spectral._join_rows`). The residual, the slack
+    minima, the estimate verdict and the divergence check are exact maxima
+    and minima over the blocks, so the blocking changes no bit.
+    """
+    for fld, what in ((f, "forcing"), (g, "divergence data")):
+        if fld is not None and fld.lattice != lattice:
+            raise ValueError(f"{what} lattice {fld.lattice} does not match {lattice}")
+    # a nonzero mean is only flagged: no step below reads xi = 0 (_split
+    # stops before it, u and p are 0 there, the seminorms skip it)
+    removed_f = _nonzero_mean(lattice, f.coeffs, "stokes forcing", _caller_stacklevel())
+    removed_g = g is not None and _nonzero_mean(
+        lattice, g.coeffs, "divergence data", _caller_stacklevel()
+    )
+    is_real = f.is_real and (g is None or g.is_real)
+    n, H = lattice.n, lattice.size // 2
+    u = np.empty((n, 2 * H + 1), np.complex128)
+    p = np.empty(2 * H + 1, np.complex128)
+    u[:, H] = p[H] = 0.0
+    slack_u, slack_p = np.empty(2 * H), np.empty(2 * H)
+    fits, divergences, estimates_ok = [], [], True
+    for lo in range(0, H, _BLOCK):
+        # a last block of one mode holds (0, ..., 0, -1) alone, whose
+        # symbol has one nonzero term: `mode_blocks`, which sums a one-mode
+        # stack in another order, gives it the bits of the whole stack
+        hi = min(lo + _BLOCK, H)
+        xis, R, inv = block(lo, hi)
+        x = np.empty((2, hi - lo, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
+        _split(lattice, f.coeffs, x[..., :n], lo)
+        if g is None:
+            x[..., n] = 0.0  # zero divergence data: nothing to split or rotate
+        else:
+            _split(lattice, g.coeffs, x[..., n], lo)
+            x[..., n] *= -1j
+        if is_real:
+            # one solution serves both members, checked against both
+            y, *fit = _solve_symbols(R, inv, x)
+            y_mirror, z = y, y[None]
+            fits.append([fit])
+        else:
+            y, *fit = _solve_symbols(R, inv, x[0])
+            y_mirror, *fit_mirror = _solve_symbols(R, inv, x[1])
+            z = np.stack((y, y_mirror))
+            fits.append([fit, fit_mirror])
+        # x and z carry the moduli of (fhat, ghat) and (uhat, phat); both
+        # members go through one pass, a real solve's one solution once
+        if g is None:
+            divergences.append(_divergence_moduli(xis, z, x))
+        _join_rows(u, y[:, :n], y_mirror[:, :n], lo)
+        _join_rows(p, -1j * y[:, n], -1j * y_mirror[:, n], lo)
+        su, sp, bound_u, bound_p = _mode_slacks(constants, xis, x, z)
+        # each mode's slack is held to its own bound, so rescaling the data
+        # cannot flip the verdict
+        estimates_ok = estimates_ok and bool(
+            np.all(su >= -ESTIMATE_RTOL * bound_u) and np.all(sp >= -ESTIMATE_RTOL * bound_p)
+        )
+        _join_rows(slack_u, su[0], su[1], lo)
+        _join_rows(slack_p, sp[0], sp[1], lo)
+    if g is None:
+        _check_solenoidal(*np.max(divergences, axis=0))
+    # per member, the largest defect over the largest |x| of the whole half
+    defects, scales = np.max(fits, axis=0).T
+    residual = max(float(d) / max(float(x_max), 1e-300) for d, x_max in zip(defects, scales))
+    u = SpectralVectorField(lattice, u.reshape((n,) + lattice.shape), is_real, True, g is None)
+    p = SpectralScalarField(lattice, p.reshape(lattice.shape), is_real, True)
+    g = zero_scalar_field(lattice) if g is None else g
+    return u, p, StokesSolveReport(
+        s=s,
+        n_modes=lattice.size - 1,
+        residual=residual,
+        constants=constants,
+        slack_u=slack_u,
+        slack_p=slack_p,
+        min_slack_u=float(np.min(slack_u)),
+        min_slack_p=float(np.min(slack_p)),
+        estimates_ok=estimates_ok,
+        global_bound=global_estimate_slack(tensor, u, p, f, g, s),
+        mean_removed_f=removed_f,
+        mean_removed_g=removed_g,
+    )
 
 
 def _mode_slacks(constants, xis, rhs, z):

@@ -294,14 +294,13 @@ def test_criterion_09_regularity_surrogate():
     report_line(9, "regularity-surrogate", ok, "; ".join(details) + f", {elapsed:.1f} s")
 
 
-def _run_cli(args, cwd, threads):
+def _run_cli(args, cwd):
     # The child runs in cwd, where a relative PYTHONPATH entry would not
     # resolve; put the root of the tsflow package imported here first so the
     # child runs the same code as this process.
     env = os.environ.copy()
     package_root = os.path.dirname(os.path.dirname(tsflow.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    env["TSF_THREADS"] = threads
     proc = subprocess.run(
         [sys.executable, "-m", "tsflow", *args],
         cwd=cwd,
@@ -315,7 +314,7 @@ def _run_cli(args, cwd, threads):
     return proc
 
 
-def _determinism_pipeline(workdir, threads):
+def _determinism_pipeline(workdir):
     os.makedirs(workdir, exist_ok=True)
     from tsflow.io import write_tensor
 
@@ -327,15 +326,21 @@ def _determinism_pipeline(workdir, threads):
             "--out-f", "f.spf", "--out-g", "g.spf",
         ],
         workdir,
-        threads,
     )
+    for extra, out in (([], "sol"), (["--g", "g.spf"], "sol_g")):
+        _run_cli(
+            [
+                "stokes-solve", "--tensor", "tensor.txt", "--f", "f.spf", *extra,
+                "--out", f"{out}.spf", "--report", f"{out}_report.txt",
+            ],
+            workdir,
+        )
     _run_cli(
         [
             "ns-solve", "--tensor", "tensor.txt", "--f", "f.spf",
             "--out-u", "u.spf", "--out-p", "p.spf", "--report", "ns_report.txt",
         ],
         workdir,
-        threads,
     )
     _run_cli(
         [
@@ -343,10 +348,10 @@ def _determinism_pipeline(workdir, threads):
             "--report", "verify_report.txt",
         ],
         workdir,
-        threads,
     )
-    names = ["u_star.spf", "p_star.spf", "f.spf", "g.spf", "u.spf", "p.spf",
-             "ns_report.txt", "verify_report.txt"]
+    names = ["u_star.spf", "p_star.spf", "f.spf", "g.spf", "sol.spf", "sol_report.txt",
+             "sol_g.spf", "sol_g_report.txt", "u.spf", "p.spf", "ns_report.txt",
+             "verify_report.txt"]
     out = {}
     for name in names:
         with open(os.path.join(workdir, name), "rb") as fh:
@@ -355,16 +360,11 @@ def _determinism_pipeline(workdir, threads):
 
 
 def test_criterion_10_determinism(tmp_path):
-    runs = {}
-    for threads in ("1", "0"):
-        for repeat in ("a", "b"):
-            key = (threads, repeat)
-            runs[key] = _determinism_pipeline(str(tmp_path / f"run{threads}{repeat}"), threads)
-    baseline = runs[("1", "a")]
-    identical = all(runs[key] == baseline for key in runs)
+    runs = [_determinism_pipeline(str(tmp_path / f"run{k}")) for k in range(4)]
+    identical = all(run == runs[0] for run in runs)
     report_line(
         10,
         "determinism",
         identical,
-        f"{len(baseline)} artifacts byte-identical over 4 runs (TSF_THREADS=1 and auto)",
+        f"{len(runs[0])} artifacts byte-identical over {len(runs)} runs",
     )

@@ -537,17 +537,15 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    def test_thread_env_does_not_change_report(self, tmp_path, monkeypatch):
-        # identical config, different worker counts: byte-identical reports
+    def test_repeated_verify_writes_identical_reports(self, tmp_path, monkeypatch):
+        # one config run twice, in two directories: byte-identical reports
         d1, d2 = tmp_path / "one", tmp_path / "two"
         d1.mkdir()
         d2.mkdir()
         args = ["verify", "--suite", "trilinear", "--m", "4", "--draws", "6",
                 "--report", "report.txt"]
-        monkeypatch.setenv("TSF_THREADS", "1")
         monkeypatch.chdir(d1)
         main(args)
-        monkeypatch.setenv("TSF_THREADS", "0")
         monkeypatch.chdir(d2)
         main(args)
         assert (d1 / "report.txt").read_bytes() == (d2 / "report.txt").read_bytes()

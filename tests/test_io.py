@@ -135,6 +135,45 @@ class TestCombinedDump:
         assert np.array_equal(back_u.coeffs, u.coeffs)
         assert np.array_equal(back_p.coeffs, p.coeffs)
 
+    @pytest.mark.parametrize("is_real, bound", [(True, 1.75), (False, 1.25)])
+    def test_payload_is_allocated_once(self, tmp_path, is_real, bound):
+        # the fields are views of the buffer that was read: beyond it only
+        # the finite check and, for real=1, one component's Hermitian check
+        # allocate; copying the payload into the fields doubled the peak
+        import tracemalloc
+
+        lat = make_lattice(3, 8)
+        rng = np.random.default_rng(7)
+        if is_real:
+            pair = (random_vector_field(5, lat), random_scalar_field(6, lat))
+        else:
+            c = rng.standard_normal((4,) + lat.shape) + 1j * rng.standard_normal((4,) + lat.shape)
+            pair = (vector_field(lat, c[:3]), scalar_field(lat, c[3]))
+        path = tmp_path / "sol.spf"
+        write_field(path, pair)
+        payload = 16 * 4 * lat.size
+        tracemalloc.start()
+        try:
+            u, p = read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * payload
+        assert u.coeffs.base is not None and u.coeffs.base is p.coeffs.base
+        assert u.coeffs.dtype == p.coeffs.dtype == np.complex128
+
+    def test_signed_zero_mean_reads_as_zero(self, tmp_path):
+        # a dumped -0 mean is a zero mean, stored as +0 as the constructors store it
+        u, p = self._pair(2, True)
+        c = u.coeffs.copy()
+        c[(slice(None),) + u.lattice.zero_index] = complex(-0.0, -0.0)
+        path = tmp_path / "sol.spf"
+        write_field(path, (SpectralVectorField(u.lattice, c, True, True), p))
+        back, _ = read_field(path)
+        assert back.zero_mean
+        zero = back.coeffs[(slice(None),) + u.lattice.zero_index]
+        assert zero.tobytes() == np.zeros(2, np.complex128).tobytes()
+
     def test_rejects_bad_pairs(self, tmp_path):
         u, p = self._pair(2, True)
         path = tmp_path / "bad.spf"

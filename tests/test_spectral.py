@@ -17,6 +17,7 @@ from tsflow.spectral import (
     _hermitianize_half,
     _irfftn_half,
     _join,
+    _join_rows,
     _random_scalars,
     _random_vectors,
     _rfftn_half,
@@ -766,6 +767,30 @@ class TestSharedPrimitives:
         assert_same_bits(_join(lat, out[0], out[1]), expected)
         nonzero = np.arange(lat.size) != H
         assert_same_bits(_join(lat, out[0], out[1], zero_mode=False), flat[..., nonzero])
+
+    @pytest.mark.parametrize("block", [1, 5, 7])
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    def test_split_join_in_blocks(self, n, m, block):
+        # oracle: the whole-half _split and _join; a block of rows lo .. hi-1
+        # is that slice of the split, and _join_rows of consecutive blocks
+        # writes every entry of the join
+        lat = make_lattice(n, m)
+        H = lat.size // 2
+        rng = np.random.default_rng(95 + n)
+        c = rng.standard_normal((n,) + lat.shape) + 1j * rng.standard_normal((n,) + lat.shape)
+        whole = _split(lat, c, np.empty((2, H, n), np.complex128))
+        joined = np.full((n, lat.size), np.nan, np.complex128)
+        joined[:, H] = 0.0
+        nonzero = np.full(2 * H, np.nan)
+        for lo in range(0, H, block):
+            hi = min(lo + block, H)
+            part = _split(lat, c, np.empty((2, hi - lo, n), np.complex128), lo)
+            assert_same_bits(part, whole[:, lo:hi])
+            _join_rows(joined, part[0], part[1], lo)
+            _join_rows(nonzero, part[0, :, 0].real, part[1, :, 0].real, lo)
+        assert_same_bits(joined.reshape(c.shape), _join(lat, whole[0], whole[1]))
+        real = whole[..., 0].real
+        assert_same_bits(nonzero, _join(lat, real[0], real[1], zero_mode=False))
 
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
     def test_split_join_case_axis(self, n, m):

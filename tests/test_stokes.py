@@ -6,6 +6,7 @@ import pytest
 from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import regularity_slope
 from tsflow.spectral import (
+    SpectralScalarField,
     SpectralVectorField,
     _join,
     _split,
@@ -26,6 +27,7 @@ from tsflow.stokes import (
     NotSolenoidal,
     SingularSymbol,
     StokesOperator,
+    StokesSolveReport,
     ZeroMode,
     assemble_symbol,
     estimate_constants,
@@ -144,12 +146,13 @@ class TestBatchedElimination:
             rhs = rng.standard_normal((40, n + 1)) + 1j * rng.standard_normal((40, n + 1))
             x = rhs.copy()
             x[:, -1] *= -1j  # D^-1 rhs
-            y, residual = _solve_symbols(R, _invert(R, xis), x)
+            y, defect, x_max = _solve_symbols(R, _invert(R, xis), x)
+            assert x_max == np.max(np.abs(x))
             mine = y.copy()
             mine[:, -1] *= -1j  # D^-1 y
             ref = np.linalg.solve(self._dressed(R), rhs[..., None])[..., 0]
             assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert residual <= 1e-13
+            assert defect <= 1e-13 * x_max
 
     def test_pair_is_solved_once_and_checked_twice(self):
         # the (half, mirror) pair of a real field: y solves the first member,
@@ -160,13 +163,13 @@ class TestBatchedElimination:
         xis, R = _symbol_stack(14, 3, 30)
         x = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
         inv = _invert(R, xis)
-        y, residual = _solve_symbols(R, inv, x)
+        y, defect, x_max = _solve_symbols(R, inv, x)
         pair = np.stack([x, x])
-        assert _solve_symbols(R, inv, pair)[1] == residual
-        pair[1, 7, 2] += 1e-6 * np.max(np.abs(x))
-        y_pair, residual_pair = _solve_symbols(R, inv, pair)
+        assert _solve_symbols(R, inv, pair)[1:] == (defect, x_max)
+        pair[1, 7, 2] += 1e-6 * x_max
+        y_pair, defect_pair, _ = _solve_symbols(R, inv, pair)
         assert np.array_equal(y_pair, y)
-        assert residual <= 1e-13 and 0.9e-6 <= residual_pair <= 1.1e-6
+        assert defect <= 1e-13 * x_max and 0.9e-6 <= defect_pair / x_max <= 1.1e-6
 
     def test_detects_singular_member(self):
         import warnings
@@ -538,6 +541,199 @@ class TestStokesOperator:
             solve_mode(assemble_symbol(tensor, (1,) * n), np.ones(n), 0.0)
 
 
+def _assert_same_solve(a, b):
+    """Assert that two (u, p, report) solves agree bit for bit, every report field included."""
+    import dataclasses
+
+    for x, y in zip(a[:2], b[:2]):
+        assert type(x) is type(y) and x.coeffs.tobytes() == y.coeffs.tobytes()
+        assert [getattr(x, k) for k in x._FLAGS] == [getattr(y, k) for k in y._FLAGS]
+    for field in dataclasses.fields(a[2]):
+        x, y = getattr(a[2], field.name), getattr(b[2], field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+class TestStreamedSolve:
+    """The one Stokes solve, streamed over the Hermitian half in blocks of modes."""
+
+    CASES = [(2, 6), (3, 3)]  # H = 84 and 171 modes: many blocks of 5 or 7
+
+    @staticmethod
+    def _data(lat, seed, is_real, with_g):
+        f, g = TestStokesOperator._data(lat, seed, is_real)
+        return f, (g if with_g else None)
+
+    @pytest.mark.parametrize("with_g", [True, False])
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("n, m", CASES)
+    @pytest.mark.parametrize("block", [5, 7])
+    def test_blocking_changes_no_bit(self, monkeypatch, block, n, m, is_real, with_g):
+        # blocks of 5 leave the mode (0, 0, -1) alone at the end of the n = 3
+        # half; the residual is the largest defect over the largest |x| of
+        # the whole half, whatever the blocks
+        import tsflow.stokes as stokes_mod
+
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(30 + n, n)
+        f, g = self._data(lat, 31 + n, is_real, with_g)
+        whole = solve_stokes(A, f, g)
+        op = StokesOperator(A, lat)
+        monkeypatch.setattr(stokes_mod, "_BLOCK", block)
+        _assert_same_solve(solve_stokes(A, f, g), whole)
+        _assert_same_solve(op.solve(f, g), whole)
+
+    @pytest.mark.parametrize("with_g", [True, False])
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("n, m", [(2, 48), (3, 11)])
+    def test_entries_match_whole_half_reference(self, n, m, is_real, with_g):
+        # oracle: the whole-half solve, one _split of the data, _solve_symbols
+        # per member, _mode_slacks on both, all joined with _join; the two
+        # entries stream it in two blocks of the default size
+        from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
+
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(32 + n, n)
+        f, g = self._data(lat, 33 + n, is_real, with_g)
+        op = StokesOperator(A, lat)
+        x = np.zeros((2, lat.size // 2, n + 1), np.complex128)
+        _split(lat, f.coeffs, x[..., :n])
+        if with_g:
+            _split(lat, g.coeffs, x[..., n])
+            x[..., n] *= -1j
+        members = [x] if is_real else [x[0], x[1]]
+        fits = [_solve_symbols(op.symbols, op.inverses, member) for member in members]
+        residual = max(defect / max(x_max, 1e-300) for _, defect, x_max in fits)
+        y, y_mirror = fits[0][0], fits[-1][0]
+        z = y[None] if is_real else np.stack((y, y_mirror))
+        slack_u, slack_p, bound_u, bound_p = _mode_slacks(op.constants, op.xis, x, z)
+        u = SpectralVectorField(lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, True, not with_g)
+        p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real, True)
+        ref = (u, p, StokesSolveReport(
+            s=1.0,
+            n_modes=lat.size - 1,
+            residual=residual,
+            constants=op.constants,
+            slack_u=_join(lat, slack_u[0], slack_u[1], False),
+            slack_p=_join(lat, slack_p[0], slack_p[1], False),
+            min_slack_u=float(np.min(slack_u)),
+            min_slack_p=float(np.min(slack_p)),
+            estimates_ok=bool(
+                np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
+                and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
+            ),
+            global_bound=global_estimate_slack(A, u, p, f, zero_scalar_field(lat) if g is None else g, 1.0),
+            mean_removed_f=False,
+            mean_removed_g=False,
+        ))
+        _assert_same_solve(solve_stokes(A, f, g), ref)
+        _assert_same_solve(op.solve(f, g), ref)
+
+    @pytest.mark.parametrize("with_g", [True, False])
+    def test_one_shot_holds_one_block(self, with_g):
+        # at n = 3, m = 16 the outputs take 2.7 MiB and one block of modes
+        # about 4.7 MiB; whole-half stacks of symbols, inverses, split data
+        # and solution put the peak above 12 MiB
+        import tracemalloc
+
+        lat = make_lattice(3, 16)
+        A = random_elliptic_tensor(34, 3)
+        f, g = self._data(lat, 35, True, with_g)
+        solve_stokes(A, f, g)  # fills the per-lattice caches outside the trace
+        tracemalloc.start()
+        try:
+            solve_stokes(A, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
+    @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
+    def test_singular_symbol_names_its_mode_in_a_later_block(self, monkeypatch, entry):
+        # the mode (0, 0, -2) lies in the last block of 7; the one-shot path
+        # builds that symbol in its block, the operator in its constructor
+        import tsflow.stokes as stokes_mod
+
+        lat = make_lattice(3, 3)
+        A = random_elliptic_tensor(36, 3)
+        real = stokes_mod._mode_symbols
+
+        def singular(tensor, xis):
+            R = real(tensor, xis)
+            at = np.flatnonzero((xis == (0.0, 0.0, -2.0)).all(axis=1))
+            R[at] = real(make_isotropic(1.0, 0.0, 3), xis[at])
+            return R
+
+        monkeypatch.setattr(stokes_mod, "_mode_symbols", singular)
+        monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
+        f = random_vector_field(37, lat, decay=2.0)
+        with pytest.raises(SingularSymbol) as caught:
+            if entry == "solve_stokes":
+                solve_stokes(A, f)
+            else:
+                StokesOperator(A, lat).solve(f)
+        assert str(caught.value) == "singular symbol at mode (0, 0, -2)"
+        assert caught.value.xi == (0, 0, -2)
+        assert caught.traceback[-1].name == "_invert"
+
+    @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
+    def test_divergence_limit_is_global(self, monkeypatch, entry):
+        # a divergence of half DIVERGENCE_RTOL * max |fhat| in the first block
+        # of 7 modes (xi_1 = -6, where |fhat| is small) passes, ten times
+        # above the limit of its own block; twice the limit fails, with the
+        # message and the raising function of the check
+        import tsflow.stokes as stokes_mod
+
+        lat = make_lattice(2, 6)
+        f = random_vector_field(38, lat, decay=3.0)
+        limit = stokes_mod.DIVERGENCE_RTOL * np.max(np.abs(f.coeffs))
+        first_block = stokes_mod.DIVERGENCE_RTOL * np.max(np.abs(f.coeffs[:, 0, :7]))
+        assert 0.5 * limit > 10 * first_block
+        real = stokes_mod._solve_symbols
+        monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
+
+        def solve(share):
+            calls = []
+
+            def skewed(R, inv, x):
+                y, *fit = real(R, inv, x)
+                if not calls:
+                    y[:, 0] += share * limit / (2 * np.pi * 6)  # |2 pi xi_1| = 12 pi
+                calls.append(x)
+                return (y, *fit)
+
+            monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
+            if entry == "solve_stokes":
+                return solve_stokes(ISO, f)
+            return StokesOperator(ISO, lat).solve(f)
+
+        assert solve(0.5)[0].divergence_free
+        with pytest.raises(NotSolenoidal, match=r"^velocity divergence \S+ exceeds \S+$") as caught:
+            solve(2.0)
+        assert caught.traceback[-1].name == "_check_solenoidal"
+
+    @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
+    def test_mean_warnings_name_the_calling_line(self, entry):
+        import inspect
+        import warnings
+
+        lat = make_lattice(2, 3)
+        f = random_vector_field(39, lat, decay=2.0, zero_mean=False)
+        g = random_scalar_field(40, lat, decay=2.0, zero_mean=False)
+        solve = solve_stokes if entry == "solve_stokes" else StokesOperator(ISO, lat).solve
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            solve(ISO, f, g) if entry == "solve_stokes" else solve(f, g)
+        tail = "has a nonzero mean; projecting onto the zero-mean subspace"
+        assert [(str(w.message), w.filename, w.lineno) for w in caught] == [
+            (f"stokes forcing {tail}", __file__, line),
+            (f"divergence data {tail}", __file__, line),
+        ]
+
+
 class TestSolveMode:
     def test_transverse_forcing(self):
         sym = assemble_symbol(ISO, (1, 0))
@@ -806,9 +1002,9 @@ class TestIncompressibleSolve:
         real = stokes_mod._solve_symbols
 
         def skewed(R, inv, x):
-            y, residual = real(R, inv, x)
+            y, *fit = real(R, inv, x)
             y[:, 0] += 1e-6 * np.max(np.abs(y))
-            return y, residual
+            return (y, *fit)
 
         monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
         f = random_vector_field(16, make_lattice(2, 4), decay=2.0)
@@ -825,11 +1021,11 @@ class TestIncompressibleSolve:
         calls = []
 
         def skewed(R, inv, x):
-            y, residual = real(R, inv, x)
+            y, *fit = real(R, inv, x)
             calls.append(x)
             if len(calls) == 2:
                 y[0, 0] += 1e-6 * np.max(np.abs(y))
-            return y, residual
+            return (y, *fit)
 
         monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
         lat = make_lattice(2, 4)
@@ -861,8 +1057,8 @@ class TestScaleInvariantVerdicts:
         real = stokes_mod._solve_symbols
 
         def inflated(R, inv, x):
-            y, residual = real(R, inv, x)
-            return y * (1.0 + 1e-9), residual
+            y, *fit = real(R, inv, x)
+            return (y * (1.0 + 1e-9), *fit)
 
         monkeypatch.setattr(stokes_mod, "_solve_symbols", inflated)
         lat = make_lattice(2, 4)
