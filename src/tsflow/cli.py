@@ -10,6 +10,7 @@ or verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -194,11 +195,13 @@ def parse_config(argv=None):
 
 
 def _validate(command, options):
+    if command == "stokes-solve" and not math.isfinite(options["s"]):
+        raise UsageError(f"--s must be finite, got {options['s']}")
     if command == "ns-solve":
         if not 0.0 < options["omega"] <= 1.0:
             raise UsageError(f"--omega must be in (0, 1], got {options['omega']}")
-        if options["tol"] <= 0:
-            raise UsageError(f"--tol must be positive, got {options['tol']}")
+        if not (math.isfinite(options["tol"]) and options["tol"] > 0):
+            raise UsageError(f"--tol must be positive and finite, got {options['tol']}")
         if options["max_iter"] < 1:
             raise UsageError(f"--max-iter must be >= 1, got {options['max_iter']}")
         if options["initial"] not in ("stokes", "zero"):

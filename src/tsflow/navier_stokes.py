@@ -32,6 +32,7 @@ satisfies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,11 +44,14 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _abs2_sum,
+    _half_from_upper,
     _hermitian_from_upper,
+    _irfftn_half,
     _join,
     _nonzero_mean,
     _rfftn_half,
     _split,
+    _upper_from_half,
     _without_mean,
     dealias_grid,
     divergence,
@@ -59,7 +63,6 @@ from .spectral import (
     rho2,
     seminorm,
     sobolev_norm,
-    zero_vector_field,
 )
 from .stokes import StokesOperator, _apply_inverses, _check_solenoidal, _divergence_moduli
 from .viscosity import _apply_blocks, ellipticity_constant, stokes_operator
@@ -109,8 +112,8 @@ class NSSolveOptions:
     def __post_init__(self):
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError(f"relaxation must be in (0, 1], got {self.relaxation}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.initial_guess not in ("stokes", "zero"):
@@ -155,15 +158,16 @@ def advection(w, dealias=True):
     of the transforms that stay outside the cube are never computed.
     `_rfftn_half` returns each product's half with its xi_n = 0 plane
     already averaged with its mirror, and the derivatives are accumulated on
-    that half with multipliers restricted to it; the accumulated plane is
-    then exactly Hermitian, and `_hermitian_from_upper` fills xi_n < 0.
+    that half with multipliers restricted to it (`_advection_upper`); the
+    accumulated plane is then exactly Hermitian, and `_hermitian_from_upper`
+    fills xi_n < 0.
     The result equals an accumulation over the whole cube bit for bit. The
     correction (div w) w is formed only when w is not flagged
     divergence-free, where it vanishes analytically, so the result is exact
     for every w. Requires a real field. With dealias the grid is the
     5-smooth `dealias_grid(m)` >= 3m+1 and the retained modes are exact;
     without it the grid has 2m+1 points and the products alias back into
-    the cube. One field of `_advection`, the stacked kernel that the
+    the cube. One field of `_advection`, the stacked form that the
     verification suites run on blocks of fields.
     """
     if not w.is_real:
@@ -179,14 +183,23 @@ def advection(w, dealias=True):
 def _advection(lattice, w_grid, div_grid=None):
     """(w . grad) w from the (k, n, N^n) grid samples of k real fields w, as `advection` forms it.
 
+    The (k, n, cube) stack of `_advection_upper`'s halves, filled by
+    conjugation, so slice i is advection of field i bit for bit.
+    """
+    return _filled(lattice, _advection_upper(lattice, w_grid, div_grid))
+
+
+def _advection_upper(lattice, w_grid, div_grid=None):
+    """The xi_n >= 0 half of (w . grad) w for the (k, n, N^n) grid samples of k real fields w.
+
     div_grid holds the (k, N^n) samples of div w, or is None for fields
     flagged divergence-free. Each product pair takes one forward transform
-    of all k grids, every slice on its own, so slice i of the (k, n, cube)
-    result is advection of field i bit for bit. Requires N >= 2m+1.
+    of all k grids, every slice on its own. The sums start from +0, so no
+    entry of the (k, n) + (2m+1,)*(n-1) + (m+1,) result is -0. Requires
+    N >= 2m+1.
     """
     n, m = lattice.n, lattice.m
-    d = [TWO_PI * 1j * g[..., m:] for g in index_grids(lattice)]  # 2*pi*i*xi_j on xi_n >= 0
-
+    d = _upper_derivatives(lattice)
     upper = np.zeros(w_grid.shape[:2] + lattice.shape[:-1] + (m + 1,), np.complex128)
     grid = np.empty(w_grid.shape[:1] + w_grid.shape[2:])  # one product's samples at a time
     term = np.empty(upper.shape[:1] + upper.shape[2:], np.complex128)  # one multiplier product
@@ -203,7 +216,22 @@ def _advection(lattice, w_grid, div_grid=None):
     if div_grid is not None:
         for k in range(n):
             upper[:, k] -= product(div_grid, w_grid[:, k])
-    out = np.empty(upper.shape[:2] + lattice.shape, np.complex128)
+    return upper
+
+
+@functools.lru_cache(maxsize=128)
+def _upper_derivatives(lattice):
+    """The read-only multipliers 2*pi*i*xi_j on xi_n >= 0, one per j, built once per lattice."""
+    d = tuple(TWO_PI * 1j * g[..., lattice.m :] for g in index_grids(lattice))
+    for a in d:
+        a.setflags(write=False)
+    return d
+
+
+def _filled(lattice, upper):
+    """The cube of an `_advection_upper` stack, its xi_n < 0 half filled by conjugation."""
+    m = lattice.m
+    out = np.empty(upper.shape[: upper.ndim - lattice.n] + lattice.shape, np.complex128)
     out[..., m:] = upper
     _hermitian_from_upper(out, lattice)
     # + 0.0 turns the conjugates' -0 imaginary parts into the +0 that a sum
@@ -295,18 +323,21 @@ def picard_solve(tensor, f, opts=None):
     Every pass runs on the Hermitian half (`spectral._split`), the layout
     of the operator's stacks: (H, n) stacks over the modes before xi = 0,
     the other half following by conjugation, since every field here is
-    real. The forcing is split once. A pass joins the iterate u to the cube
-    once, evaluates (u . grad) u there and splits it to the half, applies
-    the operator's inverses to D^-1 (f - (u . grad) u, 0), checks that the
-    new velocity is solenoidal (the `_check_solenoidal` of the operator's
+    real. The forcing is split once. A pass maps the iterate's half to the
+    xi_n >= 0 half of its cube (`_upper_from_half`), samples that on the
+    product grid, forms (u . grad) u there (`_advection_upper`) and maps it
+    back (`_half_from_upper`), so no pass builds a cube. It then applies the
+    operator's inverses to D^-1 (f - (u . grad) u, 0), checks that the new
+    velocity is solenoidal (the `_check_solenoidal` of the operator's
     solve), forms the momentum defect with the operator's velocity blocks,
     measures it in H^{-1} with the weights of the half, and relaxes u
     toward the linear solution. The step omega
     halves whenever the defect grows; Diverged is raised if it grows at the
     floor, MaxIterationsExceeded if the budget runs out. On success the
     returned velocity is divergence-free, the pressure is the one induced by
-    the final velocity (joined only then), and the report records whether
-    the a-priori bound held. A nonzero mean of f is flagged once, with a
+    the final velocity, and the report records whether the a-priori bound
+    held; u, p and the advection field of `energy_check` become cubes only
+    then. A nonzero mean of f is flagged once, with a
     NonzeroMeanWarning, recorded as mean_removed_f, and dropped: the split
     half holds no xi = 0, and M0 leaves the mean out.
     """
@@ -319,6 +350,7 @@ def picard_solve(tensor, f, opts=None):
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
     omega = opts.relaxation
     n, H = lat.n, len(stokes.xis)
+    N = dealias_grid(lat.m) if opts.dealias else 2 * lat.m + 1
     x = np.zeros((H, n + 1), np.complex128)  # D^-1 (f - (u . grad) u, 0)
     _split(lat, f.coeffs, x[None, :, :n])
     f_h = x[:, :n].copy()
@@ -332,16 +364,29 @@ def picard_solve(tensor, f, opts=None):
 
     if opts.initial_guess == "stokes":
         u_h = linear()[:, :n]
-        u = SpectralVectorField(lat, _join(lat, u_h, u_h), True, True, True)
     else:
         u_h = np.zeros((H, n), np.complex128)
-        u = zero_vector_field(lat)
+    # conjugation leaves -0 imaginary parts at exact zeros of the mirror,
+    # where relaxing the whole field (or the zero field) gives +0; + 0.0 on
+    # the joined iterate keeps those bits, the Stokes guess is used as joined
+    relaxed = opts.initial_guess == "zero"
+    # one sample buffer for every pass: a fresh grid each pass (3 MB at n=3,
+    # m=16) goes back to the system and is faulted in again, which tripled
+    # the page faults of an ns-solve
+    w_grid = np.empty((1, n) + (N,) * n)
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
-        bu = advection(u, dealias=opts.dealias)
-        _split(lat, bu.coeffs, x[None, :, :n])
-        np.subtract(f_h, x[:, :n], out=x[:, :n])
+        upper = _upper_from_half(lat, u_h)
+        if relaxed:
+            upper += 0.0
+        _irfftn_half(upper, lat, N, out=w_grid[0])
+        bu = _advection_upper(lat, w_grid)
+        # the kernel's upper half holds no -0, so + 0.0 reaches only the
+        # conjugates, as the cube's fill does
+        bu_h = _half_from_upper(lat, bu[0])
+        bu_h += 0.0
+        np.subtract(f_h, bu_h, out=x[:, :n])
         y = linear()
         # the pressure gradient cancels in the defect, leaving the viscous
         # operator applied to the gap between u and the linear solution; the
@@ -355,10 +400,14 @@ def picard_solve(tensor, f, opts=None):
             report.diverged = True
             raise Diverged("iteration produced a non-finite defect", report)
         if res <= opts.tol:
+            u_cube = _join(lat, u_h, u_h)
+            if relaxed:
+                u_cube += 0.0
+            u = SpectralVectorField(lat, u_cube, True, True, True)
             report.converged = True
             report.velocity_norm = seminorm(u, 1.0)
             report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
-            report.energy_check = inner(bu, u).real
+            report.energy_check = inner(SpectralVectorField(lat, _filled(lat, bu)[0]), u).real
             p_h = -1j * y[:, n]
             return u, SpectralScalarField(lat, _join(lat, p_h, p_h), True, True), report
         if res > prev:
@@ -369,9 +418,7 @@ def picard_solve(tensor, f, opts=None):
                 )
             omega = max(0.5 * omega, OMEGA_FLOOR)
         u_h = (1.0 - omega) * u_h + omega * y[:, :n]
-        # conjugation leaves -0 imaginary parts at exact zeros of the mirror,
-        # where relaxing the whole field gives +0; + 0.0 keeps those bits
-        u = SpectralVectorField(lat, _join(lat, u_h, u_h) + 0.0, True, True, True)
+        relaxed = True
         prev = res
     raise MaxIterationsExceeded(
         f"no convergence within {opts.max_iterations} iterations "

@@ -437,7 +437,7 @@ def _embed_index(lattice, N, lead):
     return np.ix_(*map(np.arange, lead), *([offsets] * lattice.n))
 
 
-def _irfftn_half(half, lattice, N):
+def _irfftn_half(half, lattice, N, out=None):
     """Real samples on N^n points from the xi_n >= 0 half of a cube.
 
     half has shape (k...,) + (2m+1,)*(n-1) + (m+1,), in cube order, with any
@@ -447,7 +447,8 @@ def _irfftn_half(half, lattice, N):
     place; the last goes through irfft(n=N), which zero-pads it to N//2+1
     itself (no padded copy is allocated). The samples of each slice equal numpy 2.x's
     irfftn of its fully padded half spectrum bit for bit, so a stack of
-    fields costs one call per axis. Requires N >= 2m+1.
+    fields costs one call per axis. The samples go to out when it is given.
+    Requires N >= 2m+1.
     """
     m = lattice.m
     a = half
@@ -457,7 +458,7 @@ def _irfftn_half(half, lattice, N):
         spec[lead + (slice(0, m + 1),)] = a[lead + (slice(m, None),)]
         spec[lead + (slice(N - m, N),)] = a[lead + (slice(0, m),)]
         a = np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
-    return np.fft.irfft(a, n=N, axis=-1, norm="forward")
+    return np.fft.irfft(a, n=N, axis=-1, norm="forward", out=out)
 
 
 def _rfftn_half(samples, lattice):
@@ -578,7 +579,10 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 
 # ---------------------------------------------------------------------------
 # the Hermitian half: flat index k of a cube holds the negative of the mode
-# at size-1-k, so the H = (size - 1) / 2 modes before xi = 0 fix a real field
+# at size-1-k, so the H = (size - 1) / 2 modes before xi = 0 fix a real field.
+# The Stokes stacks hold this flat half, the real FFTs the upper half
+# xi_n >= 0; `_upper_from_half` and `_half_from_upper` map a real field
+# between the two row by row along xi_n, through no cube.
 
 
 def _split(lattice, coeffs, out, lo=0):
@@ -626,6 +630,47 @@ def _join_rows(flat, half, mirror, lo=0):
     back = (*range(1, half.ndim), 0)
     flat[..., lo:hi] = half.transpose(back)
     np.conjugate(mirror.transpose(back), out=flat[..., last - lo : last - hi : -1])
+
+
+def _upper_from_half(lattice, half):
+    """The xi_n >= 0 half of a real field's cube from its (H, k...) flat half.
+
+    Returns a (k...,) + (2m+1,)*(n-1) + (m+1,) stack equal to
+    `_join(lattice, half, half)[..., m:]` bit for bit: the entries before
+    xi = 0 are copied, the others are the conjugates of their negatives and
+    xi = 0 is an exact zero.
+    """
+    m, w = lattice.m, 2 * lattice.m + 1
+    rows = lattice.size // w
+    flat = np.moveaxis(half, 0, -1)  # (k..., H): each row along xi_n is a slice
+    r0, lead = rows // 2, flat.shape[:-1]
+    upper = np.empty(lead + (rows, m + 1), np.complex128)
+    before = flat[..., : r0 * w].reshape(lead + (r0, w))
+    upper[..., :r0, :] = before[..., m:]
+    upper[..., r0, 0] = 0.0
+    np.conjugate(flat[..., r0 * w :][..., ::-1], out=upper[..., r0, 1:])
+    np.conjugate(before[..., ::-1, m::-1], out=upper[..., r0 + 1 :, :])
+    return upper.reshape(lead + lattice.shape[:-1] + (m + 1,))
+
+
+def _half_from_upper(lattice, upper):
+    """The (H, k...) flat half of a real field from the xi_n >= 0 half of its cube.
+
+    The inverse of `_upper_from_half`, equal bit for bit to `_split` of the
+    cube that `_hermitian_from_upper` fills from upper: the entries with
+    xi_n < 0 are the conjugates of their negatives, read from upper. The
+    result is a view of a (k..., H) array.
+    """
+    m, w = lattice.m, 2 * lattice.m + 1
+    rows = lattice.size // w
+    r0, lead = rows // 2, upper.shape[: upper.ndim - lattice.n]
+    up = upper.reshape(lead + (rows, m + 1))
+    flat = np.empty(lead + (lattice.size // 2,), np.complex128)
+    before = flat[..., : r0 * w].reshape(lead + (r0, w))
+    before[..., m:] = up[..., :r0, :]
+    np.conjugate(up[..., :r0:-1, m:0:-1], out=before[..., :m])
+    np.conjugate(up[..., r0, m:0:-1], out=flat[..., r0 * w :])
+    return np.moveaxis(flat, -1, 0)
 
 
 def _hermitianize_half(lattice, coeffs):

@@ -472,9 +472,6 @@ def _solve_half(tensor, constants, lattice, f, g, s, block):
     slack_u, slack_p = np.empty(2 * H), np.empty(2 * H)
     fits, divergences, estimates_ok = [], [], True
     for lo in range(0, H, _BLOCK):
-        # a last block of one mode holds (0, ..., 0, -1) alone, whose
-        # symbol has one nonzero term: `mode_blocks`, which sums a one-mode
-        # stack in another order, gives it the bits of the whole stack
         hi = min(lo + _BLOCK, H)
         xis, R, inv = block(lo, hi)
         x = np.empty((2, hi - lo, n + 1), np.complex128)  # D^-1 (fhat, ghat), split

@@ -195,9 +195,13 @@ def mode_blocks(tensor, modes):
     xi_c (exact for integer modes) against a[k, j, a, c] in (a c) x (k j)
     order, scaled in place. An einsum, not a matmul: a BLAS product this
     large runs on a second thread, whose buffers add about 1 MB to the peak
-    resident set. Returns a (B, n, n) stack of symmetric real blocks.
+    resident set. einsum sums a one-mode stack in another order, so a lone
+    mode is contracted as the first row of two, with the bits it has in any
+    longer stack. Returns a (B, n, n) stack of symmetric real blocks.
     """
     B, n = modes.shape
+    if B == 1:
+        return mode_blocks(tensor, np.concatenate((modes, modes)))[:1]
     x = np.ascontiguousarray(modes.T, dtype=float)
     pairs = (x[:, None] * x[None]).reshape(n * n, B)
     ac_kj = tensor.entries.transpose(2, 3, 0, 1).reshape(n * n, n * n)

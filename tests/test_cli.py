@@ -116,6 +116,29 @@ class TestParsing:
         with pytest.raises(UsageError, match="omega"):
             parse_config(argv)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_solver_options_exit_2(
+        self, value, source, iso_tensor, forcing, tmp_path, capsys
+    ):
+        # --tol inf converged after one pass, --tol nan never stopped, and
+        # --s nan wrote NaN bounds; all are usage errors and write nothing
+        cfg = tmp_path / "run.cfg"
+        outs = {
+            "ns-solve": ["--out-u", str(tmp_path / "u.spf"), "--out-p", str(tmp_path / "p.spf")],
+            "stokes-solve": ["--out", str(tmp_path / "sol.spf")],
+        }
+        for command, key in (("ns-solve", "tol"), ("stokes-solve", "s")):
+            argv = [command, "--tensor", iso_tensor, "--f", forcing] + outs[command]
+            if source == "flag":
+                argv.append(f"--{key}={value}")
+            else:
+                cfg.write_text(f"{key} = {value}\n")
+                argv += ["--config", str(cfg)]
+            assert main(argv) == 2
+            assert f"--{key} must be" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.spf")) == [tmp_path / "f.spf"]
+
     @pytest.mark.parametrize(
         "flag, value", [("--draws", "0"), ("--m", "0"), ("--seed", "-1"), ("--n", "4")]
     )

@@ -10,6 +10,7 @@ from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import (
     OMEGA_FLOOR,
     _advection,
+    _advection_upper,
     Diverged,
     MaxIterationsExceeded,
     NSSolveOptions,
@@ -26,6 +27,7 @@ from tsflow.spectral import (
     TWO_PI,
     NonzeroMeanWarning,
     _divergence,
+    _hermitianize_half,
     _irfftn_half,
     _nonzero_mean,
     _without_mean,
@@ -317,6 +319,22 @@ class TestStackedAdvection:
         for w, got in zip(fields, stack):
             assert got.tobytes() == advection(w, dealias=dealias).coeffs.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_upper_half_holds_no_negative_zero(self, n):
+        # picard_solve adds + 0.0 to the whole flat half of the kernel's
+        # result, which must then change only the conjugated entries; fields
+        # of a few modes leave most sums exactly zero
+        lat = make_lattice(n, 3)
+        c = np.zeros((3, n) + lat.shape, np.complex128)
+        c[1, 0][(lat.m,) * (n - 1) + (lat.m + 1,)] = -1.5
+        c[2, -1][(lat.m + 1,) + (lat.m,) * (n - 1)] = 2.0 - 0.5j
+        c = np.stack([_hermitianize_half(lat, z) for z in c])  # zero mean, real fields
+        upper = _advection_upper(lat, _irfftn_half(c[..., lat.m :], lat, dealias_grid(lat.m)))
+        assert upper.shape == (3, n) + lat.shape[:-1] + (lat.m + 1,)
+        for part in (upper.real, upper.imag):
+            assert np.count_nonzero(part == 0.0) > part.size // 2
+            assert not np.any(np.signbit(part[part == 0.0]))
+
 
 class TestQuadraticBoundRatio:
     def test_ratio_finite_and_scale_invariant(self):
@@ -479,6 +497,12 @@ class TestPicardSolve:
         with pytest.raises(ValueError):
             NSSolveOptions(initial_guess="newton")
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -np.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # inf would accept the first pass, nan would never stop
+        with pytest.raises(ValueError, match="positive and finite"):
+            NSSolveOptions(tol=tol)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_other_dimensions_rejected(self, n):
         # the Stokes operator's dimension check is the only one, and it comes first
@@ -627,6 +651,48 @@ class TestHalfStackPasses:
                 solve(ISO, f, opts)
             assert caught.traceback[-1].name == "_check_solenoidal"
             assert str(caught.traceback[-1].path) == stokes_mod.__file__
+
+
+class TestNoCubePerPass:
+    """A Picard pass goes flat half -> upper half -> grid -> upper half -> flat half."""
+
+    NAMES = ("_join", "_split", "_hermitian_from_upper", "grid_transform", "advection")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_calls_do_not_grow_with_the_passes(self, monkeypatch, n):
+        # every module's reference to the cube builders and the cube
+        # transforms counts its calls; cubes are built once, for the
+        # forcing's split and at convergence, so 3 and 10 passes make the
+        # same calls, and no pass samples or advects a cube field
+        import tsflow.navier_stokes as ns_mod
+        import tsflow.spectral as spectral_mod
+        import tsflow.stokes as stokes_mod
+        import tsflow.viscosity as viscosity_mod
+
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod in (spectral_mod, stokes_mod, viscosity_mod, ns_mod):
+            for name in self.NAMES:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        tensor = random_elliptic_tensor(72, n)
+        f = manufactured_forcing(1.0, tensor)
+        history = picard_solve(tensor, f)[2].residual_history
+        counts = {}
+        for passes in (3, 10):
+            calls.update(dict.fromkeys(self.NAMES, 0))
+            _, _, report = picard_solve(tensor, f, NSSolveOptions(tol=history[passes - 1]))
+            assert report.converged and report.iterations == passes
+            counts[passes] = dict(calls)
+        assert counts[3] == counts[10]
+        assert counts[3]["grid_transform"] == counts[3]["advection"] == 0
 
 
 class TestResidual:

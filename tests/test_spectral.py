@@ -14,6 +14,8 @@ from tsflow.spectral import (
     SpectralVectorField,
     _abs2_scalarized,
     _flip,
+    _half_from_upper,
+    _hermitian_from_upper,
     _hermitianize_half,
     _irfftn_half,
     _join,
@@ -22,6 +24,7 @@ from tsflow.spectral import (
     _random_vectors,
     _rfftn_half,
     _split,
+    _upper_from_half,
     _weighted_norms,
     ball_filter,
     divergence,
@@ -426,6 +429,10 @@ class TestPrunedTransforms:
         assert stacked.shape == lead + (N,) * n
         for k in np.ndindex(*lead):
             assert_same_bits(stacked[k], _irfftn_half(half[k], lat, N))
+        # into a buffer that already holds other samples, as Picard's passes reuse one
+        buf = np.full(lead + (N,) * n, np.nan)
+        assert _irfftn_half(half, lat, N, out=buf) is buf
+        assert_same_bits(buf, stacked)
 
     @pytest.mark.parametrize("n, m, N", PRUNED_CASES)
     @pytest.mark.parametrize("vector", [False, True])
@@ -805,6 +812,39 @@ class TestSharedPrimitives:
             row = _split(lat, c[k], np.empty((2, H, n), np.complex128))
             assert_same_bits(out[:, :, k], row)
             assert_same_bits(joined[k], _join(lat, row[0], row[1]))
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3) for m in (1, 2, 3, 4)])
+    def test_upper_half_maps(self, n, m, columns, zeros):
+        # oracle: the cube, compared with signed zeros; _upper_from_half is
+        # the upper half of _join (also after + 0.0), _half_from_upper is
+        # _split of the cube that _hermitian_from_upper fills
+        lat = make_lattice(n, m)
+        H = lat.size // 2
+        rng = np.random.default_rng(100 * n + 10 * m + columns)
+
+        def draw(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if zeros:  # a third of the parts exact zeros, of either sign
+                for part in (z.real, z.imag):
+                    hit = rng.random(shape) < 1.0 / 3.0
+                    part[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
+            return z
+
+        half = draw((H, columns))
+        cube = _join(lat, half, half)
+        upper = _upper_from_half(lat, half)
+        assert_same_bits(upper, cube[..., m:])
+        assert_same_bits(upper + 0.0, (cube + 0.0)[..., m:])
+        assert_same_bits(_half_from_upper(lat, upper), half)
+
+        top = draw((columns,) + lat.shape[:-1] + (m + 1,))
+        filled = np.empty((columns,) + lat.shape, np.complex128)
+        filled[..., m:] = top
+        _hermitian_from_upper(filled, lat)
+        split = _split(lat, filled, np.empty((1, H, columns), np.complex128))[0]
+        assert_same_bits(_half_from_upper(lat, top), split)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_grid_placement(self, n):

@@ -525,6 +525,15 @@ class TestStokesOperator:
         op = StokesOperator(A, make_lattice(n, m))
         assert np.array_equal(op.symbols[:, :n, :n], mode_blocks(A, op.xis))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_assemble_symbol_is_the_operators(self, n):
+        # a one-mode stack is contracted with the bits of a longer one, so
+        # the one-mode symbol is the operator's at every half mode
+        A = random_elliptic_tensor(3, n)
+        op = StokesOperator(A, make_lattice(n, 4))
+        for xi, R in zip(op.xis, op.symbols):
+            assert assemble_symbol(A, xi).real.tobytes() == R.tobytes(), xi
+
     def test_rejects_foreign_lattice(self):
         op = StokesOperator(ISO, make_lattice(2, 3))
         with pytest.raises(ValueError):
