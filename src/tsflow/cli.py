@@ -130,7 +130,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(argv):
+    """Every command's sub-parser; only the one that argv names gets options."""
+    named = next((a for a in argv if a in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="tsflow",
         description="Spectral Stokes and Navier-Stokes solves on the periodic torus.",
@@ -138,6 +140,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _COMMANDS.items():
         p = sub.add_parser(command)
+        if command != named:
+            continue
         p.add_argument("--config", default=None, help="key = value option file")
         for name, typ, _default, _required, help_text in options:
             dest = name.replace("-", "_")
@@ -178,7 +182,8 @@ def _load_config_file(path, option_table):
 
 
 def parse_config(argv=None):
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _build_parser(argv).parse_args(argv)
     option_table = _COMMANDS[ns.command]
     options = {}
     file_values = _load_config_file(ns.config, option_table) if ns.config else {}
@@ -220,6 +225,8 @@ def _validate(command, options):
             raise UsageError(f"--m must be >= 1, got {options['m']}")
         if options["seed"] < 0:
             raise UsageError(f"--seed must be >= 0, got {options['seed']}")
+    if command == "manufacture" and not math.isfinite(options["amplitude"]):
+        raise UsageError(f"--amplitude must be finite, got {options['amplitude']}")
     if command == "export-grid" and options["N"] < 2:
         raise UsageError(f"--N must be >= 2, got {options['N']}")
     if command == "residual":

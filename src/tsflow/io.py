@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SPF1"
+_EXPORT_ROWS = 1024  # CSV rows per block: bounds the copies and text alive at once
 
 
 @contextlib.contextmanager
@@ -223,6 +224,8 @@ def export_grid_csv(path, field, N):
     Accepts one field or a sequence of fields on a shared lattice. Columns
     are the coordinates x1..xn followed by the component values;
     complex-valued fields get a (re, im) column pair per component.
+    Values are `%.17g`; each block of `_EXPORT_ROWS` rows is formatted by
+    one bytes %-operation, and only one block is copied or held as text.
     """
     fields = list(field) if isinstance(field, (list, tuple)) else [field]
     lat = fields[0].lattice
@@ -247,16 +250,15 @@ def export_grid_csv(path, field, N):
     # each coordinate is formatted once (the format of _fmt on floats); i / N
     # is the same IEEE division as the float array np.indices / N, and the
     # product runs over the grid in C order
-    coord = ["%.17g," % (i / N) for i in range(N)]
-    prefixes = map("".join, itertools.product(coord, repeat=lat.n))
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    step = 4096  # rows per block: bounds the Python floats and the text alive at once
+    coord = [b"%.17g," % (i / N) for i in range(N)]
+    prefixes = map(b"".join, itertools.product(coord, repeat=lat.n))
+    row = b",".join([b"%.17g"] * len(columns)) + b"\n"
     with _atomic_file(path) as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, N**lat.n, step):
-            values = zip(*(c[start : start + step].tolist() for c in columns))
-            rows = zip(itertools.islice(prefixes, step), values)
-            fh.write("".join([p + row % v for p, v in rows]).encode("utf-8"))
+        for lo in range(0, N**lat.n, _EXPORT_ROWS):
+            block = np.stack([c[lo : lo + _EXPORT_ROWS] for c in columns], axis=1)
+            template = row.join(itertools.islice(prefixes, len(block))) + row
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def write_report(path, items, config_echo=None, history=None):

@@ -1,5 +1,6 @@
 """Command line front end: parsing, dispatch, exit codes, round trips."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import tsflow
+from tsflow import cli
 from tsflow.cli import UsageError, main, parse_config
 from tsflow.harness import manufacture
 from tsflow.io import read_field, write_field, write_tensor
@@ -155,6 +157,16 @@ class TestParsing:
         assert main(argv) == 2
         assert f"{flag} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_exits_2(self, value, iso_tensor, tmp_path, capsys):
+        # --amplitude nan once wrote NaN dumps that every reader rejects
+        outs = [f"--out-{k}" for k in "upfg"]
+        argv = ["manufacture", "--tensor", iso_tensor, f"--amplitude={value}"]
+        argv += [x for k in outs for x in (k, str(tmp_path / (k[-1] + ".spf")))]
+        assert main(argv) == 2
+        assert "--amplitude must be finite" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.spf")) == []
+
     def test_non_hermitian_real_dump_exits_1(self, iso_tensor, tmp_path, capsys):
         from tsflow.spectral import SpectralVectorField
 
@@ -170,6 +182,61 @@ class TestParsing:
         argv = ["export-grid", "--in", str(path), "--N", "8", "--out", str(tmp_path / "f.csv")]
         assert main(argv) == 1
         assert "Hermitian" in capsys.readouterr().err
+
+
+def _full_parser():
+    """Every command's sub-parser with all of its options, as main once built
+    it for any argv: the reference for the parser built for one command."""
+    parser = argparse.ArgumentParser(
+        prog="tsflow",
+        description="Spectral Stokes and Navier-Stokes solves on the periodic torus.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, options in cli._COMMANDS.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", default=None, help="key = value option file")
+        for name, typ, _default, _required, help_text in options:
+            dest = name.replace("-", "_")
+            if typ is bool:
+                p.add_argument(f"--{name}", dest=dest, action="store_const", const=True,
+                               default=None, help=help_text)
+            else:
+                p.add_argument(f"--{name}", dest=dest, type=typ, default=None, help=help_text)
+    return parser
+
+
+class TestParserPerCommand:
+    """main builds the options of the named command only; what argparse
+    prints and the exit status stay those of the fully built parser."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [([], 2), (["-h"], 0), (["bogus"], 2), (["verify", "--bogus"], 2),
+         (["--bogus", "verify", "--m", "3"], 2), (["export-grid", "--N", "x"], 2)]
+        + [([command, "-h"], 0) for command in cli._COMMANDS],
+    )
+    def test_output_and_status_match_full_parser(self, argv, code, capsys):
+        want = self._outcome(_full_parser().parse_args, argv, capsys)
+        got = self._outcome(main, argv, capsys)
+        assert got == want
+        assert got[0] == code
+        if argv[1:] == ["-h"]:
+            for name, *_ in cli._COMMANDS[argv[0]]:
+                assert f"--{name}" in got[1]
+
+    def test_options_of_other_commands_are_not_built(self, capsys):
+        parser = cli._build_parser(["verify", "--m", "3"])
+        assert parser.parse_args(["verify", "--m", "3"]).m == 3
+        with pytest.raises(SystemExit):
+            parser.parse_args(["ns-solve", "--omega", "0.5"])
+        assert "unrecognized arguments: --omega 0.5" in capsys.readouterr().err
 
 
 class TestBadInputFiles:

@@ -370,8 +370,26 @@ def _rowwise_csv(samples, n, N):
     return "\n".join(out) + "\n"
 
 
+def _export_with_samples(path, monkeypatch, fields, N, make):
+    """Export fields with grid_transform(f, N) replaced by make(f, N);
+    returns the sample table that the writer received."""
+    import tsflow.io as tio
+
+    n = fields[0].lattice.n
+    parts = []
+
+    def sampled(f, N):
+        s = make(f, N)
+        parts.append(s if s.ndim > n else s[None])
+        return s
+
+    monkeypatch.setattr(tio, "grid_transform", sampled)
+    export_grid_csv(path, fields, N)
+    return np.concatenate(parts)
+
+
 class TestGridExportBytes:
-    @pytest.mark.parametrize("n, N", [(2, 7), (2, 70), (3, 5)])  # 70^2 rows: two blocks
+    @pytest.mark.parametrize("n, N", [(1, 9), (2, 7), (2, 70), (3, 5)])  # 70^2: five blocks
     @pytest.mark.parametrize("is_real", [True, False])
     def test_matches_rowwise_writer(self, tmp_path, monkeypatch, n, N, is_real):
         import tsflow.io as tio
@@ -383,19 +401,68 @@ class TestGridExportBytes:
             u = vector_field(lat, 1j * u.coeffs + u.coeffs[:, ::-1])
             p = scalar_field(lat, p.coeffs + 0.5j * p.coeffs[::-1])
         real_transform = tio.grid_transform
-        parts = []
 
         def with_negative_zeros(f, N):
             s = np.array(real_transform(f, N))
             s.reshape(-1)[::7] = -0.0 if is_real else complex(-0.0, -0.0)
-            parts.append(s if s.ndim > n else s[None])
             return s
 
-        monkeypatch.setattr(tio, "grid_transform", with_negative_zeros)
         path = tmp_path / "out.csv"
-        export_grid_csv(path, [u, p], N)
-        expected = _rowwise_csv(np.concatenate(parts), n, N)
+        samples = _export_with_samples(path, monkeypatch, [u, p], N, with_negative_zeros)
+        expected = _rowwise_csv(samples, n, N)
         assert ",-0," in expected or ",-0\n" in expected
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("n, N", [(1, 1024), (1, 1025), (2, 32), (2, 33)])
+    def test_block_boundaries(self, tmp_path, monkeypatch, n, N):
+        import tsflow.io as tio
+
+        assert tio._EXPORT_ROWS == 1024  # N^n rows: one block, one past it, 32^2, 33^2
+        lat = make_lattice(n, 2)
+        u = random_vector_field(50 + n, lat, decay=2.0)
+        path = tmp_path / "out.csv"
+        samples = _export_with_samples(path, monkeypatch, [u], N, tio.grid_transform)
+        assert path.read_bytes() == _rowwise_csv(samples, n, N).encode("utf-8")
+
+    def test_extreme_values(self, tmp_path, monkeypatch):
+        # subnormals, +-1e+-300, both sides of the switch of %.17g to
+        # exponent notation (1e16 prints in full, 1e17 as 1e+17), integers
+        values = np.array([
+            5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300, 1e300, -1e300,
+            1.7976931348623157e308, 9999999999999998.0, 1e16, 1e16 + 2, 99999999999999984.0,
+            1e17, -1e17, 0.0, -0.0, 1.0, -7.0, 123456789.0, 2.0**53, 0.1, 1.0 / 3.0,
+        ])
+        lat = make_lattice(2, 2)
+        u = random_vector_field(60, lat, decay=2.0)
+        p = random_scalar_field(61, lat, decay=2.0)
+        N = 9
+
+        def tiled(f, N):
+            shape = f.coeffs.shape[:-2] + (N, N)
+            return np.resize(values, shape) * (1.0 if f is u else -1.0)
+
+        path = tmp_path / "out.csv"
+        samples = _export_with_samples(path, monkeypatch, [u, p], N, tiled)
+        expected = _rowwise_csv(samples, 2, N)
+        for text in ("4.9406564584124654e-324", "2.2250738585072009e-308", ",-1e-300,",
+                     "-1.0000000000000001e+300", ",10000000000000000,", ",99999999999999984,",
+                     ",1e+17,", ",123456789,", ",9007199254740992,", ",-7,"):
+            assert text in expected
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_complex_vector_with_real_scalar(self, tmp_path, monkeypatch):
+        # a complex u and a real p: p gets a (re, im) pair with im = 0
+        import tsflow.io as tio
+
+        lat = make_lattice(2, 2)
+        u = random_vector_field(70, lat, decay=2.0)
+        u = vector_field(lat, 1j * u.coeffs + u.coeffs[:, ::-1])
+        p = random_scalar_field(71, lat, decay=2.0)
+        path = tmp_path / "out.csv"
+        samples = _export_with_samples(path, monkeypatch, [u, p], 11, tio.grid_transform)
+        assert samples.dtype == np.complex128
+        expected = _rowwise_csv(samples, 2, 11)
+        assert expected.startswith("x1,x2,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im\n")
         assert path.read_bytes() == expected.encode("utf-8")
 
 
