@@ -23,15 +23,15 @@ import numpy as np
 from .navier_stokes import _advection, _bound_ratio, advection, advection_bruteforce, picard_solve
 from .spectral import (
     SpectralVectorField,
-    _abs2_sum,
-    _components,
     _divergence,
     _gradient,
+    _half_modes,
     _irfftn_half,
     _join,
     _random_scalars,
     _random_vectors,
     _split,
+    _squares,
     _weighted_norms,
     dealias_grid,
     divergence,
@@ -329,12 +329,6 @@ def _vector_fields(lattice, stack, divergence_free=False):
     return [SpectralVectorField(lattice, c, True, True, divergence_free) for c in stack]
 
 
-def _squares(lattice, stack):
-    """|c|^2 per mode of each field of a (k, n, cube) or (k, cube) stack, summed over components."""
-    vector = stack.ndim > lattice.n + 1
-    return _abs2_sum(_components(lattice, stack) if vector else (stack,))
-
-
 def _tally(name, margins):
     """A suite's result from its per-case margins; a case fails below 0 or at nan."""
     failures = int(np.sum(~(np.array(margins) >= 0)))
@@ -461,7 +455,7 @@ def _suite_stokes_roundtrip(seed, m, n, draws):
     lat = make_lattice(n, m)
     iso = make_isotropic(0.0, 1.0, n)  # one object: its ellipticity constant is cached
     H = lat.size // 2
-    xis = lat.indices()[:H].astype(float)
+    xis = _half_modes(lat, 0, H)
 
     def block(cases):
         # manufacture and solve every case of the block at once, on the

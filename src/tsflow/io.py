@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import tempfile
 
 import numpy as np
 
@@ -53,7 +52,10 @@ _EXPORT_ROWS = 1024  # CSV rows per block: bounds the copies and text alive at o
 def _atomic_file(path):
     """Binary file handle on a temp file that is renamed to path on success."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tsflow-", suffix=".tmp")
+    tmp = os.path.join(d, f".tsflow-{os.urandom(8).hex()}.tmp")
+    # mode 0o666 less the umask, as for open(); a name clash fails, never overwrites
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -328,8 +328,8 @@ def picard_solve(tensor, f, opts=None):
     product grid, forms (u . grad) u there (`_advection_upper`) and maps it
     back (`_half_from_upper`), so no pass builds a cube. It then applies the
     operator's inverses to D^-1 (f - (u . grad) u, 0), checks that the new
-    velocity is solenoidal (the `_check_solenoidal` of the operator's
-    solve), forms the momentum defect with the operator's velocity blocks,
+    velocity is solenoidal (the `_check_solenoidal` of `solve_stokes`),
+    forms the momentum defect with the operator's velocity blocks,
     measures it in H^{-1} with the weights of the half, and relaxes u
     toward the linear solution. The step omega
     halves whenever the defect grows; Diverged is raised if it grows at the

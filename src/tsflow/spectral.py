@@ -202,11 +202,11 @@ def _check_same_lattice(a, b):
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
 
 
-def _nonzero_mean(lattice, coeffs, what, stacklevel=3):
+def _nonzero_mean(lattice, coeffs, what):
     """Whether the xi = 0 entries of (k..., cube) coeffs exceed MEAN_RTOL * max |coeffs|.
 
     A nonzero mean also raises a NonzeroMeanWarning naming `what`, placed
-    at the caller of the function that asks unless stacklevel says otherwise.
+    at the caller of the function that asks.
     """
     mean = np.max(np.abs(coeffs[(...,) + lattice.zero_index]))
     nonzero = bool(mean > MEAN_RTOL * np.max(np.abs(coeffs)))
@@ -214,7 +214,7 @@ def _nonzero_mean(lattice, coeffs, what, stacklevel=3):
         warnings.warn(
             f"{what} has a nonzero mean; projecting onto the zero-mean subspace",
             NonzeroMeanWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     return nonzero
 
@@ -281,9 +281,10 @@ def zero_vector_field(lattice):
 # norms and inner products
 
 
-def _abs2_scalarized(field):
-    """|c|^2 at each mode, summed over components, as re^2 + im^2: no square root."""
-    return _abs2_sum(field.coeffs if isinstance(field, SpectralVectorField) else (field.coeffs,))
+def _squares(lattice, stack):
+    """re^2 + im^2 per mode of each field of a (k, n, cube) or (k, cube) stack, summed over n."""
+    vector = stack.ndim > lattice.n + 1
+    return _abs2_sum(_components(lattice, stack) if vector else (stack,))
 
 
 def _abs2_sum(components):
@@ -310,7 +311,10 @@ def _weighted_norms(lattice, squares, s, mean=True):
 
 def sobolev_norm(field, s):
     """Weighted-l2 norm (sum over modes of rho^(2s) |ghat|^2)^(1/2)."""
-    return float(_weighted_norms(field.lattice, _abs2_scalarized(field), s))
+    # one cube, not a stack of one: rho^(2s) * squares then reuses the
+    # temporary rho^(2s) for its product, which a (1, cube) stack would not
+    squares = _squares(field.lattice, field.coeffs[None])[0]
+    return float(_weighted_norms(field.lattice, squares, s))
 
 
 def seminorm(field, s):
@@ -318,7 +322,8 @@ def seminorm(field, s):
 
     The zero mode is left out, not subtracted, so a field's mean never enters.
     """
-    return float(_weighted_norms(field.lattice, _abs2_scalarized(field), s, mean=False))
+    squares = _squares(field.lattice, field.coeffs[None])[0]
+    return float(_weighted_norms(field.lattice, squares, s, mean=False))
 
 
 def inner(a, b):
@@ -602,6 +607,12 @@ def _split(lattice, coeffs, out, lo=0):
     if len(out) > 1:
         np.conjugate(flat[..., last - lo : last - hi : -1].transpose(front), out=out[1])
     return out
+
+
+def _half_modes(lattice, lo, hi):
+    """Modes lo .. hi-1 of the Hermitian half (canonical order) as a (hi - lo, n) float stack."""
+    index = np.unravel_index(np.arange(lo, hi), lattice.shape)
+    return (np.stack(index, axis=-1) - lattice.m).astype(float)
 
 
 def _join(lattice, half, mirror, zero_mode=True):

@@ -21,13 +21,14 @@ with X v = b x v for n = 3, and X A X^T replaced by t t^T, t = (-b_2, b_1),
 for n = 2. LAPACK (`np.linalg.inv`) is the oracle of the tests only. A zero
 s or a conditioning check names the offending mode of a singular symbol.
 
-Every Stokes solve is `_solve_half`, over blocks of _BLOCK modes of that
-half. `StokesOperator(tensor, lattice).solve(f, g=None, s=1.0)` feeds it
-R and its inverse, stored once for all H modes; the one-shot `solve_stokes`
-builds each block's and drops it. With g=None the solve is the
+The one Stokes solve is `solve_stokes(tensor, f, g=None, s=1.0)`. It
+streams that half in blocks of _BLOCK modes, building each block's R and
+inverse with `_half_block` and dropping them. With g=None the solve is the
 incompressible one, and `solve_mode` is the single-mode case of the same
-code. Other dimensions n are rejected with a ValueError. The isotropic
-closed forms and the per-mode / summed a-priori bounds with constants
+code. `StokesOperator(tensor, lattice)` keeps R and its inverse for all H
+modes, `_half_block` of the whole half, for iterations that apply them
+pass after pass. Other dimensions n are rejected with a ValueError. The
+isotropic closed forms and the per-mode / summed a-priori bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
@@ -36,7 +37,6 @@ are provided as cross-checks; every solve checks its own estimates.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +45,7 @@ from .spectral import (
     TWO_PI,
     SpectralScalarField,
     SpectralVectorField,
+    _half_modes,
     _join_rows,
     _nonzero_mean,
     _split,
@@ -167,19 +168,6 @@ def assemble_symbol(tensor, xi):
     if not xi.any():
         raise ZeroMode("the Stokes symbol is singular by construction at xi = 0")
     return StokesSymbol(tuple(int(x) for x in xi), _mode_symbols(tensor, xi[None])[0])
-
-
-def _caller_stacklevel():
-    """Warning stack level of the first frame outside this module.
-
-    Levels count from a _nonzero_mean called by this function's caller, so
-    a mean warning names the line that called into the solvers, whichever
-    of this module's wrappers lie between.
-    """
-    frame, level = sys._getframe(2), 3
-    while frame.f_globals.get("__name__") == __name__:
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def _check_dimension(n):
@@ -368,23 +356,17 @@ def solve_isotropic_mode(lam, mu, xi, fhat, ghat):
 
 
 class StokesOperator:
-    """Solution operator of the Stokes system for one tensor on one mode cube.
+    """The factored Stokes symbols of one tensor on the Hermitian half of one mode cube.
 
     Only the H = (size - 1) / 2 modes before xi = 0 are stored: `xis`,
-    `symbols` (real R) and `inverses` are (H, ...) float64 stacks in
-    canonical order. The modes after xi = 0 are their negatives, with
-    R(-xi) = S R(xi) S, S = diag(1, ..., 1, -1). A field enters that layout
-    as the (half, mirror) pair of stacks of `spectral._split`, and a
-    solution leaves it through `spectral._join`.
-
-    In this layout the data of a real field is the same in both members, and
-    so is its solution: a real solve is one batched matrix product on the
-    half, whose other half follows by conjugation, u(-xi) = conj u(xi) and
-    p(-xi) = conj p(xi). A complex (is_real=False) solve also solves the
-    mirror member against the same stacks. Either way the residual covers
-    every nonzero mode, the mirrored ones included, so a real-flagged field
-    that is Hermitian only to rounding shows its asymmetry there. `solve`
-    runs `_solve_half` on slices of the stored stacks. Construction raises
+    `symbols` (real R) and `inverses` are the (H, ...) float64 stacks of
+    `_half_block(tensor, lattice, 0, H)`, in canonical order. The modes
+    after xi = 0 are their negatives, with R(-xi) = S R(xi) S, S = diag(1,
+    ..., 1, -1). A field enters that layout as the (half, mirror) pair of
+    stacks of `spectral._split`, and leaves it through `spectral._join`.
+    Iterations that solve with one tensor pass after pass
+    (`navier_stokes.picard_solve`) apply these stacks; a single solve is
+    `solve_stokes`, whose blocks hold the same bits. Construction raises
     SingularSymbol, or NotElliptic for the tensor.
     """
 
@@ -392,42 +374,7 @@ class StokesOperator:
         self.tensor = tensor
         self.lattice = lattice
         self.constants = _checked_constants(tensor, lattice)
-        self.xis = _half_modes(lattice, 0, lattice.size // 2)  # (H, n)
-        self.symbols = _mode_symbols(tensor, self.xis)
-        self.inverses = _invert(self.symbols, self.xis)
-
-    def solve(self, f, g=None, s=1.0):
-        """Solve the Stokes system; the contract of `solve_stokes`."""
-
-        def block(lo, hi):
-            return self.xis[lo:hi], self.symbols[lo:hi], self.inverses[lo:hi]
-
-        return _solve_half(self.tensor, self.constants, self.lattice, f, g, s, block)
-
-
-def solve_stokes(tensor, f, g=None, s=1.0):
-    """Solve the Stokes system on the whole mode cube.
-
-    Inputs are the forcing f (vector field) and divergence target g (scalar
-    field, or None for zero). Nonzero means are flagged with a warning and
-    never read. Returns (u, p, report); the zero mode of u and p is exactly
-    zero. With g=None the solve is the incompressible one: u is flagged
-    divergence_free, and `_check_solenoidal` raises NotSolenoidal if it is
-    not. After the checks of the StokesOperator constructor, in the same
-    order, it builds and inverts the symbols block by block, so it holds
-    its inputs, its outputs and one block. It gives the bits of
-    `StokesOperator.solve`, which callers that solve repeatedly with one
-    tensor should keep.
-    """
-    lattice = f.lattice
-    constants = _checked_constants(tensor, lattice)
-
-    def block(lo, hi):
-        xis = _half_modes(lattice, lo, hi)
-        R = _mode_symbols(tensor, xis)
-        return xis, R, _invert(R, xis)
-
-    return _solve_half(tensor, constants, lattice, f, g, s, block)
+        self.xis, self.symbols, self.inverses = _half_block(tensor, lattice, 0, lattice.size // 2)
 
 
 def _checked_constants(tensor, lattice):
@@ -438,32 +385,45 @@ def _checked_constants(tensor, lattice):
     return estimate_constants(tensor)  # validates ellipticity up front
 
 
-def _half_modes(lattice, lo, hi):
-    """Modes lo .. hi-1 of the canonical order as a (hi - lo, n) float stack."""
-    index = np.unravel_index(np.arange(lo, hi), lattice.shape)
-    return (np.stack(index, axis=-1) - lattice.m).astype(float)
+def _half_block(tensor, lattice, lo, hi):
+    """(xis, R, R^-1): the modes lo .. hi-1 of the Hermitian half, their symbols and inverses."""
+    xis = _half_modes(lattice, lo, hi)
+    R = _mode_symbols(tensor, xis)
+    return xis, R, _invert(R, xis)
 
 
-def _solve_half(tensor, constants, lattice, f, g, s, block):
-    """The Stokes solve, streamed over the Hermitian half in blocks of _BLOCK modes.
+def solve_stokes(tensor, f, g=None, s=1.0):
+    """Solve the Stokes system on the whole mode cube.
 
-    block(lo, hi) returns the (xis, R, R^-1) stacks of the half's modes
-    lo .. hi-1. Each block takes its rows of f and g from the cubes
-    (`spectral._split`), solves and measures both members, and writes its
-    rows of u, p and the two slack arrays, with their mirrors, to their
-    canonical places (`spectral._join_rows`). The residual, the slack
-    minima, the estimate verdict and the divergence check are exact maxima
-    and minima over the blocks, so the blocking changes no bit.
+    Inputs are the forcing f (vector field) and divergence target g (scalar
+    field, or None for zero). Nonzero means are flagged with a warning and
+    never read. Returns (u, p, report); the zero mode of u and p is exactly
+    zero. With g=None the solve is the incompressible one: u is flagged
+    divergence_free, and `_check_solenoidal` raises NotSolenoidal if it is
+    not. The checks come first, in the order of the StokesOperator
+    constructor.
+
+    The solve streams the Hermitian half in blocks of _BLOCK modes, each
+    built by `_half_block` and dropped, so it holds its inputs, its outputs
+    and one block. A block takes its rows of f and g from the cubes
+    (`spectral._split`). A real field's data is the same in both members of
+    that layout, and so is its solution: one batched product on the half
+    serves both, u(-xi) = conj u(xi). A complex (is_real=False) solve also
+    solves the mirror member. Either way the residual covers every nonzero
+    mode, so a real-flagged field that is Hermitian only to rounding shows
+    its asymmetry there. The rows of u, p and the slacks land in canonical
+    order (`spectral._join_rows`); the residual, the slack minima, the
+    estimate verdict and the divergence check are exact maxima and minima
+    over the blocks, so the blocking changes no bit.
     """
-    for fld, what in ((f, "forcing"), (g, "divergence data")):
-        if fld is not None and fld.lattice != lattice:
-            raise ValueError(f"{what} lattice {fld.lattice} does not match {lattice}")
+    lattice = f.lattice
+    constants = _checked_constants(tensor, lattice)
+    if g is not None and g.lattice != lattice:
+        raise ValueError(f"divergence data lattice {g.lattice} does not match {lattice}")
     # a nonzero mean is only flagged: no step below reads xi = 0 (_split
     # stops before it, u and p are 0 there, the seminorms skip it)
-    removed_f = _nonzero_mean(lattice, f.coeffs, "stokes forcing", _caller_stacklevel())
-    removed_g = g is not None and _nonzero_mean(
-        lattice, g.coeffs, "divergence data", _caller_stacklevel()
-    )
+    removed_f = _nonzero_mean(lattice, f.coeffs, "stokes forcing")
+    removed_g = g is not None and _nonzero_mean(lattice, g.coeffs, "divergence data")
     is_real = f.is_real and (g is None or g.is_real)
     n, H = lattice.n, lattice.size // 2
     u = np.empty((n, 2 * H + 1), np.complex128)
@@ -473,7 +433,7 @@ def _solve_half(tensor, constants, lattice, f, g, s, block):
     fits, divergences, estimates_ok = [], [], True
     for lo in range(0, H, _BLOCK):
         hi = min(lo + _BLOCK, H)
-        xis, R, inv = block(lo, hi)
+        xis, R, inv = _half_block(tensor, lattice, lo, hi)
         x = np.empty((2, hi - lo, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
         _split(lattice, f.coeffs, x[..., :n], lo)
         if g is None:
@@ -534,10 +494,10 @@ def _mode_slacks(constants, xis, rhs, z):
 
     rhs and z are (..., B, n+1) stacks carrying the moduli of (fhat, ghat)
     and (uhat, phat) at the (B, n) modes xis. Their leading member axes
-    broadcast against each other: StokesOperator.solve passes its (2, B)
-    half and mirror data with a (1, B) solution when the two members share
-    one. The constants are scalars or (B,) arrays, one per mode. Returns
-    (slack_u, slack_p, bound_u, bound_p), each of the broadcast shape (..., B).
+    broadcast against each other: solve_stokes passes its (2, B) half and
+    mirror data with a (1, B) solution when the two members share one. The
+    constants are scalars or (B,) arrays, one per mode. Returns (slack_u,
+    slack_p, bound_u, bound_p), each of the broadcast shape (..., B).
     """
     n = xis.shape[1]
     abs_xi = _moduli(xis)

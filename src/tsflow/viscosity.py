@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralVectorField, _join, _split, gradient
+from .spectral import SpectralVectorField, _half_modes, _join, _split, gradient
 
 __all__ = [
     "NotElliptic",
@@ -232,7 +232,7 @@ def apply_viscosity(tensor, u):
         raise ValueError(f"tensor dimension {tensor.n} does not match field n={lat.n}")
     H = lat.size // 2
     uk = _split(lat, u.coeffs, np.empty((1 if u.is_real else 2, H, lat.n), np.complex128))
-    v = _apply_blocks(mode_blocks(tensor, lat.indices()[:H]), uk)
+    v = _apply_blocks(mode_blocks(tensor, _half_modes(lat, 0, H)), uk)
     return SpectralVectorField(lat, _join(lat, v[0], v[-1]), u.is_real, True, False)
 
 

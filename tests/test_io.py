@@ -1,9 +1,13 @@
 """Dump formats: spectral fields, tensors, CSV export, reports."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from tsflow.io import (
+    _atomic_file,
     export_grid_csv,
     read_field,
     read_tensor,
@@ -488,3 +492,33 @@ class TestReport:
         path = tmp_path / "r.txt"
         write_report(path, [("value", 1.0 / 3.0)])
         assert "0.33333333333333331" in path.read_text()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_modes_follow_the_umask(self, tmp_path, umask):
+        # as for a file opened plainly: 0o666 without the umask's bits
+        u = random_vector_field(8, make_lattice(2, 2), decay=2.0)
+        writers = {
+            "u.spf": lambda path: write_field(path, u),
+            "report.txt": lambda path: write_report(path, [("modes", 24)]),
+            "grid.csv": lambda path: export_grid_csv(path, u, 5),
+        }
+        old = os.umask(umask)
+        try:
+            for name, write in writers.items():
+                write(tmp_path / name)
+        finally:
+            os.umask(old)
+        for name in writers:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+
+    def test_failed_write_keeps_the_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("before\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with _atomic_file(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "before\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]

@@ -12,9 +12,9 @@ from tsflow.spectral import (
     NonzeroMeanWarning,
     SpectralScalarField,
     SpectralVectorField,
-    _abs2_scalarized,
     _flip,
     _half_from_upper,
+    _half_modes,
     _hermitian_from_upper,
     _hermitianize_half,
     _irfftn_half,
@@ -24,6 +24,7 @@ from tsflow.spectral import (
     _random_vectors,
     _rfftn_half,
     _split,
+    _squares,
     _upper_from_half,
     _weighted_norms,
     ball_filter,
@@ -131,8 +132,9 @@ class TestNorms:
         for fld in flagged_fields(n, m, 70 + n):
             a = np.abs(fld.coeffs) ** 2
             ref = np.sum(a, axis=0) if isinstance(fld, SpectralVectorField) else a
-            np.testing.assert_allclose(_abs2_scalarized(fld), ref, rtol=4 * np.finfo(float).eps)
-            assert _abs2_scalarized(fld).shape == lat.shape
+            squares = _squares(lat, fld.coeffs[None])[0]
+            np.testing.assert_allclose(squares, ref, rtol=4 * np.finfo(float).eps)
+            assert squares.shape == lat.shape
 
     def test_pythagorean_split(self):
         # mean 3 plus unit mode of size 4: seminorm 4, full norm 5
@@ -156,7 +158,7 @@ class TestStackedNorms:
         # oracle: sobolev_norm and seminorm of each field of the stack
         lat = make_lattice(n, m)
         fields = [random_vector_field(seed, lat, 1.0, False) for seed in (3, 4, 5)]
-        squares = np.stack([_abs2_scalarized(fld) for fld in fields])
+        squares = _squares(lat, np.stack([fld.coeffs for fld in fields]))
         for s in (-2.0, 0.0, 1.0, 2.0):
             full = _weighted_norms(lat, squares, s)
             semi = _weighted_norms(lat, squares, s, mean=False)
@@ -798,6 +800,17 @@ class TestSharedPrimitives:
         assert_same_bits(joined.reshape(c.shape), _join(lat, whole[0], whole[1]))
         real = whole[..., 0].real
         assert_same_bits(nonzero, _join(lat, real[0], real[1], zero_mode=False))
+
+    @pytest.mark.parametrize("n, m", [(1, 5), (2, 4), (3, 3)])
+    def test_half_modes_are_the_split_rows(self, n, m):
+        # oracle: the lattice's index table; row h of a block is the mode
+        # that _split puts in row h of the same block
+        lat = make_lattice(n, m)
+        H = lat.size // 2
+        table = lat.indices()[:H].astype(float)
+        assert_same_bits(_half_modes(lat, 0, H), table)
+        for lo, hi in ((0, 1), (2, H - 1), (H - 2, H)):
+            assert_same_bits(_half_modes(lat, lo, hi), table[lo:hi])
 
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
     def test_split_join_case_axis(self, n, m):

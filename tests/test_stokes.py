@@ -295,8 +295,9 @@ class TestClosedFormInverse:
 
         monkeypatch.setattr(np.linalg, "inv", no_lapack)
         lat = make_lattice(3, 3)
-        op = StokesOperator(random_elliptic_tensor(62, 3), lat)
-        _, _, report = op.solve(random_vector_field(5, lat, decay=2.0))
+        A = random_elliptic_tensor(62, 3)
+        StokesOperator(A, lat)
+        _, _, report = solve_stokes(A, random_vector_field(5, lat, decay=2.0))
         assert report.residual <= 1e-13 and report.estimates_ok
 
 
@@ -304,12 +305,12 @@ class TestStokesOperator:
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
     def test_matches_lapack_on_assembled_symbols(self, n, m):
         # oracle: np.linalg.solve on the complex assemble_symbol matrix of
-        # every nonzero mode, against one operator solve of the whole cube
+        # every nonzero mode, against one solve of the whole cube
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(40 + n, n)
         f = random_vector_field(41, lat, decay=1.0)
         g = random_scalar_field(42, lat, decay=1.0)
-        u, p, report = StokesOperator(A, lat).solve(f, g)
+        u, p, report = solve_stokes(A, f, g)
         assert report.residual <= 1e-13
         scale = max(np.max(np.abs(u.coeffs)), np.max(np.abs(p.coeffs)))
         for xi in lat.indices():
@@ -344,7 +345,7 @@ class TestStokesOperator:
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(50 + n, n)
         f, g = self._data(lat, 60 + n, is_real)
-        u, p, report = StokesOperator(A, lat).solve(f, g)
+        u, p, report = solve_stokes(A, f, g)
         assert u.is_real == is_real and p.is_real == is_real
         assert report.residual <= 1e-13 and report.n_modes == lat.size - 1
         scale = max(np.max(np.abs(u.coeffs)), np.max(np.abs(p.coeffs)))
@@ -365,18 +366,22 @@ class TestStokesOperator:
     @pytest.mark.parametrize("shrink", [1.0, 0.01])
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
-    def test_estimate_pass_matches_two_member_calls(self, n, m, is_real, shrink):
+    def test_estimate_pass_matches_two_member_calls(self, monkeypatch, n, m, is_real, shrink):
         # oracle: _mode_slacks called once per member, the two joined, and the
         # minima and verdict taken on the joined arrays, bit for bit; shrunken
         # constants make the verdict fail
+        import tsflow.stokes as stokes_mod
         from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
 
+        real = stokes_mod.estimate_constants
+        monkeypatch.setattr(
+            stokes_mod, "estimate_constants", lambda t: {k: shrink * v for k, v in real(t).items()}
+        )
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(54 + n, n)
         f, g = self._data(lat, 64 + n, is_real)
-        op = StokesOperator(A, lat)
-        op.constants = {k: shrink * v for k, v in op.constants.items()}
-        u, p, report = op.solve(f, g)
+        op = StokesOperator(A, lat)  # the reference's stacks and shrunken constants
+        u, p, report = solve_stokes(A, f, g)
 
         x = np.empty((2, lat.size // 2, n + 1), np.complex128)
         _split(lat, f.coeffs, x[..., :n])
@@ -405,7 +410,7 @@ class TestStokesOperator:
         lat = make_lattice(2, 3)
         A = random_elliptic_tensor(53, 2)
         f, g = self._data(lat, 63, is_real)
-        u, p, report = StokesOperator(A, lat).solve(f, g)
+        u, p, report = solve_stokes(A, f, g)
         ref = []
         for xi in lat.indices():
             if np.any(xi):
@@ -438,9 +443,9 @@ class TestStokesOperator:
         c = f.coeffs.copy()
         c[0, lat.m + 1, lat.m + 2] += 1e-6 * np.max(np.abs(c))  # after xi = 0
         lying = SpectralVectorField(lat, c, True, True, False)
-        op = StokesOperator(random_elliptic_tensor(55, 2), lat)
-        assert op.solve(f)[2].residual <= 1e-13
-        assert op.solve(lying)[2].residual >= 1e-7
+        A = random_elliptic_tensor(55, 2)
+        assert solve_stokes(A, f)[2].residual <= 1e-13
+        assert solve_stokes(A, lying)[2].residual >= 1e-7
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_singular_member_names_its_mode(self, n, monkeypatch):
@@ -464,19 +469,6 @@ class TestStokesOperator:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(assemble_symbol(bad, named).mat)
 
-    def test_one_operator_many_solves(self):
-        lat = make_lattice(2, 5)
-        A = random_elliptic_tensor(43, 2)
-        op = StokesOperator(A, lat)
-        for seed in range(3):
-            f = random_vector_field(50 + seed, lat, decay=2.0)
-            g = random_scalar_field(60 + seed, lat, decay=2.0)
-            u1, p1, r1 = op.solve(f, g)
-            u2, p2, r2 = solve_stokes(A, f, g)
-            assert np.array_equal(u1.coeffs, u2.coeffs)
-            assert np.array_equal(p1.coeffs, p2.coeffs)
-            assert r1.flat_items() == r2.flat_items()
-
     @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
     @pytest.mark.parametrize("is_real", [True, False])
     def test_absent_divergence_data_is_a_zero_field(self, n, m, is_real):
@@ -484,10 +476,10 @@ class TestStokesOperator:
         # solution and the report must not notice, but the velocity of this
         # incompressible solve is flagged divergence-free
         lat = make_lattice(n, m)
-        op = StokesOperator(random_elliptic_tensor(48, n), lat)
+        A = random_elliptic_tensor(48, n)
         f, _ = self._data(lat, 49, is_real)
-        u1, p1, r1 = op.solve(f)
-        u2, p2, r2 = op.solve(f, zero_scalar_field(lat))
+        u1, p1, r1 = solve_stokes(A, f)
+        u2, p2, r2 = solve_stokes(A, f, zero_scalar_field(lat))
         for a, b in ((u1, u2), (p1, p2)):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
@@ -535,9 +527,9 @@ class TestStokesOperator:
             assert assemble_symbol(A, xi).real.tobytes() == R.tobytes(), xi
 
     def test_rejects_foreign_lattice(self):
-        op = StokesOperator(ISO, make_lattice(2, 3))
-        with pytest.raises(ValueError):
-            op.solve(random_vector_field(1, make_lattice(2, 4)))
+        f = random_vector_field(1, make_lattice(2, 3))
+        with pytest.raises(ValueError, match="divergence data lattice"):
+            solve_stokes(ISO, f, random_scalar_field(2, make_lattice(2, 4)))
         with pytest.raises(ValueError):
             StokesOperator(make_isotropic(0.0, 1.0, 3), make_lattice(2, 3))
 
@@ -589,18 +581,16 @@ class TestStreamedSolve:
         A = random_elliptic_tensor(30 + n, n)
         f, g = self._data(lat, 31 + n, is_real, with_g)
         whole = solve_stokes(A, f, g)
-        op = StokesOperator(A, lat)
         monkeypatch.setattr(stokes_mod, "_BLOCK", block)
         _assert_same_solve(solve_stokes(A, f, g), whole)
-        _assert_same_solve(op.solve(f, g), whole)
 
     @pytest.mark.parametrize("with_g", [True, False])
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("n, m", [(2, 48), (3, 11)])
     def test_entries_match_whole_half_reference(self, n, m, is_real, with_g):
         # oracle: the whole-half solve, one _split of the data, _solve_symbols
-        # per member, _mode_slacks on both, all joined with _join; the two
-        # entries stream it in two blocks of the default size
+        # per member, _mode_slacks on both, all joined with _join, on the
+        # operator's stacks; the solve streams it in two blocks of the default size
         from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
 
         lat = make_lattice(n, m)
@@ -638,7 +628,30 @@ class TestStreamedSolve:
             mean_removed_g=False,
         ))
         _assert_same_solve(solve_stokes(A, f, g), ref)
-        _assert_same_solve(op.solve(f, g), ref)
+
+    @pytest.mark.parametrize("n, m", CASES)
+    def test_operator_stacks_are_the_solve_blocks(self, monkeypatch, n, m):
+        # the link between the stacks that Picard applies and the one solve:
+        # the operator's stacks are the solve's blocks, joined, bit for bit
+        import tsflow.stokes as stokes_mod
+
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(30 + n, n)
+        monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
+        op = StokesOperator(A, lat)
+        real, blocks = stokes_mod._half_block, []
+
+        def recording(*args):
+            blocks.append(real(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(stokes_mod, "_half_block", recording)
+        solve_stokes(A, *self._data(lat, 31 + n, True, True))
+        assert len(blocks) == -(-(lat.size // 2) // 7)
+        for k, stack in enumerate((op.xis, op.symbols, op.inverses)):
+            joined = np.concatenate([block[k] for block in blocks])
+            assert joined.dtype == stack.dtype and joined.shape == stack.shape
+            assert joined.tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("with_g", [True, False])
     def test_one_shot_holds_one_block(self, with_g):
@@ -661,8 +674,8 @@ class TestStreamedSolve:
 
     @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
     def test_singular_symbol_names_its_mode_in_a_later_block(self, monkeypatch, entry):
-        # the mode (0, 0, -2) lies in the last block of 7; the one-shot path
-        # builds that symbol in its block, the operator in its constructor
+        # the mode (0, 0, -2) lies in the last block of 7; the solve builds
+        # that symbol in its block, the operator in its constructor
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(3, 3)
@@ -682,13 +695,12 @@ class TestStreamedSolve:
             if entry == "solve_stokes":
                 solve_stokes(A, f)
             else:
-                StokesOperator(A, lat).solve(f)
+                StokesOperator(A, lat)
         assert str(caught.value) == "singular symbol at mode (0, 0, -2)"
         assert caught.value.xi == (0, 0, -2)
         assert caught.traceback[-1].name == "_invert"
 
-    @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
-    def test_divergence_limit_is_global(self, monkeypatch, entry):
+    def test_divergence_limit_is_global(self, monkeypatch):
         # a divergence of half DIVERGENCE_RTOL * max |fhat| in the first block
         # of 7 modes (xi_1 = -6, where |fhat| is small) passes, ten times
         # above the limit of its own block; twice the limit fails, with the
@@ -714,28 +726,24 @@ class TestStreamedSolve:
                 return (y, *fit)
 
             monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
-            if entry == "solve_stokes":
-                return solve_stokes(ISO, f)
-            return StokesOperator(ISO, lat).solve(f)
+            return solve_stokes(ISO, f)
 
         assert solve(0.5)[0].divergence_free
         with pytest.raises(NotSolenoidal, match=r"^velocity divergence \S+ exceeds \S+$") as caught:
             solve(2.0)
         assert caught.traceback[-1].name == "_check_solenoidal"
 
-    @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
-    def test_mean_warnings_name_the_calling_line(self, entry):
+    def test_mean_warnings_name_the_calling_line(self):
         import inspect
         import warnings
 
         lat = make_lattice(2, 3)
         f = random_vector_field(39, lat, decay=2.0, zero_mean=False)
         g = random_scalar_field(40, lat, decay=2.0, zero_mean=False)
-        solve = solve_stokes if entry == "solve_stokes" else StokesOperator(ISO, lat).solve
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = inspect.currentframe().f_lineno + 1
-            solve(ISO, f, g) if entry == "solve_stokes" else solve(f, g)
+            solve_stokes(ISO, f, g)
         tail = "has a nonzero mean; projecting onto the zero-mean subspace"
         assert [(str(w.message), w.filename, w.lineno) for w in caught] == [
             (f"stokes forcing {tail}", __file__, line),
@@ -894,13 +902,11 @@ class TestSolveStokes:
         [
             lambda f, g: solve_stokes(ISO, f, g),
             lambda f, g: solve_stokes(ISO, f),
-            lambda f, g: StokesOperator(ISO, f.lattice).solve(f, g),
-            lambda f, g: StokesOperator(ISO, f.lattice).solve(f),
         ],
-        ids=["solve_stokes", "solve_stokes_incompressible", "solve", "solve_incompressible"],
+        ids=["solve_stokes", "solve_stokes_incompressible"],
     )
     def test_mean_warning_names_the_caller(self, entry):
-        # however many wrappers lie between, the warning names this file
+        # the warning names the line of this file that calls the solve
         import warnings
 
         from tsflow.spectral import NonzeroMeanWarning
@@ -1041,7 +1047,7 @@ class TestIncompressibleSolve:
         f = random_vector_field(17, lat, decay=2.0)
         f = vector_field(lat, f.coeffs + 1j * random_vector_field(18, lat).coeffs)
         with pytest.raises(NotSolenoidal):
-            StokesOperator(ISO, lat).solve(f)
+            solve_stokes(ISO, f)
         assert len(calls) == 2
 
 
