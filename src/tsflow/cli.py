@@ -25,6 +25,7 @@ from .navier_stokes import (
 from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
+    _check_dimension,
     _without_mean,
     divergence,
     make_lattice,
@@ -219,8 +220,7 @@ def _validate(command, options):
         if options["draws"] < 1:
             raise UsageError(f"--draws must be >= 1, got {options['draws']}")
     if command in ("verify", "manufacture"):
-        if options["n"] not in (2, 3):
-            raise UsageError(f"--n must be 2 or 3, got {options['n']}")
+        _check_dimension(options["n"], "--n: ", UsageError)
         if options["m"] < 1:
             raise UsageError(f"--m must be >= 1, got {options['m']}")
         if options["seed"] < 0:
@@ -230,9 +230,9 @@ def _validate(command, options):
     if command == "export-grid" and options["N"] < 2:
         raise UsageError(f"--N must be >= 2, got {options['N']}")
     if command == "residual":
-        have_pair = options["u"] is not None and options["p"] is not None
-        if (options["solution"] is None) == (not have_pair):
-            raise UsageError("residual needs either --solution or both --u and --p")
+        missing = (options["u"], options["p"]).count(None)
+        if missing != (0 if options["solution"] is None else 2):
+            raise UsageError("residual needs either --solution alone or both --u and --p")
 
 
 _DUMPS = {"scalar field": SpectralScalarField, "vector field": SpectralVectorField,
@@ -358,20 +358,17 @@ def _cmd_residual(config):
         u, p = _read(config.solution, "combined velocity+pressure")
     else:
         u, p = _read(config.u, "vector field"), _read(config.p, "scalar field")
-    items = []
     if config.nonlinear:
-        defect = ns_residual(tensor, u, p, f)
-        items.append(("momentum_defect_hm1", defect))
+        items = [("momentum_defect_hm1", ns_residual(tensor, u, p, f))]
     else:
         r = -1.0 * stokes_operator(tensor, u, p) - f
         scale = max(sobolev_norm(f, -1.0), 1e-300)
-        defect = sobolev_norm(r, -1.0) / scale
-        items.append(("momentum_defect_rel_hm1", defect))
-        g = None if config.g in (None, "none") else _read(config.g, "scalar field")
-        div_defect = divergence(u) if g is None else divergence(u) - g
-        # relative to the data: rescaling u, p, f and g moves it by rounding only
-        size = sobolev_norm(u, 1.0) + (0.0 if g is None else sobolev_norm(g, 0.0))
-        items.append(("divergence_defect_rel", sobolev_norm(div_defect, 0.0) / max(size, 1e-300)))
+        items = [("momentum_defect_rel_hm1", sobolev_norm(r, -1.0) / scale)]
+    g = None if config.g in (None, "none") else _read(config.g, "scalar field")
+    div_defect = divergence(u) if g is None else divergence(u) - g
+    # relative to the data: rescaling u, p, f and g moves it by rounding only
+    size = sobolev_norm(u, 1.0) + (0.0 if g is None else sobolev_norm(g, 0.0))
+    items.append(("divergence_defect_rel", sobolev_norm(div_defect, 0.0) / max(size, 1e-300)))
     for key, value in items:
         print(f"{key} = {value:.17g}")
     if config.report:

@@ -603,7 +603,8 @@ def run_suite(names="all", seed=0, m=8, n=2, draws=50):
 
     names is "all", one suite name, or a list of names. Unknown names raise
     ValueError listing the valid suites, as do an empty selection and
-    draws < 1, since no suite may pass with zero cases.
+    draws < 1, since no suite may pass with zero cases, and an (n, m) that
+    `make_lattice` rejects; all of them before any suite starts.
     """
     if names == "all":
         selected = list(_SUITES)
@@ -618,5 +619,6 @@ def run_suite(names="all", seed=0, m=8, n=2, draws=50):
     for name in selected:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; valid suites: {', '.join(_SUITES)}")
+    make_lattice(n, m)
     results = [_SUITES[name](seed, m, n, draws) for name in selected]
     return HarnessReport(results)

@@ -10,7 +10,7 @@ promises Hermitian coefficients, c(-xi) = conj(c(xi)), and the reader
 rejects a dump that breaks it: real fields are sampled with real FFTs, which
 read only half the cube.
 
-Tensor file: ASCII, a header `n=<int>` (1 <= n <= 3) followed by lines
+Tensor file: ASCII, a header `n=<int>` (n in DIMENSIONS), then lines
 `k j alpha beta value` with 1-based indices; omitted entries are zero.
 
 All writers go through a temp file and an atomic rename.
@@ -28,6 +28,7 @@ from .spectral import (
     LatticeSpec,
     SpectralScalarField,
     SpectralVectorField,
+    _check_dimension,
     _check_hermitian,
     grid_transform,
 )
@@ -139,8 +140,7 @@ def read_field(path):
         if components not in (1, n, n + 1):
             raise ValueError(f"{path}: components={components} does not fit n={n}")
         found = os.fstat(fh.fileno()).st_size - fh.tell()
-        # 16 * 3^65 bytes fit in no file: n > 64 fails before the power is taken
-        if n > 64 or found != 16 * components * lattice.size:
+        if found != 16 * components * lattice.size:
             raise ValueError(
                 f"{path}: expected {components} x {2 * lattice.m + 1}^{n} coefficients, "
                 f"found {found / 16:g}"
@@ -195,11 +195,8 @@ def read_tensor(path):
     if not lines or not lines[0][1].startswith("n="):
         raise ValueError(f"{path}: tensor file must start with an n=<int> header")
     text = lines[0][1][2:].strip()
-    n = int(text) if text.isdecimal() else 0
-    if n < 1:
-        raise ValueError(f"{path}: header {lines[0][1]!r} is not n=<int >= 1>")
-    if n > 3:  # the largest n any solver takes; bounds the n^4 entries allocated
-        raise ValueError(f"{path}: header {lines[0][1]!r} exceeds n=3")
+    n = int(text) if text.isdecimal() else text
+    _check_dimension(n, f"{path}: ")  # before the n^4 entries are allocated
     entries = np.zeros((n, n, n, n))
     for lineno, ln in lines[1:]:
         where = f"{path}, line {lineno}"

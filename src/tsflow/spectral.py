@@ -1,6 +1,6 @@
 """Truncated Fourier representation of periodic fields on the unit torus.
 
-Fields live on the n-dimensional torus [0,1)^n and are stored as dense
+Fields live on the torus [0,1)^n, n in DIMENSIONS, and are stored as dense
 complex coefficient arrays over the cube of integer modes {xi : |xi_j| <= m}.
 This module provides the weighted-l2 Sobolev norms, spectral calculus
 (gradient, divergence, symmetric gradient), the divergence-free projection,
@@ -24,11 +24,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# The dimensions n that lattices and tensors take: the Stokes inverse has a
+# closed form only there (stokes._BORDERED_PARTS).
+DIMENSIONS = (2, 3)
 # A mean is nonzero when max |c(0)| exceeds MEAN_RTOL * max |c| over the cube:
 # judged against the field's own scale, so rescaling cannot flip the verdict.
 MEAN_RTOL = 1e-14
 
 __all__ = [
+    "DIMENSIONS",
     "AliasingWarning",
     "NonzeroMeanWarning",
     "LatticeSpec",
@@ -66,6 +70,12 @@ class NonzeroMeanWarning(UserWarning):
     """A zero-mean field was constructed from data with a nonzero mean."""
 
 
+def _check_dimension(n, prefix="", error=ValueError):
+    """Raise the one error, its message after prefix, for an n outside DIMENSIONS."""
+    if n not in DIMENSIONS:
+        raise error(f"{prefix}dimension n={n} is not in DIMENSIONS = {DIMENSIONS}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Mode cube {xi in Z^n : |xi_j| <= m}, enumerated in C order."""
@@ -74,8 +84,7 @@ class LatticeSpec:
     m: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got n={self.n}")
+        _check_dimension(self.n)
         if self.m < 1:
             raise ValueError(f"truncation bound must be >= 1, got m={self.m}")
 
@@ -615,26 +624,24 @@ def _half_modes(lattice, lo, hi):
     return (np.stack(index, axis=-1) - lattice.m).astype(float)
 
 
-def _join(lattice, half, mirror, zero_mode=True):
+def _join(lattice, half, mirror):
     """Inverse of _split: two (H, k...) stacks back to canonical order.
 
-    Returns (k..., cube) coefficients whose zero mode is exactly zero, or,
-    with zero_mode=False, the (k..., 2H) values at the nonzero modes.
+    Returns (k..., cube) coefficients whose zero mode is exactly zero.
     """
     H = lattice.size // 2
-    flat = np.empty(half.shape[1:] + (2 * H + zero_mode,), half.dtype)
-    if zero_mode:
-        flat[..., H] = 0.0
+    flat = np.empty(half.shape[1:] + (2 * H + 1,), half.dtype)
+    flat[..., H] = 0.0
     _join_rows(flat, half, mirror)
-    return flat.reshape(half.shape[1:] + lattice.shape) if zero_mode else flat
+    return flat.reshape(half.shape[1:] + lattice.shape)
 
 
 def _join_rows(flat, half, mirror, lo=0):
     """Write (B, k...) half and mirror stacks of modes lo .. lo+B-1 into flat.
 
     flat is a (k..., 2H + 1) canonical cube, or the (k..., 2H) values at its
-    nonzero modes, as `_join` returns them; the rows land where `_join` puts
-    them, so writing consecutive blocks joins a whole half.
+    nonzero modes in the same order; the rows land where `_join` puts them,
+    so writing consecutive blocks joins a whole half.
     """
     last = flat.shape[-1] - 1
     hi = lo + len(half)
@@ -764,16 +771,6 @@ def _random_vectors(seeds, lattice, decay=3.0, zero_mean=True, divergence_free=F
     if divergence_free:
         z = _project_transverse(lattice, z)
     norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=1))
-    degenerate = norm < 1e-12
-    if np.any(degenerate):
-        # vanishing draw after projection: fall back to a fixed transverse axis
-        fb = np.zeros(shape, np.complex128)
-        fb[-1] = 1.0
-        if divergence_free:
-            fb = _project_transverse(lattice, fb)
-        z = np.where(degenerate[:, None], fb, z)
-        norm = np.sqrt(np.sum(np.abs(z) ** 2, axis=1))
-        norm[norm == 0.0] = 1.0
     amp = rho2(lattice) ** (-decay / 2.0)
     coeffs = _hermitianize_half(lattice, amp * z / norm[:, None])
     if zero_mean or divergence_free:

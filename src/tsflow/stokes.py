@@ -27,8 +27,9 @@ inverse with `_half_block` and dropping them. With g=None the solve is the
 incompressible one, and `solve_mode` is the single-mode case of the same
 code. `StokesOperator(tensor, lattice)` keeps R and its inverse for all H
 modes, `_half_block` of the whole half, for iterations that apply them
-pass after pass. Other dimensions n are rejected with a ValueError. The
-isotropic closed forms and the per-mode / summed a-priori bounds with constants
+pass after pass. Lattices and tensors exist only for n in
+`spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The isotropic closed
+forms and the per-mode / summed a-priori bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
@@ -170,11 +171,6 @@ def assemble_symbol(tensor, xi):
     return StokesSymbol(tuple(int(x) for x in xi), _mode_symbols(tensor, xi[None])[0])
 
 
-def _check_dimension(n):
-    if n not in (2, 3):
-        raise ValueError(f"Stokes solves support n in {{2, 3}}, got n={n}")
-
-
 def _mode_symbols(tensor, xis):
     """Real symbols R of a tensor at a (B, n) stack of nonzero modes."""
     B, n = xis.shape
@@ -227,6 +223,9 @@ def _bordered_parts_3(r):
     return m, c, det, b0 * c[0] + b1 * c[1] + b2 * c[2]
 
 
+_BORDERED_PARTS = {2: _bordered_parts_2, 3: _bordered_parts_3}
+
+
 def _invert(R, xis):
     """Inverses of a stack of real symbols, in closed form.
 
@@ -239,8 +238,7 @@ def _invert(R, xis):
     s is zero, or whose Frobenius condition number is above COND_LIMIT.
     """
     H, d = R.shape[:2]
-    _check_dimension(d - 1)
-    parts = _bordered_parts_2 if d == 3 else _bordered_parts_3
+    parts = _BORDERED_PARTS[d - 1]
     inv = np.empty_like(R)
     # at extreme scales products overflow to inf or nan, which the
     # conditioning check rejects without a RuntimeWarning
@@ -379,7 +377,6 @@ class StokesOperator:
 
 def _checked_constants(tensor, lattice):
     """The estimate constants of a Stokes solve, after the checks of its setup."""
-    _check_dimension(tensor.n)
     if tensor.n != lattice.n:
         raise ValueError(f"tensor dimension {tensor.n} does not match field n={lattice.n}")
     return estimate_constants(tensor)  # validates ellipticity up front

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralVectorField, _half_modes, _join, _split, gradient
+from .spectral import SpectralVectorField, _check_dimension, _half_modes, _join, _split, gradient
 
 __all__ = [
     "NotElliptic",
@@ -56,6 +56,9 @@ class ViscosityTensor:
     ellipticity: float | None = field(default=None)  # cached by ellipticity_constant
 
     def __post_init__(self):
+        _check_dimension(self.n)
+        if self.entries.shape != (self.n,) * 4:
+            raise ValueError(f"entries must have shape {(self.n,) * 4}, got {self.entries.shape}")
         self.entries.setflags(write=False)
 
     @property
@@ -64,10 +67,7 @@ class ViscosityTensor:
 
 
 def make_tensor(n, entries):
-    e = np.array(entries, dtype=float)
-    if e.shape != (n, n, n, n):
-        raise ValueError(f"entries must have shape {(n,) * 4}, got {e.shape}")
-    return ViscosityTensor(n, e)
+    return ViscosityTensor(n, np.array(entries, dtype=float))
 
 
 def make_isotropic(lam, mu, n):
@@ -117,9 +117,7 @@ def check_symmetry(tensor):
 
 def symmetrize(n, entries):
     """Average raw entries over the symmetry group and wrap the result."""
-    e = np.array(entries, dtype=float)
-    if e.shape != (n, n, n, n):
-        raise ValueError(f"entries must have shape {(n,) * 4}, got {e.shape}")
+    e = make_tensor(n, entries).entries
     out = np.zeros_like(e)
     for p in _GROUP:
         out += np.transpose(e, p)
@@ -135,8 +133,9 @@ def trace_free_symmetric_basis(n):
     """Orthonormal basis of symmetric trace-free n x n matrices.
 
     Off-diagonal pairs (e_ka + e_ak)/sqrt(2) followed by Helmert-style
-    diagonal differences; dimension n*(n+1)/2 - 1.
+    diagonal differences; dimension n*(n+1)/2 - 1. n must be in DIMENSIONS.
     """
+    _check_dimension(n)
     mats = []
     for k in range(n):
         for a in range(k + 1, n):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tsflow.spectral import DIMENSIONS
+
 
 @pytest.fixture
 def forbid_large_empty(monkeypatch):
@@ -20,3 +22,19 @@ def forbid_large_empty(monkeypatch):
         return allocate(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", guarded)
+
+
+@pytest.fixture
+def forbid_large_zeros(monkeypatch):
+    """Fail the test from inside np.zeros when it is asked for more elements than a tensor has.
+
+    The largest tensor a reader may allocate has max(DIMENSIONS)^4 entries.
+    """
+    allocate = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if int(np.prod(shape, dtype=object)) > max(DIMENSIONS) ** 4:
+            pytest.fail(f"np.zeros asked for shape {shape}")
+        return allocate(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)

@@ -14,6 +14,7 @@ from tsflow.cli import UsageError, main, parse_config
 from tsflow.harness import manufacture
 from tsflow.io import read_field, write_field, write_tensor
 from tsflow.spectral import (
+    DIMENSIONS,
     SpectralVectorField,
     make_lattice,
     random_scalar_field,
@@ -141,21 +142,24 @@ class TestParsing:
             assert f"--{key} must be" in capsys.readouterr().err
         assert list(tmp_path.glob("*.spf")) == [tmp_path / "f.spf"]
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--draws", "0"), ("--m", "0"), ("--seed", "-1"), ("--n", "4")]
-    )
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--draws", "0", "--draws must be"),
+        ("--m", "0", "--m must be"),
+        ("--seed", "-1", "--seed must be"),
+        ("--n", "4", f"--n: dimension n=4 is not in DIMENSIONS = {DIMENSIONS}"),
+    ])
     def test_bad_verify_and_manufacture_arguments_exit_2(
-        self, flag, value, iso_tensor, tmp_path, capsys
+        self, flag, value, message, iso_tensor, tmp_path, capsys
     ):
         assert main(["verify", flag, value]) == 2
-        assert f"{flag} must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         if flag == "--draws":
             return
         outs = [f"--out-{k}" for k in "upfg"]
         argv = ["manufacture", "--tensor", iso_tensor, flag, value]
         argv += [x for k in outs for x in (k, str(tmp_path / (k[-1] + ".spf")))]
         assert main(argv) == 2
-        assert f"{flag} must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_amplitude_exits_2(self, value, iso_tensor, tmp_path, capsys):
@@ -258,7 +262,8 @@ class TestBadInputFiles:
         path.write_bytes(b"SPF1\nn=0\nm=2\ncomponents=1\nreal=0\n")
         argv = ["export-grid", "--in", str(path), "--N", "8", "--out", str(tmp_path / "g.csv")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {path}: dimension must be >= 1, got n=0\n"
+        expected = f"error: {path}: dimension n=0 is not in DIMENSIONS = {DIMENSIONS}\n"
+        assert capsys.readouterr().err == expected
 
     def test_real_flag_other_than_0_or_1_exits_1(self, forcing, tmp_path, capsys):
         path = tmp_path / "flag.spf"
@@ -305,8 +310,8 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("text, message", [
         ("n=2\n1 1 1 1 nan\n", ", line 2: non-finite entry in line '1 1 1 1 nan'"),
-        ("n=x\n", ": header 'n=x' is not n=<int >= 1>"),
-        ("n=1000\n1 1 1 1 1.0\n", ": header 'n=1000' exceeds n=3"),
+        ("n=x\n", f": dimension n=x is not in DIMENSIONS = {DIMENSIONS}"),
+        ("n=1000\n1 1 1 1 1.0\n", f": dimension n=1000 is not in DIMENSIONS = {DIMENSIONS}"),
     ])
     def test_bad_tensor_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
@@ -494,20 +499,56 @@ class TestStokesCommands:
         assert main(base + [str(tmp_path / "junk.spf")]) == 1
         assert "not an SPF1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--u", "--p"])
+    def test_residual_solution_with_u_or_p_exits_2(self, flag, iso_tensor, forcing, tmp_path, capsys):
+        # --u or --p beside --solution was ignored, even when it named no file
+        sol = tmp_path / "sol.spf"
+        assert main(["stokes-solve", "--tensor", iso_tensor, "--f", forcing, "--out", str(sol)]) == 0
+        argv = ["residual", "--tensor", iso_tensor, "--f", forcing, "--solution", str(sol),
+                flag, str(tmp_path / "does-not-exist.spf")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: residual needs either --solution alone or both --u and --p\n"
+
+    def test_nonlinear_residual_reads_g(self, iso_tensor, tmp_path, capsys):
+        # --nonlinear reports divergence_defect_rel too, against --g when given:
+        # the solenoidal u of a nonlinear manufacture misses a nonzero g by
+        # far, and meets no g to rounding
+        lat = make_lattice(2, 4)
+        u_star = random_vector_field(3, lat, decay=3.0, divergence_free=True)
+        prob = manufacture(u_star, random_scalar_field(4, lat, decay=3.0),
+                           make_isotropic(0.0, 1.0, 2), include_nonlinear=True)
+        g = random_scalar_field(5, prob.u_star.lattice, decay=3.0)
+        fields = (prob.u_star, prob.p_star, prob.f, g)
+        paths = {k: str(tmp_path / f"{k}.spf") for k in "upfg"}
+        for k, fld in zip("upfg", fields):
+            write_field(paths[k], fld)
+        argv = ["residual", "--nonlinear", "--tensor", iso_tensor, "--f", paths["f"],
+                "--u", paths["u"], "--p", paths["p"]]
+        values = []
+        for extra in (["--g", paths["g"]], []):
+            assert main(argv + extra) == 0
+            out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+            assert list(out) == ["momentum_defect_hm1", "divergence_defect_rel"]
+            assert float(out["momentum_defect_hm1"]) <= 1e-12
+            values.append(float(out["divergence_defect_rel"]))
+        assert values[0] > 0.1 and values[1] <= 1e-15
+
     @pytest.mark.parametrize("n", [1, 4])
-    def test_other_dimensions_exit_1(self, n, forcing, tmp_path, capsys):
+    def test_other_dimensions_exit_1(self, n, iso_tensor, forcing, tmp_path, capsys):
+        # a tensor file or a forcing dump of an n outside DIMENSIONS: the
+        # reader names it, and nothing is written
         tensor = tmp_path / f"iso{n}.txt"
-        write_tensor(tensor, make_isotropic(0.0, 1.0, n))
-        if n > 1:  # an n=1 vector dump reads as a scalar one, so keep the n=2 forcing
-            forcing = str(tmp_path / f"f{n}.spf")
-            write_field(forcing, random_vector_field(2, make_lattice(n, 1), decay=3.0))
+        tensor.write_text(f"n={n}\n1 1 1 1 1.0\n")
+        dump = tmp_path / f"f{n}.spf"
+        dump.write_bytes(f"SPF1\nn={n}\nm=1\ncomponents={n}\nreal=1\n".encode() + bytes(16 * 3**n * n))
         out = tmp_path / "sol.spf"
-        argv = ["stokes-solve", "--tensor", str(tensor), "--f", forcing, "--out", str(out)]
-        assert main(argv) == 1
-        # the tensor reader takes n <= 3, so an n=4 run stops at the tensor file
-        expected = f"n in {{2, 3}}, got n={n}" if n < 4 else f"{tensor}: header 'n=4' exceeds n=3"
-        assert expected in capsys.readouterr().err
-        assert not out.exists()
+        for bad, paths in ((tensor, (tensor, forcing)), (dump, (iso_tensor, dump))):
+            argv = ["stokes-solve", "--tensor", str(paths[0]), "--f", str(paths[1]), "--out", str(out)]
+            assert main(argv) == 1
+            expected = f"error: {bad}: dimension n={n} is not in DIMENSIONS = {DIMENSIONS}\n"
+            assert capsys.readouterr().err == expected
+            assert not out.exists()
 
 
 class TestNSCommands:
@@ -543,6 +584,7 @@ class TestNSCommands:
         u = read_field(tmp_path / "sol_u.spf")
         u_star = read_field(paths["u"])
         assert sobolev_norm(u - u_star, 1.0) <= 1e-8
+        capsys.readouterr()
         status = main(
             [
                 "residual",
@@ -554,8 +596,10 @@ class TestNSCommands:
             ]
         )
         assert status == 0
-        value = float(capsys.readouterr().out.strip().split("\n")[-1].split("=")[1])
-        assert value <= 1e-10
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert list(out) == ["momentum_defect_hm1", "divergence_defect_rel"]
+        assert float(out["momentum_defect_hm1"]) <= 1e-10
+        assert float(out["divergence_defect_rel"]) <= 1e-15
 
     @pytest.mark.parametrize("mean", [1e-16, 0.3])
     def test_project_mean_zeroes_exactly(self, iso_tensor, forcing, tmp_path, mean):

@@ -505,10 +505,13 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_other_dimensions_rejected(self, n):
-        # the Stokes operator's dimension check is the only one, and it comes first
-        f = zero_vector_field(make_lattice(n, 1))
-        with pytest.raises(ValueError, match=f"got n={n}"):
-            picard_solve(make_isotropic(0.0, 1.0, n), f)
+        # no forcing exists outside DIMENSIONS; inside it, a tensor of the
+        # other dimension is rejected before the first pass
+        with pytest.raises(ValueError, match=f"n={n} is not in DIMENSIONS"):
+            make_lattice(n, 1)
+        f = zero_vector_field(make_lattice(2, 1))
+        with pytest.raises(ValueError, match="tensor dimension 3 does not match field n=2"):
+            picard_solve(make_isotropic(0.0, 1.0, 3), f)
 
 
 def full_field_picard(tensor, f, opts):
