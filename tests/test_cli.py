@@ -267,7 +267,8 @@ class TestBadInputFiles:
 
     def test_real_flag_other_than_0_or_1_exits_1(self, forcing, tmp_path, capsys):
         path = tmp_path / "flag.spf"
-        blob = open(forcing, "rb").read()
+        with open(forcing, "rb") as fh:
+            blob = fh.read()
         path.write_bytes(blob.replace(b"real=1\n", b"real=7\n", 1))
         argv = ["export-grid", "--in", str(path), "--N", "9", "--out", str(tmp_path / "g.csv")]
         assert main(argv) == 1

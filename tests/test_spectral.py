@@ -319,7 +319,7 @@ class TestGridTransforms:
         with pytest.warns(AliasingWarning):
             grid_transform(g, 2 * lat.m)
 
-    @pytest.mark.parametrize("n, N", [(2, 9), (2, 10), (3, 8)])
+    @pytest.mark.parametrize("n, N", [(2, 9), (2, 10), (3, 8), (3, 12)])
     def test_real_path_matches_complex_path(self, n, N):
         # the real FFT path against the full complex one on the same data
         lat = make_lattice(n, 3)
@@ -403,7 +403,10 @@ def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros too
 
 
-PRUNED_CASES = [(2, 4, 9), (2, 4, 16), (2, 8, 25), (3, 3, 7), (3, 4, 15), (3, 16, 50)]
+# (2, 1, 3): the smallest lattice on its one alias-free grid; (3, 3, 8): the
+# even grid one past the smallest
+PRUNED_CASES = [(2, 1, 3), (2, 4, 9), (2, 4, 16), (2, 8, 25), (3, 3, 7), (3, 3, 8), (3, 4, 15),
+                (3, 16, 50)]
 
 
 class TestPrunedTransforms:
@@ -459,8 +462,9 @@ class TestPrunedTransforms:
 
 
 # (n, m, N): the smallest alias-free grid 2m+1, a larger one, and an aliased 2m-1
+# (at m = 1, the smallest lattice, a grid of one point)
 STACK_CASES = [
-    (n, m, N) for n, m in ((2, 4), (3, 3)) for N in (2 * m + 1, 2 * m + 6, 2 * m - 1)
+    (n, m, N) for n, m in ((2, 1), (2, 4), (3, 3)) for N in (2 * m + 1, 2 * m + 6, 2 * m - 1)
 ]
 
 
@@ -701,7 +705,7 @@ def flagged_fields(n, m, seed):
 class TestSharedPrimitives:
     """The shared projection, placement and rebuild code against the references, bit for bit."""
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 3)])
     def test_transverse_projection(self, n, m):
         lat = make_lattice(n, m)
         for seed in range(3):
@@ -714,7 +718,7 @@ class TestSharedPrimitives:
                     reference_random_solenoidal(seed, lat, decay, zero_mean),
                 )
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 3)])
     def test_hermitianize_half(self, n, m):
         lat = make_lattice(n, m)
         rng = np.random.default_rng(60 + n)
@@ -726,7 +730,7 @@ class TestSharedPrimitives:
             after = np.arange(lat.size).reshape(lat.shape) > lat.size // 2
             np.testing.assert_array_equal(out[after], z[after])
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 3)])
     def test_hermitianize_half_leading_axes(self, n, m):
         # oracle: _hermitianize_half on each slice of the stack on its own
         lat = make_lattice(n, m)
@@ -795,7 +799,7 @@ class TestSharedPrimitives:
         real = whole[..., 0].real
         assert_same_bits(nonzero, np.delete(_join(lat, real[0], real[1]).ravel(), H))
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 3)])
     def test_half_modes_are_the_split_rows(self, n, m):
         # oracle: the lattice's index table; row h of a block is the mode
         # that _split puts in row h of the same block
@@ -861,7 +865,7 @@ class TestSharedPrimitives:
                 if not fld.is_real:
                     assert_same_bits(grid_transform(fld, N), reference_complex_grid_transform(fld, N))
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 4), (3, 3)])  # (2, 2) restricts to the smallest lattice
     def test_rebuilds_keep_bytes_and_flags(self, n, m):
         for fld in flagged_fields(n, m, 50 + n):
             assert_same_field(embed_field(fld, m + 2), reference_embed_field(fld, m + 2))
@@ -916,7 +920,7 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("decay, zero_mean", [(3.0, True), (0.0, False)])
     @pytest.mark.parametrize("divergence_free", [False, True])
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 2)])
     def test_vectors_match_per_seed_calls(self, n, m, divergence_free, decay, zero_mean):
         lat = make_lattice(n, m)
         seeds = [9, 2, 40, 2]
@@ -931,7 +935,7 @@ class TestStackedDraws:
             assert one.divergence_free == divergence_free
 
     @pytest.mark.parametrize("decay, zero_mean", [(3.0, True), (0.0, False)])
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 2)])
     def test_scalars_match_per_seed_calls(self, n, m, decay, zero_mean):
         lat = make_lattice(n, m)
         seeds = [9, 2, 40]
