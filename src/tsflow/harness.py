@@ -6,12 +6,17 @@ evaluated by alias-free quadrature, manufactured forcings are computed by
 applying the forward operators to a chosen solution, and each named suite
 sweeps a seeded ensemble and reports margins.
 
-The sampled suites run their cases in blocks (`_blocked`): a block's fields
-are drawn as one stack (`spectral._random_vectors`), and its advections,
-trilinear samples or Stokes solves each run as one call on the stack, with
-every case's margin equal bit for bit to the one its own calls would give.
-A block holds at most _BLOCK_BYTES of stacked arrays, so the working set of
-a suite does not grow with the number of draws.
+Every sampled suite runs one stacked pass per block of cases (`_blocked`):
+a block's fields are drawn as one stack (`spectral._random_vectors`), and
+its ratios (`_gradient_norm_brackets`, `_korn_ratios`,
+`navier_stokes._bound_ratios`), advections, trilinear samples or Stokes
+solves each run as one call on the stack; the isotropic suite draws its
+modes one case at a time from its one stream and solves the block's symbols
+in one pass. Every case's margin equals bit for bit the one its own calls
+would give: the one-field ratios are one-row calls of the same kernels, and
+the per-case arithmetic runs on floats. A block holds at most _BLOCK_BYTES
+of stacked arrays, so the working set of a suite does not grow with the
+number of draws; mode-estimates solves all its cases in one pass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .navier_stokes import _advection, _bound_ratio, advection, advection_bruteforce, picard_solve
+from .navier_stokes import _advection, _bound_ratios, advection, advection_bruteforce, picard_solve
 from .spectral import (
     SpectralVectorField,
     _divergence,
@@ -32,20 +37,18 @@ from .spectral import (
     _random_vectors,
     _split,
     _squares,
+    _symmetric_gradient,
     _weighted_norms,
     dealias_grid,
     divergence,
     embed_field,
-    gradient,
     make_lattice,
     mode_abs2,
     random_scalar_field,
     random_vector_field,
     rho2,
     scalar_field,
-    seminorm,
     sobolev_norm,
-    symmetric_gradient,
     vector_field,
 )
 from .stokes import (
@@ -54,10 +57,8 @@ from .stokes import (
     _invert,
     _mode_slacks,
     _mode_symbols,
-    assemble_symbol,
     estimate_constants,
     solve_isotropic_mode,
-    solve_mode,
 )
 from .viscosity import (
     _apply_blocks,
@@ -214,16 +215,29 @@ def korn_ratio(v):
     """|grad v|^2 / |E(v)|^2 in the mean-square norm; at most 2.
 
     Shear flows attain the bound, potential flows sit at 1. Returns nan for
-    the zero field.
+    the zero field. One row of `_korn_ratios`.
     """
-    E = symmetric_gradient(v)
-    denom = float(np.sum(np.abs(E) ** 2))
-    if denom == 0.0:
-        return float("nan")
-    grad2 = 0.0
-    for comp in v.components:
-        grad2 += sobolev_norm(gradient(comp), 0.0) ** 2
-    return grad2 / denom
+    return _korn_ratios(v.lattice, v.coeffs[None])[0]
+
+
+def _korn_ratios(lattice, stack):
+    """korn_ratio of each field of a (k, n, cube) stack, as k floats.
+
+    |E|^2 of a field is summed over its (n, n, cube) symmetric gradient as
+    one contiguous row, and the gradient norms of its n components are
+    weighted sums of the (k, n, n, cube) gradient stack, each slice summed
+    on its own; the ratios are then formed on floats, so ratio i has the
+    bits of korn_ratio of field i, whatever else the stack holds.
+    """
+    k = len(stack)
+    squares = np.abs(_symmetric_gradient(lattice, stack)) ** 2
+    denoms = np.sum(squares.reshape(k, -1), axis=1).tolist()
+    del squares  # a block holds one (k, n, n, cube) stack at a time
+    grads = _weighted_norms(lattice, _squares(lattice, _gradient(lattice, stack)), 0.0).tolist()
+    return [
+        float("nan") if denom == 0.0 else sum(a**2 for a in row) / denom
+        for row, denom in zip(grads, denoms)
+    ]
 
 
 def gradient_norm_bracket(fld):
@@ -231,16 +245,26 @@ def gradient_norm_bracket(fld):
 
     Lands in [2*pi^2, 4*pi^2]; |xi| = 1 modes attain the lower end, the
     upper end is approached as the spectrum concentrates at large |xi|.
-    Returns nan for the zero field.
+    Returns nan for the zero field. One row of `_gradient_norm_brackets`.
     """
-    h1 = seminorm(fld, 1.0) ** 2
-    if h1 == 0.0:
-        return float("nan")
-    comps = fld.components if hasattr(fld, "components") else (fld,)
-    grad2 = 0.0
-    for comp in comps:
-        grad2 += seminorm(gradient(comp), 0.0) ** 2
-    return grad2 / h1
+    return _gradient_norm_brackets(fld.lattice, fld.coeffs[None])[0]
+
+
+def _gradient_norm_brackets(lattice, stack):
+    """gradient_norm_bracket of each field of a (k, cube) or (k, n, cube) stack, as k floats.
+
+    Both seminorms are weighted sums on the whole stack and on its gradient
+    stack, each slice summed on its own, and the ratios are formed on
+    floats, so ratio i has the bits of gradient_norm_bracket of field i,
+    whatever else the stack holds.
+    """
+    k = len(stack)
+    h1 = [a**2 for a in _weighted_norms(lattice, _squares(lattice, stack), 1.0, False).tolist()]
+    grads = _weighted_norms(lattice, _squares(lattice, _gradient(lattice, stack)), 0.0, False)
+    return [
+        float("nan") if h == 0.0 else sum(a**2 for a in row) / h
+        for row, h in zip(grads.reshape(k, -1).tolist(), h1)
+    ]
 
 
 def random_elliptic_tensor(seed, n):
@@ -324,11 +348,6 @@ def _blocked(fn, cases, case_bytes):
     return [r for block in _map_cases(fn, blocks) for r in block]
 
 
-def _vector_fields(lattice, stack, divergence_free=False):
-    """The fields of a `_random_vectors` stack, flagged as random_vector_field flags them."""
-    return [SpectralVectorField(lattice, c, True, True, divergence_free) for c in stack]
-
-
 def _tally(name, margins):
     """A suite's result from its per-case margins; a case fails below 0 or at nan."""
     failures = int(np.sum(~(np.array(margins) >= 0)))
@@ -350,11 +369,12 @@ def _suite_norm_equivalence(seed, m, n, draws):
     lat = make_lattice(n, m)
 
     def block(cases):
-        fields = _vector_fields(lat, _random_vectors([seed + i for i in cases], lat, decay=3.0))
-        ratios = [gradient_norm_bracket(fld) for fld in fields]
+        stack = _random_vectors([seed + i for i in cases], lat, decay=3.0)
+        ratios = _gradient_norm_brackets(lat, stack)
         return [min(ratio - 2 * np.pi**2, 4 * np.pi**2 - ratio) for ratio in ratios]
 
-    margins = _blocked(block, draws, 16 * n * lat.size)
+    # the (k, n, n, cube) gradient stack is the largest
+    margins = _blocked(block, draws, 16 * n * n * lat.size)
     # unit-mode tightness
     tight = np.zeros(lat.shape, np.complex128)
     tight[tuple(np.array(lat.zero_index) + np.eye(n, dtype=int)[0])] = 1.0
@@ -367,10 +387,11 @@ def _suite_korn(seed, m, n, draws):
     lat = make_lattice(n, m)
 
     def block(cases):
-        fields = _vector_fields(lat, _random_vectors([seed + i for i in cases], lat, decay=3.0))
-        return [2.0 + 1e-12 - korn_ratio(v) for v in fields]
+        stack = _random_vectors([seed + i for i in cases], lat, decay=3.0)
+        return [2.0 + 1e-12 - ratio for ratio in _korn_ratios(lat, stack)]
 
-    margins = _blocked(block, draws, 16 * n * lat.size)
+    # the (k, n, n, cube) symmetric gradient and gradient stacks are the largest
+    margins = _blocked(block, draws, 16 * n * n * lat.size)
     # shear attains the bound
     shear = np.zeros((n,) + lat.shape, np.complex128)
     pos = list(lat.zero_index)
@@ -433,21 +454,41 @@ def _suite_mode_estimates(seed, m, n, draws):
 
 def _suite_isotropic(seed, m, n, draws):
     rng = np.random.default_rng(seed)
-    margins = []
-    for _ in range(draws):
-        lam = float(rng.uniform(-5.0, 5.0))
-        mu = float(rng.uniform(0.1, 5.0))
-        xi = rng.integers(-m, m + 1, size=n)
-        if not xi.any():
-            xi[0] = 1
-        fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        tensor = make_isotropic(lam, mu, n)
-        uhat, phat = solve_mode(assemble_symbol(tensor, xi), fhat, ghat)
-        uref, pref = solve_isotropic_mode(lam, mu, xi, fhat, ghat)
-        scale = max(np.max(np.abs(uref)), abs(pref), 1.0)
-        err = max(float(np.max(np.abs(uhat - uref))), abs(phat - pref)) / scale
-        margins.append(1e-12 - err)
+
+    def block(cases):
+        # the block's draws come from the suite's one stream, in case order;
+        # then one solve of all their symbols against the closed form
+        k = len(cases)
+        params = []
+        xis = np.empty((k, n))
+        x = np.empty((k, n + 1), np.complex128)  # D^-1 (fhat, ghat)
+        for c in range(k):
+            lam = float(rng.uniform(-5.0, 5.0))
+            mu = float(rng.uniform(0.1, 5.0))
+            xi = rng.integers(-m, m + 1, size=n)
+            if not xi.any():
+                xi[0] = 1
+            fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            params.append((lam, mu, ghat))
+            xis[c], x[c, :n], x[c, n] = xi, fhat, -1j * ghat
+        tensors = [make_isotropic(lam, mu, n) for lam, mu, _ in params]
+        R = np.concatenate([_mode_symbols(t, xi[None]) for t, xi in zip(tensors, xis)])
+        y = _apply_inverses(_invert(R, xis), x)
+        margins = []
+        for (lam, mu, ghat), xi, fhat, yc in zip(params, xis, x[:, :n], y):
+            uhat, phat = yc[:n], complex(-1j * yc[n])
+            uref, pref = solve_isotropic_mode(lam, mu, xi, fhat, ghat)
+            scale = max(np.max(np.abs(uref)), abs(pref), 1.0)
+            err = max(float(np.max(np.abs(uhat - uref))), abs(phat - pref)) / scale
+            margins.append(1e-12 - err)
+        return margins
+
+    # a case's symbol, inverse and data take a few hundred bytes, not much
+    # more than the margin every case keeps; blocks of 16 cases solve as fast
+    # as larger ones (the draws and the closed forms dominate) and stay small
+    # beside the run's fixed working set, so it does not grow with draws
+    margins = _blocked(block, draws, _BLOCK_BYTES // 16)
     return _tally("isotropic", margins)
 
 
@@ -525,8 +566,9 @@ def _suite_advection_oracle(seed, m, n, draws):
         stack = _random_vectors([seed + i for i in cases], lat, decay=3.0, divergence_free=True)
         margins = []
         fast_side = _advection(lat, _irfftn_half(stack[..., lat.m :], lat, N))
-        for w, fast in zip(_vector_fields(lat, stack, True), fast_side):
-            slow = advection_bruteforce(w)
+        for c, fast in zip(stack, fast_side):
+            # flagged as random_vector_field flags its fields
+            slow = advection_bruteforce(SpectralVectorField(lat, c, True, True, True))
             scale = max(float(np.max(np.abs(slow.coeffs))), 1e-300)
             margins.append(1e-11 - float(np.max(np.abs(fast - slow.coeffs))) / scale)
         return margins
@@ -568,10 +610,7 @@ def _suite_quadratic_ratio(seed, m, n, draws):
     def block(cases):
         stack = _random_vectors([seed + i for i in cases], lat, decay=3.0, divergence_free=True)
         bw = _advection(lat, _irfftn_half(stack[..., m:], lat, N))
-        return [
-            _bound_ratio(w, SpectralVectorField(lat, b, True, True, False), 1.0)[0]
-            for w, b in zip(_vector_fields(lat, stack, True), bw)
-        ]
+        return _bound_ratios(lat, stack, bw, 1.0)[0]
 
     ratios = _blocked(block, draws, 8 * (n + 1) * N**n)
     worst = float(np.max(ratios))

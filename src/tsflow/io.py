@@ -21,13 +21,16 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import warnings
 
 import numpy as np
 
 from .spectral import (
+    AliasingWarning,
     LatticeSpec,
     SpectralScalarField,
     SpectralVectorField,
+    _aliases,
     _check_dimension,
     _check_hermitian,
     grid_transform,
@@ -195,7 +198,10 @@ def read_tensor(path):
     if not lines or not lines[0][1].startswith("n="):
         raise ValueError(f"{path}: tensor file must start with an n=<int> header")
     text = lines[0][1][2:].strip()
-    n = int(text) if text.isdecimal() else text
+    try:
+        n = int(text) if text.isdecimal() else text
+    except ValueError:  # more digits than int() converts: no dimension either
+        n = text
     _check_dimension(n, f"{path}: ")  # before the n^4 entries are allocated
     entries = np.zeros((n, n, n, n))
     for lineno, ln in lines[1:]:
@@ -230,10 +236,13 @@ def export_grid_csv(path, field, N):
     lat = fields[0].lattice
     if any(f.lattice != lat for f in fields):
         raise ValueError("all exported fields must share a lattice")
+    _aliases(lat, N)  # warns once, at the caller; grid_transform's warnings would name io.py
     parts = []
-    for f in fields:
-        s = grid_transform(f, N)
-        parts.append(s[None] if s.ndim == lat.n else s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingWarning)
+        for f in fields:
+            s = grid_transform(f, N)
+            parts.append(s[None] if s.ndim == lat.n else s)
     samples = np.concatenate(parts, axis=0)  # complex128 if any field samples complex
     ncomp = samples.shape[0]
     is_real = not np.iscomplexobj(samples)

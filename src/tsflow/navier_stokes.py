@@ -51,7 +51,9 @@ from .spectral import (
     _nonzero_mean,
     _rfftn_half,
     _split,
+    _squares,
     _upper_from_half,
+    _weighted_norms,
     _without_mean,
     dealias_grid,
     divergence,
@@ -248,7 +250,11 @@ def advection_bruteforce(w, out_m=None):
     products what_j * (2*pi*i*eta_j*what_k) is one `np.convolve` of the two
     blocks placed at the corner of the doubled (4m+1)^n cube and flattened:
     index sums stay within 4m along every axis, so flat offsets add without
-    carrying and the full convolution is the doubled cube in C order.
+    carrying and the full convolution is the doubled cube in C order. For
+    out_m <= m only its centred "same" part is computed: the flat span from
+    the corner (m, ..., m) to the corner (3m, ..., 3m), at offset
+    m * sum_k (4m+1)^k = (size - 1) / 4, which holds the output cube; its
+    entries are the same dot products as in the full convolution.
     """
     if not w.is_real:
         raise ValueError("advection of complex fields is not supported")
@@ -268,10 +274,12 @@ def advection_bruteforce(w, out_m=None):
 
     grids = index_grids(lat)
     what = [flat(c) for c in w.coeffs]
+    mode, lo = ("same", (big.size - 1) // 4) if out_m <= m else ("full", 0)
     acc = np.zeros((n, big.size), np.complex128)
     for k in range(n):
         for j in range(n):
-            acc[k] += np.convolve(what[j], flat(2j * np.pi * grids[j] * w.coeffs[k]))
+            conv = np.convolve(what[j], flat(2j * np.pi * grids[j] * w.coeffs[k]), mode)
+            acc[k, lo : lo + conv.size] += conv
     result = SpectralVectorField(big, acc.reshape((n,) + big.shape), True, False, False)
     out = restrict_field(result, out_m)
     return _without_mean(out) if w.divergence_free else out
@@ -281,24 +289,31 @@ def advection_bound_ratio(w, s):
     """Empirical quadratic-bound ratio |Bw|_t / |w|_s^2.
 
     The target index t is 2s-1-n/2 below the critical index, s-1 above it,
-    and s-3/2 at (or below) the boundary of those ranges.
+    and s-3/2 at (or below) the boundary of those ranges. Returns (ratio,
+    t), with ratio 0 for the zero field: one row of `_bound_ratios`.
     """
-    return _bound_ratio(w, advection(w), s)
+    ratios, t = _bound_ratios(w.lattice, w.coeffs[None], advection(w).coeffs[None], s)
+    return ratios[0], t
 
 
-def _bound_ratio(w, bw, s):
-    """advection_bound_ratio of w, given bw = advection(w); (0, t) for the zero field."""
-    n = w.lattice.n
+def _bound_ratios(lattice, w, bw, s):
+    """advection_bound_ratio of each field of a (k, n, cube) stack w, given their advections bw.
+
+    Returns the k ratios as floats, 0.0 for a zero field, and the target
+    index t. Both norms are taken on the whole stack, each slice summed on
+    its own, and divided as floats, so ratio i has the bits of
+    advection_bound_ratio of field i, whatever else the stack holds.
+    """
+    n = lattice.n
     if 0.0 < s < n / 2.0:
         t = 2.0 * s - 1.0 - n / 2.0
     elif s > n / 2.0:
         t = s - 1.0
     else:
         t = s - 1.5
-    denom = sobolev_norm(w, s) ** 2
-    if denom == 0.0:
-        return 0.0, t
-    return sobolev_norm(bw, t) / denom, t
+    denoms = [a**2 for a in _weighted_norms(lattice, _squares(lattice, w), s).tolist()]
+    norms = _weighted_norms(lattice, _squares(lattice, bw), t).tolist()
+    return [0.0 if d == 0.0 else b / d for b, d in zip(norms, denoms)], t
 
 
 def apriori_velocity_bound(tensor, f):

@@ -402,12 +402,19 @@ def symmetric_gradient(u):
     Returns an array of shape (n, n) + lattice.shape whose (j, b) entry at
     mode xi is pi*i*(xi_j*uhat_b + xi_b*uhat_j).
     """
-    lat = u.lattice
-    grids = index_grids(lat)
-    out = np.empty((lat.n, lat.n) + lat.shape, np.complex128)
-    for j in range(lat.n):
-        for b in range(lat.n):
-            out[j, b] = np.pi * 1j * (grids[j] * u.coeffs[b] + grids[b] * u.coeffs[j])
+    return _symmetric_gradient(u.lattice, u.coeffs)
+
+
+def _symmetric_gradient(lattice, coeffs):
+    """symmetric_gradient of each field of a (k..., n, cube) stack: a (k..., n, n, cube) stack."""
+    n = lattice.n
+    grids = index_grids(lattice)
+    comps = _components(lattice, coeffs)
+    out = np.empty(comps.shape[1 : comps.ndim - n] + (n, n) + lattice.shape, np.complex128)
+    cube = (slice(None),) * n
+    for j in range(n):
+        for b in range(n):
+            out[(..., j, b) + cube] = np.pi * 1j * (grids[j] * comps[b] + grids[b] * comps[j])
     return out
 
 
@@ -502,6 +509,22 @@ def _rfftn_half(samples, lattice):
     return a
 
 
+def _aliases(lattice, N):
+    """Whether a grid of N points per axis aliases the band m of lattice (N < 2m+1).
+
+    If it does, an AliasingWarning is raised, placed at the caller of the
+    function that asks.
+    """
+    aliased = N < 2 * lattice.m + 1
+    if aliased:
+        warnings.warn(
+            f"grid of {N} points per axis aliases a band limit of m={lattice.m}",
+            AliasingWarning,
+            stacklevel=3,
+        )
+    return aliased
+
+
 def grid_transform(field, N):
     """Evaluate the truncated series on the uniform grid x = k/N.
 
@@ -516,13 +539,7 @@ def grid_transform(field, N):
     """
     lat = field.lattice
     m = lat.m
-    aliased = N < 2 * m + 1
-    if aliased:
-        warnings.warn(
-            f"grid of {N} points per axis aliases a band limit of m={m}",
-            AliasingWarning,
-            stacklevel=2,
-        )
+    aliased = _aliases(lat, N)
     if field.is_real and not aliased:
         return _irfftn_half(field.coeffs[..., m:], lat, N)
     lead = field.coeffs.shape[: -lat.n]

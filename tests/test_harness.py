@@ -1,5 +1,7 @@
 """Manufactured problems, analytic identities, and the property suites."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,13 @@ from tsflow.harness import (
 )
 from tsflow.spectral import (
     gradient,
+    index_grids,
     make_lattice,
     random_scalar_field,
     random_vector_field,
     sampling_transform,
     scalar_field,
+    seminorm,
     sobolev_norm,
     vector_field,
 )
@@ -245,6 +249,103 @@ class TestGradientNormBracket:
         assert 2 * np.pi**2 - 1e-10 <= ratio <= 4 * np.pi**2 + 1e-10
 
 
+# Reference code: the three ratios as one field's own calls formed them,
+# before they became rows of the stacked kernels.
+
+
+def _own_korn_ratio(v):
+    lat = v.lattice
+    grids = index_grids(lat)
+    E = np.empty((lat.n, lat.n) + lat.shape, np.complex128)
+    for j in range(lat.n):
+        for b in range(lat.n):
+            E[j, b] = np.pi * 1j * (grids[j] * v.coeffs[b] + grids[b] * v.coeffs[j])
+    denom = float(np.sum(np.abs(E) ** 2))
+    if denom == 0.0:
+        return float("nan")
+    grad2 = 0.0
+    for comp in v.components:
+        grad2 += sobolev_norm(gradient(comp), 0.0) ** 2
+    return grad2 / denom
+
+
+def _own_gradient_norm_bracket(fld):
+    h1 = seminorm(fld, 1.0) ** 2
+    if h1 == 0.0:
+        return float("nan")
+    comps = fld.components if hasattr(fld, "components") else (fld,)
+    grad2 = 0.0
+    for comp in comps:
+        grad2 += seminorm(gradient(comp), 0.0) ** 2
+    return grad2 / h1
+
+
+def _own_bound_ratio(w, bw, s, t):
+    denom = sobolev_norm(w, s) ** 2
+    return 0.0 if denom == 0.0 else sobolev_norm(bw, t) / denom
+
+
+def _kernel_fields(n, m, scalar=False):
+    """Three seeded real fields and the zero field, and their (4, ...) coefficient stack."""
+    lat = make_lattice(n, m)
+    make = random_scalar_field if scalar else random_vector_field
+    fields = [make(40 + i, lat, decay=2.0) for i in range(3)]
+    zero = np.zeros(fields[0].coeffs.shape, np.complex128)
+    fields.append((scalar_field if scalar else vector_field)(lat, zero, is_real=True))
+    return lat, fields, np.stack([f.coeffs for f in fields])
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestStackedKernels:
+    """Row i of each stacked ratio kernel is the ratio of field i, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _runtime_warnings_are_errors(self):
+        # the zero field's sentinel comes without a division warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    def test_korn_ratios(self, n, m):
+        from tsflow.harness import _korn_ratios
+
+        lat, fields, stack = _kernel_fields(n, m)
+        ratios = _korn_ratios(lat, stack)
+        assert _bits(ratios) == _bits([_own_korn_ratio(v) for v in fields])
+        assert _bits(ratios) == _bits([korn_ratio(v) for v in fields])
+        assert np.isnan(ratios[-1]) and all(1.0 <= r <= 2.0 for r in ratios[:-1])
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_gradient_norm_brackets(self, n, m, scalar):
+        from tsflow.harness import _gradient_norm_brackets
+
+        lat, fields, stack = _kernel_fields(n, m, scalar)
+        ratios = _gradient_norm_brackets(lat, stack)
+        assert _bits(ratios) == _bits([_own_gradient_norm_bracket(f) for f in fields])
+        assert _bits(ratios) == _bits([gradient_norm_bracket(f) for f in fields])
+        assert np.isnan(ratios[-1])
+        assert all(2 * np.pi**2 - 1e-10 <= r <= 4 * np.pi**2 + 1e-10 for r in ratios[:-1])
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
+    def test_bound_ratios(self, n, m, s):
+        from tsflow.navier_stokes import _bound_ratios, advection, advection_bound_ratio
+
+        lat, fields, stack = _kernel_fields(n, m)
+        advections = [advection(w) for w in fields]
+        ratios, t = _bound_ratios(lat, stack, np.stack([b.coeffs for b in advections]), s)
+        assert t == advection_bound_ratio(fields[0], s)[1]
+        expected = [_own_bound_ratio(w, b, s, t) for w, b in zip(fields, advections)]
+        assert _bits(ratios) == _bits(expected)
+        assert _bits(ratios) == _bits([advection_bound_ratio(w, s)[0] for w in fields])
+        assert ratios[-1] == 0.0 and all(r > 0.0 for r in ratios[:-1])
+
+
 class TestRandomEllipticTensor:
     def test_symmetric_and_elliptic(self):
         for seed in range(10):
@@ -439,9 +540,31 @@ def _reference_quadratic_ratio(seed, m, n, draws):
     return [advection_bound_ratio(w, 1.0)[0] for w in fields]
 
 
+def _reference_isotropic(seed, m, n, draws):
+    from tsflow.stokes import assemble_symbol, solve_isotropic_mode, solve_mode
+
+    rng = np.random.default_rng(seed)
+    margins = []
+    for _ in range(draws):
+        lam = float(rng.uniform(-5.0, 5.0))
+        mu = float(rng.uniform(0.1, 5.0))
+        xi = rng.integers(-m, m + 1, size=n)
+        if not xi.any():
+            xi[0] = 1
+        fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        uhat, phat = solve_mode(assemble_symbol(make_isotropic(lam, mu, n), xi), fhat, ghat)
+        uref, pref = solve_isotropic_mode(lam, mu, xi, fhat, ghat)
+        scale = max(np.max(np.abs(uref)), abs(pref), 1.0)
+        err = max(float(np.max(np.abs(uhat - uref))), abs(phat - pref)) / scale
+        margins.append(1e-12 - err)
+    return margins
+
+
 REFERENCE_SUITES = {
     "norm-equivalence": _reference_norm_equivalence,
     "korn": _reference_korn,
+    "isotropic": _reference_isotropic,
     "trilinear": _reference_trilinear,
     "stokes-roundtrip": _reference_stokes_roundtrip,
     "advection-oracle": _reference_advection_oracle,
@@ -532,21 +655,27 @@ class TestSuites:
 
     def test_norm_equivalence_fails_below_zero(self, monkeypatch):
         # its margins already carry their slack, so like every other suite it
-        # counts a failure at any margin below 0
+        # counts a failure at any margin below 0; the stacked kernel serves
+        # the sampled blocks and, as one row, the unit-mode case
         import tsflow.harness as harness_mod
 
         monkeypatch.setattr(
-            harness_mod, "gradient_norm_bracket", lambda fld: 2 * np.pi**2 - 5e-13
+            harness_mod,
+            "_gradient_norm_brackets",
+            lambda lattice, stack: [2 * np.pi**2 - 5e-13] * len(stack),
         )
         result = run_suite("norm-equivalence", seed=1, m=3, n=2, draws=4).results[0]
         assert result.cases == 5 and result.failures == 4
         assert result.worst_margin == pytest.approx(-5e-13, rel=1e-2)
 
     def test_nan_margin_counts_as_failure(self, monkeypatch):
-        # korn_ratio is nan for a zero field; a nan margin must not pass
+        # korn_ratio is nan for a zero field; a nan margin must not pass, in
+        # the sampled blocks or in the shear case (one row of the same kernel)
         import tsflow.harness as harness_mod
 
-        monkeypatch.setattr(harness_mod, "korn_ratio", lambda v: float("nan"))
+        monkeypatch.setattr(
+            harness_mod, "_korn_ratios", lambda lattice, stack: [float("nan")] * len(stack)
+        )
         report = run_suite("korn", seed=1, m=3, n=2, draws=4)
         result = report.results[0]
         assert result.cases == 5 and result.failures == 5

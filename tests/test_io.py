@@ -314,6 +314,20 @@ class TestTensorFile:
         with pytest.raises(ValueError, match=rf"big\.txt: dimension n={n} is not in DIMENSIONS"):
             read_tensor(path)
 
+    def test_header_longer_than_int_conversion_names_the_path(self, tmp_path, capsys):
+        # int() refuses decimals above its digit limit (4300 by default) with
+        # an error that knows no path; the header error names it as for any n
+        from tsflow.cli import main
+
+        path = tmp_path / "long.txt"
+        path.write_text("n=" + "9" * 5000 + "\n1 1 1 1 1.0\n")
+        message = r"long\.txt: dimension n=9{5000} is not in DIMENSIONS"
+        with pytest.raises(ValueError, match=message):
+            read_tensor(path)
+        assert main(["tensor-check", "--tensor", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: dimension n=999")
+
     @pytest.mark.parametrize("n", DIMENSIONS)
     def test_headers_up_to_3_read(self, tmp_path, n):
         path = tmp_path / "ok.txt"
@@ -348,6 +362,23 @@ class TestGridExport:
         path = tmp_path / "z.csv"
         export_grid_csv(path, scalar_field(lat, c), 3)
         assert path.read_text().split("\n")[0] == "x1,x2,v1_re,v1_im"
+
+    def test_aliasing_warning_names_the_caller(self, tmp_path):
+        # one warning for the whole export, placed at this line, not in io.py
+        import warnings
+
+        from tsflow.spectral import AliasingWarning
+
+        lat = make_lattice(2, 3)
+        fields = [random_vector_field(1, lat), random_scalar_field(2, lat)]
+        path = tmp_path / "coarse.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            export_grid_csv(path, fields, 4)
+        (w,) = [w for w in caught if issubclass(w.category, AliasingWarning)]
+        assert w.filename == __file__
+        assert "grid of 4 points per axis aliases a band limit of m=3" in str(w.message)
+        assert len(path.read_text().strip().split("\n")) == 1 + 16
 
 
 def _rowwise_csv(samples, n, N):

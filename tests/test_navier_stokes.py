@@ -229,6 +229,31 @@ class TestAdvectionOracle:
         w = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True)
         assert np.all(advection_bruteforce(w).coeffs == 0)
 
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
+    @pytest.mark.parametrize("solenoidal", [False, True])
+    def test_cube_output_is_the_full_convolution_cropped(self, n, m, solenoidal, monkeypatch):
+        # on the input cube only the centred "same" span of each convolution
+        # is computed; its entries are the full convolution's, bit for bit
+        from tsflow.spectral import restrict_field
+
+        w = random_vector_field(60 + n, make_lattice(n, m), decay=3.0, divergence_free=solenoidal)
+        modes = []
+        convolve = np.convolve
+
+        def spy(a, v, mode="full"):
+            modes.append(mode)
+            return convolve(a, v, mode)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        full = advection_bruteforce(w, out_m=2 * m)
+        assert modes == ["full"] * n * n
+        modes.clear()
+        kept = advection_bruteforce(w)
+        assert modes == ["same"] * n * n
+        cropped = restrict_field(full, m)
+        assert kept.lattice == cropped.lattice and kept.zero_mean == cropped.zero_mean
+        assert kept.coeffs.tobytes() == cropped.coeffs.tobytes()
+
 
 def _full_product(samples, lat):
     # the unpruned forward transform: rfftn, corner blocks, Hermitian fill
