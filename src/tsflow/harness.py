@@ -7,16 +7,14 @@ applying the forward operators to a chosen solution, and each named suite
 sweeps a seeded ensemble and reports margins.
 
 Every sampled suite runs one stacked pass per block of cases (`_blocked`):
-a block's fields are drawn as one stack (`spectral._random_vectors`), and
-its ratios (`_gradient_norm_brackets`, `_korn_ratios`,
-`navier_stokes._bound_ratios`), advections, trilinear samples or Stokes
-solves each run as one call on the stack; the isotropic suite draws its
-modes one case at a time from its one stream and solves the block's symbols
-in one pass. Every case's margin equals bit for bit the one its own calls
-would give: the one-field ratios are one-row calls of the same kernels, and
-the per-case arithmetic runs on floats. A block holds at most _BLOCK_BYTES
-of stacked arrays, so the working set of a suite does not grow with the
-number of draws; mode-estimates solves all its cases in one pass.
+a block's fields or modes are drawn as one stack (`spectral._random_vectors`,
+`_draw_modes`), and its ratios (`_gradient_norm_brackets`, `_korn_ratios`,
+`navier_stokes._bound_ratios`), advections, trilinear samples or per-mode
+Stokes solves (`stokes._solve_modes`) each run as one call on the stack.
+Every case's margin equals bit for bit the one its own calls would give:
+the one-field ratios and `solve_mode` are one-row calls of the same
+kernels, and the per-case arithmetic runs on floats. A block holds at most
+_BLOCK_BYTES of stacked arrays, so no suite's working set grows with draws.
 """
 
 from __future__ import annotations
@@ -52,11 +50,10 @@ from .spectral import (
     vector_field,
 )
 from .stokes import (
-    _apply_inverses,
     _global_slack,
-    _invert,
     _mode_slacks,
     _mode_symbols,
+    _solve_modes,
     estimate_constants,
     solve_isotropic_mode,
 )
@@ -331,8 +328,8 @@ def _map_cases(fn, args_list):
 # Bytes of the main stacked arrays of one block of cases, as each suite
 # counts them per case: the draw, the grid samples, or the symbols and data
 # of every mode. A step's temporaries take a few times as much, so at n=2,
-# m=8 a block's working set stays near 1 MB, below the mode-estimates pass,
-# whatever the number of draws (as stokes._BLOCK bounds the inverse).
+# m=8 a block's working set stays near 1 MB whatever the number of draws
+# (as stokes._BLOCK bounds the inverse).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -424,32 +421,42 @@ def _suite_trilinear(seed, m, n, draws):
     return _tally("trilinear", margins)
 
 
-def _suite_mode_estimates(seed, m, n, draws):
-    # one case per tensor, 50 random modes each; the modes of all cases are
-    # drawn in order from one stream, then solved and checked in one pass
-    rng = np.random.default_rng(seed)
-    modes = 50
-    B = draws * modes
-    xis = np.empty((B, n))
-    z = np.empty((B, 2 * n + 2))  # Re fhat, Im fhat, Re ghat, Im ghat
-    for b in range(B):
+def _draw_modes(rng, k, m, n):
+    """(xis, fhat, ghat) of k modes in [-m, m]^n: per mode n scalar integers, then 2n+2 normals.
+
+    The normals are Re fhat, Im fhat, Re ghat, Im ghat; a zero mode moves to xi_1 = 1.
+    """
+    xis = np.empty((k, n))
+    z = np.empty((k, 2 * n + 2))
+    for b in range(k):
         for j in range(n):
             xis[b, j] = rng.integers(-m, m + 1)
         z[b] = rng.standard_normal(2 * n + 2)
     xis[~xis.any(axis=1), 0] = 1
-    x = np.empty((B, n + 1), np.complex128)  # D^-1 (fhat, ghat)
-    x[:, :n] = z[:, :n] + 1j * z[:, n : 2 * n]
-    x[:, n] = -1j * (z[:, 2 * n] + 1j * z[:, 2 * n + 1])
-    tensors = [random_elliptic_tensor(seed + 1000 + i, n) for i in range(draws)]
-    R = np.concatenate(
-        [_mode_symbols(t, xis[i * modes : (i + 1) * modes]) for i, t in enumerate(tensors)]
-    )
-    y = _apply_inverses(_invert(R, xis), x)
-    constants = [estimate_constants(t) for t in tensors]
-    per_mode = {k: np.repeat([c[k] for c in constants], modes) for k in constants[0]}
-    slack_u, slack_p, _, _ = _mode_slacks(per_mode, xis, x, y)
-    worst = np.minimum(*(a.reshape(draws, modes).min(axis=1) for a in (slack_u, slack_p)))
-    return _tally("mode-estimates", list(worst + 1e-12))
+    return xis, z[:, :n] + 1j * z[:, n : 2 * n], z[:, 2 * n] + 1j * z[:, 2 * n + 1]
+
+
+def _suite_mode_estimates(seed, m, n, draws):
+    # one case per tensor, 50 random modes each, drawn in case order from
+    # the suite's one stream; a block's cases solve and check in one pass
+    rng = np.random.default_rng(seed)
+    modes = 50
+
+    def block(cases):
+        k = len(cases)
+        drawn = _draw_modes(rng, k * modes, m, n)
+        xis, f, g = (a.reshape((k, modes) + a.shape[1:]) for a in drawn)
+        tensors = [random_elliptic_tensor(seed + 1000 + i, n) for i in cases]
+        R = np.stack([_mode_symbols(t, xi) for t, xi in zip(tensors, xis)])
+        _, _, x, y = _solve_modes(R, xis, f, g)
+        constants = [estimate_constants(t) for t in tensors]
+        per_case = {key: np.array([[c[key]] for c in constants]) for key in constants[0]}
+        slack_u, slack_p, _, _ = _mode_slacks(per_case, xis, x, y)
+        return (np.minimum(slack_u.min(axis=1), slack_p.min(axis=1)) + 1e-12).tolist()
+
+    # the symbols, their inverses and the data of every mode of a case
+    margins = _blocked(block, draws, 16 * (n + 1) ** 2 * modes)
+    return _tally("mode-estimates", margins)
 
 
 def _suite_isotropic(seed, m, n, draws):
@@ -458,29 +465,19 @@ def _suite_isotropic(seed, m, n, draws):
     def block(cases):
         # the block's draws come from the suite's one stream, in case order;
         # then one solve of all their symbols against the closed form
-        k = len(cases)
-        params = []
-        xis = np.empty((k, n))
-        x = np.empty((k, n + 1), np.complex128)  # D^-1 (fhat, ghat)
-        for c in range(k):
-            lam = float(rng.uniform(-5.0, 5.0))
-            mu = float(rng.uniform(0.1, 5.0))
-            xi = rng.integers(-m, m + 1, size=n)
-            if not xi.any():
-                xi[0] = 1
-            fhat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ghat = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            params.append((lam, mu, ghat))
-            xis[c], x[c, :n], x[c, n] = xi, fhat, -1j * ghat
-        tensors = [make_isotropic(lam, mu, n) for lam, mu, _ in params]
+        params, modes = [], []
+        for _ in cases:
+            params.append((float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 5.0))))
+            modes.append(_draw_modes(rng, 1, m, n))
+        xis, f, g = (np.concatenate(a) for a in zip(*modes))
+        tensors = [make_isotropic(lam, mu, n) for lam, mu in params]
         R = np.concatenate([_mode_symbols(t, xi[None]) for t, xi in zip(tensors, xis)])
-        y = _apply_inverses(_invert(R, xis), x)
+        uhat, phat, _, _ = _solve_modes(R, xis, f, g)
         margins = []
-        for (lam, mu, ghat), xi, fhat, yc in zip(params, xis, x[:, :n], y):
-            uhat, phat = yc[:n], complex(-1j * yc[n])
+        for (lam, mu), xi, fhat, ghat, u, p in zip(params, xis, f, g.tolist(), uhat, phat.tolist()):
             uref, pref = solve_isotropic_mode(lam, mu, xi, fhat, ghat)
             scale = max(np.max(np.abs(uref)), abs(pref), 1.0)
-            err = max(float(np.max(np.abs(uhat - uref))), abs(phat - pref)) / scale
+            err = max(float(np.max(np.abs(u - uref))), abs(p - pref)) / scale
             margins.append(1e-12 - err)
         return margins
 
@@ -500,8 +497,8 @@ def _suite_stokes_roundtrip(seed, m, n, draws):
 
     def block(cases):
         # manufacture and solve every case of the block at once, on the
-        # Hermitian half with the mode axis first: row h * k + c of a stack
-        # is mode h of case c
+        # Hermitian half with the mode axis first (row (h, c) is mode h of
+        # case c); the data is exactly Hermitian, so the half has every modulus
         k = len(cases)
         tensors = [iso if i % 2 == 0 else random_elliptic_tensor(seed + 500 + i, n) for i in cases]
         u_star = _random_vectors([seed + 2 * i for i in cases], lat, decay=3.0)
@@ -514,21 +511,15 @@ def _suite_stokes_roundtrip(seed, m, n, draws):
         viscous = _apply_blocks(np.ascontiguousarray(R[..., :n, :n]), uk)[0]
         f = -1.0 * (_join(lat, viscous, viscous) + -1.0 * _gradient(lat, p_star))
         g = _divergence(lat, u_star)
-        x = np.empty((2, H, k, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
-        _split(lat, f, x[..., :n])
-        _split(lat, g, x[..., n])
-        x[..., n] *= -1j
-        R, x = R.reshape(H * k, n + 1, n + 1), x.reshape(2, H * k, n + 1)
-        modes = np.repeat(xis, k, axis=0)
-        y = _apply_inverses(_invert(R, modes), x[0])
+        fk = _split(lat, f, np.empty((1, H, k, n), np.complex128))[0]
+        gk = _split(lat, g, np.empty((1, H, k), np.complex128))[0]
+        uhat, phat, x, y = _solve_modes(R, xis[:, None], fk, gk)
         constants = [estimate_constants(t) for t in tensors]
-        per_mode = {key: np.tile([c[key] for c in constants], H) for key in constants[0]}
-        slacks = _mode_slacks(per_mode, modes, x, y[None])[:2]
-        min_u, min_p = (a.reshape(2, H, k).min(axis=(0, 1)).tolist() for a in slacks)
-        y = y.reshape(H, k, n + 1)
-        u = _join(lat, y[..., :n], y[..., :n])
-        p_h = -1j * y[..., n]
-        p = _join(lat, p_h, p_h)
+        per_case = {key: np.array([c[key] for c in constants]) for key in constants[0]}
+        slacks = _mode_slacks(per_case, xis[:, None], x, y)[:2]
+        min_u, min_p = (a.min(axis=0).tolist() for a in slacks)
+        u = _join(lat, uhat, uhat)
+        p = _join(lat, phat, phat)
 
         def norms(stack, s):
             return _weighted_norms(lat, _squares(lat, stack), s).tolist()

@@ -585,13 +585,7 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
         raise ValueError("grid must have the same number of points on every axis")
     if is_real is None:
         is_real = not np.iscomplexobj(samples)
-    aliased = N < 2 * lattice.m + 1
-    if aliased:
-        warnings.warn(
-            f"recovering m={lattice.m} coefficients from {N} points aliases the tail",
-            AliasingWarning,
-            stacklevel=2,
-        )
+    aliased = _aliases(lattice, N)
     if is_real and not aliased and not np.iscomplexobj(samples):
         coeffs = np.empty(samples.shape[: -lattice.n] + lattice.shape, np.complex128)
         coeffs[..., lattice.m :] = _rfftn_half(samples, lattice)

@@ -24,12 +24,12 @@ s or a conditioning check names the offending mode of a singular symbol.
 The one Stokes solve is `solve_stokes(tensor, f, g=None, s=1.0)`. It
 streams that half in blocks of _BLOCK modes, building each block's R and
 inverse with `_half_block` and dropping them. With g=None the solve is the
-incompressible one, and `solve_mode` is the single-mode case of the same
-code. `StokesOperator(tensor, lattice)` keeps R and its inverse for all H
-modes, `_half_block` of the whole half, for iterations that apply them
-pass after pass. Lattices and tensors exist only for n in
-`spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The isotropic closed
-forms and the per-mode / summed a-priori bounds with constants
+incompressible one. `_solve_modes` solves stacked symbols at any modes, and
+`solve_mode` is its one-row call. `StokesOperator(tensor, lattice)` keeps
+R and its inverse for all H modes, `_half_block` of the whole half, for
+iterations that apply them pass after pass. Lattices and tensors exist
+only for n in `spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The
+isotropic closed forms and the per-mode / summed a-priori bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
@@ -320,15 +320,26 @@ def _check_solenoidal(divergence, scale):
         raise NotSolenoidal(f"velocity divergence {divergence:.3e} exceeds {limit:.3e}")
 
 
+def _solve_modes(R, xis, f, g):
+    """(uhat, phat, x, y) of (..., n+1, n+1) symbols R at modes xis for (..., n) f and (...) g.
+
+    One pass: x = D^-1 (fhat, ghat), the closed-form `_invert` of every
+    symbol (xis, broadcast against R's leading axes, name a singular one),
+    one real product y = R^-1 x, and phat = -i y_n. x and y are what
+    `_mode_slacks` reads; each row has the bits of its one-row `solve_mode`.
+    """
+    *lead, d, _ = R.shape
+    x = np.empty((*lead, d), np.complex128)
+    x[..., :-1], x[..., -1] = f, -1j * g
+    modes = np.broadcast_to(xis, (*lead, d - 1)).reshape(-1, d - 1)
+    y = _apply_inverses(_invert(R.reshape(-1, d, d), modes), x.reshape(-1, d)).reshape(x.shape)
+    return y[..., :-1], -1j * y[..., -1], x, y
+
+
 def solve_mode(symbol, fhat, ghat):
-    """Invert one symbol for data (fhat, ghat); returns (uhat, phat)."""
-    R = symbol.real[None]
-    n = R.shape[1] - 1
-    x = np.empty((1, n + 1), np.complex128)  # D^-1 (fhat, ghat)
-    x[0, :n] = fhat
-    x[0, n] = -1j * ghat
-    y = _apply_inverses(_invert(R, [symbol.xi]), x)
-    return y[0, :n], complex(-1j * y[0, n])
+    """Invert one symbol for data (fhat, ghat); returns (uhat, phat). One row of `_solve_modes`."""
+    uhat, phat, _, _ = _solve_modes(symbol.real[None], symbol.xi, fhat, ghat)
+    return uhat[0], complex(phat[0])
 
 
 def solve_isotropic_mode(lam, mu, xi, fhat, ghat):
@@ -490,13 +501,14 @@ def _mode_slacks(constants, xis, rhs, z):
     """Slacks and bounds of the two per-mode estimates over a stack of modes.
 
     rhs and z are (..., B, n+1) stacks carrying the moduli of (fhat, ghat)
-    and (uhat, phat) at the (B, n) modes xis. Their leading member axes
+    and (uhat, phat) at the (..., B, n) modes xis. Their leading axes
     broadcast against each other: solve_stokes passes its (2, B) half and
     mirror data with a (1, B) solution when the two members share one. The
-    constants are scalars or (B,) arrays, one per mode. Returns (slack_u,
-    slack_p, bound_u, bound_p), each of the broadcast shape (..., B).
+    constants are scalars or arrays broadcasting against the moduli, such as
+    (k, 1) per-case values for k cases of B modes. Returns (slack_u, slack_p,
+    bound_u, bound_p), each of the broadcast shape (..., B).
     """
-    n = xis.shape[1]
+    n = xis.shape[-1]
     abs_xi = _moduli(xis)
     abs_f = _moduli(rhs[..., :n])
     abs_g = _moduli(rhs[..., n:])

@@ -53,7 +53,8 @@ class NotElliptic(ValueError):
 class ViscosityTensor:
     n: int
     entries: np.ndarray  # float64, shape (n, n, n, n), indexed [k, j, alpha, beta]
-    ellipticity: float | None = field(default=None)  # cached by ellipticity_constant
+    # set by ellipticity_constant once the tensor has passed its check
+    ellipticity: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_dimension(self.n)

@@ -319,6 +319,14 @@ class TestGridTransforms:
         with pytest.warns(AliasingWarning):
             grid_transform(g, 2 * lat.m)
 
+    def test_sampling_warning_names_the_caller(self):
+        # sampling_transform warns through the one aliasing check, at this file
+        lat = make_lattice(2, 3)
+        samples = np.random.default_rng(9).standard_normal((4, 4))
+        with pytest.warns(AliasingWarning, match="grid of 4 points per axis") as caught:
+            sampling_transform(samples, lat)
+        assert [w.filename for w in caught] == [__file__]
+
     @pytest.mark.parametrize("n, N", [(2, 9), (2, 10), (3, 8), (3, 12)])
     def test_real_path_matches_complex_path(self, n, N):
         # the real FFT path against the full complex one on the same data

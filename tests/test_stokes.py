@@ -787,6 +787,34 @@ class TestSolveMode:
         with pytest.raises(SingularSymbol):
             solve_mode(sym, np.array([0.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_kernel_rows_match_solve_mode(self, n):
+        # every row of a (k, B) stack, and of its (B, k) transpose with the
+        # modes shared across cases, has the bits of its own solve_mode call
+        from tsflow.stokes import _mode_symbols, _solve_modes
+
+        rng = np.random.default_rng(n)
+        k, B = 3, 7
+        tensors = [random_elliptic_tensor(10 + c, n) for c in range(k)]
+        xis = rng.integers(-4, 5, size=(k, B, n)).astype(float)
+        xis[~xis.any(axis=-1), 0] = 1
+        f = rng.standard_normal((k, B, n)) + 1j * rng.standard_normal((k, B, n))
+        g = rng.standard_normal((k, B)) + 1j * rng.standard_normal((k, B))
+        R = np.stack([_mode_symbols(t, xi) for t, xi in zip(tensors, xis)])
+        uhat, phat, x, y = _solve_modes(R, xis, f, g)
+        assert uhat.shape == (k, B, n) and phat.shape == (k, B)
+        assert x.shape == y.shape == (k, B, n + 1)
+        shared = np.stack([_mode_symbols(t, xis[0]) for t in tensors], axis=1)
+        uhat_t, phat_t, _, _ = _solve_modes(shared, xis[0][:, None], f.swapaxes(0, 1), g.T)
+        for c, tensor in enumerate(tensors):
+            for b in range(B):
+                u1, p1 = solve_mode(assemble_symbol(tensor, xis[c, b]), f[c, b], g[c, b])
+                assert u1.tobytes() == uhat[c, b].tobytes()
+                assert np.complex128(p1).tobytes() == phat[c, b].tobytes()
+                u1, p1 = solve_mode(assemble_symbol(tensor, xis[0, b]), f[c, b], g[c, b])
+                assert u1.tobytes() == uhat_t[b, c].tobytes()
+                assert np.complex128(p1).tobytes() == phat_t[b, c].tobytes()
+
 
 class TestIsotropicClosedForm:
     def test_matches_solve_mode_examples(self):

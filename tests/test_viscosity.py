@@ -16,6 +16,7 @@ from tsflow.spectral import (
 )
 from tsflow.viscosity import (
     NotElliptic,
+    ViscosityTensor,
     apply_viscosity,
     check_symmetry,
     ellipticity_constant,
@@ -119,6 +120,13 @@ class TestEllipticity:
         assert A.ellipticity is None
         ellipticity_constant(A)
         assert A.ellipticity == pytest.approx(0.25, rel=1e-13)
+
+    def test_cache_is_not_a_constructor_argument(self):
+        # an injected constant would skip the check and inflate every estimate bound
+        with pytest.raises(TypeError):
+            ViscosityTensor(2, np.zeros((2,) * 4), 1.0)
+        with pytest.raises(NotElliptic):
+            ellipticity_constant(ViscosityTensor(2, np.zeros((2,) * 4)))
 
 
 class TestTensorNorm:
