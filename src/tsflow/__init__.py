@@ -53,7 +53,6 @@ from .stokes import (
     NonPositiveMu,
     NotSolenoidal,
     SingularSymbol,
-    StokesOperator,
     StokesSolveReport,
     ZeroMode,
     assemble_symbol,

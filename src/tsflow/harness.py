@@ -559,7 +559,7 @@ def _suite_advection_oracle(seed, m, n, draws):
         fast_side = _advection(lat, _irfftn_half(stack[..., lat.m :], lat, N))
         for c, fast in zip(stack, fast_side):
             # flagged as random_vector_field flags its fields
-            slow = advection_bruteforce(SpectralVectorField(lat, c, True, True, True))
+            slow = advection_bruteforce(SpectralVectorField(lat, c, True, divergence_free=True))
             scale = max(float(np.max(np.abs(slow.coeffs))), 1e-300)
             margins.append(1e-11 - float(np.max(np.abs(fast - slow.coeffs))) / scale)
         return margins

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SPF1"
+_HEADER_LINE = 64  # longest SPF header line read, newline included
 _EXPORT_ROWS = 1024  # CSV rows per block: bounds the copies and text alive at once
 
 
@@ -123,8 +124,9 @@ def read_field(path):
     against the file before it is allocated; coefficients must be finite.
     """
     with open(path, "rb") as fh:
-        lines = [fh.readline() for _ in range(5)]
-        if lines[0] != _MAGIC + b"\n" or not lines[4].endswith(b"\n"):
+        # bounded reads: a file without newlines is rejected, never read whole
+        lines = [fh.readline(_HEADER_LINE) for _ in range(5)]
+        if lines[0] != _MAGIC + b"\n" or not all(ln.endswith(b"\n") for ln in lines):
             raise ValueError(f"{path}: not an SPF1 spectral dump")
         header = {}
         try:
@@ -168,10 +170,9 @@ def read_field(path):
             except ValueError as exc:
                 raise ValueError(f"{path}: real={header['real']} but {exc}") from None
         mean = (...,) + lattice.zero_index
-        zero_mean = bool(np.max(np.abs(c[mean])) == 0.0)
-        if zero_mean:
+        if not np.any(c[mean]):
             c[mean] = 0.0  # a -0 mean reads as +0, as the constructors store it
-        return cls(lattice, c, is_real, zero_mean)
+        return cls(lattice, c, is_real)
 
     if components == 1:
         return field(SpectralScalarField, coeffs[0])

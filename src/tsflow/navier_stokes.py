@@ -17,8 +17,9 @@ lattice convolution (quadratic products of cube-truncated fields live on the
 doubled cube; 3m+1 points leave the inner cube alias-free). A direct
 convolution oracle is kept alongside.
 
-The solver builds one StokesOperator S for the tensor and the forcing's
-cube, and iterates
+The solver factors the Stokes symbols of the tensor once, on the Hermitian
+half of the forcing's cube (`stokes._half_block`), as the solution
+operator S, and iterates
 
     u_next = (1 - omega) * u + omega * S(f - (u . grad) u)
 
@@ -66,7 +67,13 @@ from .spectral import (
     seminorm,
     sobolev_norm,
 )
-from .stokes import StokesOperator, _apply_inverses, _check_solenoidal, _divergence_moduli
+from .stokes import (
+    _apply_inverses,
+    _check_solenoidal,
+    _checked_constants,
+    _divergence_moduli,
+    _half_block,
+)
 from .viscosity import _apply_blocks, ellipticity_constant, stokes_operator
 
 __all__ = [
@@ -179,7 +186,7 @@ def advection(w, dealias=True):
     w_grid = grid_transform(w, N)[None]  # (1, n, N, ..., N) real samples
     div_grid = None if w.divergence_free else grid_transform(divergence(w), N)[None]
     out = _advection(lat, w_grid, div_grid)[0]
-    return SpectralVectorField(lat, out, True, w.divergence_free, False)
+    return SpectralVectorField(lat, out, True)
 
 
 def _advection(lattice, w_grid, div_grid=None):
@@ -280,7 +287,7 @@ def advection_bruteforce(w, out_m=None):
         for j in range(n):
             conv = np.convolve(what[j], flat(2j * np.pi * grids[j] * w.coeffs[k]), mode)
             acc[k, lo : lo + conv.size] += conv
-    result = SpectralVectorField(big, acc.reshape((n,) + big.shape), True, False, False)
+    result = SpectralVectorField(big, acc.reshape((n,) + big.shape), True)
     out = restrict_field(result, out_m)
     return _without_mean(out) if w.divergence_free else out
 
@@ -336,35 +343,36 @@ def picard_solve(tensor, f, opts=None):
     """Damped fixed-point solve of the incompressible nonlinear system.
 
     Every pass runs on the Hermitian half (`spectral._split`), the layout
-    of the operator's stacks: (H, n) stacks over the modes before xi = 0,
-    the other half following by conjugation, since every field here is
-    real. The forcing is split once. A pass maps the iterate's half to the
-    xi_n >= 0 half of its cube (`_upper_from_half`), samples that on the
-    product grid, forms (u . grad) u there (`_advection_upper`) and maps it
-    back (`_half_from_upper`), so no pass builds a cube. It then applies the
-    operator's inverses to D^-1 (f - (u . grad) u, 0), checks that the new
-    velocity is solenoidal (the `_check_solenoidal` of `solve_stokes`),
-    forms the momentum defect with the operator's velocity blocks,
-    measures it in H^{-1} with the weights of the half, and relaxes u
-    toward the linear solution. The step omega
-    halves whenever the defect grows; Diverged is raised if it grows at the
-    floor, MaxIterationsExceeded if the budget runs out. On success the
-    returned velocity is divergence-free, the pressure is the one induced by
-    the final velocity, and the report records whether the a-priori bound
-    held; u, p and the advection field of `energy_check` become cubes only
-    then. A nonzero mean of f is flagged once, with a
-    NonzeroMeanWarning, recorded as mean_removed_f, and dropped: the split
-    half holds no xi = 0, and M0 leaves the mean out.
+    of one `stokes._half_block` call that factors the symbols of all H
+    modes before xi = 0: (H, n) stacks, the other half following by
+    conjugation, since every field here is real. The forcing is split once.
+    A pass maps the iterate's half to the xi_n >= 0 half of its cube
+    (`_upper_from_half`), samples that on the product grid, forms
+    (u . grad) u there (`_advection_upper`) and maps it back
+    (`_half_from_upper`), so no pass builds a cube. It then applies the
+    inverses to D^-1 (f - (u . grad) u, 0), checks that the new velocity is
+    solenoidal (the `_check_solenoidal` of `solve_stokes`), forms the
+    momentum defect with the symbols' velocity blocks, measures it in
+    H^{-1} with the weights of the half, and relaxes u toward the linear
+    solution. The step omega halves whenever the defect grows; Diverged is
+    raised if it grows at the floor, MaxIterationsExceeded if the budget
+    runs out. On success the returned velocity is divergence-free, the
+    pressure is the one induced by the final velocity, and the report
+    records whether the a-priori bound held; u, p and the advection field
+    of `energy_check` become cubes only then. A nonzero mean of f is
+    flagged once, with a NonzeroMeanWarning, recorded as mean_removed_f,
+    and dropped: the split half holds no xi = 0, and M0 leaves the mean out.
     """
     opts = opts or NSSolveOptions()
     lat = f.lattice
-    stokes = StokesOperator(tensor, lat)  # checks n first; factored once, used by every pass
+    _checked_constants(tensor, lat)  # the checks of solve_stokes, n first
+    xis, symbols, inverses = _half_block(tensor, lat, 0, lat.size // 2)
     if not f.is_real:
         raise ValueError("forcing must be a real field")
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
     omega = opts.relaxation
-    n, H = lat.n, len(stokes.xis)
+    n, H = lat.n, len(xis)
     N = dealias_grid(lat.m) if opts.dealias else 2 * lat.m + 1
     x = np.zeros((H, n + 1), np.complex128)  # D^-1 (f - (u . grad) u, 0)
     _split(lat, f.coeffs, x[None, :, :n])
@@ -373,8 +381,8 @@ def picard_solve(tensor, f, opts=None):
 
     def linear():
         """The half of S applied to x: velocity and pressure rows, checked solenoidal."""
-        y = _apply_inverses(stokes.inverses, x)
-        _check_solenoidal(*_divergence_moduli(stokes.xis, y, x))
+        y = _apply_inverses(inverses, x)
+        _check_solenoidal(*_divergence_moduli(xis, y, x))
         return y
 
     if opts.initial_guess == "stokes":
@@ -406,7 +414,7 @@ def picard_solve(tensor, f, opts=None):
         # the pressure gradient cancels in the defect, leaving the viscous
         # operator applied to the gap between u and the linear solution; the
         # mirrored half has the same squares and xi = 0 holds none
-        defect2 = _abs2_sum(_apply_blocks(stokes.symbols[:, :n, :n], u_h - y[:, :n]).T)
+        defect2 = _abs2_sum(_apply_blocks(symbols[:, :n, :n], u_h - y[:, :n]).T)
         res = float(np.sqrt(2.0 * np.sum(weights * defect2)))
         report.residual_history.append(res)
         report.final_residual = res
@@ -418,13 +426,13 @@ def picard_solve(tensor, f, opts=None):
             u_cube = _join(lat, u_h, u_h)
             if relaxed:
                 u_cube += 0.0
-            u = SpectralVectorField(lat, u_cube, True, True, True)
+            u = SpectralVectorField(lat, u_cube, True, divergence_free=True)
             report.converged = True
             report.velocity_norm = seminorm(u, 1.0)
             report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
             report.energy_check = inner(SpectralVectorField(lat, _filled(lat, bu)[0]), u).real
             p_h = -1j * y[:, n]
-            return u, SpectralScalarField(lat, _join(lat, p_h, p_h), True, True), report
+            return u, SpectralScalarField(lat, _join(lat, p_h, p_h), True), report
         if res > prev:
             if omega <= OMEGA_FLOOR:
                 report.diverged = True

@@ -10,7 +10,8 @@ solvers and the verification suites.
 Conventions:
     - weight rho(xi) = (1 + |xi|^2)^(1/2), |xi| the Euclidean norm,
     - a field is "real" when ghat(-xi) = conj(ghat(xi)) on the whole cube,
-    - a field is "zero-mean" when ghat(0) = 0,
+    - a field is "zero-mean" when ghat(0) = 0; `zero_mean` is read off the
+      coefficients, never stored,
     - all reductions run in canonical C order over the coefficient cube, so
       results are reproducible bit for bit.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,9 +146,10 @@ def _flip(coeffs, lattice):
 class _FieldArithmetic:
     """Arithmetic of the field types, each naming its flags in _FLAGS.
 
-    _FLAGS are the constructor arguments after coeffs, is_real first. A sum
-    keeps a flag only when both terms carry it; a scalar product keeps them
-    all, except is_real under a factor with a nonzero imaginary part.
+    _FLAGS are the constructor's flag arguments, by name. A sum keeps a flag
+    only when both terms carry it, and takes two fields of one type on one
+    lattice; a scalar product keeps them all, except is_real under a factor
+    with a nonzero imaginary part.
     """
 
     _FLAGS = ()
@@ -155,18 +157,23 @@ class _FieldArithmetic:
     def __post_init__(self):
         self.coeffs.setflags(write=False)
 
+    @property
+    def zero_mean(self):
+        """Whether every xi = 0 coefficient is exactly zero."""
+        return not np.any(self.coeffs[(...,) + self.lattice.zero_index])
+
     def __add__(self, other):
-        _check_same_lattice(self, other)
-        flags = (getattr(self, f) and getattr(other, f) for f in self._FLAGS)
-        return type(self)(self.lattice, self.coeffs + other.coeffs, *flags)
+        _check_same_kind(self, other)
+        flags = {f: getattr(self, f) and getattr(other, f) for f in self._FLAGS}
+        return type(self)(self.lattice, self.coeffs + other.coeffs, **flags)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, c):
-        real = self.is_real and (not isinstance(c, complex) or c.imag == 0.0)
-        rest = (getattr(self, f) for f in self._FLAGS[1:])
-        return type(self)(self.lattice, c * self.coeffs, real, *rest)
+        flags = {f: getattr(self, f) for f in self._FLAGS}
+        flags["is_real"] = self.is_real and (not isinstance(c, complex) or c.imag == 0.0)
+        return type(self)(self.lattice, c * self.coeffs, **flags)
 
     __mul__ = __rmul__
 
@@ -179,9 +186,8 @@ class SpectralScalarField(_FieldArithmetic):
     lattice: LatticeSpec
     coeffs: np.ndarray  # complex128, shape lattice.shape
     is_real: bool = False
-    zero_mean: bool = False
 
-    _FLAGS = ("is_real", "zero_mean")
+    _FLAGS = ("is_real",)
 
     @property
     def mean(self):
@@ -193,20 +199,22 @@ class SpectralVectorField(_FieldArithmetic):
     lattice: LatticeSpec
     coeffs: np.ndarray  # complex128, shape (n,) + lattice.shape
     is_real: bool = False
-    zero_mean: bool = False
-    divergence_free: bool = False
+    # by keyword only: no positional argument can set it by mistake
+    divergence_free: bool = field(default=False, kw_only=True)
 
-    _FLAGS = ("is_real", "zero_mean", "divergence_free")
+    _FLAGS = ("is_real", "divergence_free")
 
     @property
     def components(self):
         return tuple(self[j] for j in range(self.lattice.n))
 
     def __getitem__(self, j):
-        return SpectralScalarField(self.lattice, self.coeffs[j], self.is_real, self.zero_mean)
+        return SpectralScalarField(self.lattice, self.coeffs[j], self.is_real)
 
 
-def _check_same_lattice(a, b):
+def _check_same_kind(a, b):
+    if type(a) is not type(b):
+        raise TypeError(f"cannot combine a {type(a).__name__} with a {type(b).__name__}")
     if a.lattice != b.lattice:
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
 
@@ -232,7 +240,7 @@ def _without_mean(fld):
     """A copy of fld whose xi = 0 coefficients are exactly zero."""
     c = fld.coeffs.copy()
     c[(...,) + fld.lattice.zero_index] = 0.0
-    return replace(fld, coeffs=c, zero_mean=True)
+    return replace(fld, coeffs=c)
 
 
 def _check_hermitian(coeffs, lattice):
@@ -255,7 +263,7 @@ def scalar_field(lattice, coeffs, is_real=False, zero_mean=False):
     if zero_mean:
         _nonzero_mean(lattice, c, "scalar field")
         c[(...,) + lattice.zero_index] = 0.0
-    return SpectralScalarField(lattice, c, is_real, zero_mean)
+    return SpectralScalarField(lattice, c, is_real)
 
 
 def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_free=False):
@@ -273,16 +281,16 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
         scale = TWO_PI * lattice.m * max(float(np.max(np.abs(c))), 1e-300)
         if np.max(np.abs(div)) > 1e-13 * scale:
             raise ValueError("divergence_free flag requires solenoidal coefficients; project first")
-    return SpectralVectorField(lattice, c, is_real, zero_mean, divergence_free)
+    return SpectralVectorField(lattice, c, is_real, divergence_free=divergence_free)
 
 
 def zero_scalar_field(lattice):
-    return SpectralScalarField(lattice, np.zeros(lattice.shape, np.complex128), True, True)
+    return SpectralScalarField(lattice, np.zeros(lattice.shape, np.complex128), True)
 
 
 def zero_vector_field(lattice):
     return SpectralVectorField(
-        lattice, np.zeros((lattice.n,) + lattice.shape, np.complex128), True, True, True
+        lattice, np.zeros((lattice.n,) + lattice.shape, np.complex128), True, divergence_free=True
     )
 
 
@@ -337,7 +345,7 @@ def seminorm(field, s):
 
 def inner(a, b):
     """l2 pairing sum over modes (and components) of ahat * conj(bhat)."""
-    _check_same_lattice(a, b)
+    _check_same_kind(a, b)
     return complex(np.sum(a.coeffs * np.conj(b.coeffs)))
 
 
@@ -363,7 +371,7 @@ def _gradient(lattice, coeffs):
 
 def gradient(g):
     """Componentwise 2*pi*i*xi_j*ghat; the zero mode maps to zero."""
-    return SpectralVectorField(g.lattice, _gradient(g.lattice, g.coeffs), g.is_real, True, False)
+    return SpectralVectorField(g.lattice, _gradient(g.lattice, g.coeffs), g.is_real)
 
 
 def _xi_dot(lattice, coeffs):
@@ -381,7 +389,7 @@ def _divergence(lattice, coeffs):
 
 
 def divergence(u):
-    return SpectralScalarField(u.lattice, _divergence(u.lattice, u.coeffs), u.is_real, True)
+    return SpectralScalarField(u.lattice, _divergence(u.lattice, u.coeffs), u.is_real)
 
 
 def leray_project(u):
@@ -393,7 +401,7 @@ def leray_project(u):
     lat = u.lattice
     out = _project_transverse(lat, u.coeffs)
     out[(slice(None),) + lat.zero_index] = 0.0
-    return SpectralVectorField(lat, out, u.is_real, True, True)
+    return SpectralVectorField(lat, out, u.is_real, divergence_free=True)
 
 
 def symmetric_gradient(u):
@@ -599,7 +607,7 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
         _nonzero_mean(lattice, coeffs, "sampled field")
         coeffs[(...,) + lattice.zero_index] = 0.0
     cls = SpectralVectorField if vector else SpectralScalarField
-    return cls(lattice, coeffs, is_real, zero_mean)
+    return cls(lattice, coeffs, is_real)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +737,7 @@ def random_scalar_field(seed, lattice, decay=3.0, zero_mean=True):
     One seed of `_random_scalars`, the stacked draw of the verification suites.
     """
     c = _random_scalars([seed], lattice, decay, zero_mean)[0]
-    return SpectralScalarField(lattice, c, True, zero_mean)
+    return SpectralScalarField(lattice, c, True)
 
 
 def _random_scalars(seeds, lattice, decay=3.0, zero_mean=True):
@@ -759,7 +767,7 @@ def random_vector_field(seed, lattice, decay=3.0, zero_mean=True, divergence_fre
     One seed of `_random_vectors`, the stacked draw of the verification suites.
     """
     c = _random_vectors([seed], lattice, decay, zero_mean, divergence_free)[0]
-    return SpectralVectorField(lattice, c, True, zero_mean or divergence_free, divergence_free)
+    return SpectralVectorField(lattice, c, True, divergence_free=divergence_free)
 
 
 def _random_vectors(seeds, lattice, decay=3.0, zero_mean=True, divergence_free=False):

@@ -25,9 +25,9 @@ The one Stokes solve is `solve_stokes(tensor, f, g=None, s=1.0)`. It
 streams that half in blocks of _BLOCK modes, building each block's R and
 inverse with `_half_block` and dropping them. With g=None the solve is the
 incompressible one. `_solve_modes` solves stacked symbols at any modes, and
-`solve_mode` is its one-row call. `StokesOperator(tensor, lattice)` keeps
-R and its inverse for all H modes, `_half_block` of the whole half, for
-iterations that apply them pass after pass. Lattices and tensors exist
+`solve_mode` is its one-row call. Iterations that apply R and its inverse
+pass after pass (`navier_stokes.picard_solve`) build them once for all H
+modes, as `_half_block` of the whole half. Lattices and tensors exist
 only for n in `spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The
 isotropic closed forms and the per-mode / summed a-priori bounds with constants
 
@@ -53,7 +53,7 @@ from .spectral import (
     seminorm,
     zero_scalar_field,
 )
-from .viscosity import ellipticity_constant, mode_blocks, tensor_norm
+from .viscosity import _check_lattice, ellipticity_constant, mode_blocks, tensor_norm
 
 __all__ = [
     "ZeroMode",
@@ -61,7 +61,6 @@ __all__ = [
     "NonPositiveMu",
     "NotSolenoidal",
     "StokesSymbol",
-    "StokesOperator",
     "StokesSolveReport",
     "assemble_symbol",
     "solve_mode",
@@ -161,7 +160,7 @@ def estimate_constants(tensor):
 
 
 def assemble_symbol(tensor, xi):
-    """Build the symbol at one nonzero mode: the B=1 case of the operator's."""
+    """Build the symbol at one nonzero mode: the B=1 case of `_mode_symbols`."""
     xi = np.asarray(xi, dtype=float)
     n = tensor.n
     if xi.shape != (n,):
@@ -364,32 +363,9 @@ def solve_isotropic_mode(lam, mu, xi, fhat, ghat):
     return uhat, phat
 
 
-class StokesOperator:
-    """The factored Stokes symbols of one tensor on the Hermitian half of one mode cube.
-
-    Only the H = (size - 1) / 2 modes before xi = 0 are stored: `xis`,
-    `symbols` (real R) and `inverses` are the (H, ...) float64 stacks of
-    `_half_block(tensor, lattice, 0, H)`, in canonical order. The modes
-    after xi = 0 are their negatives, with R(-xi) = S R(xi) S, S = diag(1,
-    ..., 1, -1). A field enters that layout as the (half, mirror) pair of
-    stacks of `spectral._split`, and leaves it through `spectral._join`.
-    Iterations that solve with one tensor pass after pass
-    (`navier_stokes.picard_solve`) apply these stacks; a single solve is
-    `solve_stokes`, whose blocks hold the same bits. Construction raises
-    SingularSymbol, or NotElliptic for the tensor.
-    """
-
-    def __init__(self, tensor, lattice):
-        self.tensor = tensor
-        self.lattice = lattice
-        self.constants = _checked_constants(tensor, lattice)
-        self.xis, self.symbols, self.inverses = _half_block(tensor, lattice, 0, lattice.size // 2)
-
-
 def _checked_constants(tensor, lattice):
     """The estimate constants of a Stokes solve, after the checks of its setup."""
-    if tensor.n != lattice.n:
-        raise ValueError(f"tensor dimension {tensor.n} does not match field n={lattice.n}")
+    _check_lattice(tensor, lattice)
     return estimate_constants(tensor)  # validates ellipticity up front
 
 
@@ -408,8 +384,7 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     never read. Returns (u, p, report); the zero mode of u and p is exactly
     zero. With g=None the solve is the incompressible one: u is flagged
     divergence_free, and `_check_solenoidal` raises NotSolenoidal if it is
-    not. The checks come first, in the order of the StokesOperator
-    constructor.
+    not. The checks come first, in the order of `picard_solve`'s.
 
     The solve streams the Hermitian half in blocks of _BLOCK modes, each
     built by `_half_block` and dropped, so it holds its inputs, its outputs
@@ -478,8 +453,8 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     # per member, the largest defect over the largest |x| of the whole half
     defects, scales = np.max(fits, axis=0).T
     residual = max(float(d) / max(float(x_max), 1e-300) for d, x_max in zip(defects, scales))
-    u = SpectralVectorField(lattice, u.reshape((n,) + lattice.shape), is_real, True, g is None)
-    p = SpectralScalarField(lattice, p.reshape(lattice.shape), is_real, True)
+    u = SpectralVectorField(lattice, u.reshape(f.coeffs.shape), is_real, divergence_free=g is None)
+    p = SpectralScalarField(lattice, p.reshape(lattice.shape), is_real)
     g = zero_scalar_field(lattice) if g is None else g
     return u, p, StokesSolveReport(
         s=s,

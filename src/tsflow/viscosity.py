@@ -218,6 +218,12 @@ def _apply_blocks(blocks, z):
     return v.reshape(z.shape[:-1] + (2 * n,)).view(np.complex128)
 
 
+def _check_lattice(tensor, lattice):
+    """Raise the one error for a tensor whose n is not the lattice's."""
+    if tensor.n != lattice.n:
+        raise ValueError(f"tensor dimension {tensor.n} does not match field n={lattice.n}")
+
+
 def apply_viscosity(tensor, u):
     """Viscous term of the momentum equation, mode by mode.
 
@@ -228,12 +234,11 @@ def apply_viscosity(tensor, u):
     field takes the same blocks and a real field needs only the half.
     """
     lat = u.lattice
-    if tensor.n != lat.n:
-        raise ValueError(f"tensor dimension {tensor.n} does not match field n={lat.n}")
+    _check_lattice(tensor, lat)
     H = lat.size // 2
     uk = _split(lat, u.coeffs, np.empty((1 if u.is_real else 2, H, lat.n), np.complex128))
     v = _apply_blocks(mode_blocks(tensor, _half_modes(lat, 0, H)), uk)
-    return SpectralVectorField(lat, _join(lat, v[0], v[-1]), u.is_real, True, False)
+    return SpectralVectorField(lat, _join(lat, v[0], v[-1]), u.is_real)
 
 
 def stokes_operator(tensor, u, p):

@@ -178,7 +178,7 @@ class TestParsing:
         c = f.coeffs.copy()
         c[0, 1, 2] += 0.1
         path = tmp_path / "f.spf"
-        write_field(path, SpectralVectorField(f.lattice, c, True, True))
+        write_field(path, SpectralVectorField(f.lattice, c, True))
         argv = ["stokes-solve", "--tensor", iso_tensor, "--f", str(path),
                 "--out", str(tmp_path / "sol.spf")]
         assert main(argv) == 1
@@ -490,7 +490,7 @@ class TestStokesCommands:
         # a combined dump whose real=1 is false, and a file that is no dump: I/O errors
         c = p.coeffs.copy()
         c[1, 2] += 0.1
-        write_field(sol, (u, SpectralScalarField(p.lattice, c, True, True)))
+        write_field(sol, (u, SpectralScalarField(p.lattice, c, True)))
         assert main(base + [str(sol)]) == 1
         assert "Hermitian" in capsys.readouterr().err
         export = ["export-grid", "--N", "8", "--out", str(tmp_path / "g.csv"), "--in"]

@@ -84,10 +84,10 @@ class TestFieldDump:
         c = g.coeffs.copy()
         c[4, 5] += 1e-3
         path = tmp_path / "lying.spf"
-        write_field(path, SpectralScalarField(g.lattice, c, True, True))
+        write_field(path, SpectralScalarField(g.lattice, c, True))
         with pytest.raises(ValueError, match="Hermitian"):
             read_field(path)
-        write_field(path, SpectralScalarField(g.lattice, c, False, True))
+        write_field(path, SpectralScalarField(g.lattice, c, False))
         assert not read_field(path).is_real  # the same data flagged complex is fine
 
 
@@ -173,7 +173,7 @@ class TestCombinedDump:
         c = u.coeffs.copy()
         c[(slice(None),) + u.lattice.zero_index] = complex(-0.0, -0.0)
         path = tmp_path / "sol.spf"
-        write_field(path, (SpectralVectorField(u.lattice, c, True, True), p))
+        write_field(path, (SpectralVectorField(u.lattice, c, True), p))
         back, _ = read_field(path)
         assert back.zero_mean
         zero = back.coeffs[(slice(None),) + u.lattice.zero_index]
@@ -193,7 +193,7 @@ class TestCombinedDump:
         c = p.coeffs.copy()
         c[1, 2] += 1e-3
         path = tmp_path / "lying.spf"
-        write_field(path, (u, SpectralScalarField(p.lattice, c, True, True)))
+        write_field(path, (u, SpectralScalarField(p.lattice, c, True)))
         with pytest.raises(ValueError, match="Hermitian"):
             read_field(path)
 
@@ -222,6 +222,23 @@ class TestCombinedDump:
         path.write_bytes(b"SPF1\nn=1000000000\nm=1\ncomponents=1\nreal=0\n" + bytes(16))
         with pytest.raises(ValueError, match=r"huge\.spf: dimension n=1000000000 is not in DIMENSIONS"):
             read_field(path)
+
+    @pytest.mark.parametrize("head", [b"", b"SPF1\n", b"SPF1\nn=2\nm="])
+    def test_header_lines_are_read_with_a_bound(self, tmp_path, head):
+        # 8 MiB without a newline where a header line should end: the reader
+        # rejects the file without reading it whole into one line
+        import tracemalloc
+
+        path = tmp_path / "zeros.spf"
+        path.write_bytes(head + bytes(8 * 2**20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"zeros\.spf: not an SPF1 spectral dump"):
+                read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("lines, message", [
         (b"n=0\nm=2", r"dimension n=0 is not in DIMENSIONS = \(2, 3\)"),

@@ -1,6 +1,7 @@
 """Core field representation: norms, calculus, projections, transforms."""
 
 import contextlib
+import dataclasses
 import itertools
 
 import numpy as np
@@ -600,7 +601,7 @@ def reference_leray_project(u):
     for j, xi_j in enumerate(index_grids(lat)):
         out[j] = u.coeffs[j] - xi_j * xdotu / a2
     out[(slice(None),) + lat.zero_index] = 0.0
-    return SpectralVectorField(lat, out, u.is_real, True, True)
+    return SpectralVectorField(lat, out, u.is_real, divergence_free=True)
 
 
 def reference_random_solenoidal(seed, lattice, decay, zero_mean):
@@ -615,7 +616,7 @@ def reference_random_solenoidal(seed, lattice, decay, zero_mean):
     for j in range(n):
         coeffs[j] = _hermitianize_half(lattice, amp * z[j] / norm)
     coeffs[(slice(None),) + lattice.zero_index] = 0.0
-    return SpectralVectorField(lattice, coeffs, True, True, True)
+    return SpectralVectorField(lattice, coeffs, True, divergence_free=True)
 
 
 def reference_hermitianize_half(lattice, coeffs):
@@ -654,10 +655,9 @@ def reference_ball_filter(field, radius):
     mask = mode_abs2(field.lattice) <= float(radius) ** 2
     if isinstance(field, SpectralVectorField):
         return SpectralVectorField(
-            field.lattice, field.coeffs * mask, field.is_real, field.zero_mean,
-            field.divergence_free,
+            field.lattice, field.coeffs * mask, field.is_real, divergence_free=field.divergence_free
         )
-    return SpectralScalarField(field.lattice, field.coeffs * mask, field.is_real, field.zero_mean)
+    return SpectralScalarField(field.lattice, field.coeffs * mask, field.is_real)
 
 
 def reference_embed_field(field, m):
@@ -667,10 +667,10 @@ def reference_embed_field(field, m):
     if isinstance(field, SpectralVectorField):
         out = np.zeros((lat.n,) + big.shape, np.complex128)
         out[(slice(None),) + sl] = field.coeffs
-        return SpectralVectorField(big, out, field.is_real, field.zero_mean, field.divergence_free)
+        return SpectralVectorField(big, out, field.is_real, divergence_free=field.divergence_free)
     out = np.zeros(big.shape, np.complex128)
     out[sl] = field.coeffs
-    return SpectralScalarField(big, out, field.is_real, field.zero_mean)
+    return SpectralScalarField(big, out, field.is_real)
 
 
 def reference_restrict_field(field, m):
@@ -679,10 +679,10 @@ def reference_restrict_field(field, m):
     sl = (slice(lat.m - m, lat.m + m + 1),) * lat.n
     if isinstance(field, SpectralVectorField):
         return SpectralVectorField(
-            small, field.coeffs[(slice(None),) + sl].copy(), field.is_real, field.zero_mean,
-            field.divergence_free,
+            small, field.coeffs[(slice(None),) + sl].copy(), field.is_real,
+            divergence_free=field.divergence_free,
         )
-    return SpectralScalarField(small, field.coeffs[sl].copy(), field.is_real, field.zero_mean)
+    return SpectralScalarField(small, field.coeffs[sl].copy(), field.is_real)
 
 
 def assert_same_field(a, b):
@@ -1084,19 +1084,60 @@ class TestFieldConstruction:
         lat = make_lattice(2, 2)
         rng = np.random.default_rng(7)
         if kind == "scalar":
-            cls, names, shape = SpectralScalarField, ("is_real", "zero_mean"), lat.shape
+            cls, names, shape = SpectralScalarField, ("is_real",), lat.shape
         else:
             cls, shape = SpectralVectorField, (2,) + lat.shape
-            names = ("is_real", "zero_mean", "divergence_free")
+            names = ("is_real", "divergence_free")
         za, zb = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
         apply, coeffs, expect = FLAG_OPS[op]
         for fa in itertools.product((False, True), repeat=len(names)):
             for fb in itertools.product((False, True), repeat=len(names)):
-                out = apply(cls(lat, za.copy(), *fa), cls(lat, zb.copy(), *fb))
+                a = cls(lat, za.copy(), **dict(zip(names, fa)))
+                out = apply(a, cls(lat, zb.copy(), **dict(zip(names, fb))))
                 assert type(out) is cls and out.lattice == lat
                 assert tuple(getattr(out, f) for f in names) == expect(fa, fb)
                 assert_same_bits(out.coeffs, coeffs(za, zb))
                 assert not out.coeffs.flags.writeable
+
+    def test_zero_mean_is_read_off_the_coefficients(self):
+        # no constructor argument sets it: a field is zero-mean exactly when
+        # every xi = 0 coefficient is zero, -0 included
+        lat = make_lattice(2, 2)
+        assert "zero_mean" not in {f.name for f in dataclasses.fields(SpectralVectorField)}
+        assert "zero_mean" not in {f.name for f in dataclasses.fields(SpectralScalarField)}
+        c = np.ones((2,) + lat.shape, np.complex128)
+        assert not SpectralVectorField(lat, c.copy()).zero_mean
+        assert not SpectralScalarField(lat, c[0].copy()).zero_mean
+        c[(1,) + lat.zero_index] = 0.0
+        assert not SpectralVectorField(lat, c.copy()).zero_mean  # one component has a mean
+        c[(0,) + lat.zero_index] = complex(-0.0, -0.0)
+        assert SpectralVectorField(lat, c.copy()).zero_mean
+        assert SpectralScalarField(lat, c[0].copy()).zero_mean
+        for fld in flagged_fields(2, 3, 5):
+            assert fld.zero_mean == (not np.any(fld.coeffs[(...,) + fld.lattice.zero_index]))
+
+    def test_flags_after_is_real_are_keyword_only(self):
+        # a stale call passing zero_mean positionally must not set divergence_free
+        lat = make_lattice(2, 2)
+        c = np.zeros((2,) + lat.shape, np.complex128)
+        with pytest.raises(TypeError):
+            SpectralVectorField(lat, c, True, True)
+        with pytest.raises(TypeError):
+            SpectralVectorField(lat, c, True, True, True)
+        with pytest.raises(TypeError):
+            SpectralScalarField(lat, c[0], True, True)
+        assert SpectralVectorField(lat, c, True, divergence_free=True).divergence_free
+
+    def test_mixed_kinds_rejected(self):
+        # a scalar and a vector field never combine: p + u would otherwise
+        # broadcast into a scalar field of vector-shaped coefficients
+        lat = make_lattice(2, 3)
+        u = random_vector_field(1, lat)
+        p = random_scalar_field(2, lat)
+        for combine in (lambda: p + u, lambda: u + p, lambda: u - p, lambda: p - u,
+                        lambda: inner(u, p), lambda: inner(p, u)):
+            with pytest.raises(TypeError, match="cannot combine"):
+                combine()
 
     def test_inner_product_hermitian(self):
         lat = make_lattice(2, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsflow.harness import manufacture, random_elliptic_tensor
-from tsflow.navier_stokes import regularity_slope
+from tsflow.navier_stokes import picard_solve, regularity_slope
 from tsflow.spectral import (
     SpectralScalarField,
     SpectralVectorField,
@@ -26,9 +26,10 @@ from tsflow.stokes import (
     NonPositiveMu,
     NotSolenoidal,
     SingularSymbol,
-    StokesOperator,
     StokesSolveReport,
     ZeroMode,
+    _checked_constants,
+    _half_block,
     assemble_symbol,
     estimate_constants,
     global_estimate_slack,
@@ -88,8 +89,13 @@ def _symbol_stack(seed, n, count):
     return xis, _mode_symbols(random_elliptic_tensor(seed, n), xis)
 
 
+def _whole_half(tensor, lattice):
+    """(xis, R, R^-1) of all H modes before xi = 0: the stacks that picard_solve applies."""
+    return _half_block(tensor, lattice, 0, lattice.size // 2)
+
+
 def _half_cube_modes(n, m):
-    """The modes before xi = 0 in canonical order, as a StokesOperator stores them."""
+    """The modes before xi = 0 in canonical order, as `_whole_half` holds them."""
     lat = make_lattice(n, m)
     modes = np.stack(index_grids(lat)).reshape(n, -1)[:, : lat.size // 2]
     return np.ascontiguousarray(modes.T, dtype=float)
@@ -294,19 +300,19 @@ class TestClosedFormInverse:
             stokes_mod._invert(R, xis)
         assert exc.value.xi == (0, 0, -2)
 
-    def test_operator_builds_without_lapack(self, monkeypatch):
+    def test_whole_half_builds_without_lapack(self, monkeypatch):
         def no_lapack(*args, **kwargs):
-            raise AssertionError("np.linalg.inv called while building the operator")
+            raise AssertionError("np.linalg.inv called while building the whole half")
 
         monkeypatch.setattr(np.linalg, "inv", no_lapack)
         lat = make_lattice(3, 3)
         A = random_elliptic_tensor(62, 3)
-        StokesOperator(A, lat)
+        _whole_half(A, lat)
         _, _, report = solve_stokes(A, random_vector_field(5, lat, decay=2.0))
         assert report.residual <= 1e-13 and report.estimates_ok
 
 
-class TestStokesOperator:
+class TestHalfCubeSolve:
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
     def test_matches_lapack_on_assembled_symbols(self, n, m):
         # oracle: np.linalg.solve on the complex assemble_symbol matrix of
@@ -385,16 +391,17 @@ class TestStokesOperator:
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(54 + n, n)
         f, g = self._data(lat, 64 + n, is_real)
-        op = StokesOperator(A, lat)  # the reference's stacks and shrunken constants
+        # the reference's stacks and shrunken constants
+        constants, (xis, symbols, inverses) = _checked_constants(A, lat), _whole_half(A, lat)
         u, p, report = solve_stokes(A, f, g)
 
         x = np.empty((2, lat.size // 2, n + 1), np.complex128)
         _split(lat, f.coeffs, x[..., :n])
         _split(lat, g.coeffs, x[..., n])
         x[..., n] *= -1j
-        y = _solve_symbols(op.symbols, op.inverses, x[0])[0]
-        y_mirror = y if is_real else _solve_symbols(op.symbols, op.inverses, x[1])[0]
-        members = [_mode_slacks(op.constants, op.xis, x[k], z) for k, z in enumerate((y, y_mirror))]
+        y = _solve_symbols(symbols, inverses, x[0])[0]
+        y_mirror = y if is_real else _solve_symbols(symbols, inverses, x[1])[0]
+        members = [_mode_slacks(constants, xis, x[k], z) for k, z in enumerate((y, y_mirror))]
         slack_u, slack_p, bound_u, bound_p = (
             _nonzero_modes(lat, _join(lat, half, mirror)) for half, mirror in zip(*members)
         )
@@ -432,12 +439,12 @@ class TestStokesOperator:
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
     def test_stores_only_the_half_before_zero(self, n, m):
         lat = make_lattice(n, m)
-        op = StokesOperator(random_elliptic_tensor(54, n), lat)
+        xis, symbols, inverses = _whole_half(random_elliptic_tensor(54, n), lat)
         half = (lat.size - 1) // 2
-        assert op.symbols.shape == (half, n + 1, n + 1)
-        assert op.inverses.shape == (half, n + 1, n + 1)
-        assert op.xis.shape == (half, n)
-        np.testing.assert_array_equal(op.xis, lat.indices()[:half])
+        assert symbols.shape == (half, n + 1, n + 1)
+        assert inverses.shape == (half, n + 1, n + 1)
+        assert xis.shape == (half, n)
+        np.testing.assert_array_equal(xis, lat.indices()[:half])
 
     def test_residual_sees_the_mirrored_half(self):
         # a real-flagged field that is Hermitian only to 1e-6: the half solve
@@ -447,7 +454,7 @@ class TestStokesOperator:
         f = random_vector_field(64, lat, decay=1.0)
         c = f.coeffs.copy()
         c[0, lat.m + 1, lat.m + 2] += 1e-6 * np.max(np.abs(c))  # after xi = 0
-        lying = SpectralVectorField(lat, c, True, True, False)
+        lying = SpectralVectorField(lat, c, True)
         A = random_elliptic_tensor(55, 2)
         assert solve_stokes(A, f)[2].residual <= 1e-13
         assert solve_stokes(A, lying)[2].residual >= 1e-7
@@ -463,12 +470,12 @@ class TestStokesOperator:
         with pytest.raises(SingularSymbol) as exc:
             solve_mode(assemble_symbol(bad, xi), np.ones(n), 0.0)
         assert exc.value.xi == xi
-        lat = make_lattice(n, 2)
+        f = random_vector_field(3, make_lattice(n, 2), divergence_free=True)
         with pytest.raises(NotElliptic):  # the tensor is rejected before factoring
-            StokesOperator(bad, lat)
+            picard_solve(bad, f)
         monkeypatch.setattr(stokes_mod, "estimate_constants", lambda tensor: {})
         with pytest.raises(SingularSymbol) as exc:
-            StokesOperator(bad, lat)
+            picard_solve(bad, f)
         named = exc.value.xi
         assert len(named) == n and any(named)
         with pytest.raises(np.linalg.LinAlgError):
@@ -519,24 +526,24 @@ class TestStokesOperator:
     @pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
     def test_velocity_blocks_are_mode_blocks(self, n, m):
         A = random_elliptic_tensor(48, n)
-        op = StokesOperator(A, make_lattice(n, m))
-        assert np.array_equal(op.symbols[:, :n, :n], mode_blocks(A, op.xis))
+        xis, symbols, _ = _whole_half(A, make_lattice(n, m))
+        assert np.array_equal(symbols[:, :n, :n], mode_blocks(A, xis))
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_assemble_symbol_is_the_operators(self, n):
+    def test_assemble_symbol_matches_the_whole_half(self, n):
         # a one-mode stack is contracted with the bits of a longer one, so
-        # the one-mode symbol is the operator's at every half mode
+        # the one-mode symbol is the whole half's at every half mode
         A = random_elliptic_tensor(3, n)
-        op = StokesOperator(A, make_lattice(n, 4))
-        for xi, R in zip(op.xis, op.symbols):
+        xis, symbols, _ = _whole_half(A, make_lattice(n, 4))
+        for xi, R in zip(xis, symbols):
             assert assemble_symbol(A, xi).real.tobytes() == R.tobytes(), xi
 
     def test_rejects_foreign_lattice(self):
         f = random_vector_field(1, make_lattice(2, 3))
         with pytest.raises(ValueError, match="divergence data lattice"):
             solve_stokes(ISO, f, random_scalar_field(2, make_lattice(2, 4)))
-        with pytest.raises(ValueError):
-            StokesOperator(make_isotropic(0.0, 1.0, 3), make_lattice(2, 3))
+        with pytest.raises(ValueError, match="tensor dimension 3 does not match field n=2"):
+            picard_solve(make_isotropic(0.0, 1.0, 3), f)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_rejects_other_dimensions(self, n):
@@ -574,7 +581,7 @@ class TestStreamedSolve:
 
     @staticmethod
     def _data(lat, seed, is_real, with_g):
-        f, g = TestStokesOperator._data(lat, seed, is_real)
+        f, g = TestHalfCubeSolve._data(lat, seed, is_real)
         return f, (g if with_g else None)
 
     @pytest.mark.parametrize("with_g", [True, False])
@@ -600,31 +607,33 @@ class TestStreamedSolve:
     def test_entries_match_whole_half_reference(self, n, m, is_real, with_g):
         # oracle: the whole-half solve, one _split of the data, _solve_symbols
         # per member, _mode_slacks on both, all joined with _join, on the
-        # operator's stacks; the solve streams it in two blocks of the default size
+        # whole half's stacks; the solve streams it in two blocks of the default size
         from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
 
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(32 + n, n)
         f, g = self._data(lat, 33 + n, is_real, with_g)
-        op = StokesOperator(A, lat)
+        constants, (xis, symbols, inverses) = _checked_constants(A, lat), _whole_half(A, lat)
         x = np.zeros((2, lat.size // 2, n + 1), np.complex128)
         _split(lat, f.coeffs, x[..., :n])
         if with_g:
             _split(lat, g.coeffs, x[..., n])
             x[..., n] *= -1j
         members = [x] if is_real else [x[0], x[1]]
-        fits = [_solve_symbols(op.symbols, op.inverses, member) for member in members]
+        fits = [_solve_symbols(symbols, inverses, member) for member in members]
         residual = max(defect / max(x_max, 1e-300) for _, defect, x_max in fits)
         y, y_mirror = fits[0][0], fits[-1][0]
         z = y[None] if is_real else np.stack((y, y_mirror))
-        slack_u, slack_p, bound_u, bound_p = _mode_slacks(op.constants, op.xis, x, z)
-        u = SpectralVectorField(lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, True, not with_g)
-        p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real, True)
+        slack_u, slack_p, bound_u, bound_p = _mode_slacks(constants, xis, x, z)
+        u = SpectralVectorField(
+            lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, divergence_free=not with_g
+        )
+        p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real)
         ref = (u, p, StokesSolveReport(
             s=1.0,
             n_modes=lat.size - 1,
             residual=residual,
-            constants=op.constants,
+            constants=constants,
             slack_u=_nonzero_modes(lat, _join(lat, slack_u[0], slack_u[1])),
             slack_p=_nonzero_modes(lat, _join(lat, slack_p[0], slack_p[1])),
             min_slack_u=float(np.min(slack_u)),
@@ -640,15 +649,15 @@ class TestStreamedSolve:
         _assert_same_solve(solve_stokes(A, f, g), ref)
 
     @pytest.mark.parametrize("n, m", CASES)
-    def test_operator_stacks_are_the_solve_blocks(self, monkeypatch, n, m):
+    def test_whole_half_stacks_are_the_solve_blocks(self, monkeypatch, n, m):
         # the link between the stacks that Picard applies and the one solve:
-        # the operator's stacks are the solve's blocks, joined, bit for bit
+        # the whole half's stacks are the solve's blocks, joined, bit for bit
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(30 + n, n)
         monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
-        op = StokesOperator(A, lat)
+        stacks = _whole_half(A, lat)
         real, blocks = stokes_mod._half_block, []
 
         def recording(*args):
@@ -658,7 +667,7 @@ class TestStreamedSolve:
         monkeypatch.setattr(stokes_mod, "_half_block", recording)
         solve_stokes(A, *self._data(lat, 31 + n, True, True))
         assert len(blocks) == -(-(lat.size // 2) // 7)
-        for k, stack in enumerate((op.xis, op.symbols, op.inverses)):
+        for k, stack in enumerate(stacks):
             joined = np.concatenate([block[k] for block in blocks])
             assert joined.dtype == stack.dtype and joined.shape == stack.shape
             assert joined.tobytes() == stack.tobytes()
@@ -682,10 +691,10 @@ class TestStreamedSolve:
             tracemalloc.stop()
         assert peak < 9 * 2**20
 
-    @pytest.mark.parametrize("entry", ["solve_stokes", "operator"])
+    @pytest.mark.parametrize("entry", ["solve_stokes", "picard_solve"])
     def test_singular_symbol_names_its_mode_in_a_later_block(self, monkeypatch, entry):
         # the mode (0, 0, -2) lies in the last block of 7; the solve builds
-        # that symbol in its block, the operator in its constructor
+        # that symbol in its block, Picard in its one whole-half build
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(3, 3)
@@ -705,7 +714,7 @@ class TestStreamedSolve:
             if entry == "solve_stokes":
                 solve_stokes(A, f)
             else:
-                StokesOperator(A, lat)
+                picard_solve(A, f)
         assert str(caught.value) == "singular symbol at mode (0, 0, -2)"
         assert caught.value.xi == (0, 0, -2)
         assert caught.traceback[-1].name == "_invert"

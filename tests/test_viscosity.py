@@ -155,6 +155,20 @@ class TestViscousOperator:
         assert out.coeffs[0][pos] == pytest.approx(-12 * np.pi**2)
         assert out.coeffs[1][pos] == pytest.approx(0.0)
 
+    def test_one_dimension_rule(self):
+        # the viscous operator and both Stokes solves share one check and its message
+        from tsflow.navier_stokes import picard_solve
+        from tsflow.stokes import solve_stokes
+
+        tensor = make_isotropic(0.0, 1.0, 3)
+        u = random_vector_field(1, make_lattice(2, 2), divergence_free=True)
+        messages = set()
+        for call in (apply_viscosity, solve_stokes, picard_solve):
+            with pytest.raises(ValueError) as exc:
+                call(tensor, u)
+            messages.add(str(exc.value))
+        assert messages == {"tensor dimension 3 does not match field n=2"}
+
     def test_constant_field_maps_to_zero(self):
         lat = make_lattice(2, 1)
         c = np.zeros((2,) + lat.shape, np.complex128)
