@@ -230,8 +230,14 @@ def _advection_upper(lattice, w_grid, div_grid=None):
 
 @functools.lru_cache(maxsize=128)
 def _upper_derivatives(lattice):
-    """The read-only multipliers 2*pi*i*xi_j on xi_n >= 0, one per j, built once per lattice."""
-    d = tuple(TWO_PI * 1j * g[..., lattice.m :] for g in index_grids(lattice))
+    """The read-only multipliers 2*pi*i*xi_j on xi_n >= 0, one per j, built once per lattice.
+
+    Multiplier j is 1-D along lattice axis j, shaped to broadcast against
+    the upper half, so no cube of multipliers is stored.
+    """
+    m, n = lattice.m, lattice.n
+    axes = [np.arange(-m, m + 1)] * (n - 1) + [np.arange(m + 1)]
+    d = tuple(TWO_PI * 1j * a.reshape((-1,) + (1,) * (n - 1 - j)) for j, a in enumerate(axes))
     for a in d:
         a.setflags(write=False)
     return d
@@ -339,6 +345,76 @@ def residual(tensor, u, p, f):
     return sobolev_norm(r, -1.0)
 
 
+class _PicardHalf(NamedTuple):
+    """What every Picard pass reads, on the H modes before xi = 0.
+
+    From one `_half_block`: the modes xis, the (H, n, n) velocity blocks of
+    the symbols (all that the defect reads of them) and the inverses.
+    Beside them the H^{-1} weights, the split forcing f_h, the buffer x of
+    D^-1 (f - (u . grad) u, 0) and the one sample buffer w_grid: a fresh
+    grid each pass (3 MB at n=3, m=16) goes back to the system and is
+    faulted in again, which tripled the page faults of an ns-solve.
+    """
+
+    lattice: LatticeSpec
+    xis: np.ndarray
+    blocks: np.ndarray
+    inverses: np.ndarray
+    weights: np.ndarray
+    f_h: np.ndarray
+    x: np.ndarray
+    w_grid: np.ndarray
+
+
+def _picard_half(tensor, f, N):
+    """The _PicardHalf of a solve of f on an N-point product grid; f must be real."""
+    lat = f.lattice
+    xis, symbols, inverses = _half_block(tensor, lat, 0, lat.size // 2)
+    if not f.is_real:
+        raise ValueError("forcing must be a real field")
+    n, H = lat.n, len(xis)
+    blocks = np.ascontiguousarray(symbols[:, :n, :n])
+    del symbols  # the whole (H, n+1, n+1) stack, before the buffers below
+    x = np.zeros((H, n + 1), np.complex128)
+    _split(lat, f.coeffs, x[None, :, :n])
+    weights = rho2(lat).reshape(-1)[:H] ** -1.0
+    w_grid = np.empty((1, n) + (N,) * n)
+    return _PicardHalf(lat, xis, blocks, inverses, weights, x[:, :n].copy(), x, w_grid)
+
+
+def _linear(half):
+    """The half of S applied to half.x: velocity and pressure rows, checked solenoidal."""
+    y = _apply_inverses(half.inverses, half.x)
+    _check_solenoidal(*_divergence_moduli(half.xis, y, half.x))
+    return y
+
+
+def _picard_pass(half, u_h, relaxed):
+    """One pass from the iterate's flat half u_h: (y, bu, defect).
+
+    y is the half of S (f - (u . grad) u), bu the kernel's xi_n >= 0 half
+    of (u . grad) u, and defect the H^{-1} norm of the momentum defect.
+    Everything else the pass makes dies when it returns.
+    """
+    lat, n = half.lattice, half.lattice.n
+    upper = _upper_from_half(lat, u_h)
+    if relaxed:
+        upper += 0.0
+    for j, out in enumerate(half.w_grid[0]):  # one component at a time
+        _irfftn_half(upper[j], lat, out.shape[-1], out=out)
+    del upper
+    bu = _advection_upper(lat, half.w_grid)
+    # the kernel's upper half holds no -0, so + 0.0 reaches only the
+    # conjugates, as the cube's fill does; the flat copy dies here
+    np.subtract(half.f_h, _half_from_upper(lat, bu[0]) + 0.0, out=half.x[:, :n])
+    y = _linear(half)
+    # the pressure gradient cancels in the defect, leaving the viscous
+    # operator applied to the gap between u and the linear solution; the
+    # mirrored half has the same squares and xi = 0 holds none
+    defect2 = _abs2_sum(_apply_blocks(half.blocks, u_h - y[:, :n]).T)
+    return y, bu, float(np.sqrt(2.0 * np.sum(half.weights * defect2)))
+
+
 def picard_solve(tensor, f, opts=None):
     """Damped fixed-point solve of the incompressible nonlinear system.
 
@@ -346,76 +422,51 @@ def picard_solve(tensor, f, opts=None):
     of one `stokes._half_block` call that factors the symbols of all H
     modes before xi = 0: (H, n) stacks, the other half following by
     conjugation, since every field here is real. The forcing is split once.
-    A pass maps the iterate's half to the xi_n >= 0 half of its cube
-    (`_upper_from_half`), samples that on the product grid, forms
-    (u . grad) u there (`_advection_upper`) and maps it back
-    (`_half_from_upper`), so no pass builds a cube. It then applies the
-    inverses to D^-1 (f - (u . grad) u, 0), checks that the new velocity is
-    solenoidal (the `_check_solenoidal` of `solve_stokes`), forms the
-    momentum defect with the symbols' velocity blocks, measures it in
-    H^{-1} with the weights of the half, and relaxes u toward the linear
-    solution. The step omega halves whenever the defect grows; Diverged is
-    raised if it grows at the floor, MaxIterationsExceeded if the budget
-    runs out. On success the returned velocity is divergence-free, the
-    pressure is the one induced by the final velocity, and the report
-    records whether the a-priori bound held; u, p and the advection field
-    of `energy_check` become cubes only then. A nonzero mean of f is
-    flagged once, with a NonzeroMeanWarning, recorded as mean_removed_f,
-    and dropped: the split half holds no xi = 0, and M0 leaves the mean out.
+    A pass (`_picard_pass`) maps the iterate's half to the xi_n >= 0 half
+    of its cube (`_upper_from_half`), samples that on the product grid one
+    component at a time, forms (u . grad) u there (`_advection_upper`) and
+    maps it back (`_half_from_upper`), so no pass builds a cube. It then
+    applies the inverses to D^-1 (f - (u . grad) u, 0), checks that the
+    new velocity is solenoidal (the `_check_solenoidal` of `solve_stokes`),
+    forms the momentum defect with the symbols' velocity blocks, measures
+    it in H^{-1} with the weights of the half, and relaxes u toward the
+    linear solution.
+
+    Between passes the solve holds only what the next pass reads: the
+    `_PicardHalf` (modes, velocity blocks, inverses, weights, split
+    forcing, right-hand side and one sample buffer) and the iterate; a
+    pass's temporaries, its linear solution and its advection die before
+    the next pass samples. The step omega halves whenever the defect grows;
+    Diverged is raised if it grows at the floor, MaxIterationsExceeded if
+    the budget runs out. On success the `_PicardHalf` is dropped first, and
+    u, p and the advection field of `energy_check` become cubes only then:
+    the returned velocity is divergence-free, the pressure is the one
+    induced by the final velocity, and the report records whether the
+    a-priori bound held. A nonzero mean of f is flagged once, with a
+    NonzeroMeanWarning, recorded as mean_removed_f, and dropped: the split
+    half holds no xi = 0, and M0 leaves the mean out.
     """
     opts = opts or NSSolveOptions()
     lat = f.lattice
     _checked_constants(tensor, lat)  # the checks of solve_stokes, n first
-    xis, symbols, inverses = _half_block(tensor, lat, 0, lat.size // 2)
-    if not f.is_real:
-        raise ValueError("forcing must be a real field")
+    N = dealias_grid(lat.m) if opts.dealias else 2 * lat.m + 1
+    half = _picard_half(tensor, f, N)
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
     omega = opts.relaxation
-    n, H = lat.n, len(xis)
-    N = dealias_grid(lat.m) if opts.dealias else 2 * lat.m + 1
-    x = np.zeros((H, n + 1), np.complex128)  # D^-1 (f - (u . grad) u, 0)
-    _split(lat, f.coeffs, x[None, :, :n])
-    f_h = x[:, :n].copy()
-    weights = rho2(lat).reshape(-1)[:H] ** -1.0
-
-    def linear():
-        """The half of S applied to x: velocity and pressure rows, checked solenoidal."""
-        y = _apply_inverses(inverses, x)
-        _check_solenoidal(*_divergence_moduli(xis, y, x))
-        return y
-
+    n = lat.n
     if opts.initial_guess == "stokes":
-        u_h = linear()[:, :n]
+        u_h = _linear(half)[:, :n]
     else:
-        u_h = np.zeros((H, n), np.complex128)
+        u_h = np.zeros((len(half.xis), n), np.complex128)
     # conjugation leaves -0 imaginary parts at exact zeros of the mirror,
     # where relaxing the whole field (or the zero field) gives +0; + 0.0 on
     # the joined iterate keeps those bits, the Stokes guess is used as joined
     relaxed = opts.initial_guess == "zero"
-    # one sample buffer for every pass: a fresh grid each pass (3 MB at n=3,
-    # m=16) goes back to the system and is faulted in again, which tripled
-    # the page faults of an ns-solve
-    w_grid = np.empty((1, n) + (N,) * n)
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
-        upper = _upper_from_half(lat, u_h)
-        if relaxed:
-            upper += 0.0
-        _irfftn_half(upper, lat, N, out=w_grid[0])
-        bu = _advection_upper(lat, w_grid)
-        # the kernel's upper half holds no -0, so + 0.0 reaches only the
-        # conjugates, as the cube's fill does
-        bu_h = _half_from_upper(lat, bu[0])
-        bu_h += 0.0
-        np.subtract(f_h, bu_h, out=x[:, :n])
-        y = linear()
-        # the pressure gradient cancels in the defect, leaving the viscous
-        # operator applied to the gap between u and the linear solution; the
-        # mirrored half has the same squares and xi = 0 holds none
-        defect2 = _abs2_sum(_apply_blocks(symbols[:, :n, :n], u_h - y[:, :n]).T)
-        res = float(np.sqrt(2.0 * np.sum(weights * defect2)))
+        y, bu, res = _picard_pass(half, u_h, relaxed)
         report.residual_history.append(res)
         report.final_residual = res
         report.omega_final = omega
@@ -423,6 +474,7 @@ def picard_solve(tensor, f, opts=None):
             report.diverged = True
             raise Diverged("iteration produced a non-finite defect", report)
         if res <= opts.tol:
+            del half  # the setup goes before the cubes below are built
             u_cube = _join(lat, u_h, u_h)
             if relaxed:
                 u_cube += 0.0
@@ -441,6 +493,7 @@ def picard_solve(tensor, f, opts=None):
                 )
             omega = max(0.5 * omega, OMEGA_FLOOR)
         u_h = (1.0 - omega) * u_h + omega * y[:, :n]
+        del y, bu  # the next pass reads neither
         relaxed = True
         prev = res
     raise MaxIterationsExceeded(

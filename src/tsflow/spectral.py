@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -149,7 +150,8 @@ class _FieldArithmetic:
     _FLAGS are the constructor's flag arguments, by name. A sum keeps a flag
     only when both terms carry it, and takes two fields of one type on one
     lattice; a scalar product keeps them all, except is_real under a factor
-    with a nonzero imaginary part.
+    with a nonzero imaginary part. A factor that is not a number, such as
+    another field, raises TypeError.
     """
 
     _FLAGS = ()
@@ -171,6 +173,8 @@ class _FieldArithmetic:
         return self + (-1.0) * other
 
     def __rmul__(self, c):
+        if not isinstance(c, numbers.Number):
+            return NotImplemented  # Python then raises a TypeError naming both operands
         flags = {f: getattr(self, f) for f in self._FLAGS}
         flags["is_real"] = self.is_real and (not isinstance(c, complex) or c.imag == 0.0)
         return type(self)(self.lattice, c * self.coeffs, **flags)

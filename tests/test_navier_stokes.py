@@ -537,6 +537,27 @@ class TestPicardSolve:
         with pytest.raises(ValueError, match="tensor dimension 3 does not match field n=2"):
             picard_solve(make_isotropic(0.0, 1.0, 3), f)
 
+    def test_holds_only_what_the_next_pass_reads(self):
+        # f on m=16 (H = 17,968 modes, a 50^3 product grid): the velocity
+        # blocks (1.2 MiB), inverses (2.2), one sample buffer (2.9), the half
+        # stacks (modes, weights, split forcing, right-hand side, iterate:
+        # 3.3) and one product's transform temporaries in the advection
+        # kernel (about 3.8) peak at 13.6 MiB; holding the whole symbols,
+        # the last pass's temporaries and the whole-stack transform put the
+        # peak at 19.2 MiB
+        import tracemalloc
+
+        prob = small_manufactured(40, amplitude=0.5, m=8, tensor=ISO3)
+        _, _, report = picard_solve(ISO3, prob.f)  # fills the per-lattice caches
+        assert report.converged and report.iterations > 3
+        tracemalloc.start()
+        try:
+            picard_solve(ISO3, prob.f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 def full_field_picard(tensor, f, opts):
     """The Picard loop on whole fields, the reference of picard_solve's half-stack passes.

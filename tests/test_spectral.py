@@ -1139,6 +1139,16 @@ class TestFieldConstruction:
             with pytest.raises(TypeError, match="cannot combine"):
                 combine()
 
+    @pytest.mark.parametrize("kinds", ["vector-scalar", "scalar-vector", "vector-vector"])
+    def test_field_products_rejected(self, kinds):
+        # the product of two fields is not defined; it used to fail inside
+        # the constructor with an AttributeError
+        lat = make_lattice(2, 3)
+        make = {"vector": random_vector_field, "scalar": random_scalar_field}
+        a, b = (make[kind](seed, lat) for seed, kind in enumerate(kinds.split("-"), 1))
+        with pytest.raises(TypeError, match=f"'{type(a).__name__}' and '{type(b).__name__}'"):
+            a * b
+
     def test_inner_product_hermitian(self):
         lat = make_lattice(2, 3)
         a = random_scalar_field(1, lat)

@@ -49,6 +49,9 @@ STEPS = (
     ("manufacture-2d", _cli("manufacture", "--tensor", "A2.txt", "--n", "2", "--m", "12",
                             "--seed", "3", *_out("m2"), "--out-f", "m2_f.spf",
                             "--out-g", "m2_g.spf")),
+    ("manufacture-2d-nonlinear", _cli("manufacture", "--tensor", "A2.txt", "--n", "2",
+                                      "--m", "8", "--seed", "5", "--nonlinear", *_out("m2n"),
+                                      "--out-f", "m2n_f.spf", "--out-g", "m2n_g.spf")),
     ("stokes-solve-g", _cli("stokes-solve", "--tensor", "A2.txt", "--f", "m2_f.spf",
                             "--g", "m2_g.spf", "--out", "stokes_g.spf",
                             "--report", "stokes_g.txt")),
@@ -62,6 +65,8 @@ STEPS = (
     ("ns-solve-no-dealias", _cli("ns-solve", "--tensor", "A3.txt", "--f", "m3_f.spf",
                                  "--no-dealias", *_out("ns_no_dealias"),
                                  "--report", "ns_no_dealias.txt")),
+    ("ns-solve-2d", _cli("ns-solve", "--tensor", "A2.txt", "--f", "m2n_f.spf", *_out("ns2"),
+                         "--report", "ns2.txt")),
     ("verify", _cli("verify", "--report", "verify.txt")),
     ("verify-3d", _cli("verify", "--n", "3", "--m", "4", "--draws", "5", "--seed", "9",
                        "--report", "verify_3d.txt")),
