@@ -17,8 +17,6 @@ from .spectral import (
     LatticeSpec,
     SpectralScalarField,
     SpectralVectorField,
-    ball_filter,
-    ball_mask,
     dealias_grid,
     divergence,
     embed_field,
@@ -57,7 +55,6 @@ from .stokes import (
     ZeroMode,
     assemble_symbol,
     global_estimate_slack,
-    mode_estimate_slack,
     solve_isotropic_mode,
     solve_mode,
     solve_stokes,
@@ -84,7 +81,6 @@ from .harness import (
     random_elliptic_tensor,
     run_suite,
     suite_names,
-    trilinear_form,
 )
 
 __version__ = "0.1.0"

@@ -69,7 +69,6 @@ from .viscosity import (
 __all__ = [
     "ManufacturedProblem",
     "manufacture",
-    "trilinear_form",
     "advection_identity_defects",
     "korn_ratio",
     "gradient_norm_bracket",
@@ -116,16 +115,6 @@ def manufacture(u_star, p_star, tensor, include_nonlinear=False):
     return ManufacturedProblem(u_star, p_star, tensor, f, g, include_nonlinear)
 
 
-def _trilinear_grid(v1, v2, v3):
-    """The quadrature grid of the trilinear form, after checking its fields."""
-    if not (v1.is_real and v2.is_real and v3.is_real):
-        raise ValueError("trilinear forms are taken over real fields")
-    lat = v1.lattice
-    if v2.lattice != lat or v3.lattice != lat:
-        raise ValueError("all three fields must share a lattice")
-    return dealias_grid(lat.m)
-
-
 def _real_samples(lattice, N, *stacks):
     """Grid samples of real fields' (k..., cube) coefficient stacks, in one transform.
 
@@ -156,32 +145,27 @@ def _trilinear_samples(s1, grad2, s3):
     return total / float(s1.shape[-1] ** n)
 
 
-def trilinear_form(v1, v2, v3):
-    """Quadrature of the advection pairing ((v1 . grad) v2, v3).
-
-    Uses the 5-smooth `dealias_grid(m)` >= 3m+1, which integrates triple
-    products of cube-limited fields exactly.
-    """
-    N = _trilinear_grid(v1, v2, v3)
-    n = v1.lattice.n
-    samples = _real_samples(v1.lattice, N, v1.coeffs, v3.coeffs, _gradient(v1.lattice, v2.coeffs))
-    grad2 = samples[2 * n :].reshape((n, n) + samples.shape[1:])
-    return float(_trilinear_samples(samples[:n], grad2, samples[n : 2 * n]))
-
-
 def advection_identity_defects(v1, v2, v3):
     """Defects of the integration-by-parts identities for the advection form.
 
-    Returns (general_defect, energy_value): the first is
-    T(v1,v2,v3) + T(v1,v3,v2) + ((div v1) v3, v2) and vanishes for any real
-    fields; the second is T(v1,v2,v2), which vanishes when v1 is solenoidal.
-    The 3n field components, the 2n^2 components of grad v2 and grad v3 and
-    div v1 are stacked and sampled by one transform, whose rows the three
-    forms share. One triple of `_identity_defects`, the stacked kernel of the
-    trilinear suite.
+    T(v1,v2,v3) = ((v1 . grad) v2, v3) is the advection pairing, taken by
+    quadrature on the 5-smooth `dealias_grid(m)` >= 3m+1, which integrates
+    triple products of cube-limited fields exactly. Returns (general_defect,
+    energy_value): the first is T(v1,v2,v3) + T(v1,v3,v2) + ((div v1) v3,
+    v2) and vanishes for any real fields; the second is T(v1,v2,v2), which
+    vanishes when v1 is solenoidal. The three fields must be real and share
+    a lattice. The 3n field components, the 2n^2 components of grad v2 and
+    grad v3 and div v1 are stacked and sampled by one transform, whose rows
+    the three forms share. One triple of `_identity_defects`, the stacked
+    kernel of the trilinear suite.
     """
-    N = _trilinear_grid(v1, v2, v3)
-    defects = _identity_defects(v1.lattice, N, v1.coeffs[None], v2.coeffs[None], v3.coeffs[None])
+    if not (v1.is_real and v2.is_real and v3.is_real):
+        raise ValueError("trilinear forms are taken over real fields")
+    lat = v1.lattice
+    if v2.lattice != lat or v3.lattice != lat:
+        raise ValueError("all three fields must share a lattice")
+    stacks = (v.coeffs[None] for v in (v1, v2, v3))
+    defects = _identity_defects(lat, dealias_grid(lat.m), *stacks)
     general, energy = (float(d[0]) for d in defects)
     return general, energy
 

@@ -232,12 +232,12 @@ def _advection_upper(lattice, w_grid, div_grid=None):
 def _upper_derivatives(lattice):
     """The read-only multipliers 2*pi*i*xi_j on xi_n >= 0, one per j, built once per lattice.
 
-    Multiplier j is 1-D along lattice axis j, shaped to broadcast against
-    the upper half, so no cube of multipliers is stored.
+    Multiplier j is 2*pi*i times the index axis j of `index_grids`, the
+    last one cut to xi_n >= 0, so it broadcasts against the upper half and
+    no cube of multipliers is stored.
     """
-    m, n = lattice.m, lattice.n
-    axes = [np.arange(-m, m + 1)] * (n - 1) + [np.arange(m + 1)]
-    d = tuple(TWO_PI * 1j * a.reshape((-1,) + (1,) * (n - 1 - j)) for j, a in enumerate(axes))
+    *grids, last = index_grids(lattice)
+    d = tuple(TWO_PI * 1j * g for g in (*grids, last[..., lattice.m :]))
     for a in d:
         a.setflags(write=False)
     return d

@@ -59,8 +59,6 @@ __all__ = [
     "random_vector_field",
     "embed_field",
     "restrict_field",
-    "ball_mask",
-    "ball_filter",
 ]
 
 
@@ -104,7 +102,7 @@ class LatticeSpec:
 
     def indices(self):
         """All active modes as an (size, n) int array in canonical order."""
-        return np.stack(index_grids(self), axis=-1).reshape(-1, self.n)
+        return np.stack(np.broadcast_arrays(*index_grids(self)), axis=-1).reshape(-1, self.n)
 
 
 def make_lattice(n, m):
@@ -113,9 +111,14 @@ def make_lattice(n, m):
 
 @functools.lru_cache(maxsize=128)
 def index_grids(lattice):
-    """Tuple of n int arrays; entry j holds xi_j at each cube position."""
+    """The n index axes of the cube: entry j holds xi_j along axis j, read-only.
+
+    Entry j has shape (2m+1,) on axis j and 1 on every other, so it
+    broadcasts against the cube (or a stack of cubes) wherever xi_j is
+    needed; the n axes hold n * (2m+1) integers, not n cubes.
+    """
     ax = np.arange(-lattice.m, lattice.m + 1)
-    grids = np.meshgrid(*([ax] * lattice.n), indexing="ij")
+    grids = np.meshgrid(*([ax] * lattice.n), indexing="ij", sparse=True)
     for g in grids:
         g.setflags(write=False)
     return tuple(grids)
@@ -176,7 +179,10 @@ class _FieldArithmetic:
         if not isinstance(c, numbers.Number):
             return NotImplemented  # Python then raises a TypeError naming both operands
         flags = {f: getattr(self, f) for f in self._FLAGS}
-        flags["is_real"] = self.is_real and (not isinstance(c, complex) or c.imag == 0.0)
+        # as a Python complex, any number type (numpy's included) multiplies
+        # in complex128 and shows its imaginary part
+        c = complex(c)
+        flags["is_real"] = self.is_real and c.imag == 0.0
         return type(self)(self.lattice, c * self.coeffs, **flags)
 
     __mul__ = __rmul__
@@ -192,10 +198,6 @@ class SpectralScalarField(_FieldArithmetic):
     is_real: bool = False
 
     _FLAGS = ("is_real",)
-
-    @property
-    def mean(self):
-        return self.coeffs[self.lattice.zero_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -811,21 +813,6 @@ def _project_transverse(lattice, coeffs):
     for j, xi_j in enumerate(index_grids(lattice)):
         out_comps[j] = comps[j] - xi_j * xdotc / a2
     return out
-
-
-def ball_mask(lattice, radius):
-    """Boolean cube marking the modes with |xi| <= radius."""
-    return mode_abs2(lattice) <= float(radius) ** 2
-
-
-def ball_filter(field, radius):
-    """Zero every coefficient outside the closed mode ball |xi| <= radius.
-
-    The cube storage is unchanged; this is the ball-truncation view of a
-    cube-truncated field. All flags survive (the mask is symmetric under
-    index negation and always keeps the zero mode).
-    """
-    return replace(field, coeffs=field.coeffs * ball_mask(field.lattice, radius))
 
 
 def _center_slices(big, small):

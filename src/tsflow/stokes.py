@@ -51,7 +51,6 @@ from .spectral import (
     _nonzero_mean,
     _split,
     seminorm,
-    zero_scalar_field,
 )
 from .viscosity import _check_lattice, ellipticity_constant, mode_blocks, tensor_norm
 
@@ -66,7 +65,6 @@ __all__ = [
     "solve_mode",
     "solve_isotropic_mode",
     "solve_stokes",
-    "mode_estimate_slack",
     "global_estimate_slack",
     "estimate_constants",
 ]
@@ -117,9 +115,7 @@ class StokesSolveReport:
     n_modes: int
     residual: float  # max per-mode defect relative to the data magnitude
     constants: dict
-    slack_u: np.ndarray  # per nonzero mode, canonical order
-    slack_p: np.ndarray
-    min_slack_u: float
+    min_slack_u: float  # least slack of the velocity bound over the nonzero modes
     min_slack_p: float
     estimates_ok: bool
     global_bound: dict
@@ -394,10 +390,12 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     serves both, u(-xi) = conj u(xi). A complex (is_real=False) solve also
     solves the mirror member. Either way the residual covers every nonzero
     mode, so a real-flagged field that is Hermitian only to rounding shows
-    its asymmetry there. The rows of u, p and the slacks land in canonical
-    order (`spectral._join_rows`); the residual, the slack minima, the
+    its asymmetry there. The rows of u and p land in canonical order
+    (`spectral._join_rows`). The report keeps no per-mode array: the
+    residual, the slack minima (NaN if any slack is, as np.min gives), the
     estimate verdict and the divergence check are exact maxima and minima
-    over the blocks, so the blocking changes no bit.
+    over the blocks, so the blocking changes no bit. With g=None the global
+    bound takes |g|_{s-1} = 0 without building a zero field.
     """
     lattice = f.lattice
     constants = _checked_constants(tensor, lattice)
@@ -412,8 +410,7 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     u = np.empty((n, 2 * H + 1), np.complex128)
     p = np.empty(2 * H + 1, np.complex128)
     u[:, H] = p[H] = 0.0
-    slack_u, slack_p = np.empty(2 * H), np.empty(2 * H)
-    fits, divergences, estimates_ok = [], [], True
+    fits, divergences, minima, estimates_ok = [], [], [], True
     for lo in range(0, H, _BLOCK):
         hi = min(lo + _BLOCK, H)
         xis, R, inv = _half_block(tensor, lattice, lo, hi)
@@ -446,27 +443,26 @@ def solve_stokes(tensor, f, g=None, s=1.0):
         estimates_ok = estimates_ok and bool(
             np.all(su >= -ESTIMATE_RTOL * bound_u) and np.all(sp >= -ESTIMATE_RTOL * bound_p)
         )
-        _join_rows(slack_u, su[0], su[1], lo)
-        _join_rows(slack_p, sp[0], sp[1], lo)
+        minima.append((np.min(su), np.min(sp)))
     if g is None:
         _check_solenoidal(*np.max(divergences, axis=0))
     # per member, the largest defect over the largest |x| of the whole half
     defects, scales = np.max(fits, axis=0).T
     residual = max(float(d) / max(float(x_max), 1e-300) for d, x_max in zip(defects, scales))
+    min_u, min_p = np.min(minima, axis=0).tolist()
     u = SpectralVectorField(lattice, u.reshape(f.coeffs.shape), is_real, divergence_free=g is None)
     p = SpectralScalarField(lattice, p.reshape(lattice.shape), is_real)
-    g = zero_scalar_field(lattice) if g is None else g
+    norms = (seminorm(u, s), seminorm(p, s - 1.0), seminorm(f, s - 2.0))
+    norm_g = 0.0 if g is None else seminorm(g, s - 1.0)
     return u, p, StokesSolveReport(
         s=s,
         n_modes=lattice.size - 1,
         residual=residual,
         constants=constants,
-        slack_u=slack_u,
-        slack_p=slack_p,
-        min_slack_u=float(np.min(slack_u)),
-        min_slack_p=float(np.min(slack_p)),
+        min_slack_u=min_u,
+        min_slack_p=min_p,
         estimates_ok=estimates_ok,
-        global_bound=global_estimate_slack(tensor, u, p, f, g, s),
+        global_bound=_global_slack(constants, s, *norms, norm_g),
         mean_removed_f=removed_f,
         mean_removed_g=removed_g,
     )
@@ -474,6 +470,10 @@ def solve_stokes(tensor, f, g=None, s=1.0):
 
 def _mode_slacks(constants, xis, rhs, z):
     """Slacks and bounds of the two per-mode estimates over a stack of modes.
+
+    Velocity: |uhat| <= C_uf*|fhat|/(2*pi*|xi|)^2 + C_ug*|ghat|/(2*pi*|xi|).
+    Pressure: |phat| <= C_pf*|fhat|/(2*pi*|xi|) + C_pg*|ghat|.
+    A slack is the bound minus the modulus, nonnegative when it holds.
 
     rhs and z are (..., B, n+1) stacks carrying the moduli of (fhat, ghat)
     and (uhat, phat) at the (..., B, n) modes xis. Their leading axes
@@ -504,21 +504,6 @@ def _moduli(z):
     """
     v = z.view(np.float64)
     return np.sqrt(np.einsum("...i,...i->...", v, v))
-
-
-def mode_estimate_slack(tensor, xi, fhat, ghat, uhat, phat):
-    """Slack of the two per-mode bounds (nonnegative when they hold).
-
-    Velocity: |uhat| <= C_uf*|fhat|/(2*pi*|xi|)^2 + C_ug*|ghat|/(2*pi*|xi|).
-    Pressure: |phat| <= C_pf*|fhat|/(2*pi*|xi|) + C_pg*|ghat|.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if not np.any(xi):
-        raise ZeroMode("estimates hold only away from xi = 0")
-    rhs = np.append(fhat, ghat)[None]
-    z = np.append(uhat, phat)[None]
-    slack_u, slack_p, _, _ = _mode_slacks(estimate_constants(tensor), xi[None], rhs, z)
-    return float(slack_u[0]), float(slack_p[0])
 
 
 def global_estimate_slack(tensor, u, p, f, g, s):

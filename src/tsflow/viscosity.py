@@ -62,10 +62,6 @@ class ViscosityTensor:
             raise ValueError(f"entries must have shape {(self.n,) * 4}, got {self.entries.shape}")
         self.entries.setflags(write=False)
 
-    @property
-    def norm(self):
-        return tensor_norm(self)
-
 
 def make_tensor(n, entries):
     return ViscosityTensor(n, np.array(entries, dtype=float))

@@ -254,6 +254,24 @@ class TestAdvectionOracle:
         assert kept.lattice == cropped.lattice and kept.zero_mean == cropped.zero_mean
         assert kept.coeffs.tobytes() == cropped.coeffs.tobytes()
 
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_matches_dense_index_grids(self, monkeypatch, n, m, doubled):
+        # oracle: the same convolutions with the multipliers taken from the
+        # index cubes that the index axes broadcast to, bit for bit
+        import tsflow.navier_stokes as ns_mod
+
+        w = random_vector_field(70 + n, make_lattice(n, m), decay=2.0)
+        out_m = 2 * m if doubled else None
+        got = advection_bruteforce(w, out_m=out_m)
+        monkeypatch.setattr(ns_mod, "index_grids", _dense_index_grids)
+        assert got.coeffs.tobytes() == advection_bruteforce(w, out_m=out_m).coeffs.tobytes()
+
+
+def _dense_index_grids(lattice):
+    """index_grids as n full integer cubes: the index axes broadcast against each other."""
+    return tuple(np.array(g) for g in np.broadcast_arrays(*index_grids(lattice)))
+
 
 def _full_product(samples, lat):
     # the unpruned forward transform: rfftn, corner blocks, Hermitian fill
@@ -298,6 +316,21 @@ def full_cube_advection(w, dealias=True):
 
 class TestHalfCubeAdvection:
     """The pruned half-cube advection against the full-cube one, bit for bit."""
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 4)])
+    def test_multipliers_are_cut_index_axes(self, n, m):
+        # one row of integers per axis, the last cut to xi_n >= 0: together
+        # they broadcast to the upper half of the index cubes
+        from tsflow.navier_stokes import _upper_derivatives
+
+        lat = make_lattice(n, m)
+        d = _upper_derivatives(lat)
+        assert sum(a.size for a in d) == (n - 1) * (2 * m + 1) + m + 1
+        upper = lat.shape[:-1] + (m + 1,)
+        for a, grid in zip(d, _dense_index_grids(lat)):
+            assert not a.flags.writeable
+            ref = TWO_PI * 1j * grid[..., m:]
+            assert np.broadcast_to(a, upper).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
     @pytest.mark.parametrize("dealias", [True, False])

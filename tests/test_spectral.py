@@ -29,7 +29,6 @@ from tsflow.spectral import (
     _squares,
     _upper_from_half,
     _weighted_norms,
-    ball_filter,
     divergence,
     embed_field,
     dealias_grid,
@@ -100,6 +99,52 @@ class TestLattice:
         nz = a2 > 0
         assert np.all(0.5 * r2[nz] <= a2[nz])
         assert np.all(a2[nz] <= r2[nz])
+
+
+def dense_index_grids(lattice):
+    """index_grids as n full integer cubes: the index axes broadcast against each other."""
+    return tuple(np.array(g) for g in np.broadcast_arrays(*index_grids(lattice)))
+
+
+class TestIndexAxes:
+    """The lattice's index axes: n rows of integers, never n cubes."""
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 5), (3, 3)])
+    def test_axes_hold_one_row_per_dimension(self, n, m):
+        lat = make_lattice(n, m)
+        axes = index_grids(lat)
+        assert len(axes) == n
+        assert sum(g.size for g in axes) == n * (2 * m + 1)
+        for j, g in enumerate(axes):
+            assert g.shape == tuple(2 * m + 1 if i == j else 1 for i in range(n))
+            assert g.ravel().tolist() == list(range(-m, m + 1))
+            assert not g.flags.writeable
+        assert index_grids(lat) is axes  # built once per lattice
+        table = np.stack(dense_index_grids(lat), axis=-1).reshape(-1, n)
+        assert_same_bits(lat.indices(), table)
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+    def test_kernels_match_dense_grids(self, monkeypatch, n, m):
+        # oracle: each kernel run again on the index cubes that the axes
+        # broadcast to; every entry is the same product, so no bit moves
+        import tsflow.spectral as spectral_mod
+
+        lat = make_lattice(n, m)
+        rng = np.random.default_rng(10 * n + m)
+        shape = (2, n) + lat.shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kernels = {
+            "_gradient": lambda: spectral_mod._gradient(lat, c[:, 0]),
+            "_xi_dot": lambda: spectral_mod._xi_dot(lat, c),
+            "_symmetric_gradient": lambda: spectral_mod._symmetric_gradient(lat, c),
+            "_project_transverse": lambda: spectral_mod._project_transverse(lat, c),
+            "mode_abs2": lambda: spectral_mod.mode_abs2.__wrapped__(lat),
+        }
+        from_axes = {name: kernel() for name, kernel in kernels.items()}
+        monkeypatch.setattr(spectral_mod, "index_grids", dense_index_grids)
+        for name, kernel in kernels.items():
+            assert_same_bits(kernel(), from_axes[name])
+        assert_same_bits(from_axes["mode_abs2"], mode_abs2(lat))
 
 
 class TestNorms:
@@ -651,15 +696,6 @@ def reference_complex_grid_transform(field, N):
     return one(field.coeffs)
 
 
-def reference_ball_filter(field, radius):
-    mask = mode_abs2(field.lattice) <= float(radius) ** 2
-    if isinstance(field, SpectralVectorField):
-        return SpectralVectorField(
-            field.lattice, field.coeffs * mask, field.is_real, divergence_free=field.divergence_free
-        )
-    return SpectralScalarField(field.lattice, field.coeffs * mask, field.is_real)
-
-
 def reference_embed_field(field, m):
     lat = field.lattice
     big = make_lattice(lat.n, m)
@@ -878,8 +914,6 @@ class TestSharedPrimitives:
         for fld in flagged_fields(n, m, 50 + n):
             assert_same_field(embed_field(fld, m + 2), reference_embed_field(fld, m + 2))
             assert_same_field(restrict_field(fld, m - 1), reference_restrict_field(fld, m - 1))
-            for radius in (1.0, m - 0.5, m * np.sqrt(n)):
-                assert_same_field(ball_filter(fld, radius), reference_ball_filter(fld, radius))
 
 
 class TestNormEquivalence:
@@ -996,37 +1030,6 @@ class TestRandomFields:
         assert 0 <= tail < core
 
 
-class TestBallFilter:
-    def test_mask_counts(self):
-        from tsflow.spectral import ball_mask
-
-        lat = make_lattice(2, 2)
-        assert int(np.sum(ball_mask(lat, 1.0))) == 5  # origin + 4 unit modes
-        assert int(np.sum(ball_mask(lat, 2.0))) == 13
-        assert int(np.sum(ball_mask(lat, 10.0))) == lat.size
-
-    def test_filter_zeroes_corners_only(self):
-        from tsflow.spectral import ball_filter
-
-        lat = make_lattice(2, 4)
-        u = random_vector_field(17, lat, decay=2.0, divergence_free=True)
-        cut = ball_filter(u, lat.m)
-        corner = (0,) + (0,) * lat.n  # mode (-m, ..., -m), |xi| = m*sqrt(n) > m
-        assert cut.coeffs[corner] == 0
-        center = (slice(None),) + tuple(slice(lat.m - 1, lat.m + 2) for _ in range(lat.n))
-        np.testing.assert_allclose(cut.coeffs[center], u.coeffs[center], atol=0)
-        assert cut.divergence_free and cut.is_real
-
-    def test_filter_preserves_reality_and_norm_bound(self):
-        from tsflow.spectral import ball_filter
-
-        g = random_scalar_field(18, make_lattice(2, 5), decay=1.0)
-        cut = ball_filter(g, 3.0)
-        flipped = np.conj(cut.coeffs[::-1, ::-1])
-        np.testing.assert_allclose(cut.coeffs, flipped, atol=0)
-        assert sobolev_norm(cut, 1.0) <= sobolev_norm(g, 1.0)
-
-
 def _both(fa, fb):
     return tuple(x and y for x, y in zip(fa, fb))
 
@@ -1098,6 +1101,41 @@ class TestFieldConstruction:
                 assert tuple(getattr(out, f) for f in names) == expect(fa, fb)
                 assert_same_bits(out.coeffs, coeffs(za, zb))
                 assert not out.coeffs.flags.writeable
+
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize(
+        "c, imaginary",
+        [
+            (2, False),
+            (2.5, False),
+            (complex(2.5, 0.0), False),
+            (0.5 + 1j, True),
+            (np.int64(-3), False),
+            (np.float32(2.5), False),
+            (np.float64(-0.5), False),
+            (np.longdouble(2.5), False),
+            (np.complex64(2.5), False),
+            (np.complex64(1j), True),
+            (np.complex128(0.5 + 1j), True),
+            (np.clongdouble(2.5), False),
+            (np.clongdouble(1j), True),
+        ],
+        ids=repr,
+    )
+    def test_scalar_factor_types(self, c, imaginary, right):
+        # a numpy factor is judged by its imaginary part like a Python one,
+        # and the product stays complex128: a real-flagged product of 1j
+        # would sample through the real FFTs and lose its imaginary part
+        lat = make_lattice(2, 3)
+        u = random_vector_field(4, lat, decay=1.0)
+        out = u * c if right else c * u
+        assert type(out) is SpectralVectorField and out.divergence_free == u.divergence_free
+        assert out.is_real is not imaginary
+        assert_same_bits(out.coeffs, np.complex128(c) * u.coeffs)
+        N = 2 * lat.m + 1
+        samples = grid_transform(u, N)
+        expected = np.complex128(c) * samples if imaginary else np.float64(c.real) * samples
+        np.testing.assert_allclose(grid_transform(out, N), expected, rtol=1e-14, atol=1e-14)
 
     def test_zero_mean_is_read_off_the_coefficients(self):
         # no constructor argument sets it: a field is zero-mean exactly when

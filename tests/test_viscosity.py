@@ -198,7 +198,7 @@ class TestViscousOperator:
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(9, n)
         u = random_vector_field(8, lat, decay=1.0)
-        x = np.stack(index_grids(lat)).astype(float).reshape(n, -1)
+        x = np.stack(np.broadcast_arrays(*index_grids(lat))).astype(float).reshape(n, -1)
         blocks = np.einsum("ap,kjab,bp->kjp", x, A.entries, x).reshape((n, n) + lat.shape)
         ref = -4.0 * np.pi**2 * np.einsum("kj...,j...->k...", blocks, u.coeffs)
         atol = 64 * np.finfo(float).eps * np.max(np.abs(ref))

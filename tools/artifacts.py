@@ -32,6 +32,17 @@ _TENSORS = (
     "write_tensor('A3.txt', random_elliptic_tensor(12, 3))\n"
 )
 
+# A complex (real=0) zero-mean forcing: two real fields f1 + i f2, whose
+# coefficients at xi and -xi are independent, so its Stokes solve runs the
+# mirror member and its samples take the complex transforms.
+_COMPLEX = (
+    "from tsflow.io import write_field\n"
+    "from tsflow.spectral import make_lattice, random_vector_field\n"
+    "lat = make_lattice(2, 6)\n"
+    "f = random_vector_field(21, lat, decay=2.0) + 1j * random_vector_field(22, lat, decay=2.0)\n"
+    "write_field('c2_f.spf', f)\n"
+)
+
 
 def _cli(*args):
     return (sys.executable, "-m", "tsflow", *args)
@@ -78,6 +89,13 @@ STEPS = (
     ("residual-u-p", _cli("residual", "--tensor", "A3.txt", "--f", "m3_f.spf",
                           "--u", "ns_u.spf", "--p", "ns_p.spf", "--nonlinear",
                           "--report", "residual_u_p.txt")),
+    ("complex-field", (sys.executable, "-c", _COMPLEX)),
+    ("stokes-solve-complex", _cli("stokes-solve", "--tensor", "A2.txt", "--f", "c2_f.spf",
+                                  "--out", "stokes_complex.spf",
+                                  "--report", "stokes_complex.txt")),
+    # N = 8 < 2m+1 = 13: the aliased complex transform, modes sharing a slot add up
+    ("export-grid-aliased", _cli("export-grid", "--in", "c2_f.spf", "--N", "8",
+                                 "--out", "grid_aliased.csv")),
 )
 
 _STATUS = "steps.txt"
