@@ -25,7 +25,8 @@ operator S, and iterates
 
 with adaptive halving of omega whenever the defect grows, and stops when the
 defect of the momentum equation, measured in the H^{-1} norm, drops below the
-requested tolerance. Each pass works on the Hermitian half of the cube, as
+requested tolerance. Each pass keeps the iterate on the Hermitian half of the
+cube and joins one velocity component's cube at a time to sample it, as
 `picard_solve` describes. Converged velocities are checked against the
 a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution
 satisfies.
@@ -45,7 +46,6 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _abs2_sum,
-    _half_from_upper,
     _hermitian_from_upper,
     _irfftn_half,
     _join,
@@ -53,7 +53,6 @@ from .spectral import (
     _rfftn_half,
     _split,
     _squares,
-    _upper_from_half,
     _weighted_norms,
     _without_mean,
     dealias_grid,
@@ -389,6 +388,20 @@ def _linear(half):
     return y
 
 
+def _joined(lattice, u_h, relaxed):
+    """The (k..., cube) coefficients of the iterate from its (H, k...) flat half u_h.
+
+    Conjugation leaves -0 imaginary parts at exact zeros of the mirror,
+    where relaxing the whole field (or the zero field) gives +0; once the
+    iterate is relaxed, + 0.0 keeps those bits. The Stokes guess is used as
+    joined.
+    """
+    cube = _join(lattice, u_h, u_h)
+    if relaxed:
+        cube += 0.0
+    return cube
+
+
 def _picard_pass(half, u_h, relaxed):
     """One pass from the iterate's flat half u_h: (y, bu, defect).
 
@@ -396,17 +409,15 @@ def _picard_pass(half, u_h, relaxed):
     of (u . grad) u, and defect the H^{-1} norm of the momentum defect.
     Everything else the pass makes dies when it returns.
     """
-    lat, n = half.lattice, half.lattice.n
-    upper = _upper_from_half(lat, u_h)
-    if relaxed:
-        upper += 0.0
-    for j, out in enumerate(half.w_grid[0]):  # one component at a time
-        _irfftn_half(upper[j], lat, out.shape[-1], out=out)
-    del upper
+    lat, n, m = half.lattice, half.lattice.n, half.lattice.m
+    for j, out in enumerate(half.w_grid[0]):  # one component's cube at a time
+        _irfftn_half(_joined(lat, u_h[:, j], relaxed)[..., m:], lat, out.shape[-1], out=out)
     bu = _advection_upper(lat, half.w_grid)
-    # the kernel's upper half holds no -0, so + 0.0 reaches only the
-    # conjugates, as the cube's fill does; the flat copy dies here
-    np.subtract(half.f_h, _half_from_upper(lat, bu[0]) + 0.0, out=half.x[:, :n])
+    # the kernel's upper half holds no -0, so the fill's + 0.0 reaches only
+    # the conjugates; the cube dies once its half is split into x
+    rhs = half.x[:, :n]
+    _split(lat, _filled(lat, bu)[0], rhs[None])
+    np.subtract(half.f_h, rhs, out=rhs)
     y = _linear(half)
     # the pressure gradient cancels in the defect, leaving the viscous
     # operator applied to the gap between u and the linear solution; the
@@ -422,15 +433,16 @@ def picard_solve(tensor, f, opts=None):
     of one `stokes._half_block` call that factors the symbols of all H
     modes before xi = 0: (H, n) stacks, the other half following by
     conjugation, since every field here is real. The forcing is split once.
-    A pass (`_picard_pass`) maps the iterate's half to the xi_n >= 0 half
-    of its cube (`_upper_from_half`), samples that on the product grid one
-    component at a time, forms (u . grad) u there (`_advection_upper`) and
-    maps it back (`_half_from_upper`), so no pass builds a cube. It then
-    applies the inverses to D^-1 (f - (u . grad) u, 0), checks that the
-    new velocity is solenoidal (the `_check_solenoidal` of `solve_stokes`),
-    forms the momentum defect with the symbols' velocity blocks, measures
-    it in H^{-1} with the weights of the half, and relaxes u toward the
-    linear solution.
+    A pass (`_picard_pass`) joins the iterate's half one component at a
+    time (`_joined`, the `_join` of every solve) and samples the xi_n >= 0
+    part of that one cube on the product grid, so only one component's
+    cube is alive at once. It forms (u . grad) u there (`_advection_upper`),
+    fills its cube (`_filled`) and splits it straight into the right-hand
+    side, as the forcing was split. It then applies the inverses to
+    D^-1 (f - (u . grad) u, 0), checks that the new velocity is solenoidal
+    (the `_check_solenoidal` of `solve_stokes`), forms the momentum defect
+    with the symbols' velocity blocks, measures it in H^{-1} with the
+    weights of the half, and relaxes u toward the linear solution.
 
     Between passes the solve holds only what the next pass reads: the
     `_PicardHalf` (modes, velocity blocks, inverses, weights, split
@@ -439,10 +451,10 @@ def picard_solve(tensor, f, opts=None):
     the next pass samples. The step omega halves whenever the defect grows;
     Diverged is raised if it grows at the floor, MaxIterationsExceeded if
     the budget runs out. On success the `_PicardHalf` is dropped first, and
-    u, p and the advection field of `energy_check` become cubes only then:
-    the returned velocity is divergence-free, the pressure is the one
-    induced by the final velocity, and the report records whether the
-    a-priori bound held. A nonzero mean of f is flagged once, with a
+    the cubes of u, p and the advection field of `energy_check` are built
+    only then: the returned velocity is divergence-free, the pressure is
+    the one induced by the final velocity, and the report records whether
+    the a-priori bound held. A nonzero mean of f is flagged once, with a
     NonzeroMeanWarning, recorded as mean_removed_f, and dropped: the split
     half holds no xi = 0, and M0 leaves the mean out.
     """
@@ -459,9 +471,6 @@ def picard_solve(tensor, f, opts=None):
         u_h = _linear(half)[:, :n]
     else:
         u_h = np.zeros((len(half.xis), n), np.complex128)
-    # conjugation leaves -0 imaginary parts at exact zeros of the mirror,
-    # where relaxing the whole field (or the zero field) gives +0; + 0.0 on
-    # the joined iterate keeps those bits, the Stokes guess is used as joined
     relaxed = opts.initial_guess == "zero"
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
@@ -475,10 +484,7 @@ def picard_solve(tensor, f, opts=None):
             raise Diverged("iteration produced a non-finite defect", report)
         if res <= opts.tol:
             del half  # the setup goes before the cubes below are built
-            u_cube = _join(lat, u_h, u_h)
-            if relaxed:
-                u_cube += 0.0
-            u = SpectralVectorField(lat, u_cube, True, divergence_free=True)
+            u = SpectralVectorField(lat, _joined(lat, u_h, relaxed), True, divergence_free=True)
             report.converged = True
             report.velocity_norm = seminorm(u, 1.0)
             report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9

@@ -43,8 +43,6 @@ __all__ = [
     "make_lattice",
     "scalar_field",
     "vector_field",
-    "zero_scalar_field",
-    "zero_vector_field",
     "sobolev_norm",
     "seminorm",
     "inner",
@@ -71,8 +69,11 @@ class NonzeroMeanWarning(UserWarning):
 
 
 def _check_dimension(n, prefix="", error=ValueError):
-    """Raise the one error, its message after prefix, for an n outside DIMENSIONS."""
-    if n not in DIMENSIONS:
+    """Raise the one error, its message after prefix, for an n that is not an integer in DIMENSIONS.
+
+    numpy integers count as integers; 2.0 does not, though it compares equal to 2.
+    """
+    if not isinstance(n, numbers.Integral) or n not in DIMENSIONS:
         raise error(f"{prefix}dimension n={n} is not in DIMENSIONS = {DIMENSIONS}")
 
 
@@ -85,8 +86,8 @@ class LatticeSpec:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if self.m < 1:
-            raise ValueError(f"truncation bound must be >= 1, got m={self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"truncation bound must be an integer >= 1, got m={self.m}")
 
     @property
     def shape(self):
@@ -106,7 +107,7 @@ class LatticeSpec:
 
 
 def make_lattice(n, m):
-    return LatticeSpec(int(n), int(m))
+    return LatticeSpec(n, m)
 
 
 @functools.lru_cache(maxsize=128)
@@ -288,16 +289,6 @@ def vector_field(lattice, coeffs, is_real=False, zero_mean=False, divergence_fre
         if np.max(np.abs(div)) > 1e-13 * scale:
             raise ValueError("divergence_free flag requires solenoidal coefficients; project first")
     return SpectralVectorField(lattice, c, is_real, divergence_free=divergence_free)
-
-
-def zero_scalar_field(lattice):
-    return SpectralScalarField(lattice, np.zeros(lattice.shape, np.complex128), True)
-
-
-def zero_vector_field(lattice):
-    return SpectralVectorField(
-        lattice, np.zeros((lattice.n,) + lattice.shape, np.complex128), True, divergence_free=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +611,8 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 # the Hermitian half: flat index k of a cube holds the negative of the mode
 # at size-1-k, so the H = (size - 1) / 2 modes before xi = 0 fix a real field.
 # The Stokes stacks hold this flat half, the real FFTs the upper half
-# xi_n >= 0; `_upper_from_half` and `_half_from_upper` map a real field
-# between the two row by row along xi_n, through no cube.
+# xi_n >= 0; a real field goes from one to the other through its cube:
+# `_join` then `[..., m:]`, or `_hermitian_from_upper` then `_split`.
 
 
 def _split(lattice, coeffs, out, lo=0):
@@ -673,47 +664,6 @@ def _join_rows(flat, half, mirror, lo=0):
     back = (*range(1, half.ndim), 0)
     flat[..., lo:hi] = half.transpose(back)
     np.conjugate(mirror.transpose(back), out=flat[..., last - lo : last - hi : -1])
-
-
-def _upper_from_half(lattice, half):
-    """The xi_n >= 0 half of a real field's cube from its (H, k...) flat half.
-
-    Returns a (k...,) + (2m+1,)*(n-1) + (m+1,) stack equal to
-    `_join(lattice, half, half)[..., m:]` bit for bit: the entries before
-    xi = 0 are copied, the others are the conjugates of their negatives and
-    xi = 0 is an exact zero.
-    """
-    m, w = lattice.m, 2 * lattice.m + 1
-    rows = lattice.size // w
-    flat = np.moveaxis(half, 0, -1)  # (k..., H): each row along xi_n is a slice
-    r0, lead = rows // 2, flat.shape[:-1]
-    upper = np.empty(lead + (rows, m + 1), np.complex128)
-    before = flat[..., : r0 * w].reshape(lead + (r0, w))
-    upper[..., :r0, :] = before[..., m:]
-    upper[..., r0, 0] = 0.0
-    np.conjugate(flat[..., r0 * w :][..., ::-1], out=upper[..., r0, 1:])
-    np.conjugate(before[..., ::-1, m::-1], out=upper[..., r0 + 1 :, :])
-    return upper.reshape(lead + lattice.shape[:-1] + (m + 1,))
-
-
-def _half_from_upper(lattice, upper):
-    """The (H, k...) flat half of a real field from the xi_n >= 0 half of its cube.
-
-    The inverse of `_upper_from_half`, equal bit for bit to `_split` of the
-    cube that `_hermitian_from_upper` fills from upper: the entries with
-    xi_n < 0 are the conjugates of their negatives, read from upper. The
-    result is a view of a (k..., H) array.
-    """
-    m, w = lattice.m, 2 * lattice.m + 1
-    rows = lattice.size // w
-    r0, lead = rows // 2, upper.shape[: upper.ndim - lattice.n]
-    up = upper.reshape(lead + (rows, m + 1))
-    flat = np.empty(lead + (lattice.size // 2,), np.complex128)
-    before = flat[..., : r0 * w].reshape(lead + (r0, w))
-    before[..., m:] = up[..., :r0, :]
-    np.conjugate(up[..., :r0:-1, m:0:-1], out=before[..., :m])
-    np.conjugate(up[..., r0, m:0:-1], out=flat[..., r0 * w :])
-    return np.moveaxis(flat, -1, 0)
 
 
 def _hermitianize_half(lattice, coeffs):

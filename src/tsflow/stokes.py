@@ -452,8 +452,6 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     min_u, min_p = np.min(minima, axis=0).tolist()
     u = SpectralVectorField(lattice, u.reshape(f.coeffs.shape), is_real, divergence_free=g is None)
     p = SpectralScalarField(lattice, p.reshape(lattice.shape), is_real)
-    norms = (seminorm(u, s), seminorm(p, s - 1.0), seminorm(f, s - 2.0))
-    norm_g = 0.0 if g is None else seminorm(g, s - 1.0)
     return u, p, StokesSolveReport(
         s=s,
         n_modes=lattice.size - 1,
@@ -462,7 +460,7 @@ def solve_stokes(tensor, f, g=None, s=1.0):
         min_slack_u=min_u,
         min_slack_p=min_p,
         estimates_ok=estimates_ok,
-        global_bound=_global_slack(constants, s, *norms, norm_g),
+        global_bound=_global_slack(constants, s, *_seminorms(u, p, f, g, s)),
         mean_removed_f=removed_f,
         mean_removed_g=removed_g,
     )
@@ -513,9 +511,15 @@ def global_estimate_slack(tensor, u, p, f, g, s):
     Pressure: |p|_{s-1} <= C_pf/(sqrt(2)*pi) * |f|_{s-2} + sqrt(2)*C_pg * |g|_{s-1}.
 
     The extra sqrt(2) factors absorb the mode-weight ratio rho^2/|xi|^2 <= 2.
+    g=None is the incompressible case, |g|_{s-1} = 0, as in `solve_stokes`.
     """
-    norms = (seminorm(u, s), seminorm(p, s - 1.0), seminorm(f, s - 2.0), seminorm(g, s - 1.0))
-    return _global_slack(estimate_constants(tensor), s, *norms)
+    return _global_slack(estimate_constants(tensor), s, *_seminorms(u, p, f, g, s))
+
+
+def _seminorms(u, p, f, g, s):
+    """|u|_s, |p|_{s-1}, |f|_{s-2} and |g|_{s-1}, the last 0.0 for g=None."""
+    norms = seminorm(u, s), seminorm(p, s - 1.0), seminorm(f, s - 2.0)
+    return norms + (0.0 if g is None else seminorm(g, s - 1.0),)
 
 
 def _global_slack(constants, s, norm_u, norm_p, norm_f, norm_g):

@@ -1,5 +1,7 @@
 """The one dimension rule: every entry point rejects an n outside spectral.DIMENSIONS."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,14 @@ from tsflow import harness, stokes
 from tsflow.cli import main
 from tsflow.harness import random_elliptic_tensor, run_suite
 from tsflow.io import read_field, read_tensor
-from tsflow.spectral import DIMENSIONS, make_lattice
-from tsflow.viscosity import make_isotropic, make_tensor, symmetrize, trace_free_symmetric_basis
+from tsflow.spectral import DIMENSIONS, LatticeSpec, make_lattice
+from tsflow.viscosity import (
+    ViscosityTensor,
+    make_isotropic,
+    make_tensor,
+    symmetrize,
+    trace_free_symmetric_basis,
+)
 
 
 def _raised(call):
@@ -115,6 +123,35 @@ def test_outside_dimensions_rejected(name, n, tmp_path, capsys, monkeypatch, req
         request.getfixturevalue("forbid_large_zeros")
     prefix, message = ENTRIES[name](n, tmp_path, capsys, monkeypatch)
     assert message == f"{prefix}dimension n={n} is not in DIMENSIONS = {DIMENSIONS}"
+
+
+@pytest.mark.parametrize(
+    "value", [8.5, 2.0, 3.0, np.float64(2.0)], ids=["8.5", "2.0", "3.0", "float64-2.0"]
+)
+def test_non_integer_sizes_rejected(value):
+    # rejected where the lattice or tensor is made: not truncated to an
+    # integer, and not accepted to fail later (2.0 == 2, yet (1,) * 2.0 raises)
+    n_message = re.escape(f"dimension n={value} is not in DIMENSIONS = {DIMENSIONS}")
+    m_message = re.escape(f"truncation bound must be an integer >= 1, got m={value}")
+    for call in (lambda: LatticeSpec(value, 3), lambda: make_lattice(value, 3)):
+        with pytest.raises(ValueError, match=n_message):
+            call()
+    with pytest.raises(ValueError, match=n_message):
+        ViscosityTensor(value, np.ones((2,) * 4))
+    for call in (
+        lambda: LatticeSpec(2, value),
+        lambda: make_lattice(2, value),
+        lambda: run_suite("rho-bound", m=value, n=2, draws=1),
+    ):
+        with pytest.raises(ValueError, match=m_message):
+            call()
+
+
+def test_numpy_integer_sizes_accepted():
+    lat = make_lattice(np.int64(3), np.int64(2))
+    assert lat == LatticeSpec(3, 2) and lat.shape == (5, 5, 5)
+    tensor = make_isotropic(0.0, 1.0, np.int64(3))
+    assert tensor.entries.shape == (3,) * 4
 
 
 def test_every_dimension_has_a_closed_form():

@@ -42,7 +42,6 @@ from tsflow.spectral import (
     seminorm,
     sobolev_norm,
     vector_field,
-    zero_vector_field,
 )
 from tsflow.stokes import NotSolenoidal, solve_stokes
 from tsflow.viscosity import apply_viscosity, make_isotropic
@@ -566,7 +565,8 @@ class TestPicardSolve:
         # other dimension is rejected before the first pass
         with pytest.raises(ValueError, match=f"n={n} is not in DIMENSIONS"):
             make_lattice(n, 1)
-        f = zero_vector_field(make_lattice(2, 1))
+        lat = make_lattice(2, 1)
+        f = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True, divergence_free=True)
         with pytest.raises(ValueError, match="tensor dimension 3 does not match field n=2"):
             picard_solve(make_isotropic(0.0, 1.0, 3), f)
 
@@ -610,7 +610,7 @@ def full_field_picard(tensor, f, opts):
     if opts.initial_guess == "stokes":
         u, _, _ = solve_stokes(tensor, f)
     else:
-        u = zero_vector_field(lat)
+        u = vector_field(lat, np.zeros((lat.n,) + lat.shape), is_real=True, divergence_free=True)
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
@@ -706,7 +706,8 @@ class TestHalfStackPasses:
     @pytest.mark.parametrize("guess", ["stokes", "zero"])
     def test_matches_full_field_loop_on_zero_forcing(self, guess):
         # every coefficient is an exact zero, so every sign bit is compared
-        f = zero_vector_field(make_lattice(3, 2))
+        lat = make_lattice(3, 2)
+        f = vector_field(lat, np.zeros((3,) + lat.shape), is_real=True, divergence_free=True)
         report, _ = _assert_matches_full_field(ISO3, f, NSSolveOptions(initial_guess=guess))
         assert report.iterations == 1
 
@@ -735,17 +736,18 @@ class TestHalfStackPasses:
             assert str(caught.traceback[-1].path) == stokes_mod.__file__
 
 
-class TestNoCubePerPass:
-    """A Picard pass goes flat half -> upper half -> grid -> upper half -> flat half."""
+class TestPassCalls:
+    """A Picard pass joins one cube per velocity component and splits one advection cube."""
 
     NAMES = ("_join", "_split", "_hermitian_from_upper", "grid_transform", "advection")
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_calls_do_not_grow_with_the_passes(self, monkeypatch, n):
+    def test_every_pass_makes_the_same_calls(self, monkeypatch, n):
         # every module's reference to the cube builders and the cube
-        # transforms counts its calls; cubes are built once, for the
-        # forcing's split and at convergence, so 3 and 10 passes make the
-        # same calls, and no pass samples or advects a cube field
+        # transforms counts its calls; the forcing's split and the cubes at
+        # convergence are made once, so 3, 4 and 10 passes differ only by
+        # the calls of whole passes, and no pass samples or advects a cube
+        # field through the public transforms
         import tsflow.navier_stokes as ns_mod
         import tsflow.spectral as spectral_mod
         import tsflow.stokes as stokes_mod
@@ -768,13 +770,50 @@ class TestNoCubePerPass:
         f = manufactured_forcing(1.0, tensor)
         history = picard_solve(tensor, f)[2].residual_history
         counts = {}
-        for passes in (3, 10):
+        for passes in (3, 4, 10):
             calls.update(dict.fromkeys(self.NAMES, 0))
             _, _, report = picard_solve(tensor, f, NSSolveOptions(tol=history[passes - 1]))
             assert report.converged and report.iterations == passes
             counts[passes] = dict(calls)
-        assert counts[3] == counts[10]
+        per_pass = {name: counts[4][name] - counts[3][name] for name in self.NAMES}
+        assert per_pass == {
+            "_join": n, "_split": 1, "_hermitian_from_upper": 1, "grid_transform": 0, "advection": 0
+        }
+        assert all(counts[10][k] - counts[3][k] == 7 * per_pass[k] for k in self.NAMES)
         assert counts[3]["grid_transform"] == counts[3]["advection"] == 0
+
+    def test_samples_from_one_component_cube(self, monkeypatch):
+        # at every _irfftn_half call of a pass, the memory traced above the
+        # pass's entry is one component's joined cube and little else; the
+        # xi_n >= 0 half of the whole iterate, n (m+1) / (2m+1) cubes, read
+        # 1.548 cubes here (n=3, f on m=16)
+        import tracemalloc
+
+        import tsflow.navier_stokes as ns_mod
+
+        f = small_manufactured(40, amplitude=0.5, m=8, tensor=ISO3).f
+        cube = 16 * f.lattice.size  # bytes of one complex cube on the forcing's lattice
+        entry, above = [], []
+        real_pass, real_sample = ns_mod._picard_pass, ns_mod._irfftn_half
+
+        def traced_pass(*args):
+            entry.append(tracemalloc.get_traced_memory()[0])
+            return real_pass(*args)
+
+        def traced_sample(*args, **kwargs):
+            above.append(tracemalloc.get_traced_memory()[0] - entry[-1])
+            return real_sample(*args, **kwargs)
+
+        picard_solve(ISO3, f)  # fills the per-lattice caches
+        monkeypatch.setattr(ns_mod, "_picard_pass", traced_pass)
+        monkeypatch.setattr(ns_mod, "_irfftn_half", traced_sample)
+        tracemalloc.start()
+        try:
+            _, _, report = picard_solve(ISO3, f)
+        finally:
+            tracemalloc.stop()
+        assert report.converged and len(above) == 3 * report.iterations
+        assert max(above) <= 1.25 * cube
 
 
 class TestResidual:

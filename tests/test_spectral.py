@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tsflow.navier_stokes import _filled, _joined
 from tsflow.spectral import (
     DIMENSIONS,
     TWO_PI,
@@ -15,7 +16,6 @@ from tsflow.spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _flip,
-    _half_from_upper,
     _half_modes,
     _hermitian_from_upper,
     _hermitianize_half,
@@ -27,7 +27,6 @@ from tsflow.spectral import (
     _rfftn_half,
     _split,
     _squares,
-    _upper_from_half,
     _weighted_norms,
     divergence,
     embed_field,
@@ -49,7 +48,6 @@ from tsflow.spectral import (
     sobolev_norm,
     symmetric_gradient,
     vector_field,
-    zero_scalar_field,
 )
 
 
@@ -157,7 +155,7 @@ class TestNorms:
     def test_zero_field(self):
         lat = make_lattice(2, 2)
         for s in (-1.0, 0.0, 2.5):
-            assert sobolev_norm(zero_scalar_field(lat), s) == 0.0
+            assert sobolev_norm(scalar_field(lat, np.zeros(lat.shape), is_real=True), s) == 0.0
 
     def test_seminorm_drops_mean(self):
         lat = make_lattice(2, 2)
@@ -872,11 +870,12 @@ class TestSharedPrimitives:
     @pytest.mark.parametrize("columns", [1, 2, 3])
     @pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3) for m in (1, 2, 3, 4)])
     def test_upper_half_maps(self, n, m, columns, zeros):
-        # oracle: the cube, compared with signed zeros; _upper_from_half is
-        # the upper half of _join (also after + 0.0), _half_from_upper is
-        # _split of the cube that _hermitian_from_upper fills
+        # oracle: the lattice's flat order, compared with signed zeros; a
+        # Picard pass samples the xi_n >= 0 half of _join (_joined, + 0.0
+        # once relaxed) and takes its advection back through the _split of
+        # the cube that _filled fills from that half
         lat = make_lattice(n, m)
-        H = lat.size // 2
+        H, w = lat.size // 2, 2 * m + 1
         rng = np.random.default_rng(100 * n + 10 * m + columns)
 
         def draw(shape):
@@ -887,19 +886,33 @@ class TestSharedPrimitives:
                     part[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
             return z
 
+        # the upper half at flat position q: the half's row q before xi = 0,
+        # an exact zero at it, the conjugate of row size-1-q after it
         half = draw((H, columns))
-        cube = _join(lat, half, half)
-        upper = _upper_from_half(lat, half)
-        assert_same_bits(upper, cube[..., m:])
-        assert_same_bits(upper + 0.0, (cube + 0.0)[..., m:])
-        assert_same_bits(_half_from_upper(lat, upper), half)
-
-        top = draw((columns,) + lat.shape[:-1] + (m + 1,))
+        rows = half.T
+        q = np.arange(lat.size).reshape(lat.shape)[..., m:]
+        expected = np.where(
+            q < H, rows[..., np.minimum(q, H - 1)], np.conj(rows[..., np.minimum(lat.size - 1 - q, H - 1)])
+        )
+        expected[..., q == H] = 0.0
+        assert_same_bits(_join(lat, half, half)[..., m:], expected)
+        assert_same_bits(_joined(lat, half, False), _join(lat, half, half))
+        assert_same_bits(_joined(lat, half, True), _join(lat, half, half) + 0.0)
+        assert_same_bits(_joined(lat, half, True)[..., m:], expected + 0.0)
         filled = np.empty((columns,) + lat.shape, np.complex128)
-        filled[..., m:] = top
+        filled[..., m:] = expected
         _hermitian_from_upper(filled, lat)
-        split = _split(lat, filled, np.empty((1, H, columns), np.complex128))[0]
-        assert_same_bits(_half_from_upper(lat, top), split)
+        assert_same_bits(_split(lat, filled, np.empty((1, H, columns), np.complex128))[0], half)
+
+        # the half's row p from an upper half: read at p when xi_n >= 0,
+        # else the conjugate of its mirror, + 0.0 as _filled leaves it
+        top = draw((columns,) + lat.shape[:-1] + (m + 1,))
+        p = np.arange(H)
+        upper = p % w >= m
+        mirror = np.where(upper, p, lat.size - 1 - p)
+        read = top.reshape(columns, -1)[:, (mirror // w) * (m + 1) + mirror % w - m]
+        split = _split(lat, _filled(lat, top), np.empty((1, H, columns), np.complex128))[0]
+        assert_same_bits(split, np.where(upper, read, np.conj(read) + 0.0).T)
 
     @pytest.mark.parametrize("n", DIMENSIONS)
     def test_complex_grid_placement(self, n):

@@ -19,8 +19,6 @@ from tsflow.spectral import (
     scalar_field,
     sobolev_norm,
     vector_field,
-    zero_scalar_field,
-    zero_vector_field,
 )
 from tsflow.stokes import (
     NonPositiveMu,
@@ -550,7 +548,7 @@ class TestHalfCubeSolve:
         )
         u1, p1, r1 = solve_stokes(A, f)
         assert measured == [u1, p1, f]
-        u2, p2, r2 = solve_stokes(A, f, zero_scalar_field(lat))
+        u2, p2, r2 = solve_stokes(A, f, scalar_field(lat, np.zeros(lat.shape), is_real=True))
         for a, b in ((u1, u2), (p1, p2)):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
@@ -697,7 +695,7 @@ class TestStreamedSolve:
                 np.all(slack_u >= -ESTIMATE_RTOL * bound_u)
                 and np.all(slack_p >= -ESTIMATE_RTOL * bound_p)
             ),
-            global_bound=global_estimate_slack(A, u, p, f, zero_scalar_field(lat) if g is None else g, 1.0),
+            global_bound=global_estimate_slack(A, u, p, f, g, 1.0),
             mean_removed_f=False,
             mean_removed_g=False,
         ))
@@ -931,7 +929,9 @@ class TestIsotropicClosedForm:
 class TestSolveStokes:
     def test_zero_data_gives_zero_solution(self):
         lat = make_lattice(2, 4)
-        u, p, report = solve_stokes(ISO, zero_vector_field(lat), zero_scalar_field(lat))
+        zero_f = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True, divergence_free=True)
+        zero_g = scalar_field(lat, np.zeros(lat.shape), is_real=True)
+        u, p, report = solve_stokes(ISO, zero_f, zero_g)
         assert np.all(u.coeffs == 0)
         assert np.all(p.coeffs == 0)
         assert report.residual == 0.0
@@ -1284,16 +1284,21 @@ class TestGlobalEstimate:
             assert gb["slack_u"] >= -1e-12 * gb["rhs_u"]
             assert gb["slack_p"] >= -1e-12 * gb["rhs_p"]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+    def test_no_divergence_data_is_the_solve_bound(self, n, s):
+        # g=None takes |g|_{s-1} = 0, as the incompressible solve does
+        lat = make_lattice(n, 3)
+        A = random_elliptic_tensor(24 + n, n)
+        f = random_vector_field(26, lat, decay=2.0)
+        u, p, report = solve_stokes(A, f, s=s)
+        assert report.global_bound == global_estimate_slack(A, u, p, f, None, s)
+
     def test_zero_data(self):
         lat = make_lattice(2, 3)
-        gb = global_estimate_slack(
-            ISO,
-            zero_vector_field(lat),
-            zero_scalar_field(lat),
-            zero_vector_field(lat),
-            zero_scalar_field(lat),
-            1.0,
-        )
+        zero_u = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True, divergence_free=True)
+        zero_p = scalar_field(lat, np.zeros(lat.shape), is_real=True)
+        gb = global_estimate_slack(ISO, zero_u, zero_p, zero_u, None, 1.0)
         assert gb["lhs_u"] == 0.0 and gb["rhs_u"] == 0.0
 
     def test_homogeneity_in_f(self):
@@ -1301,7 +1306,7 @@ class TestGlobalEstimate:
         f = random_vector_field(30, lat, decay=2.0)
         u1, p1, _ = solve_stokes(ISO, f, None)
         u10, p10, _ = solve_stokes(ISO, 10.0 * f, None)
-        g1 = global_estimate_slack(ISO, u1, p1, f, zero_scalar_field(lat), 1.0)
-        g10 = global_estimate_slack(ISO, u10, p10, 10.0 * f, zero_scalar_field(lat), 1.0)
+        g1 = global_estimate_slack(ISO, u1, p1, f, None, 1.0)
+        g10 = global_estimate_slack(ISO, u10, p10, 10.0 * f, None, 1.0)
         assert g10["rhs_u"] == pytest.approx(10.0 * g1["rhs_u"], rel=1e-12)
         assert g10["lhs_u"] == pytest.approx(10.0 * g1["lhs_u"], rel=1e-12)

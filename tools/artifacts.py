@@ -78,6 +78,18 @@ STEPS = (
                                  "--report", "ns_no_dealias.txt")),
     ("ns-solve-2d", _cli("ns-solve", "--tensor", "A2.txt", "--f", "m2n_f.spf", *_out("ns2"),
                          "--report", "ns2.txt")),
+    # an exactly zero forcing, so every coefficient of the dumps below is a signed zero
+    ("manufacture-3d-zero", _cli("manufacture", "--tensor", "A3.txt", "--n", "3", "--m", "4",
+                                 "--seed", "6", "--nonlinear", "--amplitude", "0",
+                                 *_out("m3z"), "--out-f", "m3z_f.spf",
+                                 "--out-g", "m3z_g.spf")),
+    # the next two converge at the first pass, from the unrelaxed Stokes guess
+    ("ns-solve-zero-forcing", _cli("ns-solve", "--tensor", "A3.txt", "--f", "m3z_f.spf",
+                                   *_out("ns_zero_forcing"),
+                                   "--report", "ns_zero_forcing.txt")),
+    ("ns-solve-first-pass", _cli("ns-solve", "--tensor", "A2.txt", "--f", "m2n_f.spf",
+                                 "--tol", "1", *_out("ns_first_pass"),
+                                 "--report", "ns_first_pass.txt")),
     ("verify", _cli("verify", "--report", "verify.txt")),
     ("verify-3d", _cli("verify", "--n", "3", "--m", "4", "--draws", "5", "--seed", "9",
                        "--report", "verify_3d.txt")),
