@@ -246,6 +246,12 @@ def _read(path, kind):
     return fld
 
 
+def _read_data(path, kind, project_mean):
+    """The field of _read, its mean dropped (`--project-mean`) when project_mean is set."""
+    fld = _read(path, kind)
+    return _without_mean(fld) if project_mean else fld
+
+
 def _cmd_tensor_check(config):
     tensor = tio.read_tensor(config.tensor)
     violations = check_symmetry(tensor)
@@ -266,11 +272,10 @@ def _cmd_tensor_check(config):
 
 def _cmd_stokes_solve(config):
     tensor = tio.read_tensor(config.tensor)
-    f = _read(config.f, "vector field")
-    g = None if config.g in (None, "none") else _read(config.g, "scalar field")
-    if config.project_mean:
-        f = _without_mean(f)
-        g = None if g is None else _without_mean(g)
+    f = _read_data(config.f, "vector field", config.project_mean)
+    g = None
+    if config.g not in (None, "none"):
+        g = _read_data(config.g, "scalar field", config.project_mean)
     u, p, report = solve_stokes(tensor, f, g, s=config.s)
     tio.write_field(config.out, (u, p))
     if config.report:
@@ -281,9 +286,6 @@ def _cmd_stokes_solve(config):
 
 def _cmd_ns_solve(config):
     tensor = tio.read_tensor(config.tensor)
-    f = _read(config.f, "vector field")
-    if config.project_mean:
-        f = _without_mean(f)
     opts = NSSolveOptions(
         relaxation=config.omega,
         max_iterations=config.max_iter,
@@ -292,7 +294,10 @@ def _cmd_ns_solve(config):
         initial_guess=config.initial,
     )
     try:
-        u, p, report = picard_solve(tensor, f, opts)
+        # handed over unnamed, so its cube dies once the solve has split it
+        u, p, report = picard_solve(
+            tensor, _read_data(config.f, "vector field", config.project_mean), opts
+        )
     except IterationFailure as exc:
         if config.report:
             tio.write_report(

@@ -7,10 +7,12 @@ grid by inverse real FFTs, and the n(n+1)/2 distinct products w_j w_k come
 back by forward real FFTs, one at a time, to be differentiated mode by mode
 (9 real transforms at n=3). Both directions are pruned: only the 1-D lines
 that carry a cube mode are transformed (at n=3, m=16 that is 1,411 complex
-lines of the 2,600 of a full half-spectrum transform), and the derivatives
-are accumulated on the xi_n >= 0 half of the cube, the other half following
-by conjugation; the result is the same bit for bit as full transforms and a
-full-cube accumulation. The (div w) w correction is formed only for fields
+lines of the 2,600 of a full half-spectrum transform). Each product is
+formed and transformed in slabs of its first axis, so neither the product
+grid nor its whole rfft output is held, and the derivatives are accumulated
+on the xi_n >= 0 half of the cube, the other half following by conjugation;
+the result is the same bit for bit as full transforms and a full-cube
+accumulation. The (div w) w correction is formed only for fields
 not flagged divergence-free. The grid has the 5-smooth size
 `dealias_grid(m)` >= 3m+1, so the retained modes agree exactly with the
 lattice convolution (quadratic products of cube-truncated fields live on the
@@ -25,9 +27,10 @@ operator S, and iterates
 
 with adaptive halving of omega whenever the defect grows, and stops when the
 defect of the momentum equation, measured in the H^{-1} norm, drops below the
-requested tolerance. Each pass keeps the iterate on the Hermitian half of the
-cube and joins one velocity component's cube at a time to sample it, as
-`picard_solve` describes. Converged velocities are checked against the
+requested tolerance. The forcing is split into the Hermitian half of the
+cube once and then dropped. Each pass keeps the iterate on that half, and
+joins, samples, fills and splits one velocity component's cube at a time,
+as `picard_solve` describes. Converged velocities are checked against the
 a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution
 satisfies.
 """
@@ -48,6 +51,7 @@ from .spectral import (
     _abs2_sum,
     _hermitian_from_upper,
     _irfftn_half,
+    _is_integer,
     _join,
     _nonzero_mean,
     _rfftn_half,
@@ -161,9 +165,9 @@ def advection(w, dealias=True):
     """Convective term (w . grad) w, in divergence form on a product grid.
 
     Computes sum_j d_j(w_j w_k) - (div w) w_k: the n(n+1)/2 distinct
-    products w_j w_k are formed on the grid and brought back by pruned real
-    FFTs one at a time, as the xi_n >= 0 half of the cube only; the lines
-    of the transforms that stay outside the cube are never computed.
+    products w_j w_k are formed slab by slab on the grid and brought back by
+    pruned real FFTs one at a time, as the xi_n >= 0 half of the cube only;
+    the lines of the transforms that stay outside the cube are never computed.
     `_rfftn_half` returns each product's half with its xi_n = 0 plane
     already averaged with its mirror, and the derivatives are accumulated on
     that half with multipliers restricted to it (`_advection_upper`); the
@@ -202,28 +206,24 @@ def _advection_upper(lattice, w_grid, div_grid=None):
 
     div_grid holds the (k, N^n) samples of div w, or is None for fields
     flagged divergence-free. Each product pair takes one forward transform
-    of all k grids, every slice on its own. The sums start from +0, so no
-    entry of the (k, n) + (2m+1,)*(n-1) + (m+1,) result is -0. Requires
-    N >= 2m+1.
+    of all k grids, every slice on its own, formed and transformed slab by
+    slab (`_rfftn_half` with its second factor), so no product grid is
+    held. The sums start from +0, so no entry of the (k, n) +
+    (2m+1,)*(n-1) + (m+1,) result is -0. Requires N >= 2m+1.
     """
     n, m = lattice.n, lattice.m
     d = _upper_derivatives(lattice)
     upper = np.zeros(w_grid.shape[:2] + lattice.shape[:-1] + (m + 1,), np.complex128)
-    grid = np.empty(w_grid.shape[:1] + w_grid.shape[2:])  # one product's samples at a time
     term = np.empty(upper.shape[:1] + upper.shape[2:], np.complex128)  # one multiplier product
-
-    def product(a, b):
-        return _rfftn_half(np.multiply(a, b, out=grid), lattice)
-
     for j in range(n):
         for k in range(j, n):
-            prod = product(w_grid[:, j], w_grid[:, k])
+            prod = _rfftn_half(w_grid[:, j], lattice, w_grid[:, k])
             upper[:, k] += np.multiply(d[j], prod, out=term)
             if k != j:
                 upper[:, j] += np.multiply(d[k], prod, out=term)
     if div_grid is not None:
         for k in range(n):
-            upper[:, k] -= product(div_grid, w_grid[:, k])
+            upper[:, k] -= _rfftn_half(div_grid, lattice, w_grid[:, k])
     return upper
 
 
@@ -272,7 +272,10 @@ def advection_bruteforce(w, out_m=None):
         raise ValueError("advection of complex fields is not supported")
     lat = w.lattice
     n, m = lat.n, lat.m
-    out_m = lat.m if out_m is None else int(out_m)
+    if out_m is None:
+        out_m = m
+    elif not _is_integer(out_m):
+        raise ValueError(f"output band must be an integer, got out_m={out_m}")
     if out_m > 2 * m:
         raise ValueError(f"output band {out_m} exceeds the exact range 2m={2 * m}")
     big = LatticeSpec(n, 2 * m)
@@ -349,10 +352,11 @@ class _PicardHalf(NamedTuple):
 
     From one `_half_block`: the modes xis, the (H, n, n) velocity blocks of
     the symbols (all that the defect reads of them) and the inverses.
-    Beside them the H^{-1} weights, the split forcing f_h, the buffer x of
-    D^-1 (f - (u . grad) u, 0) and the one sample buffer w_grid: a fresh
-    grid each pass (3 MB at n=3, m=16) goes back to the system and is
-    faulted in again, which tripled the page faults of an ns-solve.
+    Beside them the H^{-1} weights, the split forcing f_h (the forcing's
+    cube is not kept), the buffer x of D^-1 (f - (u . grad) u, 0), whose
+    velocity rows take the gap u - y once the linear solve has read them,
+    and the one (1, n, N^n) sample buffer w_grid, reused by every pass
+    rather than allocated and faulted in again.
     """
 
     lattice: LatticeSpec
@@ -414,15 +418,18 @@ def _picard_pass(half, u_h, relaxed):
         _irfftn_half(_joined(lat, u_h[:, j], relaxed)[..., m:], lat, out.shape[-1], out=out)
     bu = _advection_upper(lat, half.w_grid)
     # the kernel's upper half holds no -0, so the fill's + 0.0 reaches only
-    # the conjugates; the cube dies once its half is split into x
+    # the conjugates; each component's cube dies once its half is split into x
     rhs = half.x[:, :n]
-    _split(lat, _filled(lat, bu)[0], rhs[None])
+    for k in range(n):
+        _split(lat, _filled(lat, bu[0, k]), rhs[None, :, k])
     np.subtract(half.f_h, rhs, out=rhs)
     y = _linear(half)
     # the pressure gradient cancels in the defect, leaving the viscous
-    # operator applied to the gap between u and the linear solution; the
-    # mirrored half has the same squares and xi = 0 holds none
-    defect2 = _abs2_sum(_apply_blocks(half.blocks, u_h - y[:, :n]).T)
+    # operator applied to the gap between u and the linear solution, formed
+    # in the spent right-hand side; the mirrored half has the same squares
+    # and xi = 0 holds none
+    gap = np.subtract(u_h, y[:, :n], out=rhs)
+    defect2 = _abs2_sum(_apply_blocks(half.blocks, gap).T)
     return y, bu, float(np.sqrt(2.0 * np.sum(half.weights * defect2)))
 
 
@@ -432,17 +439,21 @@ def picard_solve(tensor, f, opts=None):
     Every pass runs on the Hermitian half (`spectral._split`), the layout
     of one `stokes._half_block` call that factors the symbols of all H
     modes before xi = 0: (H, n) stacks, the other half following by
-    conjugation, since every field here is real. The forcing is split once.
-    A pass (`_picard_pass`) joins the iterate's half one component at a
-    time (`_joined`, the `_join` of every solve) and samples the xi_n >= 0
+    conjugation, since every field here is real. The forcing is split once,
+    and the solve drops its reference to f once M0 and the mean check have
+    read it, so a forcing handed over as a temporary dies before the first
+    pass. A pass (`_picard_pass`) joins the iterate's half one component at
+    a time (`_joined`, the `_join` of every solve) and samples the xi_n >= 0
     part of that one cube on the product grid, so only one component's
-    cube is alive at once. It forms (u . grad) u there (`_advection_upper`),
-    fills its cube (`_filled`) and splits it straight into the right-hand
-    side, as the forcing was split. It then applies the inverses to
+    cube is alive at once. It forms (u . grad) u there (`_advection_upper`,
+    each product streamed in slabs), fills each component's cube
+    (`_filled`) and splits it straight into the right-hand side, as the
+    forcing was split. It then applies the inverses to
     D^-1 (f - (u . grad) u, 0), checks that the new velocity is solenoidal
     (the `_check_solenoidal` of `solve_stokes`), forms the momentum defect
-    with the symbols' velocity blocks, measures it in H^{-1} with the
-    weights of the half, and relaxes u toward the linear solution.
+    from the gap u - y, written into the spent right-hand side, with the
+    symbols' velocity blocks, measures it in H^{-1} with the weights of the
+    half, and relaxes u toward the linear solution in place.
 
     Between passes the solve holds only what the next pass reads: the
     `_PicardHalf` (modes, velocity blocks, inverses, weights, split
@@ -465,10 +476,11 @@ def picard_solve(tensor, f, opts=None):
     half = _picard_half(tensor, f, N)
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
+    del f  # split into the half; a forcing handed over as a temporary dies here
     omega = opts.relaxation
     n = lat.n
     if opts.initial_guess == "stokes":
-        u_h = _linear(half)[:, :n]
+        u_h = _linear(half)[:, :n].copy()  # relaxed in place, so not a view of y
     else:
         u_h = np.zeros((len(half.xis), n), np.complex128)
     relaxed = opts.initial_guess == "zero"
@@ -498,7 +510,9 @@ def picard_solve(tensor, f, opts=None):
                     f"defect grew to {res:.3e} with omega at the floor {OMEGA_FLOOR}", report
                 )
             omega = max(0.5 * omega, OMEGA_FLOOR)
-        u_h = (1.0 - omega) * u_h + omega * y[:, :n]
+        # in place, each operand in the order of (1 - omega) * u + omega * y
+        np.multiply(1.0 - omega, u_h, out=u_h)
+        u_h += np.multiply(omega, y[:, :n], out=y[:, :n])
         del y, bu  # the next pass reads neither
         relaxed = True
         prev = res

@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
@@ -68,12 +69,14 @@ class NonzeroMeanWarning(UserWarning):
     """A zero-mean field was constructed from data with a nonzero mean."""
 
 
-def _check_dimension(n, prefix="", error=ValueError):
-    """Raise the one error, its message after prefix, for an n that is not an integer in DIMENSIONS.
+def _is_integer(v):
+    """Whether v is an integer: numpy integers are; 2.0 and True (equal to 2 and 1) are not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
-    numpy integers count as integers; 2.0 does not, though it compares equal to 2.
-    """
-    if not isinstance(n, numbers.Integral) or n not in DIMENSIONS:
+
+def _check_dimension(n, prefix="", error=ValueError):
+    """Raise the one error, its message after prefix, for an n that is not an integer in DIMENSIONS."""
+    if not _is_integer(n) or n not in DIMENSIONS:
         raise error(f"{prefix}dimension n={n} is not in DIMENSIONS = {DIMENSIONS}")
 
 
@@ -86,7 +89,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+        if not _is_integer(self.m) or self.m < 1:
             raise ValueError(f"truncation bound must be an integer >= 1, got m={self.m}")
 
     @property
@@ -432,6 +435,8 @@ def _symmetric_gradient(lattice, coeffs):
 # one axis at a time, each axis zero-padded to N (or cropped back to the
 # cube) only when its turn comes, so the 1-D lines that are all zero padding
 # are never transformed (a pruned FFT; Frigo & Johnson, Proc. IEEE 93, 2005).
+# The forward transform streams slabs of the first lattice axis through the
+# other axes, so it holds one slab of samples, never the whole grid.
 # The axis order is that of numpy 2.x's irfftn / rfftn, so every line that is
 # transformed is one they transform, and the results are theirs bit for bit.
 
@@ -487,28 +492,57 @@ def _irfftn_half(half, lattice, N, out=None):
     return np.fft.irfft(a, n=N, axis=-1, norm="forward", out=out)
 
 
-def _rfftn_half(samples, lattice):
-    """The xi_n >= 0 half of the cube from real samples on N^n points.
+def _cube_slots(spec, axis, m, out):
+    """Write slots N-m .. N-1, then 0 .. m, of spec along its (negative) axis into out: -m .. m."""
+    N = spec.shape[axis]
+    after = (slice(None),) * (-1 - axis)
+    out[(..., slice(0, m)) + after] = spec[(..., slice(N - m, N)) + after]
+    out[(..., slice(m, None)) + after] = spec[(..., slice(0, m + 1)) + after]
 
-    samples has shape (k...,) + (N,)*n, with any number of leading axes
-    k..., each slice of which is transformed on its own. The mirror of
-    _irfftn_half: rfft the last axis and keep frequencies 0..m, then, for
-    the other lattice axes from last to first (numpy 2.x rfftn order), fft
-    each one in place and keep slots N-m..N-1 followed by 0..m, which is
-    cube order. Up to that point the result equals the cube's part of numpy 2.x's rfftn
-    bit for bit. Last, the xi_n = 0 plane is averaged with its conjugate
-    mirror, so the plane of the returned half is exactly Hermitian.
-    Requires N >= 2m+1.
+
+def _rfftn_half(samples, lattice, times=None):
+    """The xi_n >= 0 half of the cube from real samples on N^n points, or from samples * times.
+
+    samples (and times, of the same shape) has shape (k...,) + (N,)*n, with
+    any number of leading axes k..., each slice of which is transformed on
+    its own. The mirror of _irfftn_half, streamed in slabs of lattice axis
+    0. Per slab: the product with times is formed (when given), the last
+    axis is rfft'd and cut to frequencies 0..m, and the axes n-2 .. 1 (numpy
+    2.x rfftn order) are fft'd in place and cut to slots N-m..N-1 followed
+    by 0..m, which is cube order, into one (k..., N) + (2m+1,)*(n-2) +
+    (m+1,) stage. Then axis 0 of the stage is fft'd in place and cut the
+    same way. A slab's rfft output is no larger than the stage, so neither
+    the whole product grid nor the whole rfft output is ever held. Every
+    line transformed is one that rfftn transforms, so up to here the result
+    equals the cube's part of numpy 2.x's rfftn (of samples * times) bit for
+    bit. Last, the xi_n = 0 plane is averaged with its conjugate mirror, so
+    the plane of the returned half is exactly Hermitian. Requires N >= 2m+1.
     """
-    m = lattice.m
+    m, n = lattice.m, lattice.n
     N = samples.shape[-1]
-    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : m + 1]
-    for axis in range(samples.ndim - 2, samples.ndim - lattice.n - 1, -1):
-        spec = np.fft.fft(a, axis=axis, norm="forward", out=a)
-        lead = (slice(None),) * axis
-        a = np.concatenate(
-            (spec[lead + (slice(N - m, N),)], spec[lead + (slice(0, m + 1),)]), axis=axis
-        )
+    lead = samples.shape[: samples.ndim - n]
+    kept = (2 * m + 1,) * (n - 2) + (m + 1,)  # lattice axes 1 .. n-1, once cut
+    stage = np.empty(lead + (N,) + kept, np.complex128)
+    # rows of axis 0 per slab: the slab's rfft output is no larger than the stage
+    height = max(1, N * math.prod(kept) // (N ** (n - 2) * (N // 2 + 1)))
+
+    def rows(lo, hi):
+        return (..., slice(lo, hi)) + (slice(None),) * (n - 1)
+
+    if times is not None:
+        product = np.empty(lead + (min(height, N),) + (N,) * (n - 1))
+    for lo in range(0, N, height):
+        at = rows(lo, lo + height)  # the last slab may be short
+        slab = samples[at]
+        if times is not None:
+            slab = np.multiply(slab, times[at], out=product[rows(0, slab.shape[-n])])
+        a = np.fft.rfft(slab, axis=-1, norm="forward")[..., : m + 1]
+        if n == 2:
+            stage[at] = a
+        else:  # n = 3: axis 1, its cube's slots straight into the stage
+            _cube_slots(np.fft.fft(a, axis=-2, norm="forward", out=a), -2, m, stage[at])
+    a = np.empty(lead + lattice.shape[:-1] + (m + 1,), np.complex128)
+    _cube_slots(np.fft.fft(stage, axis=-n, norm="forward", out=stage), -n, m, a)
     plane = a[..., :1]  # flipping its length-1 last axis changes nothing
     a[..., :1] = 0.5 * (plane + np.conj(_flip(plane, lattice)))
     return a

@@ -300,7 +300,11 @@ def _divergence_moduli(xis, y, x):
     two maxima.
     """
     n = xis.shape[1]
-    div = TWO_PI * 1j * sum(xis[:, j] * y[..., j] for j in range(n))
+    div = np.zeros(y.shape[:-1], np.complex128)
+    term = np.empty_like(div)
+    for j in range(n):  # in place, in the order of 2*pi*i * (0 + xi_0 y_0 + ... )
+        div += np.multiply(xis[:, j], y[..., j], out=term)
+    np.multiply(TWO_PI * 1j, div, out=div)
     return float(np.max(np.abs(div))), float(np.max(np.abs(x[..., :n])))
 
 

@@ -126,11 +126,15 @@ def test_outside_dimensions_rejected(name, n, tmp_path, capsys, monkeypatch, req
 
 
 @pytest.mark.parametrize(
-    "value", [8.5, 2.0, 3.0, np.float64(2.0)], ids=["8.5", "2.0", "3.0", "float64-2.0"]
+    "value",
+    [8.5, 2.0, 3.0, np.float64(2.0), True, False, np.True_],
+    ids=["8.5", "2.0", "3.0", "float64-2.0", "True", "False", "np.True_"],
 )
 def test_non_integer_sizes_rejected(value):
     # rejected where the lattice or tensor is made: not truncated to an
-    # integer, and not accepted to fail later (2.0 == 2, yet (1,) * 2.0 raises)
+    # integer, and not accepted to fail later (2.0 == 2, yet (1,) * 2.0
+    # raises); a bool is an Integral and True == 1, yet LatticeSpec(2, True)
+    # is not the m = 1 lattice
     n_message = re.escape(f"dimension n={value} is not in DIMENSIONS = {DIMENSIONS}")
     m_message = re.escape(f"truncation bound must be an integer >= 1, got m={value}")
     for call in (lambda: LatticeSpec(value, 3), lambda: make_lattice(value, 3)):

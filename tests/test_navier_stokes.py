@@ -1,7 +1,9 @@
 """Nonlinear term, fixed-point solver, a-priori bound, decay diagnostic."""
 
 import itertools
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +50,11 @@ from tsflow.viscosity import apply_viscosity, make_isotropic
 
 ISO = make_isotropic(0.0, 1.0, 2)
 ISO3 = make_isotropic(0.0, 1.0, 3)
+# From CPython 3.11 a called function takes over its arguments; before, the
+# caller's stack holds them until the call returns, so no solve can drop them.
+HANDS_OVER = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the caller holds a call's arguments before CPython 3.11"
+)
 
 
 def grid_points(N):
@@ -227,6 +234,19 @@ class TestAdvectionOracle:
         lat = make_lattice(2, 3)
         w = vector_field(lat, np.zeros((2,) + lat.shape), is_real=True)
         assert np.all(advection_bruteforce(w).coeffs == 0)
+
+    @pytest.mark.parametrize(
+        "out_m", [4.7, 4.0, np.float64(4.0), True], ids=["4.7", "4.0", "float64-4.0", "True"]
+    )
+    def test_non_integer_band_rejected(self, out_m):
+        # not truncated to the m=4 band, as int() would; numpy integers
+        # pass, as in LatticeSpec
+        w = random_vector_field(61, make_lattice(2, 3), decay=3.0)
+        with pytest.raises(ValueError, match=f"must be an integer, got out_m={out_m}$"):
+            advection_bruteforce(w, out_m=out_m)
+        got = advection_bruteforce(w, out_m=np.int64(4))
+        assert got.lattice.m == 4
+        assert got.coeffs.tobytes() == advection_bruteforce(w, out_m=4).coeffs.tobytes()
 
     @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
     @pytest.mark.parametrize("solenoidal", [False, True])
@@ -591,6 +611,58 @@ class TestPicardSolve:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @HANDS_OVER
+    def test_drops_a_forcing_handed_over(self, monkeypatch):
+        # the forcing is split into the half; once M0 and the mean check
+        # have read it, a forcing that only the call holds dies before the
+        # first pass
+        import weakref
+
+        import tsflow.navier_stokes as ns_mod
+
+        f = small_manufactured(40, amplitude=0.5, m=2, tensor=ISO3).f
+        refs, alive = [], []
+        real_pass = ns_mod._picard_pass
+
+        def traced_pass(*args):
+            alive.append(refs[-1]() is not None)
+            return real_pass(*args)
+
+        def handed_over():
+            copy = replace(f, coeffs=f.coeffs.copy())
+            refs.append(weakref.ref(copy))
+            return copy
+
+        monkeypatch.setattr(ns_mod, "_picard_pass", traced_pass)
+        _, _, report = picard_solve(ISO3, handed_over())
+        assert report.converged and len(alive) == report.iterations > 1
+        assert not any(alive)
+        # a forcing that the caller still holds is seen alive by the same probe
+        alive.clear()
+        held = handed_over()
+        picard_solve(ISO3, held)
+        assert alive and all(alive)
+
+    @HANDS_OVER
+    def test_holds_no_forcing_cube_and_no_product_grid(self):
+        # the solve of test_holds_only_what_the_next_pass_reads, its forcing
+        # (a 1.7 MiB cube) made inside the traced span and handed over: with
+        # the forcing dropped before the first pass and each product
+        # transformed in slabs, the peak is 12.7 MiB; holding the forcing,
+        # each whole product grid and its whole rfft output put it at 15.3 MiB
+        import tracemalloc
+
+        f = small_manufactured(40, amplitude=0.5, m=8, tensor=ISO3).f
+        _, _, report = picard_solve(ISO3, f)  # fills the per-lattice caches
+        assert report.converged and report.iterations > 3
+        tracemalloc.start()
+        try:
+            picard_solve(ISO3, replace(f, coeffs=f.coeffs.copy()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
+
 
 def full_field_picard(tensor, f, opts):
     """The Picard loop on whole fields, the reference of picard_solve's half-stack passes.
@@ -737,7 +809,7 @@ class TestHalfStackPasses:
 
 
 class TestPassCalls:
-    """A Picard pass joins one cube per velocity component and splits one advection cube."""
+    """A Picard pass joins, fills and splits one cube per velocity component."""
 
     NAMES = ("_join", "_split", "_hermitian_from_upper", "grid_transform", "advection")
 
@@ -777,7 +849,7 @@ class TestPassCalls:
             counts[passes] = dict(calls)
         per_pass = {name: counts[4][name] - counts[3][name] for name in self.NAMES}
         assert per_pass == {
-            "_join": n, "_split": 1, "_hermitian_from_upper": 1, "grid_transform": 0, "advection": 0
+            "_join": n, "_split": n, "_hermitian_from_upper": n, "grid_transform": 0, "advection": 0
         }
         assert all(counts[10][k] - counts[3][k] == 7 * per_pass[k] for k in self.NAMES)
         assert counts[3]["grid_transform"] == counts[3]["advection"] == 0

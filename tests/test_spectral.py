@@ -501,6 +501,33 @@ class TestPrunedTransforms:
         assert got.is_real
         assert_same_bits(got.coeffs, full_sampling_transform(samples, lat))
 
+    # (n, m, N, slab heights): one slab, and slabs whose last one is short;
+    # a slab's rfft output is no larger than the (N,) + (2m+1,)*(n-2) + (m+1,) stage
+    SLAB_CASES = [(2, 1, 3, [3]), (2, 8, 25, [17, 8]), (3, 3, 7, [7]), (3, 3, 8, [5, 3])]
+
+    @pytest.mark.parametrize("n, m, N, heights", SLAB_CASES)
+    @pytest.mark.parametrize("lead", [(1,), (3,)])
+    def test_streamed_product_matches_transform_of_product(
+        self, monkeypatch, n, m, N, heights, lead
+    ):
+        # the product formed slab by slab, as the advection kernel's pairs
+        # are, against the transform of the whole product grid
+        lat = make_lattice(n, m)
+        a, b = np.random.default_rng(90 + n).standard_normal((2,) + lead + (N,) * n)
+        ref = _rfftn_half(a * b, lat)
+        slabs, rfft = [], np.fft.rfft
+
+        def spy(x, *args, **kwargs):
+            slabs.append(x.shape[len(lead)])
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        got = _rfftn_half(a, lat, b)
+        assert slabs == heights
+        assert got.shape == lead + lat.shape[:-1] + (m + 1,)
+        assert_same_bits(got, ref)
+        assert_same_bits(ref, full_sampling_transform(a * b, lat)[..., m:])
+
     def test_zero_plane_is_averaged(self):
         # rfftn leaves the xi_n = 0 plane Hermitian only to rounding; the
         # averaged plane must be exactly Hermitian

@@ -76,6 +76,10 @@ STEPS = (
     ("ns-solve-no-dealias", _cli("ns-solve", "--tensor", "A3.txt", "--f", "m3_f.spf",
                                  "--no-dealias", *_out("ns_no_dealias"),
                                  "--report", "ns_no_dealias.txt")),
+    # --project-mean rebinds the forcing to its zero-mean copy before the solve
+    ("ns-solve-project-mean", _cli("ns-solve", "--tensor", "A3.txt", "--f", "m3_f.spf",
+                                   "--project-mean", *_out("ns_project_mean"),
+                                   "--report", "ns_project_mean.txt")),
     ("ns-solve-2d", _cli("ns-solve", "--tensor", "A2.txt", "--f", "m2n_f.spf", *_out("ns2"),
                          "--report", "ns2.txt")),
     # an exactly zero forcing, so every coefficient of the dumps below is a signed zero
