@@ -26,14 +26,13 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _check_dimension,
-    _without_mean,
     divergence,
     make_lattice,
     random_scalar_field,
     random_vector_field,
     sobolev_norm,
 )
-from .stokes import NotSolenoidal, SingularSymbol, solve_stokes
+from .stokes import NotSolenoidal, SingularSymbol, _solve_stokes
 from .viscosity import (
     NotElliptic,
     check_symmetry,
@@ -246,10 +245,26 @@ def _read(path, kind):
     return fld
 
 
+def _buffer(fld):
+    """A writable view of fld's coefficients, for a field that `_read` returned.
+
+    Such a field is a read-only view of the array that `io.read_field` read
+    the dump into, which no one else holds, so the command may overwrite it.
+    """
+    c = fld.coeffs.view()
+    c.flags.writeable = True
+    return c
+
+
 def _read_data(path, kind, project_mean):
-    """The field of _read, its mean dropped (`--project-mean`) when project_mean is set."""
+    """The field of _read; project_mean (`--project-mean`) zeroes its xi = 0 coefficients.
+
+    The mean goes in the buffer that the dump was read into, not in a copy.
+    """
     fld = _read(path, kind)
-    return _without_mean(fld) if project_mean else fld
+    if project_mean:
+        _buffer(fld)[(...,) + fld.lattice.zero_index] = 0.0
+    return fld
 
 
 def _cmd_tensor_check(config):
@@ -276,7 +291,10 @@ def _cmd_stokes_solve(config):
     g = None
     if config.g not in (None, "none"):
         g = _read_data(config.g, "scalar field", config.project_mean)
-    u, p, report = solve_stokes(tensor, f, g, s=config.s)
+    # u and p go into the buffers that f and g were read into (`_solve_stokes`
+    # takes each block's data before it writes that block's solution)
+    p_out = None if g is None else _buffer(g)
+    u, p, report = _solve_stokes(tensor, f, g, config.s, _buffer(f), p_out)
     tio.write_field(config.out, (u, p))
     if config.report:
         tio.write_report(config.report, report.flat_items(), config.echo_items())

@@ -95,6 +95,10 @@ __all__ = [
 ]
 
 OMEGA_FLOOR = 1.0 / 64.0
+# The a-priori bound holds when |u|_1 <= M0 up to this many ulps of M0:
+# relative, so rescaling the data cannot flip the verdict, and above the
+# rounding of a solution that sits on the bound
+BOUND_ULPS = 4
 
 
 class IterationFailure(RuntimeError):
@@ -499,7 +503,8 @@ def picard_solve(tensor, f, opts=None):
             u = SpectralVectorField(lat, _joined(lat, u_h, relaxed), True, divergence_free=True)
             report.converged = True
             report.velocity_norm = seminorm(u, 1.0)
-            report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
+            limit = report.m0 + BOUND_ULPS * np.spacing(report.m0)
+            report.bound_satisfied = bool(report.velocity_norm <= limit)
             report.energy_check = inner(SpectralVectorField(lat, _filled(lat, bu)[0]), u).real
             p_h = -1j * y[:, n]
             return u, SpectralScalarField(lat, _join(lat, p_h, p_h), True), report

@@ -229,11 +229,12 @@ def _check_same_kind(a, b):
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
 
 
-def _nonzero_mean(lattice, coeffs, what):
+def _nonzero_mean(lattice, coeffs, what, stacklevel=3):
     """Whether the xi = 0 entries of (k..., cube) coeffs exceed MEAN_RTOL * max |coeffs|.
 
-    A nonzero mean also raises a NonzeroMeanWarning naming `what`, placed
-    at the caller of the function that asks.
+    A nonzero mean also raises a NonzeroMeanWarning naming `what`, at the
+    frame that `warnings.warn`'s stacklevel counts from here: the default 3
+    is the caller of the function that asks.
     """
     mean = np.max(np.abs(coeffs[(...,) + lattice.zero_index]))
     nonzero = bool(mean > MEAN_RTOL * np.max(np.abs(coeffs)))
@@ -241,7 +242,7 @@ def _nonzero_mean(lattice, coeffs, what):
         warnings.warn(
             f"{what} has a nonzero mean; projecting onto the zero-mean subspace",
             NonzeroMeanWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return nonzero
 
@@ -255,9 +256,13 @@ def _without_mean(fld):
 
 def _check_hermitian(coeffs, lattice):
     # one component at a time, for the maxima over the whole stack: the
-    # temporaries stay one cube whatever the number of components
-    parts = coeffs.reshape((-1,) + lattice.shape)
-    defect = np.max([np.max(np.abs(c - np.conj(_flip(c, lattice)))) for c in parts])
+    # temporaries stay one cube whatever the number of components. Flat
+    # index k holds the negative of size-1-k, and |c(xi) - conj c(-xi)|
+    # has the same bits at xi and -xi, so the flat indices 0..H (xi = 0
+    # included) hold the whole cube's largest defect
+    H = lattice.size // 2
+    parts = coeffs.reshape(-1, lattice.size)
+    defect = np.max([np.max(np.abs(c[: H + 1] - np.conj(c[::-1][: H + 1]))) for c in parts])
     scale = max(np.max([np.max(np.abs(c)) for c in parts]), 1e-300)
     if defect > 1e-12 * scale:
         raise ValueError(f"coefficients are not Hermitian-symmetric (defect {defect:.3e})")

@@ -23,13 +23,17 @@ s or a conditioning check names the offending mode of a singular symbol.
 
 The one Stokes solve is `solve_stokes(tensor, f, g=None, s=1.0)`. It
 streams that half in blocks of _BLOCK modes, building each block's R and
-inverse with `_half_block` and dropping them. With g=None the solve is the
-incompressible one. `_solve_modes` solves stacked symbols at any modes, and
-`solve_mode` is its one-row call. Iterations that apply R and its inverse
-pass after pass (`navier_stokes.picard_solve`) build them once for all H
-modes, as `_half_block` of the whole half. Lattices and tensors exist
-only for n in `spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The
-isotropic closed forms and the per-mode / summed a-priori bounds with constants
+inverse with `_half_block` and dropping them. Its body, `_solve_stokes`,
+writes u and p into arrays that its caller supplies: `solve_stokes` passes
+new ones, and `stokes-solve` the buffers that f and g were read into, since
+each block reads its data rows before it writes the same rows of the
+solution. With g=None the solve is the incompressible one. `_solve_modes`
+solves stacked symbols at any modes, and `solve_mode` is its one-row call.
+Iterations that apply R and its inverse pass after pass
+(`navier_stokes.picard_solve`) build them once for all H modes, as
+`_half_block` of the whole half. Lattices and tensors exist only for n in
+`spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The isotropic closed
+forms and the per-mode / summed a-priori bounds with constants
 
     C_uf = 2*C_A,  C_ug = C_pf = 1 + 2*C_A*||A||,  C_pg = ||A|| * (1 + 2*C_A*||A||)
 
@@ -228,9 +232,10 @@ def _invert(R, xis):
     [[M, adj(A) b], [(adj(A) b)^T, -det A]] / s, M = X A X^T (X v = b x v)
     for n = 3 and M = t t^T (t = (-b_2, b_1)) for n = 2, so no step divides
     by det A, which is zero where relaxed ellipticity leaves A singular.
-    The stack is taken in blocks of _BLOCK modes, each transposed to
-    component-major rows. Raises SingularSymbol naming the first mode whose
-    s is zero, or whose Frobenius condition number is above COND_LIMIT.
+    The stack is taken in blocks of _BLOCK modes, read as component-major
+    views and written entry by entry into the inverse stack. Raises
+    SingularSymbol naming the first mode whose s is zero, or whose
+    Frobenius condition number is above COND_LIMIT.
     """
     H, d = R.shape[:2]
     parts = _BORDERED_PARTS[d - 1]
@@ -239,14 +244,13 @@ def _invert(R, xis):
     # conditioning check rejects without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, H, _BLOCK):
-            r = np.ascontiguousarray(R[lo : lo + _BLOCK].transpose(1, 2, 0))
-            m, c, det, s = parts(r)
+            m, c, det, s = parts(R[lo : lo + _BLOCK].transpose(1, 2, 0))
             zero = s == 0
             if np.any(zero):
                 xi = tuple(int(x) for x in xis[lo + int(np.argmax(zero))])
                 raise SingularSymbol(f"singular symbol at mode {xi}", xi)
             rs = 1.0 / s
-            out = np.empty_like(r)
+            out = inv[lo : lo + _BLOCK].transpose(1, 2, 0)
             for (i, j), v in m.items():
                 np.multiply(v, rs, out=out[i, j])
                 out[j, i] = out[i, j]
@@ -254,7 +258,6 @@ def _invert(R, xis):
                 np.multiply(v, rs, out=out[i, -1])
                 out[-1, i] = out[i, -1]
             np.multiply(det, -rs, out=out[-1, -1])
-            inv[lo : lo + _BLOCK] = out.transpose(2, 0, 1)
         cond2 = np.einsum("bij,bij->b", R, R) * np.einsum("bij,bij->b", inv, inv)
     bad = ~(cond2 <= COND_LIMIT**2)  # also catches nan
     if np.any(bad):
@@ -384,22 +387,40 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     never read. Returns (u, p, report); the zero mode of u and p is exactly
     zero. With g=None the solve is the incompressible one: u is flagged
     divergence_free, and `_check_solenoidal` raises NotSolenoidal if it is
-    not. The checks come first, in the order of `picard_solve`'s.
+    not. The checks come first, in the order of `picard_solve`'s. u and p
+    are new arrays: f and g are never written.
 
     The solve streams the Hermitian half in blocks of _BLOCK modes, each
     built by `_half_block` and dropped, so it holds its inputs, its outputs
-    and one block. A block takes its rows of f and g from the cubes
-    (`spectral._split`). A real field's data is the same in both members of
-    that layout, and so is its solution: one batched product on the half
-    serves both, u(-xi) = conj u(xi). A complex (is_real=False) solve also
-    solves the mirror member. Either way the residual covers every nonzero
-    mode, so a real-flagged field that is Hermitian only to rounding shows
-    its asymmetry there. The rows of u and p land in canonical order
-    (`spectral._join_rows`). The report keeps no per-mode array: the
-    residual, the slack minima (NaN if any slack is, as np.min gives), the
-    estimate verdict and the divergence check are exact maxima and minima
-    over the blocks, so the blocking changes no bit. With g=None the global
-    bound takes |g|_{s-1} = 0 without building a zero field.
+    and one block (`_solve_stokes`, which may write the outputs over the
+    inputs, holds only the inputs and one block). A block takes its rows of
+    f and g from the cubes (`spectral._split`). A real field's data is the
+    same in both members of that layout, and so is its solution: one
+    batched product on the half serves both, u(-xi) = conj u(xi). A complex
+    (is_real=False) solve also solves the mirror member. Either way the
+    residual covers every nonzero mode, so a real-flagged field that is
+    Hermitian only to rounding shows its asymmetry there. The rows of u and
+    p land in canonical order (`spectral._join_rows`). The report keeps no
+    per-mode array: the residual, the slack minima (NaN if any slack is, as
+    np.min gives), the estimate verdict and the divergence check are exact
+    maxima and minima over the blocks, so the blocking changes no bit. With
+    g=None the global bound takes |g|_{s-1} = 0 without building a zero
+    field.
+    """
+    return _solve_stokes(tensor, f, g, s, stacklevel=4)
+
+
+def _solve_stokes(tensor, f, g, s, u=None, p=None, stacklevel=3):
+    """solve_stokes, writing u and p into the given arrays (new ones for None).
+
+    u and p are C-contiguous complex128 arrays of the shapes of f.coeffs and
+    of the lattice. They may be the buffers under f.coeffs and g.coeffs, as
+    `stokes-solve` hands over the arrays its dumps were read into: the mean
+    checks and |f|_{s-2}, |g|_{s-1} are taken before the first block, and
+    each block copies its rows of f and g, and their mirrors, before it
+    writes u and p to exactly those rows. f and g then hold u and p. The
+    mean warnings' stacklevel counts from `_nonzero_mean`: 3 names the line
+    that calls this function, 4 the line that calls `solve_stokes`.
     """
     lattice = f.lattice
     constants = _checked_constants(tensor, lattice)
@@ -407,13 +428,17 @@ def solve_stokes(tensor, f, g=None, s=1.0):
         raise ValueError(f"divergence data lattice {g.lattice} does not match {lattice}")
     # a nonzero mean is only flagged: no step below reads xi = 0 (_split
     # stops before it, u and p are 0 there, the seminorms skip it)
-    removed_f = _nonzero_mean(lattice, f.coeffs, "stokes forcing")
-    removed_g = g is not None and _nonzero_mean(lattice, g.coeffs, "divergence data")
+    removed_f = _nonzero_mean(lattice, f.coeffs, "stokes forcing", stacklevel)
+    removed_g = g is not None and _nonzero_mean(
+        lattice, g.coeffs, "divergence data", stacklevel
+    )
     is_real = f.is_real and (g is None or g.is_real)
+    data_norms = _data_norms(f, g, s)
     n, H = lattice.n, lattice.size // 2
-    u = np.empty((n, 2 * H + 1), np.complex128)
-    p = np.empty(2 * H + 1, np.complex128)
-    u[:, H] = p[H] = 0.0
+    u = np.empty((n,) + lattice.shape, np.complex128) if u is None else u
+    p = np.empty(lattice.shape, np.complex128) if p is None else p
+    u_flat, p_flat = u.reshape(n, -1), p.reshape(-1)
+    u_flat[:, H] = p_flat[H] = 0.0
     fits, divergences, minima, estimates_ok = [], [], [], True
     for lo in range(0, H, _BLOCK):
         hi = min(lo + _BLOCK, H)
@@ -439,8 +464,8 @@ def solve_stokes(tensor, f, g=None, s=1.0):
         # members go through one pass, a real solve's one solution once
         if g is None:
             divergences.append(_divergence_moduli(xis, z, x))
-        _join_rows(u, y[:, :n], y_mirror[:, :n], lo)
-        _join_rows(p, -1j * y[:, n], -1j * y_mirror[:, n], lo)
+        _join_rows(u_flat, y[:, :n], y_mirror[:, :n], lo)
+        _join_rows(p_flat, -1j * y[:, n], -1j * y_mirror[:, n], lo)
         su, sp, bound_u, bound_p = _mode_slacks(constants, xis, x, z)
         # each mode's slack is held to its own bound, so rescaling the data
         # cannot flip the verdict
@@ -448,14 +473,17 @@ def solve_stokes(tensor, f, g=None, s=1.0):
             np.all(su >= -ESTIMATE_RTOL * bound_u) and np.all(sp >= -ESTIMATE_RTOL * bound_p)
         )
         minima.append((np.min(su), np.min(sp)))
+        # the next block's setup reads none of these
+        del xis, R, inv, x, y, y_mirror, z, su, sp, bound_u, bound_p
     if g is None:
         _check_solenoidal(*np.max(divergences, axis=0))
     # per member, the largest defect over the largest |x| of the whole half
     defects, scales = np.max(fits, axis=0).T
     residual = max(float(d) / max(float(x_max), 1e-300) for d, x_max in zip(defects, scales))
     min_u, min_p = np.min(minima, axis=0).tolist()
-    u = SpectralVectorField(lattice, u.reshape(f.coeffs.shape), is_real, divergence_free=g is None)
-    p = SpectralScalarField(lattice, p.reshape(lattice.shape), is_real)
+    u = SpectralVectorField(lattice, u, is_real, divergence_free=g is None)
+    p = SpectralScalarField(lattice, p, is_real)
+    norms = seminorm(u, s), seminorm(p, s - 1.0)
     return u, p, StokesSolveReport(
         s=s,
         n_modes=lattice.size - 1,
@@ -464,7 +492,7 @@ def solve_stokes(tensor, f, g=None, s=1.0):
         min_slack_u=min_u,
         min_slack_p=min_p,
         estimates_ok=estimates_ok,
-        global_bound=_global_slack(constants, s, *_seminorms(u, p, f, g, s)),
+        global_bound=_global_slack(constants, s, *norms, *data_norms),
         mean_removed_f=removed_f,
         mean_removed_g=removed_g,
     )
@@ -517,13 +545,13 @@ def global_estimate_slack(tensor, u, p, f, g, s):
     The extra sqrt(2) factors absorb the mode-weight ratio rho^2/|xi|^2 <= 2.
     g=None is the incompressible case, |g|_{s-1} = 0, as in `solve_stokes`.
     """
-    return _global_slack(estimate_constants(tensor), s, *_seminorms(u, p, f, g, s))
+    norms = seminorm(u, s), seminorm(p, s - 1.0)
+    return _global_slack(estimate_constants(tensor), s, *norms, *_data_norms(f, g, s))
 
 
-def _seminorms(u, p, f, g, s):
-    """|u|_s, |p|_{s-1}, |f|_{s-2} and |g|_{s-1}, the last 0.0 for g=None."""
-    norms = seminorm(u, s), seminorm(p, s - 1.0), seminorm(f, s - 2.0)
-    return norms + (0.0 if g is None else seminorm(g, s - 1.0),)
+def _data_norms(f, g, s):
+    """|f|_{s-2} and |g|_{s-1}, the latter 0.0 for g=None."""
+    return seminorm(f, s - 2.0), 0.0 if g is None else seminorm(g, s - 1.0)
 
 
 def _global_slack(constants, s, norm_u, norm_p, norm_f, norm_g):

@@ -11,7 +11,7 @@ import pytest
 import tsflow
 from tsflow import cli
 from tsflow.cli import UsageError, main, parse_config
-from tsflow.harness import manufacture
+from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.io import read_field, write_field, write_tensor
 from tsflow.spectral import (
     DIMENSIONS,
@@ -550,6 +550,104 @@ class TestStokesCommands:
             expected = f"error: {bad}: dimension n={n} is not in DIMENSIONS = {DIMENSIONS}\n"
             assert capsys.readouterr().err == expected
             assert not out.exists()
+
+
+class TestStokesSolveInPlace:
+    """`stokes-solve` writes u and p into the buffers that f and g were read into."""
+
+    @staticmethod
+    def _files(tmp_path, n, case):
+        """(argv, tensor path, f path, g path or None) of one stokes-solve run."""
+        lat = make_lattice(n, 5 if n == 2 else 3)
+        tensor = tmp_path / "A.txt"
+        write_tensor(tensor, random_elliptic_tensor(60 + n, n))
+        f = random_vector_field(61, lat, decay=2.0, zero_mean=case != "project-mean")
+        g = random_scalar_field(62, lat, decay=2.0, zero_mean=case != "project-mean")
+        if case == "complex":
+            f = f + 1j * random_vector_field(63, lat, decay=2.0)
+            g = g + 1j * random_scalar_field(64, lat, decay=2.0)
+        write_field(tmp_path / "f.spf", f)
+        argv = ["stokes-solve", "--tensor", str(tensor), "--f", str(tmp_path / "f.spf"),
+                "--out", str(tmp_path / "cli.spf"), "--report", str(tmp_path / "cli.txt")]
+        g_path = None
+        if case != "no-g":
+            g_path = tmp_path / "g.spf"
+            write_field(g_path, g)
+            argv += ["--g", str(g_path)]
+        if case == "project-mean":
+            argv.append("--project-mean")
+        return argv, tensor, tmp_path / "f.spf", g_path
+
+    @pytest.mark.parametrize("n", DIMENSIONS)
+    @pytest.mark.parametrize("case", ["g", "no-g", "complex", "project-mean"])
+    def test_dump_and_report_match_the_public_solve(self, n, case, tmp_path):
+        from tsflow.io import read_tensor, write_report
+        from tsflow.spectral import _without_mean
+
+        argv, tensor, f_path, g_path = self._files(tmp_path, n, case)
+        assert main(argv) == 0
+        f, g = read_field(f_path), None if g_path is None else read_field(g_path)
+        if case == "project-mean":
+            assert not (f.zero_mean or g.zero_mean)
+            f, g = _without_mean(f), _without_mean(g)
+        u, p, report = solve_stokes(read_tensor(tensor), f, g)
+        write_field(tmp_path / "api.spf", (u, p))
+        write_report(tmp_path / "api.txt", report.flat_items(), parse_config(argv).echo_items())
+        for ext in ("spf", "txt"):
+            cli_bytes = (tmp_path / f"cli.{ext}").read_bytes()
+            assert cli_bytes == (tmp_path / f"api.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("case", ["g", "no-g"])
+    def test_solution_shares_the_buffers_of_the_data(self, case, tmp_path, monkeypatch):
+        argv, *_ = self._files(tmp_path, 3, case)
+        read, written, real_read = [], [], cli.tio.read_field
+
+        def reading(path):
+            read.append(real_read(path))
+            return read[-1]
+
+        monkeypatch.setattr(cli.tio, "read_field", reading)
+        monkeypatch.setattr(cli.tio, "write_field", lambda path, fld: written.append(fld))
+        assert main(argv) == 0
+        (u, p), = written
+        assert np.shares_memory(u.coeffs, read[0].coeffs)
+        if case == "g":
+            assert np.shares_memory(p.coeffs, read[1].coeffs)
+        assert not np.shares_memory(u.coeffs, p.coeffs)
+
+    def test_peak_is_below_the_public_path_by_the_solution(self, tmp_path):
+        # at n=3, m=16 u and p take (n+1) cubes; the command holds them in
+        # the data's buffers, so its traced peak is lower by about as much
+        import tracemalloc
+
+        from tsflow.io import read_tensor
+
+        n, m = 3, 16
+        lat = make_lattice(n, m)
+        write_tensor(tmp_path / "A.txt", random_elliptic_tensor(65, n))
+        write_field(tmp_path / "f.spf", random_vector_field(66, lat, decay=2.0))
+        write_field(tmp_path / "g.spf", random_scalar_field(67, lat, decay=2.0))
+        argv = ["stokes-solve", "--tensor", str(tmp_path / "A.txt"),
+                "--f", str(tmp_path / "f.spf"), "--g", str(tmp_path / "g.spf"),
+                "--out", str(tmp_path / "o.spf")]
+
+        def public():
+            f, g = read_field(tmp_path / "f.spf"), read_field(tmp_path / "g.spf")
+            u, p, _ = solve_stokes(read_tensor(tmp_path / "A.txt"), f, g)
+            write_field(tmp_path / "o.spf", (u, p))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(argv)  # first-call caches are not part of either peak
+        public_peak = peak(public)
+        cli_peak = peak(lambda: main(argv))
+        assert public_peak - cli_peak >= 0.9 * (n + 1) * lat.size * 16
 
 
 class TestNSCommands:

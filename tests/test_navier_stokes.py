@@ -10,6 +10,7 @@ import pytest
 
 from tsflow.harness import manufacture, random_elliptic_tensor
 from tsflow.navier_stokes import (
+    BOUND_ULPS,
     OMEGA_FLOOR,
     _advection,
     _advection_upper,
@@ -493,6 +494,25 @@ class TestPicardSolve:
         assert report.converged
         assert sobolev_norm(u - prob.u_star, 1.0) <= 1e-8
 
+    def test_bound_verdict_is_relative_to_m0(self, monkeypatch):
+        # |u|_1 is 0.74 M0 on this data. At 1e-20 an absolute slack of 1e-9
+        # would let |u|_1 pass a bound of M0/2; a few ulps of M0 do not
+        import tsflow.navier_stokes as ns
+
+        f = small_manufactured(10).f
+        real = ns.apriori_velocity_bound
+        monkeypatch.setattr(ns, "apriori_velocity_bound", lambda t, f: 0.5 * real(t, f))
+        _, _, report = picard_solve(ISO, 1e-20 * f)
+        assert report.converged and report.velocity_norm > report.m0
+        assert report.velocity_norm <= report.m0 + 1e-9
+        assert not report.bound_satisfied
+        monkeypatch.undo()
+        # at 1e20 the first pass is taken (a tolerance it meets: the absolute
+        # tol cannot be met there), and |u|_1 <= M0 still holds
+        _, _, report = picard_solve(ISO, 1e20 * f, NSSolveOptions(tol=1e300))
+        assert report.converged and report.iterations == 1
+        assert report.velocity_norm <= report.m0 and report.bound_satisfied
+
     def test_energy_check_recorded(self):
         prob = small_manufactured(12)
         _, _, report = picard_solve(ISO, prob.f)
@@ -698,7 +718,8 @@ def full_field_picard(tensor, f, opts):
         if res <= opts.tol:
             report.converged = True
             report.velocity_norm = seminorm(u, 1.0)
-            report.bound_satisfied = report.velocity_norm <= report.m0 + 1e-9
+            limit = report.m0 + BOUND_ULPS * np.spacing(report.m0)
+            report.bound_satisfied = bool(report.velocity_norm <= limit)
             report.energy_check = inner(bu, u).real
             return u, p_lin, report
         if res > prev:

@@ -15,6 +15,7 @@ from tsflow.spectral import (
     NonzeroMeanWarning,
     SpectralScalarField,
     SpectralVectorField,
+    _check_hermitian,
     _flip,
     _half_modes,
     _hermitian_from_upper,
@@ -639,6 +640,39 @@ class TestStackedHelpers:
                 else:
                     with pytest.raises(ValueError, match="not Hermitian"):
                         vector_field(lat, bad, is_real=True)
+
+    @staticmethod
+    def _whole_cube_defect(c, lat):
+        """The Hermitian defect over every mode of every component."""
+        return max(np.max(np.abs(x - np.conj(_flip(x, lat)))) for x in c)
+
+    @pytest.mark.parametrize("n", DIMENSIONS)
+    @pytest.mark.parametrize("where", ["last", "mean"])
+    def test_hermitian_check_reads_half_the_cube(self, n, where):
+        # a defect only at the last flat index, xi = (m, ..., m), or only in
+        # Im c(0) is still found from the half, with the whole cube's value
+        lat = make_lattice(n, 3)
+        c = random_vector_field(40 + n, lat, decay=1.0).coeffs.copy()
+        if where == "last":
+            c.reshape(n, -1)[-1, -1] += 1e-6 * (1 + 2j)
+        else:
+            c[(0,) + lat.zero_index] += 1e-6j
+        defect = self._whole_cube_defect(c, lat)
+        assert defect > 0
+        with pytest.raises(ValueError, match=f"not Hermitian-symmetric \\(defect {defect:.3e}\\)$"):
+            _check_hermitian(c, lat)
+
+    @pytest.mark.parametrize("n", DIMENSIONS)
+    def test_hermitian_half_defect_is_the_whole_cube_maximum(self, n):
+        # |c(xi) - conj c(-xi)| has the same bits at xi and -xi, so the flat
+        # indices 0..H hold the whole cube's maximum bit for bit
+        lat = make_lattice(n, 4)
+        rng = np.random.default_rng(7 + n)
+        H = lat.size // 2
+        draws = rng.standard_normal((5, lat.size)) + 1j * rng.standard_normal((5, lat.size))
+        for c in draws:
+            half = np.max(np.abs(c[: H + 1] - np.conj(c[::-1][: H + 1])))
+            assert half == self._whole_cube_defect(c.reshape((1,) + lat.shape), lat)
 
 
 # Reference code: the per-type implementations that the shared helpers of

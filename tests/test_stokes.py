@@ -28,6 +28,7 @@ from tsflow.stokes import (
     ZeroMode,
     _checked_constants,
     _half_block,
+    _solve_stokes,
     assemble_symbol,
     estimate_constants,
     global_estimate_slack,
@@ -547,7 +548,7 @@ class TestHalfCubeSolve:
             stokes_mod, "seminorm", lambda fld, s: measured.append(fld) or real(fld, s)
         )
         u1, p1, r1 = solve_stokes(A, f)
-        assert measured == [u1, p1, f]
+        assert measured == [f, u1, p1]  # the data norms come before the loop
         u2, p2, r2 = solve_stokes(A, f, scalar_field(lat, np.zeros(lat.shape), is_real=True))
         for a, b in ((u1, u2), (p1, p2)):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
@@ -655,6 +656,44 @@ class TestStreamedSolve:
         whole = solve_stokes(A, f, g)
         monkeypatch.setattr(stokes_mod, "_BLOCK", block)
         _assert_same_solve(solve_stokes(A, f, g), whole)
+
+    @pytest.mark.parametrize("with_g", [True, False])
+    @pytest.mark.parametrize("is_real", [True, False])
+    @pytest.mark.parametrize("n, m", CASES)
+    @pytest.mark.parametrize("block", [5, 7])
+    def test_in_place_solve_changes_no_bit(self, monkeypatch, block, n, m, is_real, with_g):
+        # u and p written over the data's own buffers, block after block:
+        # each block copies its rows and their mirrors before it writes them
+        import tsflow.stokes as stokes_mod
+
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(30 + n, n)
+        f, g = self._data(lat, 31 + n, is_real, with_g)
+        whole = solve_stokes(A, f, g)
+        monkeypatch.setattr(stokes_mod, "_BLOCK", block)
+        u_buf = np.array(f.coeffs)  # writable; the fields below are views of it
+        p_buf = None if g is None else np.array(g.coeffs)
+        f = SpectralVectorField(lat, u_buf[...], f.is_real)
+        g = None if g is None else SpectralScalarField(lat, p_buf[...], g.is_real)
+        solved = _solve_stokes(A, f, g, 1.0, u_buf, p_buf)
+        _assert_same_solve(solved, whole)
+        assert np.shares_memory(solved[0].coeffs, u_buf)
+        assert p_buf is None or np.shares_memory(solved[1].coeffs, p_buf)
+
+    @pytest.mark.parametrize("with_g", [True, False])
+    @pytest.mark.parametrize("is_real", [True, False])
+    def test_public_solve_never_writes_its_data(self, monkeypatch, is_real, with_g):
+        # solve_stokes allocates its outputs: f and g keep every bit
+        import tsflow.stokes as stokes_mod
+
+        lat = make_lattice(3, 3)
+        f, g = self._data(lat, 37, is_real, with_g)
+        data = [fld for fld in (f, g) if fld is not None]
+        before = [fld.coeffs.tobytes() for fld in data]
+        monkeypatch.setattr(stokes_mod, "_BLOCK", 5)
+        u, p, _ = solve_stokes(random_elliptic_tensor(38, 3), f, g)
+        assert [fld.coeffs.tobytes() for fld in data] == before
+        assert not any(np.shares_memory(a.coeffs, b.coeffs) for a in (u, p) for b in data)
 
     @pytest.mark.parametrize("with_g", [True, False])
     @pytest.mark.parametrize("is_real", [True, False])

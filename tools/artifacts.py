@@ -68,6 +68,15 @@ STEPS = (
                             "--report", "stokes_g.txt")),
     ("stokes-solve", _cli("stokes-solve", "--tensor", "A2.txt", "--f", "m2_f.spf",
                           "--out", "stokes.spf", "--report", "stokes.txt")),
+    # the solve writes u and p over the buffers that f and g were read into:
+    # at n = 3 over two blocks of modes, and over a buffer whose mean was zeroed
+    ("stokes-solve-3d", _cli("stokes-solve", "--tensor", "A3.txt", "--f", "m3_f.spf",
+                             "--g", "m3_g.spf", "--out", "stokes_3d.spf",
+                             "--report", "stokes_3d.txt")),
+    ("stokes-solve-project-mean", _cli("stokes-solve", "--tensor", "A2.txt", "--f", "m2_f.spf",
+                                       "--g", "m2_g.spf", "--project-mean",
+                                       "--out", "stokes_project_mean.spf",
+                                       "--report", "stokes_project_mean.txt")),
     ("ns-solve", _cli("ns-solve", "--tensor", "A3.txt", "--f", "m3_f.spf", *_out("ns"),
                       "--report", "ns.txt")),
     ("ns-solve-zero", _cli("ns-solve", "--tensor", "A3.txt", "--f", "m3_f.spf",
