@@ -27,13 +27,14 @@ from .navier_stokes import _advection, _bound_ratios, advection, advection_brute
 from .spectral import (
     SpectralVectorField,
     _divergence,
+    _cube_from_rows,
+    _flat,
     _gradient,
-    _half_modes,
     _irfftn_half,
-    _join,
+    _modes,
     _random_scalars,
     _random_vectors,
-    _split,
+    _rows,
     _squares,
     _symmetric_gradient,
     _weighted_norms,
@@ -476,13 +477,17 @@ def _suite_isotropic(seed, m, n, draws):
 def _suite_stokes_roundtrip(seed, m, n, draws):
     lat = make_lattice(n, m)
     iso = make_isotropic(0.0, 1.0, n)  # one object: its ellipticity constant is cached
-    H = lat.size // 2
-    xis = _half_modes(lat, 0, H)
+    at = _rows(lat, 0, 2 * m + 1)
+    keep, xis = _modes(lat, at)
+
+    def half(c):
+        """The (U, k...) stack of a (k..., cube) stack at the upper half's nonzero modes."""
+        return np.moveaxis(_flat(c[at], lat)[..., keep], -1, 0)
 
     def block(cases):
         # manufacture and solve every case of the block at once, on the
-        # Hermitian half with the mode axis first (row (h, c) is mode h of
-        # case c); the data is exactly Hermitian, so the half has every modulus
+        # upper half with the mode axis first (row (h, c) is mode h of case
+        # c); the data is exactly Hermitian, so the half has every modulus
         k = len(cases)
         tensors = [iso if i % 2 == 0 else random_elliptic_tensor(seed + 500 + i, n) for i in cases]
         u_star = _random_vectors([seed + 2 * i for i in cases], lat, decay=3.0)
@@ -491,19 +496,17 @@ def _suite_stokes_roundtrip(seed, m, n, draws):
         # f = -(viscous term of u* - grad p*) and g = div u*, as `manufacture`
         # forms them; the velocity blocks are made contiguous, the layout in
         # which `apply_viscosity` multiplies them
-        uk = _split(lat, u_star, np.empty((1, H, k, n), np.complex128))
-        viscous = _apply_blocks(np.ascontiguousarray(R[..., :n, :n]), uk)[0]
-        f = -1.0 * (_join(lat, viscous, viscous) + -1.0 * _gradient(lat, p_star))
+        uk = np.ascontiguousarray(half(u_star))
+        viscous = _apply_blocks(np.ascontiguousarray(R[..., :n, :n]), uk)
+        f = -1.0 * (_cube_from_rows(viscous, keep, lat) + -1.0 * _gradient(lat, p_star))
         g = _divergence(lat, u_star)
-        fk = _split(lat, f, np.empty((1, H, k, n), np.complex128))[0]
-        gk = _split(lat, g, np.empty((1, H, k), np.complex128))[0]
-        uhat, phat, x, y = _solve_modes(R, xis[:, None], fk, gk)
+        uhat, phat, x, y = _solve_modes(R, xis[:, None], half(f), half(g))
         constants = [estimate_constants(t) for t in tensors]
         per_case = {key: np.array([c[key] for c in constants]) for key in constants[0]}
         slacks = _mode_slacks(per_case, xis[:, None], x, y)[:2]
         min_u, min_p = (a.min(axis=0).tolist() for a in slacks)
-        u = _join(lat, uhat, uhat)
-        p = _join(lat, phat, phat)
+        u = _cube_from_rows(uhat, keep, lat)
+        p = _cube_from_rows(phat, keep, lat)
 
         def norms(stack, s):
             return _weighted_norms(lat, _squares(lat, stack), s).tolist()

@@ -19,20 +19,19 @@ lattice convolution (quadratic products of cube-truncated fields live on the
 doubled cube; 3m+1 points leave the inner cube alias-free). A direct
 convolution oracle is kept alongside.
 
-The solver factors the Stokes symbols of the tensor once, on the Hermitian
-half of the forcing's cube (`stokes._half_block`), as the solution
+The solver factors the Stokes symbols of the tensor once, on the upper half
+xi_n >= 0 of the forcing's cube (`stokes._blocks`), as the solution
 operator S, and iterates
 
     u_next = (1 - omega) * u + omega * S(f - (u . grad) u)
 
 with adaptive halving of omega whenever the defect grows, and stops when the
 defect of the momentum equation, measured in the H^{-1} norm, drops below the
-requested tolerance. The forcing is split into the Hermitian half of the
-cube once and then dropped. Each pass keeps the iterate on that half, and
-joins, samples, fills and splits one velocity component's cube at a time,
-as `picard_solve` describes. Converged velocities are checked against the
-a-priori bound M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution
-satisfies.
+requested tolerance. The forcing's upper half is taken once and the forcing
+dropped. Each pass keeps the iterate on that half, the layout of the real
+FFTs, so it goes to the samples and back with no cube, as `picard_solve`
+describes. Converged velocities are checked against the a-priori bound
+M0 = C_A * |f|_{H^{-1}} / pi^2 that any true solution satisfies.
 """
 
 from __future__ import annotations
@@ -49,13 +48,13 @@ from .spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _abs2_sum,
-    _hermitian_from_upper,
+    _cube_from_rows,
+    _cube_from_upper,
+    _flat,
     _irfftn_half,
     _is_integer,
-    _join,
     _nonzero_mean,
     _rfftn_half,
-    _split,
     _squares,
     _weighted_norms,
     _without_mean,
@@ -66,16 +65,15 @@ from .spectral import (
     inner,
     mode_abs2,
     restrict_field,
-    rho2,
     seminorm,
     sobolev_norm,
 )
 from .stokes import (
     _apply_inverses,
+    _blocks,
     _check_solenoidal,
     _checked_constants,
     _divergence_moduli,
-    _half_block,
 )
 from .viscosity import _apply_blocks, ellipticity_constant, stokes_operator
 
@@ -200,9 +198,12 @@ def _advection(lattice, w_grid, div_grid=None):
     """(w . grad) w from the (k, n, N^n) grid samples of k real fields w, as `advection` forms it.
 
     The (k, n, cube) stack of `_advection_upper`'s halves, filled by
-    conjugation, so slice i is advection of field i bit for bit.
+    conjugation + 0.0 (the +0 that a sum over the whole cube leaves where
+    conjugation leaves -0), so slice i is advection of field i bit for bit.
     """
-    return _filled(lattice, _advection_upper(lattice, w_grid, div_grid))
+    out = _cube_from_upper(_advection_upper(lattice, w_grid, div_grid), lattice)
+    out[..., : lattice.m] += 0.0
+    return out
 
 
 def _advection_upper(lattice, w_grid, div_grid=None):
@@ -244,18 +245,6 @@ def _upper_derivatives(lattice):
     for a in d:
         a.setflags(write=False)
     return d
-
-
-def _filled(lattice, upper):
-    """The cube of an `_advection_upper` stack, its xi_n < 0 half filled by conjugation."""
-    m = lattice.m
-    out = np.empty(upper.shape[: upper.ndim - lattice.n] + lattice.shape, np.complex128)
-    out[..., m:] = upper
-    _hermitian_from_upper(out, lattice)
-    # + 0.0 turns the conjugates' -0 imaginary parts into the +0 that a sum
-    # over the full cube leaves there
-    out[..., :m] += 0.0
-    return out
 
 
 def advection_bruteforce(w, out_m=None):
@@ -352,126 +341,118 @@ def residual(tensor, u, p, f):
 
 
 class _PicardHalf(NamedTuple):
-    """What every Picard pass reads, on the H modes before xi = 0.
+    """What every Picard pass reads: a row per nonzero mode of the upper half xi_n >= 0.
 
-    From one `_half_block`: the modes xis, the (H, n, n) velocity blocks of
-    the symbols (all that the defect reads of them) and the inverses.
-    Beside them the H^{-1} weights, the split forcing f_h (the forcing's
-    cube is not kept), the buffer x of D^-1 (f - (u . grad) u, 0), whose
-    velocity rows take the gap u - y once the linear solve has read them,
-    and the one (1, n, N^n) sample buffer w_grid, reused by every pass
-    rather than allocated and faulted in again.
+    keep lists the modes and after marks the rows that hold their mirrors
+    (`stokes._blocks`): the members xis, velocity blocks and inverses. The
+    H^{-1} weights, the forcing f_h at xis, the buffer x of D^-1 (f -
+    (u . grad) u, 0), whose velocity rows then take the gap u - y, and the
+    buffers of one component's upper half and of the samples are reused.
     """
 
     lattice: LatticeSpec
+    keep: np.ndarray
+    after: np.ndarray
     xis: np.ndarray
     blocks: np.ndarray
     inverses: np.ndarray
     weights: np.ndarray
     f_h: np.ndarray
     x: np.ndarray
+    upper: np.ndarray
     w_grid: np.ndarray
 
 
 def _picard_half(tensor, f, N):
     """The _PicardHalf of a solve of f on an N-point product grid; f must be real."""
-    lat = f.lattice
-    xis, symbols, inverses = _half_block(tensor, lat, 0, lat.size // 2)
     if not f.is_real:
         raise ValueError("forcing must be a real field")
-    n, H = lat.n, len(xis)
-    blocks = np.ascontiguousarray(symbols[:, :n, :n])
-    del symbols  # the whole (H, n+1, n+1) stack, before the buffers below
-    x = np.zeros((H, n + 1), np.complex128)
-    _split(lat, f.coeffs, x[None, :, :n])
-    weights = rho2(lat).reshape(-1)[:H] ** -1.0
+    lat = f.lattice
+    n, m = lat.n, lat.m
+    U = lat.size // (2 * m + 1) * (m + 1) - 1  # the upper half but xi = 0
+    after, xis = np.empty(U, bool), np.empty((U, n))
+    blocks, inverses = np.empty((U, n, n)), np.empty((U, n + 1, n + 1))
+    lo = 0
+    for _, _, block_after, block_xis, R, inv in _blocks(tensor, lat):
+        rows = slice(lo, lo + len(block_xis))
+        after[rows], xis[rows], blocks[rows] = block_after, block_xis, R[:, :n, :n]
+        inverses[rows] = inv
+        lo = rows.stop
+    keep = np.ones(U + 1, bool)
+    keep[(2 * m + 1) ** (n - 1) // 2 * (m + 1)] = False  # xi = 0, amid the xi_n = 0 plane
+    x = np.zeros((U, n + 1), np.complex128)
+    x[:, :n] = f.coeffs[(slice(None),) + tuple((xis + m).astype(int).T)].T  # f at the modes solved
+    # 1 / rho^2, twice off the xi_n = 0 plane: there a mode stands for its mirror too
+    weights = (1.0 + np.einsum("ij,ij->i", xis, xis)) ** -1.0
+    weights[xis[:, -1] != 0.0] *= 2.0
+    upper = np.zeros(lat.shape[:-1] + (m + 1,), np.complex128)
     w_grid = np.empty((1, n) + (N,) * n)
-    return _PicardHalf(lat, xis, blocks, inverses, weights, x[:, :n].copy(), x, w_grid)
+    return _PicardHalf(
+        lat, keep, after, xis, blocks, inverses, weights, x[:, :n].copy(), x, upper, w_grid
+    )
+
+
+def _listed(after, rows):
+    """The (U, k...) rows of the listed modes from those of the members solved: conjugated after."""
+    return np.where(after.reshape((-1,) + (1,) * (rows.ndim - 1)), np.conj(rows), rows)
 
 
 def _linear(half):
-    """The half of S applied to half.x: velocity and pressure rows, checked solenoidal."""
+    """S applied to half.x, checked solenoidal if finite: else the defect shows the overflow."""
     y = _apply_inverses(half.inverses, half.x)
-    _check_solenoidal(*_divergence_moduli(half.xis, y, half.x))
+    divergence, scale = _divergence_moduli(half.xis, y, half.x)
+    if np.isfinite(scale):
+        _check_solenoidal(divergence, scale)
     return y
 
 
-def _joined(lattice, u_h, relaxed):
-    """The (k..., cube) coefficients of the iterate from its (H, k...) flat half u_h.
+def _picard_pass(half, u_h):
+    """One pass from the iterate u_h on the half's rows: (y, bu, defect).
 
-    Conjugation leaves -0 imaginary parts at exact zeros of the mirror,
-    where relaxing the whole field (or the zero field) gives +0; once the
-    iterate is relaxed, + 0.0 keeps those bits. The Stokes guess is used as
-    joined.
-    """
-    cube = _join(lattice, u_h, u_h)
-    if relaxed:
-        cube += 0.0
-    return cube
-
-
-def _picard_pass(half, u_h, relaxed):
-    """One pass from the iterate's flat half u_h: (y, bu, defect).
-
-    y is the half of S (f - (u . grad) u), bu the kernel's xi_n >= 0 half
+    y is S (f - (u . grad) u) on those rows, bu the kernel's xi_n >= 0 half
     of (u . grad) u, and defect the H^{-1} norm of the momentum defect.
     Everything else the pass makes dies when it returns.
     """
-    lat, n, m = half.lattice, half.lattice.n, half.lattice.m
-    for j, out in enumerate(half.w_grid[0]):  # one component's cube at a time
-        _irfftn_half(_joined(lat, u_h[:, j], relaxed)[..., m:], lat, out.shape[-1], out=out)
+    lat, n = half.lattice, half.lattice.n
+    for j, out in enumerate(half.w_grid[0]):  # one component's upper half at a time
+        _flat(half.upper, lat)[half.keep] = _listed(half.after, u_h[:, j])
+        _irfftn_half(half.upper, lat, out.shape[-1], out=out)
     bu = _advection_upper(lat, half.w_grid)
-    # the kernel's upper half holds no -0, so the fill's + 0.0 reaches only
-    # the conjugates; each component's cube dies once its half is split into x
     rhs = half.x[:, :n]
     for k in range(n):
-        _split(lat, _filled(lat, bu[0, k]), rhs[None, :, k])
+        # a row after xi = 0 takes its mirror's, conjugated + 0.0 as `_advection` fills it
+        b = _flat(bu[0, k], lat)[half.keep]
+        rhs[:, k] = np.where(half.after, np.conj(b) + 0.0, b)
     np.subtract(half.f_h, rhs, out=rhs)
     y = _linear(half)
     # the pressure gradient cancels in the defect, leaving the viscous
     # operator applied to the gap between u and the linear solution, formed
-    # in the spent right-hand side; the mirrored half has the same squares
-    # and xi = 0 holds none
+    # in the spent right-hand side; the weights count the mirrors
     gap = np.subtract(u_h, y[:, :n], out=rhs)
     defect2 = _abs2_sum(_apply_blocks(half.blocks, gap).T)
-    return y, bu, float(np.sqrt(2.0 * np.sum(half.weights * defect2)))
+    return y, bu, float(np.sqrt(np.sum(half.weights * defect2)))
 
 
 def picard_solve(tensor, f, opts=None):
     """Damped fixed-point solve of the incompressible nonlinear system.
 
-    Every pass runs on the Hermitian half (`spectral._split`), the layout
-    of one `stokes._half_block` call that factors the symbols of all H
-    modes before xi = 0: (H, n) stacks, the other half following by
-    conjugation, since every field here is real. The forcing is split once,
-    and the solve drops its reference to f once M0 and the mean check have
-    read it, so a forcing handed over as a temporary dies before the first
-    pass. A pass (`_picard_pass`) joins the iterate's half one component at
-    a time (`_joined`, the `_join` of every solve) and samples the xi_n >= 0
-    part of that one cube on the product grid, so only one component's
-    cube is alive at once. It forms (u . grad) u there (`_advection_upper`,
-    each product streamed in slabs), fills each component's cube
-    (`_filled`) and splits it straight into the right-hand side, as the
-    forcing was split. It then applies the inverses to
-    D^-1 (f - (u . grad) u, 0), checks that the new velocity is solenoidal
-    (the `_check_solenoidal` of `solve_stokes`), forms the momentum defect
-    from the gap u - y, written into the spent right-hand side, with the
-    symbols' velocity blocks, measures it in H^{-1} with the weights of the
-    half, and relaxes u toward the linear solution in place.
+    Every pass runs on the rows of the upper half xi_n >= 0 (`_PicardHalf`),
+    the symbols factored once with the blocks of every solve; f is dropped
+    once M0 and the mean check have read it. A pass (`_picard_pass`) samples
+    the iterate one component at a time, forms (u . grad) u on the grid and
+    reads its upper half into the right-hand side, building no cube; it
+    applies the inverses, checks that the new velocity is solenoidal unless
+    the right-hand side overflowed, measures the defect of the gap u - y in
+    H^{-1} with the symbols' velocity blocks, and relaxes u in place.
 
-    Between passes the solve holds only what the next pass reads: the
-    `_PicardHalf` (modes, velocity blocks, inverses, weights, split
-    forcing, right-hand side and one sample buffer) and the iterate; a
-    pass's temporaries, its linear solution and its advection die before
-    the next pass samples. The step omega halves whenever the defect grows;
-    Diverged is raised if it grows at the floor, MaxIterationsExceeded if
-    the budget runs out. On success the `_PicardHalf` is dropped first, and
-    the cubes of u, p and the advection field of `energy_check` are built
-    only then: the returned velocity is divergence-free, the pressure is
-    the one induced by the final velocity, and the report records whether
-    the a-priori bound held. A nonzero mean of f is flagged once, with a
-    NonzeroMeanWarning, recorded as mean_removed_f, and dropped: the split
-    half holds no xi = 0, and M0 leaves the mean out.
+    The step omega halves whenever the defect grows; Diverged is raised if
+    it grows at the floor or is not finite, MaxIterationsExceeded if the
+    budget runs out. On success the `_PicardHalf` is dropped before the
+    cubes of u, p and the advection field of `energy_check` are built, + 0.0
+    turning the -0 that conjugation leaves in a relaxed u into the +0 that
+    relaxing a whole field gives. The report records whether the a-priori
+    bound held. A nonzero mean of f is flagged once, with a
+    NonzeroMeanWarning, recorded as mean_removed_f, and dropped.
     """
     opts = opts or NSSolveOptions()
     lat = f.lattice
@@ -480,7 +461,7 @@ def picard_solve(tensor, f, opts=None):
     half = _picard_half(tensor, f, N)
     report = NSSolveReport(m0=apriori_velocity_bound(tensor, f))
     report.mean_removed_f = _nonzero_mean(lat, f.coeffs, "forcing")
-    del f  # split into the half; a forcing handed over as a temporary dies here
+    del f  # read into the half; a forcing handed over as a temporary dies here
     omega = opts.relaxation
     n = lat.n
     if opts.initial_guess == "stokes":
@@ -491,7 +472,7 @@ def picard_solve(tensor, f, opts=None):
     prev = np.inf
     for iteration in range(1, opts.max_iterations + 1):
         report.iterations = iteration
-        y, bu, res = _picard_pass(half, u_h, relaxed)
+        y, bu, res = _picard_pass(half, u_h)
         report.residual_history.append(res)
         report.final_residual = res
         report.omega_final = omega
@@ -499,15 +480,21 @@ def picard_solve(tensor, f, opts=None):
             report.diverged = True
             raise Diverged("iteration produced a non-finite defect", report)
         if res <= opts.tol:
+            keep, after = half.keep, half.after
             del half  # the setup goes before the cubes below are built
-            u = SpectralVectorField(lat, _joined(lat, u_h, relaxed), True, divergence_free=True)
+            u = _cube_from_rows(_listed(after, u_h), keep, lat)
+            if relaxed:
+                u += 0.0
+            u = SpectralVectorField(lat, u, True, divergence_free=True)
             report.converged = True
             report.velocity_norm = seminorm(u, 1.0)
             limit = report.m0 + BOUND_ULPS * np.spacing(report.m0)
             report.bound_satisfied = bool(report.velocity_norm <= limit)
-            report.energy_check = inner(SpectralVectorField(lat, _filled(lat, bu)[0]), u).real
-            p_h = -1j * y[:, n]
-            return u, SpectralScalarField(lat, _join(lat, p_h, p_h), True), report
+            bu = _cube_from_upper(bu[0], lat)
+            bu[..., : lat.m] += 0.0  # as `_advection` fills it
+            report.energy_check = inner(SpectralVectorField(lat, bu), u).real
+            p = _cube_from_rows(_listed(after, -1j * y[:, n]), keep, lat)
+            return u, SpectralScalarField(lat, p, True), report
         if res > prev:
             if omega <= OMEGA_FLOOR:
                 report.diverged = True

@@ -128,22 +128,14 @@ def index_grids(lattice):
     return tuple(grids)
 
 
-@functools.lru_cache(maxsize=128)
 def mode_abs2(lattice):
-    """|xi|^2 over the cube."""
-    out = np.zeros(lattice.shape)
-    for g in index_grids(lattice):
-        out += g.astype(float) ** 2
-    out.setflags(write=False)
-    return out
+    """|xi|^2 over the cube, a new array summed over the index axes as they broadcast."""
+    return sum(g.astype(float) ** 2 for g in index_grids(lattice))
 
 
-@functools.lru_cache(maxsize=128)
 def rho2(lattice):
-    """(1 + |xi|^2) over the cube."""
-    out = 1.0 + mode_abs2(lattice)
-    out.setflags(write=False)
-    return out
+    """(1 + |xi|^2) over the cube, a new array; the sums of integers are exact in any order."""
+    return sum((g.astype(float) ** 2 for g in index_grids(lattice)), 1.0)
 
 
 def _flip(coeffs, lattice):
@@ -325,7 +317,8 @@ def _weighted_norms(lattice, squares, s, mean=True):
     its own, in the order of a single cube, so a stack's norms equal those of
     its slices bit for bit.
     """
-    a = rho2(lattice) ** s * squares
+    # rho^0 = 1: at s = 0 no weights are formed
+    a = squares.copy() if s == 0 else rho2(lattice) ** s * squares
     if not mean:
         a[(...,) + lattice.zero_index] = 0.0
     return np.sqrt(np.sum(a, axis=tuple(range(-lattice.n, 0))))
@@ -631,9 +624,7 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
         is_real = not np.iscomplexobj(samples)
     aliased = _aliases(lattice, N)
     if is_real and not aliased and not np.iscomplexobj(samples):
-        coeffs = np.empty(samples.shape[: -lattice.n] + lattice.shape, np.complex128)
-        coeffs[..., lattice.m :] = _rfftn_half(samples, lattice)
-        _hermitian_from_upper(coeffs, lattice)
+        coeffs = _cube_from_upper(_rfftn_half(samples, lattice), lattice)
     else:
         ix = _embed_index(lattice, N, samples.shape[: -lattice.n])
         coeffs = np.fft.fftn(samples, axes=tuple(range(-lattice.n, 0)), norm="forward")[ix]
@@ -647,69 +638,78 @@ def sampling_transform(samples, lattice, is_real=None, zero_mean=False):
 
 
 # ---------------------------------------------------------------------------
-# the Hermitian half: flat index k of a cube holds the negative of the mode
-# at size-1-k, so the H = (size - 1) / 2 modes before xi = 0 fix a real field.
-# The Stokes stacks hold this flat half, the real FFTs the upper half
-# xi_n >= 0; a real field goes from one to the other through its cube:
-# `_join` then `[..., m:]`, or `_hermitian_from_upper` then `_split`.
+# the Hermitian half: a real field is fixed by its upper half xi_n >= 0, the
+# `[..., m:]` of its cube that the real FFTs take, which holds the xi_n = 0
+# plane with both members of each pair xi, -xi; xi_n < 0 follows by
+# conjugation. A complex field is taken on the whole cube. The solvers'
+# per-mode stacks list the nonzero modes of rows of lattice axis 0.
 
 
-def _split(lattice, coeffs, out, lo=0):
-    """Write (k..., cube) coefficients into out, a (2, B, k...) or (1, B, k...) pair of stacks.
+def _rows(lattice, lo, hi, whole=False):
+    """Index of the rows lo .. hi-1 of lattice axis 0 in a (k..., cube) stack.
 
-    out[0] takes the modes lo .. lo+B-1 of the H before xi = 0 (all of
-    them when B = H) and out[1] the conjugates of their negatives, in the
-    same order; the two are equal for a real field. A one-member out takes
-    the half only. The mode axis moves to the front, ahead of any leading
-    (case, component) axes.
+    It selects their upper half xi_n >= 0, or all of them with whole.
     """
-    last = lattice.size - 1  # flat index of the negative of mode 0
-    hi = lo + out.shape[1]
-    flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - lattice.n] + (-1,))
-    front = (flat.ndim - 1, *range(flat.ndim - 1))
-    out[0] = flat[..., lo:hi].transpose(front)
-    if len(out) > 1:
-        np.conjugate(flat[..., last - lo : last - hi : -1].transpose(front), out=out[1])
-    return out
+    last = slice(0 if whole else lattice.m, None)
+    return (..., slice(lo, hi)) + (slice(None),) * (lattice.n - 2) + (last,)
 
 
-def _half_modes(lattice, lo, hi):
-    """Modes lo .. hi-1 of the Hermitian half (canonical order) as a (hi - lo, n) float stack."""
-    index = np.unravel_index(np.arange(lo, hi), lattice.shape)
-    return (np.stack(index, axis=-1) - lattice.m).astype(float)
+def _modes(lattice, at):
+    """(keep, xis): the modes that the `_rows` index at selects but xi = 0, in C order.
 
-
-def _join(lattice, half, mirror):
-    """Inverse of _split: two (H, k...) stacks back to canonical order.
-
-    Returns (k..., cube) coefficients whose zero mode is exactly zero.
+    xis is a (B, n) float stack; keep (slice(None), or a mask when xi = 0 is
+    selected) picks them from the selection, so `_flat(c[at], lattice)[...,
+    keep]` is the (k..., B) stack of a (k..., cube) stack c at xis.
     """
-    H = lattice.size // 2
-    flat = np.empty(half.shape[1:] + (2 * H + 1,), half.dtype)
-    flat[..., H] = 0.0
-    _join_rows(flat, half, mirror)
-    return flat.reshape(half.shape[1:] + lattice.shape)
+    grids = np.broadcast_arrays(*index_grids(lattice))
+    modes = np.stack([g[at] for g in grids], axis=-1).reshape(-1, lattice.n).astype(float)
+    nonzero = np.einsum("ij,ij->i", modes, modes) > 0.0
+    keep = slice(None) if nonzero.all() else nonzero
+    return keep, modes[keep]
 
 
-def _join_rows(flat, half, mirror, lo=0):
-    """Write (B, k...) half and mirror stacks of modes lo .. lo+B-1 into flat.
+def _flat(block, lattice):
+    """A (k...,) + (lattice axes) array with its n lattice axes flattened into one."""
+    return block.reshape(block.shape[: block.ndim - lattice.n] + (-1,))
 
-    flat is a (k..., 2H + 1) canonical cube, or the (k..., 2H) values at its
-    nonzero modes in the same order; the rows land where `_join` puts them,
-    so writing consecutive blocks joins a whole half.
+
+def _place(c, at, keep, rows):
+    """Write (B, k...) rows at `_modes(lattice, at)` into a (k..., cube) stack c; xi = 0 takes 0."""
+    k = rows.shape[1:]
+    selected = c[at].shape[len(k) :]
+    if isinstance(keep, slice):  # every selected mode is listed
+        full = rows.reshape(selected + k)
+    else:
+        full = np.zeros(selected + k, c.dtype)
+        full.reshape((-1,) + k)[keep] = rows
+    c[at] = np.moveaxis(full, tuple(range(len(selected), full.ndim)), tuple(range(len(k))))
+
+
+def _cube_from_upper(upper, lattice):
+    """The (k..., cube) stack whose xi_n >= 0 half is upper, xi_n < 0 filled by conjugation."""
+    c = np.empty(upper.shape[: upper.ndim - lattice.n] + lattice.shape, np.complex128)
+    c[..., lattice.m :] = upper
+    _hermitian_from_upper(c, lattice)
+    return c
+
+
+def _cube_from_rows(rows, keep, lattice, whole=False):
+    """The (k..., cube) stack of (U, k...) rows that keep lists on the upper half, or whole cube.
+
+    The upper half's xi_n < 0 is filled by conjugation.
     """
-    last = flat.shape[-1] - 1
-    hi = lo + len(half)
-    back = (*range(1, half.ndim), 0)
-    flat[..., lo:hi] = half.transpose(back)
-    np.conjugate(mirror.transpose(back), out=flat[..., last - lo : last - hi : -1])
+    c = np.empty(rows.shape[1:] + lattice.shape, np.complex128)
+    _place(c, _rows(lattice, 0, 2 * lattice.m + 1, whole), keep, rows)
+    if not whole:
+        _hermitian_from_upper(c, lattice)
+    return c
 
 
 def _hermitianize_half(lattice, coeffs):
     """Keep the draws after xi = 0 in C order, define the rest by conjugation.
 
     The modes before xi = 0 take the conjugates of the reversed modes after
-    it (the reversal of `_split` and `_join`, in one copy); xi = 0 keeps its
+    it (reversing C order negates a mode), in one copy; xi = 0 keeps its
     real part. coeffs may carry leading axes (k...,) + cube; each slice is
     treated on its own.
     """
@@ -795,7 +795,7 @@ def _random_vectors(seeds, lattice, decay=3.0, zero_mean=True, divergence_free=F
 def _project_transverse(lattice, coeffs):
     """A (k..., n, cube) stack minus its along-xi part at every mode; xi = 0 is left as is."""
     xdotc = _xi_dot(lattice, coeffs)
-    a2 = mode_abs2(lattice).copy()
+    a2 = mode_abs2(lattice)
     a2[lattice.zero_index] = 1.0  # keep the division defined at xi = 0
     out = np.empty_like(coeffs)
     comps, out_comps = _components(lattice, coeffs), _components(lattice, out)

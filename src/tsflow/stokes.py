@@ -8,12 +8,11 @@ For every nonzero mode xi the velocity-pressure pair solves the complex
 
 whose matrix is D R D with D = diag(1, ..., 1, i) and R real symmetric
 (velocity block 4*pi^2*xi.a.xi, coupling column 2*pi*xi, zero corner).
-Since R(-xi) = S R(xi) S with S = diag(1, ..., 1, -1), only half the cube
-is needed: the H = (size - 1) / 2 modes before xi = 0, whose negatives
-are the rest. R = [[A, b], [b^T, 0]] is a bordered matrix, A = 4*pi^2
-xi.a.xi and b = 2*pi*xi. Relaxed ellipticity makes A positive only on the
-vectors orthogonal to xi, so A may be singular, but the inverse has a closed
-form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
+Since R(-xi) = S R(xi) S with S = diag(1, ..., 1, -1), a real field needs
+only its upper half xi_n >= 0. R = [[A, b], [b^T, 0]] is a bordered matrix,
+A = 4*pi^2 xi.a.xi and b = 2*pi*xi. Relaxed ellipticity makes A positive
+only on the vectors orthogonal to xi, so A may be singular, but the inverse
+has a closed form (n = 2, 3) that divides only by s = b.adj(A).b = -det R:
 
     R^-1 = [[X A X^T, adj(A) b], [(adj(A) b)^T, -det A]] / s,
 
@@ -21,17 +20,11 @@ with X v = b x v for n = 3, and X A X^T replaced by t t^T, t = (-b_2, b_1),
 for n = 2. LAPACK (`np.linalg.inv`) is the oracle of the tests only. A zero
 s or a conditioning check names the offending mode of a singular symbol.
 
-The one Stokes solve is `solve_stokes(tensor, f, g=None, s=1.0)`. It
-streams that half in blocks of _BLOCK modes, building each block's R and
-inverse with `_half_block` and dropping them. Its body, `_solve_stokes`,
-writes u and p into arrays that its caller supplies: `solve_stokes` passes
-new ones, and `stokes-solve` the buffers that f and g were read into, since
-each block reads its data rows before it writes the same rows of the
-solution. With g=None the solve is the incompressible one. `_solve_modes`
-solves stacked symbols at any modes, and `solve_mode` is its one-row call.
-Iterations that apply R and its inverse pass after pass
-(`navier_stokes.picard_solve`) build them once for all H modes, as
-`_half_block` of the whole half. Lattices and tensors exist only for n in
+The one Stokes solve, `solve_stokes(tensor, f, g=None, s=1.0)`, streams
+that half (the whole cube for complex data) in blocks of rows (`_blocks`,
+whose stacks `navier_stokes.picard_solve` keeps); with g=None it is the
+incompressible one. `_solve_modes` solves stacked symbols at any modes, and
+`solve_mode` is its one-row call. Lattices and tensors exist only for n in
 `spectral.DIMENSIONS`, the keys of _BORDERED_PARTS. The isotropic closed
 forms and the per-mode / summed a-priori bounds with constants
 
@@ -50,10 +43,13 @@ from .spectral import (
     TWO_PI,
     SpectralScalarField,
     SpectralVectorField,
-    _half_modes,
-    _join_rows,
+    _flat,
+    _flip,
+    _hermitian_from_upper,
+    _modes,
     _nonzero_mean,
-    _split,
+    _place,
+    _rows,
     seminorm,
 )
 from .viscosity import _check_lattice, ellipticity_constant, mode_blocks, tensor_norm
@@ -180,8 +176,8 @@ def _mode_symbols(tensor, xis):
     return R
 
 
-# Modes per block of the closed-form inverse and of every solve: a block's
-# arrays take a few MB at n = 3 whatever the cube.
+# Modes per block of the closed-form inverse, and per block of rows of every
+# solve (one row at least): a block's arrays take a few MB at n = 3.
 _BLOCK = 4096
 
 
@@ -283,9 +279,9 @@ def _solve_symbols(R, inv, x):
 
     Both products act on the float view of x, real and imaginary parts side
     by side. Returns y, the largest defect |R y - x| and max |x|, the two
-    parts of the relative residual. x may also be a (2, B, d) pair of two
-    copies of one right-hand side, as the half and mirror members of a real
-    field are: y then solves the first, and the defect and max cover both.
+    parts of the relative residual. x may also be a (2, B, d) pair, a real
+    field's data and its mirrors': y then solves the first, and the defect
+    and max cover both.
     """
     B, d = x.shape[-2:]
     xv = x.view(np.float64).reshape(-1, B, d, 2)
@@ -296,11 +292,10 @@ def _solve_symbols(R, inv, x):
 
 
 def _divergence_moduli(xis, y, x):
-    """(max |2*pi*i*xi.uhat|, max |fhat|) of (..., B, n+1) half-layout stacks.
+    """(max |2*pi*i*xi.uhat|, max |fhat|) of (..., B, n+1) stacks y and x at the (B, n) modes xis.
 
-    y and x are stacks (`spectral._split`) of solutions and data D^-1
-    (fhat, ghat) at the (B, n) modes xis; `_check_solenoidal` compares the
-    two maxima.
+    y and x are solutions and data D^-1 (fhat, ghat); `_check_solenoidal`
+    compares the two maxima.
     """
     n = xis.shape[1]
     div = np.zeros(y.shape[:-1], np.complex128)
@@ -372,11 +367,26 @@ def _checked_constants(tensor, lattice):
     return estimate_constants(tensor)  # validates ellipticity up front
 
 
-def _half_block(tensor, lattice, lo, hi):
-    """(xis, R, R^-1): the modes lo .. hi-1 of the Hermitian half, their symbols and inverses."""
-    xis = _half_modes(lattice, lo, hi)
-    R = _mode_symbols(tensor, xis)
-    return xis, R, _invert(R, xis)
+def _blocks(tensor, lattice, whole=False):
+    """(at, keep, after, xis, R, R^-1) of each block of rows of lattice axis 0, in order.
+
+    Rows of the upper half xi_n >= 0 (all of them with whole), as many as
+    fit in _BLOCK modes; at and keep list their nonzero modes. Each pair
+    xi, -xi is solved at its member before xi = 0 in C order: after marks
+    the listed modes after it, and xis holds the members solved.
+    """
+    m, n = lattice.m, lattice.n
+    row = (2 * m + 1) ** (n - 2) * (2 * m + 1 if whole else m + 1)
+    step = max(1, _BLOCK // row)
+    offsets = float(2 * m + 1) ** np.arange(n - 1, -1, -1)  # C-order offsets from xi = 0
+    for lo in range(0, 2 * m + 1, step):
+        at = _rows(lattice, lo, lo + step, whole)
+        keep, xis = _modes(lattice, at)
+        after = xis @ offsets > 0.0
+        flipped = slice(None) if after.all() else after
+        xis[flipped] = 0.0 - xis[flipped]  # +0, never -0, in a zero coordinate
+        R = _mode_symbols(tensor, xis)
+        yield at, keep, after, xis, R, _invert(R, xis)
 
 
 def solve_stokes(tensor, f, g=None, s=1.0):
@@ -390,22 +400,14 @@ def solve_stokes(tensor, f, g=None, s=1.0):
     not. The checks come first, in the order of `picard_solve`'s. u and p
     are new arrays: f and g are never written.
 
-    The solve streams the Hermitian half in blocks of _BLOCK modes, each
-    built by `_half_block` and dropped, so it holds its inputs, its outputs
-    and one block (`_solve_stokes`, which may write the outputs over the
-    inputs, holds only the inputs and one block). A block takes its rows of
-    f and g from the cubes (`spectral._split`). A real field's data is the
-    same in both members of that layout, and so is its solution: one
-    batched product on the half serves both, u(-xi) = conj u(xi). A complex
-    (is_real=False) solve also solves the mirror member. Either way the
-    residual covers every nonzero mode, so a real-flagged field that is
-    Hermitian only to rounding shows its asymmetry there. The rows of u and
-    p land in canonical order (`spectral._join_rows`). The report keeps no
-    per-mode array: the residual, the slack minima (NaN if any slack is, as
-    np.min gives), the estimate verdict and the divergence check are exact
-    maxima and minima over the blocks, so the blocking changes no bit. With
-    g=None the global bound takes |g|_{s-1} = 0 without building a zero
-    field.
+    The solve streams the blocks of `_blocks`, holding its inputs, its
+    outputs and one block. A real field's modes are also checked against
+    the conjugates of their mirrors' data, so the residual shows a field
+    that is Hermitian only to rounding. The report keeps no per-mode array:
+    the residual (the largest defect over the largest |x|), the slack
+    minima (NaN if any slack is), the estimate verdict and the divergence
+    check are exact over the blocks, so the blocking changes no bit. With
+    g=None the global bound takes |g|_{s-1} = 0.
     """
     return _solve_stokes(tensor, f, g, s, stacklevel=4)
 
@@ -415,58 +417,55 @@ def _solve_stokes(tensor, f, g, s, u=None, p=None, stacklevel=3):
 
     u and p are C-contiguous complex128 arrays of the shapes of f.coeffs and
     of the lattice. They may be the buffers under f.coeffs and g.coeffs, as
-    `stokes-solve` hands over the arrays its dumps were read into: the mean
-    checks and |f|_{s-2}, |g|_{s-1} are taken before the first block, and
-    each block copies its rows of f and g, and their mirrors, before it
-    writes u and p to exactly those rows. f and g then hold u and p. The
-    mean warnings' stacklevel counts from `_nonzero_mean`: 3 names the line
-    that calls this function, 4 the line that calls `solve_stokes`.
+    `stokes-solve` hands over its dumps' arrays: each block reads its rows
+    before it writes them, the xi_n = 0 plane (its own mirror) is read from
+    a copy, and xi_n < 0 is written last. The mean warnings' stacklevel
+    counts from `_nonzero_mean`: 3 names the caller, 4 its caller.
     """
     lattice = f.lattice
     constants = _checked_constants(tensor, lattice)
     if g is not None and g.lattice != lattice:
         raise ValueError(f"divergence data lattice {g.lattice} does not match {lattice}")
-    # a nonzero mean is only flagged: no step below reads xi = 0 (_split
-    # stops before it, u and p are 0 there, the seminorms skip it)
+    # a nonzero mean is only flagged: no step below reads xi = 0 (the blocks
+    # leave it out, u and p are 0 there, the seminorms skip it)
     removed_f = _nonzero_mean(lattice, f.coeffs, "stokes forcing", stacklevel)
     removed_g = g is not None and _nonzero_mean(
         lattice, g.coeffs, "divergence data", stacklevel
     )
     is_real = f.is_real and (g is None or g.is_real)
     data_norms = _data_norms(f, g, s)
-    n, H = lattice.n, lattice.size // 2
+    n, m = lattice.n, lattice.m
     u = np.empty((n,) + lattice.shape, np.complex128) if u is None else u
     p = np.empty(lattice.shape, np.complex128) if p is None else p
-    u_flat, p_flat = u.reshape(n, -1), p.reshape(-1)
-    u_flat[:, H] = p_flat[H] = 0.0
+    # each field's coefficients, columns of x and mirrored xi_n = 0 plane
+    data = [(f.coeffs, slice(0, n))] + ([] if g is None else [(g.coeffs, n)])
+    planes = [_flip(c[..., m : m + 1], lattice).copy() if is_real else None for c, _ in data]
     fits, divergences, minima, estimates_ok = [], [], [], True
-    for lo in range(0, H, _BLOCK):
-        hi = min(lo + _BLOCK, H)
-        xis, R, inv = _half_block(tensor, lattice, lo, hi)
-        x = np.empty((2, hi - lo, n + 1), np.complex128)  # D^-1 (fhat, ghat), split
-        _split(lattice, f.coeffs, x[..., :n], lo)
+    for at, keep, after, xis, R, inv in _blocks(tensor, lattice, whole=not is_real):
+        x = np.empty((2 if is_real else 1, len(xis), n + 1), np.complex128)  # D^-1 (fhat, ghat)
+        for (c, cols), plane in zip(data, planes):
+            x[0, :, cols] = _flat(c[at], lattice)[..., keep].T
+            if is_real:  # the conjugates of the mirrors' data, the plane's from its copy
+                mirror = _flip(c, lattice)[at].copy()
+                mirror[..., :1] = plane[at[:-1] + (slice(None),)]
+                np.conjugate(_flat(mirror, lattice)[..., keep].T, out=x[1, :, cols])
+        # a mode after xi = 0 solves its mirror: its members swap, conjugated
+        flipped = slice(None) if after.all() else after
+        x[:, flipped] = np.conj(x[::-1, flipped])
         if g is None:
-            x[..., n] = 0.0  # zero divergence data: nothing to split or rotate
+            x[..., n] = 0.0  # zero divergence data: nothing to read or rotate
         else:
-            _split(lattice, g.coeffs, x[..., n], lo)
             x[..., n] *= -1j
-        if is_real:
-            # one solution serves both members, checked against both
-            y, *fit = _solve_symbols(R, inv, x)
-            y_mirror, z = y, y[None]
-            fits.append([fit])
-        else:
-            y, *fit = _solve_symbols(R, inv, x[0])
-            y_mirror, *fit_mirror = _solve_symbols(R, inv, x[1])
-            z = np.stack((y, y_mirror))
-            fits.append([fit, fit_mirror])
-        # x and z carry the moduli of (fhat, ghat) and (uhat, phat); both
-        # members go through one pass, a real solve's one solution once
+        # a real solve's one solution is checked against both members
+        y, *fit = _solve_symbols(R, inv, x if is_real else x[0])
+        fits.append(fit)
         if g is None:
-            divergences.append(_divergence_moduli(xis, z, x))
-        _join_rows(u_flat, y[:, :n], y_mirror[:, :n], lo)
-        _join_rows(p_flat, -1j * y[:, n], -1j * y_mirror[:, n], lo)
-        su, sp, bound_u, bound_p = _mode_slacks(constants, xis, x, z)
+            divergences.append(_divergence_moduli(xis, y, x))
+        z = np.concatenate((y[:, :n], -1j * y[:, n:]), axis=1)  # (uhat, phat) of the modes solved
+        z[flipped] = np.conj(z[flipped])  # ... and of the listed modes
+        _place(u, at, keep, z[:, :n])
+        _place(p, at, keep, z[:, n])
+        su, sp, bound_u, bound_p = _mode_slacks(constants, xis, x, y)
         # each mode's slack is held to its own bound, so rescaling the data
         # cannot flip the verdict
         estimates_ok = estimates_ok and bool(
@@ -474,12 +473,15 @@ def _solve_stokes(tensor, f, g, s, u=None, p=None, stacklevel=3):
         )
         minima.append((np.min(su), np.min(sp)))
         # the next block's setup reads none of these
-        del xis, R, inv, x, y, y_mirror, z, su, sp, bound_u, bound_p
+        del keep, after, flipped, xis, R, inv, x, y, z, su, sp, bound_u, bound_p
+    if is_real:
+        _hermitian_from_upper(u, lattice)
+        _hermitian_from_upper(p, lattice)
     if g is None:
         _check_solenoidal(*np.max(divergences, axis=0))
-    # per member, the largest defect over the largest |x| of the whole half
-    defects, scales = np.max(fits, axis=0).T
-    residual = max(float(d) / max(float(x_max), 1e-300) for d, x_max in zip(defects, scales))
+    # the largest defect over the largest |x| of the whole solve
+    defect, scale = np.max(fits, axis=0).tolist()
+    residual = defect / max(scale, 1e-300)
     min_u, min_p = np.min(minima, axis=0).tolist()
     u = SpectralVectorField(lattice, u, is_real, divergence_free=g is None)
     p = SpectralScalarField(lattice, p, is_real)
@@ -506,12 +508,9 @@ def _mode_slacks(constants, xis, rhs, z):
     A slack is the bound minus the modulus, nonnegative when it holds.
 
     rhs and z are (..., B, n+1) stacks carrying the moduli of (fhat, ghat)
-    and (uhat, phat) at the (..., B, n) modes xis. Their leading axes
-    broadcast against each other: solve_stokes passes its (2, B) half and
-    mirror data with a (1, B) solution when the two members share one. The
-    constants are scalars or arrays broadcasting against the moduli, such as
-    (k, 1) per-case values for k cases of B modes. Returns (slack_u, slack_p,
-    bound_u, bound_p), each of the broadcast shape (..., B).
+    and (uhat, phat) at the (..., B, n) modes xis, their leading axes and the
+    constants (such as (k, 1) per-case values) broadcasting against each
+    other. Returns (slack_u, slack_p, bound_u, bound_p) of that shape.
     """
     n = xis.shape[-1]
     abs_xi = _moduli(xis)

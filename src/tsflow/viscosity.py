@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralVectorField, _check_dimension, _half_modes, _join, _split, gradient
+from .spectral import (
+    SpectralVectorField,
+    _check_dimension,
+    _cube_from_rows,
+    _flat,
+    _modes,
+    _rows,
+    gradient,
+)
 
 __all__ = [
     "NotElliptic",
@@ -224,17 +232,18 @@ def apply_viscosity(tensor, u):
     """Viscous term of the momentum equation, mode by mode.
 
     Component k picks up -4*pi^2 * xi_alpha * a[k,j,alpha,beta] * xi_beta * uhat_j:
-    the `mode_blocks` of the H modes before xi = 0, applied to u's Hermitian
-    half (`spectral._split`) and joined back to the cube with an exact zero
-    at xi = 0. The blocks are even in xi, so the mirror member of a complex
-    field takes the same blocks and a real field needs only the half.
+    the `mode_blocks` of the nonzero modes applied to u's coefficients
+    there, with an exact zero at xi = 0. A real field takes the modes of
+    its upper half xi_n >= 0 and the conjugates of their results at
+    xi_n < 0; a complex field takes every mode of the cube.
     """
     lat = u.lattice
     _check_lattice(tensor, lat)
-    H = lat.size // 2
-    uk = _split(lat, u.coeffs, np.empty((1 if u.is_real else 2, H, lat.n), np.complex128))
-    v = _apply_blocks(mode_blocks(tensor, _half_modes(lat, 0, H)), uk)
-    return SpectralVectorField(lat, _join(lat, v[0], v[-1]), u.is_real)
+    at = _rows(lat, 0, 2 * lat.m + 1, whole=not u.is_real)
+    keep, xis = _modes(lat, at)
+    uk = np.ascontiguousarray(_flat(u.coeffs[at], lat)[..., keep].T)
+    v = _apply_blocks(mode_blocks(tensor, xis), uk)
+    return SpectralVectorField(lat, _cube_from_rows(v, keep, lat, not u.is_real), u.is_real)
 
 
 def stokes_operator(tensor, u, p):

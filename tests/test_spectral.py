@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tsflow.navier_stokes import _filled, _joined
+from tsflow.navier_stokes import _advection, _advection_upper
 from tsflow.spectral import (
     DIMENSIONS,
     TWO_PI,
@@ -16,17 +16,19 @@ from tsflow.spectral import (
     SpectralScalarField,
     SpectralVectorField,
     _check_hermitian,
+    _cube_from_rows,
+    _cube_from_upper,
+    _flat,
     _flip,
-    _half_modes,
     _hermitian_from_upper,
     _hermitianize_half,
     _irfftn_half,
-    _join,
-    _join_rows,
+    _modes,
+    _place,
     _random_scalars,
     _random_vectors,
     _rfftn_half,
-    _split,
+    _rows,
     _squares,
     _weighted_norms,
     divergence,
@@ -137,7 +139,7 @@ class TestIndexAxes:
             "_xi_dot": lambda: spectral_mod._xi_dot(lat, c),
             "_symmetric_gradient": lambda: spectral_mod._symmetric_gradient(lat, c),
             "_project_transverse": lambda: spectral_mod._project_transverse(lat, c),
-            "mode_abs2": lambda: spectral_mod.mode_abs2.__wrapped__(lat),
+            "mode_abs2": lambda: spectral_mod.mode_abs2(lat),
         }
         from_axes = {name: kernel() for name, kernel in kernels.items()}
         monkeypatch.setattr(spectral_mod, "index_grids", dense_index_grids)
@@ -181,6 +183,25 @@ class TestNorms:
             squares = _squares(lat, fld.coeffs[None])[0]
             np.testing.assert_allclose(squares, ref, rtol=4 * np.finfo(float).eps)
             assert squares.shape == lat.shape
+
+    def test_no_cube_outlives_a_norm(self):
+        # |xi|^2 and rho^2 are formed from the index axes when a norm needs
+        # them, so none of their cubes (154 KiB each here) stays behind
+        import tracemalloc
+
+        lat = make_lattice(3, 13)  # a lattice that no other test takes
+        rng = np.random.default_rng(3)
+        f = vector_field(lat, rng.standard_normal((3,) + lat.shape))
+        index_grids(lat)  # the index axes stay: three rows of 27 integers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            seminorm(f, 1.0)
+            sobolev_norm(f, -1.0)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 4096
 
     def test_pythagorean_split(self):
         # mean 3 plus unit mode of size 4: seminorm 4, full norm 5
@@ -848,13 +869,14 @@ class TestSharedPrimitives:
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("vector", [True, False])
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
-    def test_split_join_round_trip(self, n, m, vector, is_real):
-        # the half holds the modes before xi = 0 and the mirror the conjugates
-        # of their negatives, both in canonical order; _join restores the
-        # cube with +0 at xi = 0, and without flat index H it lists the
-        # nonzero modes in canonical order
+    def test_half_round_trip(self, n, m, vector, is_real):
+        # oracle: the lattice's index table in flat order. A real field's
+        # half lists its nonzero modes with xi_n >= 0, a complex field's
+        # every nonzero mode, in canonical order; a real field's data there
+        # equal the conjugates of their mirrors'. Placed back into the cube,
+        # and filled by conjugation for a real field, the half gives the
+        # cube back with +0 at xi = 0
         lat = make_lattice(n, m)
-        H = lat.size // 2
         lead = (n,) if vector else ()
         if is_real:
             make = random_vector_field if vector else random_scalar_field
@@ -862,81 +884,92 @@ class TestSharedPrimitives:
         else:
             rng = np.random.default_rng(80 + n)
             c = rng.standard_normal(lead + lat.shape) + 1j * rng.standard_normal(lead + lat.shape)
-        flat = c.reshape(lead + (-1,))
-        out = _split(lat, c, np.empty((2, H) + lead, np.complex128))
-        assert_same_bits(out[0].T, flat[..., :H])
-        assert_same_bits(out[1].T, np.conj(flat[..., ::-1][..., :H]))
+        table = lat.indices()
+        listed = table.any(axis=1) & ((table[:, -1] >= 0) if is_real else True)
+        at = _rows(lat, 0, 2 * m + 1, whole=not is_real)
+        keep, xis = _modes(lat, at)
+        assert_same_bits(xis, table[listed].astype(float))
+        half = _flat(c[at], lat)[..., keep]
+        assert_same_bits(half, c.reshape(lead + (-1,))[..., listed])
         if is_real:
-            assert_same_bits(out[0], out[1])
-        one = _split(lat, c, np.empty((1, H) + lead, np.complex128))
-        assert_same_bits(one[0], out[0])
+            assert_same_bits(np.conj(_flat(_flip(c, lat)[at], lat)[..., keep]), half)
 
         expected = c.copy()
         expected[(...,) + lat.zero_index] = 0.0
-        joined = _join(lat, out[0], out[1])
-        assert_same_bits(joined, expected)
-        nonzero = np.arange(lat.size) != H
-        assert_same_bits(joined.reshape(lead + (-1,))[..., nonzero], flat[..., nonzero])
+        out = np.full_like(c, np.nan)
+        _place(out, at, keep, np.moveaxis(half, -1, 0))
+        if is_real:
+            _hermitian_from_upper(out, lat)
+            assert_same_bits(_cube_from_rows(np.moveaxis(half, -1, 0), keep, lat), expected)
+        assert_same_bits(out, expected)
 
-    @pytest.mark.parametrize("block", [1, 5, 7])
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("whole", [False, True])
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
-    def test_split_join_in_blocks(self, n, m, block):
-        # oracle: the whole-half _split and _join; a block of rows lo .. hi-1
-        # is that slice of the split, and _join_rows of consecutive blocks
-        # writes every entry of the join
+    def test_row_blocks_tile_the_half(self, n, m, whole, block):
+        # oracle: the half of all 2m+1 rows at once; consecutive blocks of
+        # rows list its modes and data in turn, the block with xi = 0 alone
+        # leaving one out, and placing each block's data writes every entry
+        # of the rows (xi = 0 with 0) and nothing else
         lat = make_lattice(n, m)
-        H = lat.size // 2
         rng = np.random.default_rng(95 + n)
         c = rng.standard_normal((n,) + lat.shape) + 1j * rng.standard_normal((n,) + lat.shape)
-        whole = _split(lat, c, np.empty((2, H, n), np.complex128))
-        joined = np.full((n, lat.size), np.nan, np.complex128)
-        joined[:, H] = 0.0
-        nonzero = np.full(2 * H, np.nan)
-        for lo in range(0, H, block):
-            hi = min(lo + block, H)
-            part = _split(lat, c, np.empty((2, hi - lo, n), np.complex128), lo)
-            assert_same_bits(part, whole[:, lo:hi])
-            _join_rows(joined, part[0], part[1], lo)
-            _join_rows(nonzero, part[0, :, 0].real, part[1, :, 0].real, lo)
-        assert_same_bits(joined.reshape(c.shape), _join(lat, whole[0], whole[1]))
-        real = whole[..., 0].real
-        assert_same_bits(nonzero, np.delete(_join(lat, real[0], real[1]).ravel(), H))
+        every = _rows(lat, 0, 2 * m + 1, whole)
+        keep, xis = _modes(lat, every)
+        written = np.full(c.shape, np.nan, np.complex128)
+        parts, modes = [], []
+        for lo in range(0, 2 * m + 1, block):
+            at = _rows(lat, lo, lo + block, whole)
+            part_keep, part_xis = _modes(lat, at)
+            assert isinstance(part_keep, slice) == (not lo <= m < lo + block)
+            modes.append(part_xis)
+            parts.append(_flat(c[at], lat)[..., part_keep])
+            _place(written, at, part_keep, parts[-1].T)
+        assert_same_bits(np.concatenate(modes), xis)
+        assert_same_bits(np.concatenate(parts, axis=-1), _flat(c[every], lat)[..., keep])
+        expected = np.full(c.shape, np.nan, np.complex128)
+        expected[every] = c[every]
+        expected[(...,) + lat.zero_index] = 0.0
+        assert_same_bits(written, expected)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (2, 4), (3, 3)])
-    def test_half_modes_are_the_split_rows(self, n, m):
-        # oracle: the lattice's index table; row h of a block is the mode
-        # that _split puts in row h of the same block
+    def test_modes_are_the_listed_rows(self, n, m):
+        # oracle: index cubes as data; entry h of every listed stack is the
+        # coefficient at mode xis[h], in every block
         lat = make_lattice(n, m)
-        H = lat.size // 2
-        table = lat.indices()[:H].astype(float)
-        assert_same_bits(_half_modes(lat, 0, H), table)
-        for lo, hi in ((0, 1), (2, H - 1), (H - 2, H)):
-            assert_same_bits(_half_modes(lat, lo, hi), table[lo:hi])
+        grids = np.stack(dense_index_grids(lat)).astype(float)
+        for lo, hi in ((0, 1), (1, 2 * m), (m, m + 1), (0, 2 * m + 1)):
+            for whole in (False, True):
+                at = _rows(lat, lo, hi, whole)
+                keep, xis = _modes(lat, at)
+                assert_same_bits(_flat(grids[at], lat)[..., keep].T, xis)
+                assert xis.any(axis=1).all()
 
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
-    def test_split_join_case_axis(self, n, m):
-        # oracle: one _split and _join per field of a (k, n, cube) stack
+    def test_half_case_axis(self, n, m):
+        # oracle: one listing and one cube per field of a (k, n, cube) stack
         lat = make_lattice(n, m)
-        H = lat.size // 2
         rng = np.random.default_rng(90 + n)
         c = rng.standard_normal((4, n) + lat.shape) + 1j * rng.standard_normal((4, n) + lat.shape)
-        out = _split(lat, c, np.empty((2, H, 4, n), np.complex128))
-        joined = _join(lat, out[0], out[1])
+        at = _rows(lat, 0, 2 * m + 1)
+        keep, _ = _modes(lat, at)
+        stack = np.moveaxis(_flat(c[at], lat)[..., keep], -1, 0)
+        cubes = _cube_from_rows(stack, keep, lat)
         for k in range(4):
-            row = _split(lat, c[k], np.empty((2, H, n), np.complex128))
-            assert_same_bits(out[:, :, k], row)
-            assert_same_bits(joined[k], _join(lat, row[0], row[1]))
+            row = np.moveaxis(_flat(c[k][at], lat)[..., keep], -1, 0)
+            assert_same_bits(stack[:, k], row)
+            assert_same_bits(cubes[k], _cube_from_rows(row, keep, lat))
 
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("columns", [1, 2, 3])
     @pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3) for m in (1, 2, 3, 4)])
     def test_upper_half_maps(self, n, m, columns, zeros):
-        # oracle: the lattice's flat order, compared with signed zeros; a
-        # Picard pass samples the xi_n >= 0 half of _join (_joined, + 0.0
-        # once relaxed) and takes its advection back through the _split of
-        # the cube that _filled fills from that half
+        # oracle: the lattice's flat order, compared with signed zeros. The
+        # cube of an upper half keeps it as it is and takes at xi_n < 0 the
+        # conjugate of the mirror; the cube of a stack at the nonzero modes
+        # of the upper half holds +0 at xi = 0; `_advection` adds + 0.0 to
+        # the conjugates only
         lat = make_lattice(n, m)
-        H, w = lat.size // 2, 2 * m + 1
         rng = np.random.default_rng(100 * n + 10 * m + columns)
 
         def draw(shape):
@@ -947,33 +980,27 @@ class TestSharedPrimitives:
                     part[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
             return z
 
-        # the upper half at flat position q: the half's row q before xi = 0,
-        # an exact zero at it, the conjugate of row size-1-q after it
-        half = draw((H, columns))
-        rows = half.T
-        q = np.arange(lat.size).reshape(lat.shape)[..., m:]
-        expected = np.where(
-            q < H, rows[..., np.minimum(q, H - 1)], np.conj(rows[..., np.minimum(lat.size - 1 - q, H - 1)])
-        )
-        expected[..., q == H] = 0.0
-        assert_same_bits(_join(lat, half, half)[..., m:], expected)
-        assert_same_bits(_joined(lat, half, False), _join(lat, half, half))
-        assert_same_bits(_joined(lat, half, True), _join(lat, half, half) + 0.0)
-        assert_same_bits(_joined(lat, half, True)[..., m:], expected + 0.0)
-        filled = np.empty((columns,) + lat.shape, np.complex128)
-        filled[..., m:] = expected
-        _hermitian_from_upper(filled, lat)
-        assert_same_bits(_split(lat, filled, np.empty((1, H, columns), np.complex128))[0], half)
-
-        # the half's row p from an upper half: read at p when xi_n >= 0,
-        # else the conjugate of its mirror, + 0.0 as _filled leaves it
         top = draw((columns,) + lat.shape[:-1] + (m + 1,))
-        p = np.arange(H)
-        upper = p % w >= m
-        mirror = np.where(upper, p, lat.size - 1 - p)
-        read = top.reshape(columns, -1)[:, (mirror // w) * (m + 1) + mirror % w - m]
-        split = _split(lat, _filled(lat, top), np.empty((1, H, columns), np.complex128))[0]
-        assert_same_bits(split, np.where(upper, read, np.conj(read) + 0.0).T)
+        flat, w = np.arange(lat.size), 2 * m + 1
+        lower = flat % w < m
+        source = np.where(lower, lat.size - 1 - flat, flat)  # flat index of -xi below xi_n = 0
+        values = top.reshape(columns, -1)[:, (source // w) * (m + 1) + source % w - m]
+        expected = np.where(lower, np.conj(values), values).reshape((columns,) + lat.shape)
+        cube = _cube_from_upper(top, lat)
+        assert_same_bits(cube, expected)
+        assert_same_bits(cube[..., m:], top)
+
+        keep, _ = _modes(lat, _rows(lat, 0, 2 * m + 1))
+        stack = np.moveaxis(_flat(top, lat)[..., keep], -1, 0)
+        at_zero = expected.copy()
+        at_zero[(...,) + lat.zero_index] = 0.0
+        assert_same_bits(_cube_from_rows(stack, keep, lat), at_zero)
+
+        samples = draw((1, n) + (w,) * n).real  # a real field's samples on 2m+1 points
+        upper = _advection_upper(lat, samples)
+        filled = _advection(lat, samples)
+        assert_same_bits(filled[..., m:], upper)
+        assert_same_bits(filled[..., :m], _cube_from_upper(upper, lat)[..., :m] + 0.0)
 
     @pytest.mark.parametrize("n", DIMENSIONS)
     def test_complex_grid_placement(self, n):

@@ -8,8 +8,13 @@ from tsflow.navier_stokes import picard_solve, regularity_slope
 from tsflow.spectral import (
     SpectralScalarField,
     SpectralVectorField,
-    _join,
-    _split,
+    _flip,
+    _hermitian_from_upper,
+    _flat,
+    _modes,
+    _place,
+    _rows,
+    dealias_grid,
     divergence,
     gradient,
     index_grids,
@@ -27,7 +32,8 @@ from tsflow.stokes import (
     StokesSolveReport,
     ZeroMode,
     _checked_constants,
-    _half_block,
+    _invert,
+    _mode_symbols,
     _solve_stokes,
     assemble_symbol,
     estimate_constants,
@@ -87,16 +93,61 @@ def _symbol_stack(seed, n, count):
     return xis, _mode_symbols(random_elliptic_tensor(seed, n), xis)
 
 
+def _representatives(xis):
+    """(after, reps) of a (B, n) stack of nonzero modes, written out row by row.
+
+    A mode is after xi = 0 in C order when its first nonzero coordinate is
+    positive; each pair xi, -xi is solved at its member before xi = 0.
+    """
+    after = np.array([next(v for v in xi if v) > 0 for xi in xis])
+    reps = np.array([[0.0 - v for v in xi] if a else list(xi) for xi, a in zip(xis, after)])
+    return after, reps.reshape(xis.shape)
+
+
 def _whole_half(tensor, lattice):
-    """(xis, R, R^-1) of all H modes before xi = 0: the stacks that picard_solve applies."""
-    return _half_block(tensor, lattice, 0, lattice.size // 2)
+    """(xis, R, R^-1) of the pairs of the upper half's nonzero modes, built in one piece.
+
+    The stacks that picard_solve applies, which it fills block by block:
+    one row per listed mode, at the member of its pair before xi = 0.
+    """
+    _, xis = _modes(lattice, _rows(lattice, 0, 2 * lattice.m + 1))
+    reps = _representatives(xis)[1]
+    R = _mode_symbols(tensor, reps)
+    return reps, R, _invert(R, reps)
 
 
 def _half_cube_modes(n, m):
-    """The modes before xi = 0 in canonical order, as `_whole_half` holds them."""
+    """The nonzero modes of the upper half in canonical order."""
     lat = make_lattice(n, m)
-    modes = np.stack(np.broadcast_arrays(*index_grids(lat))).reshape(n, -1)[:, : lat.size // 2]
-    return np.ascontiguousarray(modes.T, dtype=float)
+    table = lat.indices()
+    return table[table.any(axis=1) & (table[:, -1] >= 0)].astype(float)
+
+
+def _whole_data(lat, f, g, is_real):
+    """(at, keep, after, reps, x): a whole solve's listing and data in one piece.
+
+    A real solve lists the nonzero modes of the upper half and x holds
+    D^-1 (fhat, ghat) at the member of each pair that is solved
+    (`_representatives`) and the conjugates of the data at its mirror, a
+    (2, U, n+1) pair. A complex solve lists every nonzero mode, and a mode
+    after xi = 0 is solved as the conjugate problem at its mirror: a
+    (1, size-1, n+1) stack of the data, conjugated after xi = 0.
+    """
+    n, m = lat.n, lat.m
+    at = _rows(lat, 0, 2 * m + 1, whole=not is_real)
+    keep, xis = _modes(lat, at)
+    after, reps = _representatives(xis)
+    at_reps, at_mirrors = tuple((reps + m).astype(int).T), tuple((m - reps).astype(int).T)
+    x = np.zeros((2 if is_real else 1, len(xis), n + 1), np.complex128)
+    for c, cols in [(f.coeffs, slice(0, n))] + ([] if g is None else [(g.coeffs, n)]):
+        x[0, :, cols] = c[(...,) + at_reps].T
+        if is_real:
+            x[1, :, cols] = np.conj(c[(...,) + at_mirrors]).T
+        else:
+            x[0, after, cols] = np.conj(c[(...,) + at_mirrors]).T[after]
+    if g is not None:
+        x[..., n] *= -1j
+    return at, keep, after, reps, x
 
 
 def reference_mode_slacks(tensor, xis, fhat, ghat, uhat, phat):
@@ -131,9 +182,9 @@ def reference_solve_slacks(tensor, f, g, u, p):
 def full_cube_viscosity(tensor, u):
     """The viscous operator as one block product over every mode of the cube.
 
-    The reference of `apply_viscosity`, which applies the blocks of the
-    modes before xi = 0 only: the `mode_blocks` of the whole cube against
-    the (size, n) stack of u's coefficients.
+    The reference of `apply_viscosity`, which applies the blocks of a real
+    field's upper half only: the `mode_blocks` of the whole cube against the
+    (size, n) stack of u's coefficients.
     """
     lat = u.lattice
     uk = np.ascontiguousarray(u.coeffs.reshape(lat.n, -1).T, dtype=np.complex128)
@@ -316,11 +367,13 @@ class TestClosedFormInverse:
         whole = stokes_mod._invert(R, xis)
         monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
         assert np.array_equal(stokes_mod._invert(R, xis), whole)
-        i = len(xis) - 2  # the axis mode (0, 0, -2), second member of its block
+        # the axis mode (0, 1, 0), second member of its block of 7
+        i = int(np.flatnonzero((xis == (0.0, 1.0, 0.0)).all(axis=1))[0])
+        assert i % 7 == 1
         R[i] = stokes_mod._mode_symbols(make_isotropic(1.0, 0.0, 3), xis[i : i + 1])[0]
         with pytest.raises(SingularSymbol, match="singular symbol") as exc:
             stokes_mod._invert(R, xis)
-        assert exc.value.xi == (0, 0, -2)
+        assert exc.value.xi == (0, 1, 0)
 
     def test_whole_half_builds_without_lapack(self, monkeypatch):
         def no_lapack(*args, **kwargs):
@@ -399,10 +452,11 @@ class TestHalfCubeSolve:
     @pytest.mark.parametrize("shrink", [1.0, 0.01])
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 2)])
-    def test_estimate_pass_matches_two_member_calls(self, monkeypatch, n, m, is_real, shrink):
-        # oracle: _mode_slacks called once per member, the two joined, and the
-        # minima and verdict taken on the joined arrays, bit for bit; shrunken
-        # constants make the verdict fail
+    def test_estimate_pass_matches_per_member_calls(self, monkeypatch, n, m, is_real, shrink):
+        # oracle: _mode_slacks called once per member of the data (a real
+        # solve's modes and their mirrors, or a complex solve's whole cube),
+        # the members joined, and the minima and verdict taken on the joined
+        # arrays, bit for bit; shrunken constants make the verdict fail
         import tsflow.stokes as stokes_mod
         from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
 
@@ -413,17 +467,13 @@ class TestHalfCubeSolve:
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(54 + n, n)
         f, g = self._data(lat, 64 + n, is_real)
-        # the reference's stacks and shrunken constants
-        constants, (xis, symbols, inverses) = _checked_constants(A, lat), _whole_half(A, lat)
         u, p, report = solve_stokes(A, f, g)
 
-        x = np.empty((2, lat.size // 2, n + 1), np.complex128)
-        _split(lat, f.coeffs, x[..., :n])
-        _split(lat, g.coeffs, x[..., n])
-        x[..., n] *= -1j
-        y = _solve_symbols(symbols, inverses, x[0])[0]
-        y_mirror = y if is_real else _solve_symbols(symbols, inverses, x[1])[0]
-        members = [_mode_slacks(constants, xis, x[k], z) for k, z in enumerate((y, y_mirror))]
+        constants = _checked_constants(A, lat)  # the shrunken constants
+        _, _, _, xis, x = _whole_data(lat, f, g, is_real)
+        R = _mode_symbols(A, xis)
+        y = _solve_symbols(R, _invert(R, xis), x[0])[0]
+        members = [_mode_slacks(constants, xis, member, y) for member in x]
         slack_u, slack_p, bound_u, bound_p = (np.concatenate(pair) for pair in zip(*members))
         assert report.min_slack_u == float(np.min(slack_u))
         assert report.min_slack_p == float(np.min(slack_p))
@@ -487,23 +537,38 @@ class TestHalfCubeSolve:
         assert not report.estimates_ok
 
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
-    def test_stores_only_the_half_before_zero(self, n, m):
-        lat = make_lattice(n, m)
-        xis, symbols, inverses = _whole_half(random_elliptic_tensor(54, n), lat)
-        half = (lat.size - 1) // 2
-        assert symbols.shape == (half, n + 1, n + 1)
-        assert inverses.shape == (half, n + 1, n + 1)
-        assert xis.shape == (half, n)
-        np.testing.assert_array_equal(xis, lat.indices()[:half])
+    def test_stores_only_the_upper_half(self, n, m):
+        # the stacks that picard_solve applies: a row for every nonzero mode
+        # with xi_n >= 0, the xi_n = 0 plane with both members of each pair,
+        # at the member of its pair before xi = 0
+        import tsflow.navier_stokes as ns_mod
 
-    def test_residual_sees_the_mirrored_half(self):
-        # a real-flagged field that is Hermitian only to 1e-6: the half solve
-        # fits the modes before xi = 0 exactly, so only the mirrored half's
-        # defect can show the asymmetry
+        lat = make_lattice(n, m)
+        A = random_elliptic_tensor(54, n)
+        f = random_vector_field(54, lat, decay=2.0)
+        half = ns_mod._picard_half(A, f, dealias_grid(m))
+        upper = (2 * m + 1) ** (n - 1) * (m + 1) - 1
+        assert half.blocks.shape == (upper, n, n)
+        assert half.inverses.shape == (upper, n + 1, n + 1)
+        assert half.xis.shape == (upper, n)
+        after, reps = _representatives(_half_cube_modes(n, m))
+        assert half.xis.tobytes() == reps.tobytes()  # +0, never -0
+        np.testing.assert_array_equal(half.after, after)
+        upper_half = np.stack(np.broadcast_arrays(*index_grids(lat)))[..., m:]
+        listed = upper_half.reshape(n, -1)[:, half.keep].T
+        np.testing.assert_array_equal(listed, _half_cube_modes(n, m))
+
+    @pytest.mark.parametrize("where", ["upper", "plane", "lower"])
+    def test_residual_sees_the_mirrored_half(self, where):
+        # a real-flagged field that is Hermitian only to 1e-6: the upper
+        # half solve fits each mode's own data exactly, so only the check
+        # against its mirror's data can show the asymmetry, wherever it is
         lat = make_lattice(2, 3)
+        m = lat.m
         f = random_vector_field(64, lat, decay=1.0)
         c = f.coeffs.copy()
-        c[0, lat.m + 1, lat.m + 2] += 1e-6 * np.max(np.abs(c))  # after xi = 0
+        xi = {"upper": (1, 2), "plane": (1, 0), "lower": (1, -2)}[where]
+        c[(0, m + xi[0], m + xi[1])] += 1e-6 * np.max(np.abs(c))
         lying = SpectralVectorField(lat, c, True)
         A = random_elliptic_tensor(55, 2)
         assert solve_stokes(A, f)[2].residual <= 1e-13
@@ -631,9 +696,11 @@ def _assert_same_solve(a, b):
 
 
 class TestStreamedSolve:
-    """The one Stokes solve, streamed over the Hermitian half in blocks of modes."""
+    """The one Stokes solve, streamed in blocks of rows of lattice axis 0."""
 
-    CASES = [(2, 6), (3, 3)]  # H = 84 and 171 modes: many blocks of 5 or 7
+    # rows of 7 and 28 modes on the upper half, 13 and 49 on the whole cube:
+    # _BLOCK = 5 takes one row per block, 60 takes 1 to 8 rows
+    CASES = [(2, 6), (3, 3)]
 
     @staticmethod
     def _data(lat, seed, is_real, with_g):
@@ -643,11 +710,10 @@ class TestStreamedSolve:
     @pytest.mark.parametrize("with_g", [True, False])
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("n, m", CASES)
-    @pytest.mark.parametrize("block", [5, 7])
+    @pytest.mark.parametrize("block", [5, 60])
     def test_blocking_changes_no_bit(self, monkeypatch, block, n, m, is_real, with_g):
-        # blocks of 5 leave the mode (0, 0, -1) alone at the end of the n = 3
-        # half; the residual is the largest defect over the largest |x| of
-        # the whole half, whatever the blocks
+        # the residual is the largest defect over the largest |x| of the
+        # whole solve, whatever the blocks
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(n, m)
@@ -660,10 +726,12 @@ class TestStreamedSolve:
     @pytest.mark.parametrize("with_g", [True, False])
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("n, m", CASES)
-    @pytest.mark.parametrize("block", [5, 7])
+    @pytest.mark.parametrize("block", [5, 60])
     def test_in_place_solve_changes_no_bit(self, monkeypatch, block, n, m, is_real, with_g):
         # u and p written over the data's own buffers, block after block:
-        # each block copies its rows and their mirrors before it writes them
+        # each block copies its rows before it writes them, a real solve
+        # reads its mirrors' xi_n = 0 plane from the copy taken before the
+        # first block and writes xi_n < 0 last
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(n, m)
@@ -699,34 +767,34 @@ class TestStreamedSolve:
     @pytest.mark.parametrize("is_real", [True, False])
     @pytest.mark.parametrize("n, m", [(2, 48), (3, 11)])
     def test_entries_match_whole_half_reference(self, n, m, is_real, with_g):
-        # oracle: the whole-half solve, one _split of the data, _solve_symbols
-        # per member, _mode_slacks on both, all joined with _join, on the
-        # whole half's stacks; the solve streams it in two blocks of the default size
+        # oracle: the whole solve in one piece: the data of every listed mode
+        # at once (`_whole_data`), one _solve_symbols and one _mode_slacks on
+        # the stacks built in one piece, the solution written back into zero
+        # cubes and filled by conjugation for a real solve; the solve
+        # streams it in blocks of the default size
         from tsflow.stokes import ESTIMATE_RTOL, _mode_slacks, _solve_symbols
 
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(32 + n, n)
         f, g = self._data(lat, 33 + n, is_real, with_g)
-        constants, (xis, symbols, inverses) = _checked_constants(A, lat), _whole_half(A, lat)
-        x = np.zeros((2, lat.size // 2, n + 1), np.complex128)
-        _split(lat, f.coeffs, x[..., :n])
-        if with_g:
-            _split(lat, g.coeffs, x[..., n])
-            x[..., n] *= -1j
-        members = [x] if is_real else [x[0], x[1]]
-        fits = [_solve_symbols(symbols, inverses, member) for member in members]
-        residual = max(defect / max(x_max, 1e-300) for _, defect, x_max in fits)
-        y, y_mirror = fits[0][0], fits[-1][0]
-        z = y[None] if is_real else np.stack((y, y_mirror))
-        slack_u, slack_p, bound_u, bound_p = _mode_slacks(constants, xis, x, z)
-        u = SpectralVectorField(
-            lat, _join(lat, y[:, :n], y_mirror[:, :n]), is_real, divergence_free=not with_g
-        )
-        p = SpectralScalarField(lat, _join(lat, -1j * y[:, n], -1j * y_mirror[:, n]), is_real)
+        constants = _checked_constants(A, lat)
+        at, keep, after, xis, x = _whole_data(lat, f, g, is_real)
+        R = _mode_symbols(A, xis)
+        y, defect, x_max = _solve_symbols(R, _invert(R, xis), x if is_real else x[0])
+        slack_u, slack_p, bound_u, bound_p = _mode_slacks(constants, xis, x, y)
+        u, p = np.zeros((n,) + lat.shape, np.complex128), np.zeros(lat.shape, np.complex128)
+        flip = after[:, None]
+        _place(u, at, keep, np.where(flip, np.conj(y[:, :n]), y[:, :n]))
+        _place(p, at, keep, np.where(after, np.conj(-1j * y[:, n]), -1j * y[:, n]))
+        if is_real:
+            _hermitian_from_upper(u, lat)
+            _hermitian_from_upper(p, lat)
+        u = SpectralVectorField(lat, u, is_real, divergence_free=not with_g)
+        p = SpectralScalarField(lat, p, is_real)
         ref = (u, p, StokesSolveReport(
             s=1.0,
             n_modes=lat.size - 1,
-            residual=residual,
+            residual=defect / max(x_max, 1e-300),
             constants=constants,
             min_slack_u=float(np.min(slack_u)),
             min_slack_p=float(np.min(slack_p)),
@@ -742,27 +810,34 @@ class TestStreamedSolve:
 
     @pytest.mark.parametrize("n, m", CASES)
     def test_whole_half_stacks_are_the_solve_blocks(self, monkeypatch, n, m):
-        # the link between the stacks that Picard applies and the one solve:
-        # the whole half's stacks are the solve's blocks, joined, bit for bit
+        # the one block builder: the blocks of a real solve, and the stacks
+        # that Picard fills with them, are the upper half's stacks built in
+        # one piece, bit for bit, with the same members of each pair
+        import tsflow.navier_stokes as ns_mod
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(n, m)
         A = random_elliptic_tensor(30 + n, n)
         monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
         stacks = _whole_half(A, lat)
-        real, blocks = stokes_mod._half_block, []
+        real, blocks = stokes_mod._blocks, []
 
-        def recording(*args):
-            blocks.append(real(*args))
-            return blocks[-1]
+        def recording(*args, **kwargs):
+            for block in real(*args, **kwargs):
+                blocks.append(block[3:])
+                yield block
 
-        monkeypatch.setattr(stokes_mod, "_half_block", recording)
+        monkeypatch.setattr(stokes_mod, "_blocks", recording)
         solve_stokes(A, *self._data(lat, 31 + n, True, True))
-        assert len(blocks) == -(-(lat.size // 2) // 7)
+        assert len(blocks) == 2 * m + 1  # one row of 7 or more modes each
+        half = ns_mod._picard_half(A, random_vector_field(31, lat), dealias_grid(m))
+        picard = (half.xis, half.blocks, half.inverses)
         for k, stack in enumerate(stacks):
             joined = np.concatenate([block[k] for block in blocks])
             assert joined.dtype == stack.dtype and joined.shape == stack.shape
             assert joined.tobytes() == stack.tobytes()
+            stored = stack[:, :n, :n] if k == 1 else stack
+            assert picard[k].tobytes() == np.ascontiguousarray(stored).tobytes()
 
     @pytest.mark.parametrize("with_g", [True, False])
     def test_one_shot_holds_one_block(self, with_g):
@@ -785,8 +860,9 @@ class TestStreamedSolve:
 
     @pytest.mark.parametrize("entry", ["solve_stokes", "picard_solve"])
     def test_singular_symbol_names_its_mode_in_a_later_block(self, monkeypatch, entry):
-        # the mode (0, 0, -2) lies in the last block of 7; the solve builds
-        # that symbol in its block, Picard in its one whole-half build
+        # the pair of (0, 0, 2), solved at (0, 0, -2), lies in the fourth of
+        # seven blocks, one row of lattice axis 0 each; the solve and Picard
+        # build its symbol in that block
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(3, 3)
@@ -813,15 +889,15 @@ class TestStreamedSolve:
 
     def test_divergence_limit_is_global(self, monkeypatch):
         # a divergence of half DIVERGENCE_RTOL * max |fhat| in the first block
-        # of 7 modes (xi_1 = -6, where |fhat| is small) passes, ten times
-        # above the limit of its own block; twice the limit fails, with the
-        # message and the raising function of the check
+        # of 7 modes (xi_0 = -6, xi_1 >= 0, where |fhat| is small) passes,
+        # ten times above the limit of its own block; twice the limit fails,
+        # with the message and the raising function of the check
         import tsflow.stokes as stokes_mod
 
         lat = make_lattice(2, 6)
         f = random_vector_field(38, lat, decay=3.0)
         limit = stokes_mod.DIVERGENCE_RTOL * np.max(np.abs(f.coeffs))
-        first_block = stokes_mod.DIVERGENCE_RTOL * np.max(np.abs(f.coeffs[:, 0, :7]))
+        first_block = stokes_mod.DIVERGENCE_RTOL * np.max(np.abs(f.coeffs[:, 0, 6:]))
         assert 0.5 * limit > 10 * first_block
         real = stokes_mod._solve_symbols
         monkeypatch.setattr(stokes_mod, "_BLOCK", 7)
@@ -1167,8 +1243,9 @@ class TestIncompressibleSolve:
         assert caught.traceback[-1].name == "_check_solenoidal"
         assert str(caught.traceback[-1].path) == stokes_mod.__file__
 
-    def test_divergent_mirror_member_raises(self, monkeypatch):
-        # a complex solve checks its mirror member too: only that one is skewed
+    def test_divergence_below_the_upper_half_raises(self, monkeypatch):
+        # a complex solve checks every mode of the whole cube: only the
+        # first, (-4, -4) with xi_n < 0, is skewed
         import tsflow.stokes as stokes_mod
 
         real = stokes_mod._solve_symbols
@@ -1177,8 +1254,7 @@ class TestIncompressibleSolve:
         def skewed(R, inv, x):
             y, *fit = real(R, inv, x)
             calls.append(x)
-            if len(calls) == 2:
-                y[0, 0] += 1e-6 * np.max(np.abs(y))
+            y[0, 0] += 1e-6 * np.max(np.abs(y))
             return (y, *fit)
 
         monkeypatch.setattr(stokes_mod, "_solve_symbols", skewed)
@@ -1187,7 +1263,7 @@ class TestIncompressibleSolve:
         f = vector_field(lat, f.coeffs + 1j * random_vector_field(18, lat).coeffs)
         with pytest.raises(NotSolenoidal):
             solve_stokes(ISO, f)
-        assert len(calls) == 2
+        assert len(calls) == 1 and calls[0].shape == (lat.size - 1, 3)
 
 
 class TestScaleInvariantVerdicts:

@@ -32,15 +32,17 @@ _TENSORS = (
     "write_tensor('A3.txt', random_elliptic_tensor(12, 3))\n"
 )
 
-# A complex (real=0) zero-mean forcing: two real fields f1 + i f2, whose
-# coefficients at xi and -xi are independent, so its Stokes solve runs the
-# mirror member and its samples take the complex transforms.
+# Complex (real=0) zero-mean forcings: two real fields f1 + i f2, whose
+# coefficients at xi and -xi are independent, so their Stokes solves take
+# every mode of the whole cube and their samples the complex transforms.
+# At n = 3, m = 10 the cube's 9,261 modes span several blocks of the solve.
 _COMPLEX = (
     "from tsflow.io import write_field\n"
     "from tsflow.spectral import make_lattice, random_vector_field\n"
-    "lat = make_lattice(2, 6)\n"
-    "f = random_vector_field(21, lat, decay=2.0) + 1j * random_vector_field(22, lat, decay=2.0)\n"
-    "write_field('c2_f.spf', f)\n"
+    "for name, n, m, seed in (('c2_f.spf', 2, 6, 21), ('c3_f.spf', 3, 10, 23)):\n"
+    "    lat = make_lattice(n, m)\n"
+    "    f = random_vector_field(seed, lat, decay=2.0)\n"
+    "    write_field(name, f + 1j * random_vector_field(seed + 1, lat, decay=2.0))\n"
 )
 
 
@@ -118,6 +120,9 @@ STEPS = (
     ("stokes-solve-complex", _cli("stokes-solve", "--tensor", "A2.txt", "--f", "c2_f.spf",
                                   "--out", "stokes_complex.spf",
                                   "--report", "stokes_complex.txt")),
+    ("stokes-solve-complex-3d", _cli("stokes-solve", "--tensor", "A3.txt", "--f", "c3_f.spf",
+                                     "--out", "stokes_complex_3d.spf",
+                                     "--report", "stokes_complex_3d.txt")),
     # N = 8 < 2m+1 = 13: the aliased complex transform, modes sharing a slot add up
     ("export-grid-aliased", _cli("export-grid", "--in", "c2_f.spf", "--N", "8",
                                  "--out", "grid_aliased.csv")),
